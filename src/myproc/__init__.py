@@ -2,7 +2,7 @@
 eta_t = int_0^t e^{2 B_s - B_t} ds and its matrix and tree analogues.
 
 Submodules:
-  specialfn   Gamma, Macdonald function and its lambda-derivatives, chamber types
+  specialfn   Macdonald function and its lambda-derivatives, multiplicities
   series      Toda / Calogero-Moser-Sutherland eigenfunction series, spherical limits
   paths       scalar path engine (Brownian, eta, Pitman transform, hyperbolic radial)
   matrixproc  triangular-group Brownian motion and solvable-model radial parts

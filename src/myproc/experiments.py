@@ -91,6 +91,14 @@ def _table(header, rows):
     return {"header": list(header), "rows": [list(r) for r in rows]}
 
 
+def _map_seeds(fn, args, workers: int) -> list:
+    """fn over the per-seed argument tuples, sorted; in a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return sorted(ex.map(fn, args))
+    return sorted(map(fn, args))
+
+
 # --------------------------------------------------------------------------
 # pitman-discrete: exact Pitman transform law == discrete Bessel(3) law
 
@@ -255,11 +263,7 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # shared-noise convergence over seeds
     q_small, q_large = 100, 10_000
     args = [(cfg.seed + 100 + i, cfg.dt, cfg.T, q_small, q_large) for i in range(cfg.n_seeds)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            results = sorted(ex.map(_convergence_seed_err, args))
-    else:
-        results = sorted(map(_convergence_seed_err, args))
+    results = _map_seeds(_convergence_seed_err, args, cfg.workers)
     rows = [[s, e2, e4] for s, e2, e4 in results]
     e2s = np.array([r[1] for r in rows])
     e4s = np.array([r[2] for r in rows])
@@ -384,11 +388,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     inner = 8
     n_seeds = min(cfg.n_seeds, 50)
     args = [(cfg.seed + 500 + i, cfg.dt, cfg.T, cfg.p, q_list, inner) for i in range(n_seeds)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            results = sorted(ex.map(_supq_seed_monotone, args))
-    else:
-        results = sorted(map(_supq_seed_monotone, args))
+    results = _map_seeds(_supq_seed_monotone, args, cfg.workers)
     frac = float(np.mean([ok for _, ok, _ in results]))
     checks.append(Check("cosh_radial_monotone", frac >= 0.9, frac,
                         f"componentwise error decreasing over q={q_list} on >= 90% of {n_seeds} seeds "

@@ -33,9 +33,7 @@ from .paths import ArcoshDomainError, RngStream, TimeGrid
 
 __all__ = [
     "TriangularPath",
-    "SuSolvableState",
     "SuSolvablePath",
-    "JacobiConvergenceError",
     "expm_tri",
     "singular_values",
     "triangular_increments",
@@ -49,10 +47,6 @@ __all__ = [
     "finite_q_radial",
     "radial_to_csv",
 ]
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi sweep cap exceeded (pathological input)."""
 
 
 # --------------------------------------------------------------------------
@@ -81,42 +75,9 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _jacobi_hermitian_eigenvalues(H: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations (p <= 6)."""
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real])
-    scale = max(1.0, float(np.max(np.abs(np.diagonal(A)))))
-    for _ in range(max_sweeps):
-        off = max(abs(A[i, j]) for i in range(n) for j in range(i + 1, n))
-        if off <= 1e-15 * scale:
-            return np.sort(np.diagonal(A).real)
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = A[i, j]
-                if abs(g) <= 1e-300:
-                    continue
-                phase = g / abs(g)
-                tau = (A[j, j].real - A[i, i].real) / (2.0 * abs(g))
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                J = np.eye(n, dtype=complex)
-                J[i, i] = c
-                J[j, j] = c
-                J[i, j] = s * phase
-                J[j, i] = -s * np.conj(phase)
-                A = J.conj().T @ A @ J
-    raise JacobiConvergenceError(f"no convergence in {max_sweeps} sweeps")
-
-
 def singular_values(n_matrix: np.ndarray) -> np.ndarray:
-    """Singular values in decreasing order: square roots of the eigenvalues of N N*."""
-    N = np.asarray(n_matrix)
-    H = N @ N.conj().T
-    eig = _jacobi_hermitian_eigenvalues(H)
-    return np.sqrt(np.maximum(eig, 0.0))[::-1]
+    """Singular values in decreasing order, of one matrix or of each matrix in a stack."""
+    return np.linalg.svd(np.asarray(n_matrix), compute_uv=False)
 
 
 # --------------------------------------------------------------------------
@@ -136,9 +97,6 @@ class TriangularPath:
             raise ValueError("field must be 'real' or 'complex'")
         if self.frames.shape != (self.grid.n_steps + 1, self.p, self.p):
             raise ValueError("frames shape mismatch")
-
-    def diagonal_log(self, k: int) -> np.ndarray:
-        return np.log(np.diagonal(self.frames[k]).real)
 
 
 def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) -> np.ndarray:
@@ -206,27 +164,11 @@ def eta_matrix(lpath: TriangularPath, indices: Optional[Sequence[int]] = None):
     indices = np.asarray(list(indices), dtype=int)
     if np.any(indices < 1):
         raise ValueError("eta is defined from the first grid point on")
-    radial = np.empty((len(indices), lpath.p))
-    for row, k in enumerate(indices):
-        m = np.linalg.solve(lpath.frames[k], J[k])
-        radial[row] = singular_values(m)
-    return indices, radial
+    return indices, singular_values(np.linalg.solve(lpath.frames[indices], J[indices]))
 
 
 # --------------------------------------------------------------------------
 # solvable-group model of SU(p,q) / SO(p,q)
-
-@dataclass
-class SuSolvableState:
-    """One horocyclic state (l, b, c); the group relation is c + c* = b b*."""
-
-    l: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def invariant_defect(self) -> float:
-        return float(np.max(np.abs(self.c + self.c.conj().T - self.b @ self.b.conj().T)))
-
 
 @dataclass
 class SuSolvablePath:
@@ -244,9 +186,6 @@ class SuSolvablePath:
     @property
     def grid(self) -> TimeGrid:
         return self.l_path.grid
-
-    def state(self, k: int) -> SuSolvableState:
-        return SuSolvableState(self.l_path.frames[k], self.b[k], self.c[k])
 
     def invariant_defect(self) -> np.ndarray:
         """sup-norm of c + c* - b b* at every grid point (O(dt) drift of the scheme)."""
@@ -343,17 +282,13 @@ def finite_q_radial(path: SuSolvablePath, indices: Optional[Sequence[int]] = Non
     if indices is None:
         indices = range(path.grid.n_steps + 1)
     indices = np.asarray(list(indices), dtype=int)
-    p = path.p
-    radial = np.empty((len(indices), p))
-    eye = np.eye(p, dtype=path.l_path.frames.dtype)
-    for row, k in enumerate(indices):
-        l = path.l_path.frames[k]
-        l_star_inv = np.linalg.solve(l.conj().T, eye)
-        arg = 0.5 * singular_values(l + l_star_inv + path.c[k] @ l_star_inv)
-        if np.any(arg < 1.0 - 1e-12):
-            raise ArcoshDomainError(f"cosh argument {arg.min()} below 1 at step {k}")
-        radial[row] = np.arccosh(np.maximum(arg, 1.0))
-    return indices, radial
+    l = path.l_path.frames[indices]
+    l_star_inv = np.linalg.inv(l.conj().transpose(0, 2, 1))
+    arg = 0.5 * singular_values(l + l_star_inv + path.c[indices] @ l_star_inv)
+    low = np.any(arg < 1.0 - 1e-12, axis=1)
+    if np.any(low):
+        raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1 at step {indices[low][0]}")
+    return indices, np.arccosh(np.maximum(arg, 1.0))
 
 
 def radial_to_csv(times: Sequence[float], radial: np.ndarray, fileobj) -> None:

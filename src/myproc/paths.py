@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,31 +23,21 @@ __all__ = [
     "ScalarPath",
     "RngStream",
     "ArcoshDomainError",
-    "BlowUpError",
     "sample_bm",
     "eta_functional",
     "log_eta",
     "pitman_transform",
     "hyperbolic_radial",
     "my_drift",
-    "tabulated_drift",
-    "euler_diffusion",
-    "euler_diffusion_batch",
     "exp_functional_samples",
-    "path_to_csv",
     "paths_to_csv",
 ]
 
-_LOG_DOMAIN_CUTOFF = 30.0  # switch eta accumulation to log space beyond this |B|
 _MASK64 = (1 << 64) - 1
 
 
 class ArcoshDomainError(RuntimeError):
     """arcosh argument below 1 by more than round-off: integrator bug."""
-
-
-class BlowUpError(RuntimeError):
-    """Euler path left the admissible region."""
 
 
 def _splitmix64(x: int) -> int:
@@ -131,24 +121,15 @@ def _log_trapezoid_integral(b: np.ndarray, dt: float) -> np.ndarray:
 
 
 def eta_functional(b_path: ScalarPath) -> ScalarPath:
-    """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds by trapezoid accumulation; eta_0 = 0.
+    """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds by trapezoid accumulation in log space; eta_0 = 0.
 
-    Switches to log-space accumulation when |B| exceeds 30, so the integral
-    never overflows; the returned eta itself can still be inf if the true
-    value exceeds double range.
+    The integral never overflows; a driving path beyond +-700 raises, because
+    eta itself would not be representable.
     """
     b = b_path.values
-    dt = b_path.grid.dt
-    if np.max(np.abs(b)) <= _LOG_DOMAIN_CUTOFF:
-        e2b = np.exp(2.0 * b)
-        integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (e2b[:-1] + e2b[1:]))])
-        values = np.exp(-b) * integral
-    else:
-        if np.max(np.abs(b)) > 700.0:
-            raise OverflowError("driving path exceeds +-700; eta would not be representable")
-        values = np.exp(_log_trapezoid_integral(b, dt) - b)
-        values[0] = 0.0
-    return ScalarPath(b_path.grid, values)
+    if np.max(np.abs(b)) > 700.0:
+        raise OverflowError("driving path exceeds +-700; eta would not be representable")
+    return ScalarPath(b_path.grid, np.exp(_log_trapezoid_integral(b, b_path.grid.dt) - b))
 
 
 def log_eta(b_path: ScalarPath) -> ScalarPath:
@@ -209,51 +190,6 @@ def my_drift(r, lam: float = 0.0):
     return x * num / den
 
 
-def tabulated_drift(lam: float, r_min: float, r_max: float, n_nodes: int = 4001) -> Callable:
-    """Piecewise-linear interpolant of my_drift on [r_min, r_max].
-
-    For per-step use inside SDE loops; interpolation error is far below the
-    Monte Carlo resolution of the tests that consume it.
-    """
-    grid = np.linspace(r_min, r_max, n_nodes)
-    vals = my_drift(grid, lam)
-
-    def drift(r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < r_min) or np.any(r > r_max):
-            raise ValueError("drift tabulation range exceeded")
-        return np.interp(r, grid, vals)
-
-    return drift
-
-
-def euler_diffusion(drift: Callable, grid: TimeGrid, x0: float, rng: RngStream) -> ScalarPath:
-    """Euler-Maruyama path of dX = drift(X) dt + dW, X_0 = x0."""
-    values = euler_diffusion_batch(drift, grid, x0, rng, n_paths=1, keep_paths=True)
-    return ScalarPath(grid, values[:, 0])
-
-
-def euler_diffusion_batch(drift: Callable, grid: TimeGrid, x0, rng: RngStream,
-                          n_paths: int, keep_paths: bool = False):
-    """Euler-Maruyama over a batch; returns final values, or the full (n+1, n_paths) array."""
-    dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
-    gen = rng.generator()
-    x = np.full(n_paths, x0, dtype=float) if np.ndim(x0) == 0 else np.array(x0, dtype=float)
-    if x.shape != (n_paths,):
-        raise ValueError("x0 must be scalar or of length n_paths")
-    out = np.empty((grid.n_steps + 1, n_paths)) if keep_paths else None
-    if keep_paths:
-        out[0] = x
-    for k in range(grid.n_steps):
-        x = x + np.asarray(drift(x)) * dt + sqrt_dt * gen.standard_normal(n_paths)
-        if np.max(np.abs(x)) > 1e6:
-            raise BlowUpError(f"|X| exceeded 1e6 at step {k + 1}")
-        if keep_paths:
-            out[k + 1] = x
-    return out if keep_paths else x
-
-
 def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng: RngStream,
                            mu: float = 2.0, drift: float = 0.0):
     """Joint samples of (B_t, Z_t) with Z_t = int_0^t e^{mu B_s - B_t} ds at the given times.
@@ -288,17 +224,9 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
             i = marks[k]
             out_b[i] = b
             out_z[i] = integral * np.exp(-b)
-    if np.max(np.abs(b)) * max(abs(mu), 1.0) > 600.0:
-        raise OverflowError("paths left the numerically safe range; use shorter horizons")
+    if not np.all(np.isfinite(out_z)):
+        raise OverflowError("exponential functional left double range; use shorter horizons")
     return out_b, out_z
-
-
-def path_to_csv(path: ScalarPath, fileobj) -> None:
-    """Write a path as two columns t,value."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["t", "value"])
-    for t, v in zip(path.grid.times(), path.values):
-        writer.writerow([f"{t:.12g}", f"{v:.17g}"])
 
 
 def paths_to_csv(paths: Sequence[ScalarPath], fileobj) -> None:

@@ -28,16 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .specialfn import (
-    ChamberVector,
-    Multiplicities,
-    _det_partial_pivot,
-    gamma_sign,
-    log_abs_gamma,
-    log_a_normalizer,
-    log_c_function,
-    macdonald_k,
-)
+from .specialfn import Multiplicities, log_a_normalizer, log_c_function, macdonald_k
 
 __all__ = [
     "ResonanceError",
@@ -46,7 +37,6 @@ __all__ = [
     "toda_series",
     "cms_series",
     "eval_series",
-    "delta_q",
     "log_delta_q",
     "rank1_spherical",
     "g_q_error",
@@ -166,15 +156,6 @@ def _adaptive_value(lam: float, r: float, mult: Optional[Multiplicities], n0: in
                 raise
 
 
-def delta_q(r: float, mult: Multiplicities) -> float:
-    """Radial density factor (e^r - e^{-r})^{m_alpha} (e^{2r} - e^{-2r})^{m_2alpha}."""
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
-    return (math.exp(r) - math.exp(-r)) ** mult.m_alpha * (
-        math.exp(2 * r) - math.exp(-2 * r)
-    ) ** mult.m_2alpha
-
-
 def log_delta_q(r: float, mult: Multiplicities) -> float:
     """log delta_q(r) for r > 0, stable for large multiplicities."""
     if r <= 0.0:
@@ -205,9 +186,8 @@ def rank1_spherical(lam: float, mult: Multiplicities, r: float, *, log_scale: fl
     total = 0.0
     for s in (1.0, -1.0):
         sl = s * lam
-        weight = gamma_sign(sl) * math.exp(
-            log_abs_gamma(sl) + log_c_function(sl, mult) + log_scale
-        )
+        gamma_sign = 1.0 if sl > 0.0 or math.floor(sl) % 2 == 0 else -1.0
+        weight = gamma_sign * math.exp(math.lgamma(sl) + log_c_function(sl, mult) + log_scale)
         total += weight * _adaptive_value(sl, r, mult)
     return total
 
@@ -258,10 +238,10 @@ def hoogenboom_det(lams: Sequence[float], p: int, q: int, r) -> float:
     phi_lam^{(p,q)}(r) = A(p,q) det( phi_{lam_i}^{(1,q-p+1)}(r_j) )
                          / prod_{i<j} (cosh 2r_i - cosh 2r_j)(lam_i^2 - lam_j^2),
 
-    with each rank-one factor evaluated through rank1_spherical / delta_q at
+    with each rank-one factor evaluated through rank1_spherical / log_delta_q at
     the SU(1, q-p+1) multiplicities (2(q-p), 1).
     """
-    rv = r.r if isinstance(r, ChamberVector) else tuple(float(v) for v in r)
+    rv = tuple(float(v) for v in r)
     if len(lams) != p or len(rv) != p:
         raise ValueError("need p spectral parameters and p chamber coordinates")
     if q < p:
@@ -287,7 +267,7 @@ def hoogenboom_det(lams: Sequence[float], p: int, q: int, r) -> float:
     for i in range(p):
         for j in range(i + 1, p):
             denom *= (math.cosh(2 * rv[i]) - math.cosh(2 * rv[j])) * (l2[i] - l2[j])
-    return _hoog_prefactor(p, q) * _det_partial_pivot(mat) / denom
+    return _hoog_prefactor(p, q) * np.linalg.det(mat) / denom
 
 
 def finite_q_ktilde(r, p: int, q: int, h: float = 0.0) -> float:
@@ -303,7 +283,7 @@ def finite_q_ktilde(r, p: int, q: int, h: float = 0.0) -> float:
     each branch of the two-sided combination grows like 1/lam near 0, and the
     order-2(p-1) extraction amplifies that cancellation noise by h^{-2(p-1)}.
     """
-    rv = r.r if isinstance(r, ChamberVector) else tuple(float(v) for v in r)
+    rv = tuple(float(v) for v in r)
     if len(rv) != p:
         raise ValueError("need p chamber coordinates")
     if h <= 0.0:
@@ -317,4 +297,4 @@ def finite_q_ktilde(r, p: int, q: int, h: float = 0.0) -> float:
         mat[i, :] = even_lambda_derivatives(
             lambda lam_: rank1_spherical(lam_, mult, ri + shift, log_scale=la), h, orders
         )
-    return _det_partial_pivot(mat)
+    return np.linalg.det(mat)

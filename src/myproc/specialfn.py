@@ -1,115 +1,44 @@
 """Gamma and Macdonald-type special functions.
 
-Everything here is built on two primitives:
+Gamma comes from the standard library.  The Macdonald function is a
+trapezoidal quadrature of its integral representation.  After the
+substitution t = (x/2) e^v the defining integral
 
-* an in-repo Lanczos approximation of the Gamma function, and
-* a trapezoidal quadrature of the Macdonald function's integral
-  representation.  After the substitution t = (x/2) e^v the defining
-  integral
+    K_lam(x) = 1/2 (x/2)^lam int_0^inf e^{-t - x^2/(4t)} t^{-1-lam} dt
 
-      K_lam(x) = 1/2 (x/2)^lam int_0^inf e^{-t - x^2/(4t)} t^{-1-lam} dt
-
-  becomes  int_0^inf cosh(lam*v) e^{-x cosh v} dv,  whose integrand decays
-  doubly exponentially, so the composite trapezoid rule converges
-  superexponentially under node doubling.  The same machinery yields
-  lambda-derivatives (weight v^n) and the x-derivative (weight cosh v).
+becomes  int_0^inf cosh(lam*v) e^{-x cosh v} dv,  whose integrand decays
+doubly exponentially, so the composite trapezoid rule converges
+superexponentially under node doubling.  The same machinery yields
+lambda-derivatives (weight v^n) and the x-derivative (weight cosh v).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "GammaPoleError",
     "QuadratureError",
     "Multiplicities",
-    "ChamberVector",
     "gamma",
-    "log_abs_gamma",
-    "gamma_sign",
     "macdonald_k",
     "macdonald_k_dlambda",
-    "macdonald_k_dx",
     "macdonald_ratio",
     "ktilde_det",
-    "c_function",
     "log_c_function",
-    "a_normalizer",
     "log_a_normalizer",
 ]
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a nonpositive integer."""
 
 
 class QuadratureError(RuntimeError):
     """Node doubling failed to reach the requested tolerance."""
 
 
-# --------------------------------------------------------------------------
-# Gamma function (Lanczos, g = 7, 9 coefficients; relative error < 1e-13
-# on the real axis, well inside the 1e-12 target on [0.05, 50]).
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _is_nonpositive_integer(z: float) -> bool:
-    return z <= 0.0 and z == math.floor(z)
-
-
-def _lanczos_log_gamma(z: float) -> float:
-    """log Gamma(z) for z >= 0.5."""
-    x = z - 1.0
-    series = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        series += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (x + 0.5) * math.log(t) - t + math.log(series)
-
-
 def gamma(z: float) -> float:
-    """Gamma function on the real line (poles at 0, -1, -2, ... raise)."""
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"Gamma pole at z={z}")
-    if z < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    return math.exp(_lanczos_log_gamma(z))
-
-
-def log_abs_gamma(z: float) -> float:
-    """log |Gamma(z)| for real non-pole z (usable far outside float range of Gamma)."""
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"Gamma pole at z={z}")
-    if z < 0.5:
-        return math.log(math.pi) - math.log(abs(math.sin(math.pi * z))) - log_abs_gamma(1.0 - z)
-    return _lanczos_log_gamma(z)
-
-
-def gamma_sign(z: float) -> float:
-    """Sign of Gamma(z): positive for z > 0, alternating on (-n-1, -n)."""
-    if _is_nonpositive_integer(z):
-        raise GammaPoleError(f"Gamma pole at z={z}")
-    if z > 0.0:
-        return 1.0
-    return 1.0 if math.floor(z) % 2 == 0 else -1.0
+    """Gamma function on the real line (poles at 0, -1, -2, ... raise ValueError)."""
+    return math.gamma(z)
 
 
 # --------------------------------------------------------------------------
@@ -148,26 +77,6 @@ class Multiplicities:
     def rho(self) -> float:
         """Half sum of roots with multiplicity: (m_alpha + 2 m_2alpha) / 2."""
         return 0.5 * (self.m_alpha + 2 * self.m_2alpha)
-
-
-@dataclass(frozen=True)
-class ChamberVector:
-    """Point r_1 >= r_2 >= ... >= r_p of the closed Weyl chamber."""
-
-    r: tuple
-
-    def __init__(self, r: Sequence[float]):
-        object.__setattr__(self, "r", tuple(float(v) for v in r))
-        if any(a < b for a, b in zip(self.r, self.r[1:])):
-            raise ValueError(f"coordinates must be non-increasing: {self.r}")
-
-    def __len__(self) -> int:
-        return len(self.r)
-
-    @property
-    def strict(self) -> bool:
-        """True when all coordinates are pairwise distinct."""
-        return all(a > b for a, b in zip(self.r, self.r[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -289,32 +198,9 @@ def macdonald_k_dlambda(n: int, x):
     return np.exp(-np.asarray(x, dtype=float)) * scaled if np.ndim(x) else math.exp(-float(x)) * scaled
 
 
-def macdonald_k_dx(lam: float, x):
-    """x-derivative of K_lam(x):  -int_0^inf cosh(lam v) cosh(v) e^{-x cosh v} dv."""
-    scaled = _scaled_macdonald_integral(x, lam, dx_weight=1)
-    return -np.exp(-np.asarray(x, dtype=float)) * scaled if np.ndim(x) else -math.exp(-float(x)) * scaled
-
-
 def macdonald_ratio(lam: float, x):
     """K_lam(x) / K_0(x), overflow/underflow-safe for any x > 0."""
     return _scaled_macdonald_integral(x, lam) / _scaled_macdonald_integral(x, 0.0)
-
-
-def _det_partial_pivot(a: np.ndarray) -> float:
-    """Determinant of a small square matrix by LU with partial pivoting."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        a[k + 1 :, k:] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k:])
-    return det
 
 
 def ktilde_det(r) -> float:
@@ -323,11 +209,9 @@ def ktilde_det(r) -> float:
     This is the limiting ground state of the multi-component Toda Hamiltonian;
     it vanishes when two chamber coordinates coincide.
     """
-    rv = r.r if isinstance(r, ChamberVector) else tuple(float(v) for v in r)
-    p = len(rv)
-    x = np.exp(-np.asarray(rv))
-    mat = np.column_stack([macdonald_k_dlambda(2 * j, x) for j in range(p)])
-    return _det_partial_pivot(mat)
+    x = np.exp(-np.asarray(r, dtype=float))
+    mat = np.column_stack([macdonald_k_dlambda(2 * j, x) for j in range(len(x))])
+    return np.linalg.det(mat)
 
 
 # --------------------------------------------------------------------------
@@ -342,15 +226,10 @@ def log_c_function(lam: float, mult: Multiplicities) -> float:
     ma, m2 = mult.m_alpha, mult.m_2alpha
     return (
         (0.5 * ma + m2 - lam) * math.log(2.0)
-        + log_abs_gamma(0.5 * (ma + m2 + 1.0))
-        - log_abs_gamma(0.5 * (0.5 * ma + 1.0 + lam))
-        - log_abs_gamma(0.5 * (0.5 * ma + m2 + lam))
+        + math.lgamma(0.5 * (ma + m2 + 1.0))
+        - math.lgamma(0.5 * (0.5 * ma + 1.0 + lam))
+        - math.lgamma(0.5 * (0.5 * ma + m2 + lam))
     )
-
-
-def c_function(lam: float, mult: Multiplicities) -> float:
-    """The c-function constant in the two-sided eigenfunction expansion (see log_c_function)."""
-    return math.exp(log_c_function(lam, mult))
 
 
 def log_a_normalizer(mult: Multiplicities, variant: str = "squared") -> float:
@@ -368,9 +247,5 @@ def log_a_normalizer(mult: Multiplicities, variant: str = "squared") -> float:
         k = mult_g[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
-    return k * log_abs_gamma(0.5 * ma) - log_abs_gamma(float(ma)) - (1.0 + 1.5 * m2) * math.log(2.0)
+    return k * math.lgamma(0.5 * ma) - math.lgamma(float(ma)) - (1.0 + 1.5 * m2) * math.log(2.0)
 
-
-def a_normalizer(mult: Multiplicities) -> float:
-    """a(q) = Gamma(m_alpha/2)^2 / (Gamma(m_alpha) 2^{1 + 3 m_2alpha / 2})."""
-    return math.exp(log_a_normalizer(mult, "squared"))

@@ -8,8 +8,8 @@ half-integer power of q (class QPow).  Every exposed transition probability
 asserts that the half powers cancelled.
 
 Kernels: R (radial simple walk on N), R0 (its ground-state transform),
-B (discrete Bessel(3)), H (height walk on Z), P_G / Q (the walk folded onto
-the planar graph and its flat limit, the discrete Pitman walk).
+B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
+its flat limit, the discrete Pitman walk).
 """
 
 from __future__ import annotations
@@ -23,16 +23,13 @@ __all__ = [
     "ExactKernel",
     "ExactDistribution",
     "radial_kernel",
-    "height_kernel",
     "phi0_tree",
     "ground_state_kernel",
     "bessel3_kernel",
     "graph_kernel",
     "exact_distribution",
     "pitman_walk_distribution",
-    "pitman_walk_enumeration",
     "graph_distance_marginal",
-    "graph_x_marginal",
     "distribution_to_strings",
 ]
 
@@ -100,10 +97,6 @@ class QPow:
             raise ValueError(f"residual q^(1/2) power {n.half} did not cancel")
         return n.coef
 
-    def __float__(self) -> float:
-        n = self.normalized()
-        return float(n.coef) * (self.q**0.5 if n.half else 1.0)
-
 
 @dataclass(frozen=True)
 class ExactKernel:
@@ -150,15 +143,6 @@ def radial_kernel(q: int) -> ExactKernel:
         return [(n - 1, back), (n + 1, forward)]
 
     return ExactKernel("N", transition)
-
-
-def height_kernel(q: int) -> ExactKernel:
-    """Height (Busemann) walk on Z: down 1/(q+1), up q/(q+1)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    back = Fraction(1, q + 1)
-    forward = Fraction(q, q + 1)
-    return ExactKernel("Z", lambda n: [(n - 1, back), (n + 1, forward)])
 
 
 def phi0_tree(n: int, q: int) -> QPow:
@@ -278,22 +262,6 @@ def pitman_walk_distribution(n: int) -> ExactDistribution:
     return out
 
 
-def pitman_walk_enumeration(n: int) -> ExactDistribution:
-    """Brute-force oracle: enumerate all 2^n sign paths (keep n small)."""
-    if n < 0 or n > 22:
-        raise ValueError("enumeration is for small n only")
-    weight = Fraction(1, 2**n)
-    out = ExactDistribution()
-    for bits in range(2**n):
-        s = m = 0
-        for i in range(n):
-            s += 1 if (bits >> i) & 1 else -1
-            m = max(m, s)
-        key = 2 * m - s
-        out[key] = out.get(key, Fraction(0)) + weight
-    return out
-
-
 def _graph_distance(state: Tuple[int, int]) -> int:
     """Graph distance from the origin vertex: a for a + b >= 0, else |b|."""
     x, y = state
@@ -303,11 +271,6 @@ def _graph_distance(state: Tuple[int, int]) -> int:
 def graph_distance_marginal(dist: ExactDistribution) -> ExactDistribution:
     """Push a graph-state law to the distance-from-origin law max(x, -y)."""
     return dist.marginal(_graph_distance)
-
-
-def graph_x_marginal(dist: ExactDistribution) -> ExactDistribution:
-    """First-coordinate marginal (equals the distance only on the x >= -y region)."""
-    return dist.marginal(lambda s: s[0])
 
 
 def distribution_to_strings(dist: ExactDistribution) -> Dict[str, str]:

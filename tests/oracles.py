@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
-equation, characteristic-polynomial singular values, and plain central
-finite differences.
+equation, characteristic-polynomial singular values, plain central finite
+differences, and brute-force enumeration of the discrete Pitman law.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -82,3 +83,19 @@ def central_even_derivative(f, order: int, h: float) -> float:
 
     a, b = stencil(h), stencil(h / 2.0)
     return (4.0 * b - a) / 3.0
+
+
+def pitman_walk_enumeration(n: int) -> dict:
+    """Law of 2 M_n - S_n by enumerating all 2^n sign paths (keep n small)."""
+    if n < 0 or n > 22:
+        raise ValueError("enumeration is for small n only")
+    weight = Fraction(1, 2**n)
+    out = {}
+    for bits in range(2**n):
+        s = m = 0
+        for i in range(n):
+            s += 1 if (bits >> i) & 1 else -1
+            m = max(m, s)
+        key = 2 * m - s
+        out[key] = out.get(key, Fraction(0)) + weight
+    return out

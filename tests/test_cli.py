@@ -61,6 +61,15 @@ class TestRun:
         assert main(["run", "pitman-discrete", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_non_positive_numbers_are_usage_errors(self, tmp_path, capsys):
+        assert main(["run", "conditional-law", "--dt", "0", "--out", str(tmp_path / "a")]) == 2
+        assert main(["run", "supq-limit", "--dt", "-0.001", "--out", str(tmp_path / "b")]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 0}))
+        assert main(["run", "conditional-law", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.count("dt must be positive") == 3
+        assert not any((tmp_path / d).exists() for d in "abc")
+
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"
         main(["run", "toda-identity", "--out", str(out)])

@@ -149,10 +149,9 @@ class TestSuSolvable:
         grid = TimeGrid(0.5, 100)
         lsh = sample_triangular_bm(2, "complex", grid, RNG.child(9))
         sp = simulate_su_solvable(2, 30, grid, RNG.child(10), lsh)
-        s0 = sp.state(0)
-        assert np.allclose(s0.l, np.eye(2))
-        assert np.all(s0.b == 0.0) and np.all(s0.c == 0.0)
-        assert s0.invariant_defect() == 0.0
+        assert np.allclose(sp.l_path.frames[0], np.eye(2))
+        assert np.all(sp.b[0] == 0.0) and np.all(sp.c[0] == 0.0)
+        assert sp.invariant_defect()[0] == 0.0
 
     def test_deterministic_debug_product_rule(self):
         # all noises zero except one linear beta entry: c + c* = b b* exactly

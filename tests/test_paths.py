@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from myproc.paths import (
-    BlowUpError,
     RngStream,
     ScalarPath,
     TimeGrid,
-    euler_diffusion,
-    euler_diffusion_batch,
     eta_functional,
     exp_functional_samples,
     hyperbolic_radial,
     log_eta,
     my_drift,
-    path_to_csv,
     paths_to_csv,
     pitman_transform,
     sample_bm,
-    tabulated_drift,
 )
 from myproc.specialfn import macdonald_k
 from myproc.stats import SampleBatch, ks_two_sample
@@ -205,43 +200,22 @@ class TestMyDrift:
         vec = my_drift(rs, 0.5)
         assert np.allclose(vec, [my_drift(float(r), 0.5) for r in rs], rtol=1e-13)
 
-    def test_tabulated_matches_exact(self):
-        tab = tabulated_drift(0.0, -3.0, 6.0)
-        rs = np.linspace(-2.9, 5.9, 37)
-        assert np.max(np.abs(tab(rs) - my_drift(rs, 0.0))) < 5e-5
-        with pytest.raises(ValueError):
-            tab(np.array([7.0]))
-
 
 class TestEulerDiffusion:
-    def test_zero_drift_variance(self):
-        final = euler_diffusion_batch(lambda x: 0.0 * x, GRID, 0.0, RNG.child(10), 20_000)
-        se = final.var() * math.sqrt(2.0 / 19_999)
-        assert abs(final.var(ddof=1) - 1.0) <= 5.0 * se
-
-    def test_ou_stationary_variance(self):
-        final = euler_diffusion_batch(lambda x: -x, TimeGrid(10.0, 10_000), 0.0, RNG.child(11), 20_000)
-        assert final.var(ddof=1) == pytest.approx(0.5, abs=0.02)
-
-    def test_single_path_shape(self):
-        p = euler_diffusion(lambda x: 0.0 * x, GRID, 2.0, RNG.child(12))
-        assert p.values[0] == 2.0
-        assert p.values.shape == (1001,)
-
-    def test_blow_up_guard(self):
-        with pytest.raises(BlowUpError):
-            euler_diffusion(lambda x: x * 0.0 + 2e9, GRID, 0.0, RNG.child(13))
-
     def test_cross_simulation_marginal(self):
         # Euler with the Macdonald drift, started from log eta at t0, must match
         # the directly simulated log eta at t = 1 in law (two-sample KS at 1%)
-        t0, n = 0.01, 4000
-        _, z = exp_functional_samples([t0, 1.0], 1e-3, n, RNG.child(14))
-        start = np.log(z[0])
+        t0, n, dt = 0.01, 4000, 1e-3
+        _, z = exp_functional_samples([t0, 1.0], dt, n, RNG.child(14))
+        x = np.log(z[0])
         direct = np.log(z[1])
-        drift = tabulated_drift(0.0, float(start.min()) - 6.0, float(start.max()) + 8.0)
-        euler = euler_diffusion_batch(drift, TimeGrid(1.0 - t0, 990), start, RNG.child(15), n)
-        rep = ks_two_sample(SampleBatch(euler), SampleBatch(direct), level=0.01)
+        nodes = np.linspace(x.min() - 6.0, x.max() + 8.0, 4001)
+        drift = my_drift(nodes, 0.0)
+        gen = RNG.child(15).generator()
+        for _ in range(990):
+            x = x + np.interp(x, nodes, drift) * dt + math.sqrt(dt) * gen.standard_normal(n)
+            assert nodes[0] <= x.min() and x.max() <= nodes[-1]
+        rep = ks_two_sample(SampleBatch(x), SampleBatch(direct), level=0.01)
         assert rep.passed, rep.as_dict()
 
 
@@ -255,14 +229,19 @@ class TestBatchSamples:
         with pytest.raises(ValueError):
             exp_functional_samples([0.50007], 1e-3, 16, RNG.child(17))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_along_the_path_raises(self):
+        # mu B_s leaves double range before t = 1 although the final B is moderate
+        with pytest.raises(OverflowError):
+            exp_functional_samples([1.0], 1e-3, 1, RngStream(10, 0), mu=1000.0)
+
     def test_csv_roundtrip(self):
         p = sample_bm(TimeGrid(0.01, 10), 0.0, RNG.child(18))
         buf = io.StringIO()
-        path_to_csv(p, buf)
+        paths_to_csv([p], buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,value"
         assert len(lines) == 12
-        t, v = lines[3].split(",")
+        _, t, v = lines[3].split(",")
         assert float(t) == pytest.approx(p.grid.times()[2])
         assert float(v) == p.values[2]
 

@@ -7,7 +7,6 @@ from myproc.series import (
     ResonanceError,
     TruncationError,
     cms_series,
-    delta_q,
     even_lambda_derivatives,
     eval_series,
     finite_q_ktilde,
@@ -106,22 +105,25 @@ class TestEvalSeries:
 
 class TestDeltaQ:
     def test_vanishes_at_origin(self):
-        assert delta_q(0.0, Multiplicities(1, 0)) == 0.0
+        # delta_q(0) = 0, so its log is undefined there and rejected
+        with pytest.raises(ValueError):
+            log_delta_q(0.0, Multiplicities(1, 0))
 
     def test_simple_value(self):
-        assert delta_q(1.0, Multiplicities(1, 0)) == pytest.approx(math.e - 1.0 / math.e, rel=1e-14)
+        assert math.exp(log_delta_q(1.0, Multiplicities(1, 0))) == pytest.approx(
+            math.e - 1.0 / math.e, rel=1e-14)
 
     def test_mixed_multiplicities(self):
         expected = (math.exp(0.5) - math.exp(-0.5)) ** 2 * (math.e - 1.0 / math.e)
-        assert delta_q(0.5, Multiplicities(2, 1)) == pytest.approx(expected, rel=1e-14)
+        assert math.exp(log_delta_q(0.5, Multiplicities(2, 1))) == pytest.approx(expected, rel=1e-14)
 
     def test_log_form_consistent(self):
-        m = Multiplicities(6, 1)
-        assert log_delta_q(0.8, m) == pytest.approx(math.log(delta_q(0.8, m)), rel=1e-13)
+        direct = (math.exp(0.8) - math.exp(-0.8)) ** 6 * (math.exp(1.6) - math.exp(-1.6))
+        assert log_delta_q(0.8, Multiplicities(6, 1)) == pytest.approx(math.log(direct), rel=1e-13)
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
-            delta_q(-0.1, Multiplicities(2, 0))
+            log_delta_q(-0.1, Multiplicities(2, 0))
 
 
 class TestRankOneSpherical:
@@ -143,7 +145,7 @@ class TestRankOneSpherical:
     ])
     def test_against_ode_shooting(self, mult, lam, r):
         phi = ode_spherical_converged(lam, mult, r)
-        target = math.sqrt(delta_q(r, mult)) * phi
+        target = math.exp(0.5 * log_delta_q(r, mult)) * phi
         assert rank1_spherical(lam, mult, r) == pytest.approx(target, rel=1e-7)
 
     def test_large_r_leading_asymptote(self):
@@ -235,9 +237,7 @@ class TestHoogenboom:
             out = 0.0
             for s in (1.0, -1.0):
                 sl = s * lam
-                from myproc.specialfn import gamma_sign, log_abs_gamma
-                w = gamma_sign(sl) * math.exp(
-                    log_abs_gamma(sl) + log_c_function(sl, mult) - 0.5 * log_delta_q(r, mult))
+                w = gamma(sl) * math.exp(log_c_function(sl, mult) - 0.5 * log_delta_q(r, mult))
                 out += w * eval_series(cms_series(sl, mult, N), r, tol=1e-6)
             return out
 

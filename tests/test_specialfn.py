@@ -1,22 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from myproc.paths import my_drift
 from myproc.specialfn import (
-    ChamberVector,
-    GammaPoleError,
     Multiplicities,
-    a_normalizer,
-    c_function,
     gamma,
-    gamma_sign,
     ktilde_det,
-    log_abs_gamma,
+    log_a_normalizer,
+    log_c_function,
     macdonald_k,
     macdonald_k_dlambda,
-    macdonald_k_dx,
     macdonald_ratio,
 )
 
@@ -35,19 +32,19 @@ class TestGamma:
         for z in np.linspace(0.05, 50.0, 700):
             assert gamma(float(z)) == pytest.approx(math.gamma(z), rel=1e-12)
 
+    def test_log_abs_gamma_large_argument(self):
+        # a(q) at m_alpha = 510 needs log Gamma(510), far beyond the range of Gamma itself
+        expected = float(mpmath.log(mpmath.gamma(255) ** 2 / (mpmath.gamma(510) * 2)))
+        assert log_a_normalizer(Multiplicities(510, 0)) == pytest.approx(expected, rel=1e-13)
+
     def test_poles(self):
         for z in (0.0, -1.0, -7.0):
-            with pytest.raises(GammaPoleError):
+            with pytest.raises(ValueError):
                 gamma(z)
 
     def test_reflection_and_sign(self):
         assert gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-12)
-        assert gamma_sign(-0.5) == -1.0
-        assert gamma_sign(-1.5) == 1.0
-        assert gamma_sign(0.3) == 1.0
-
-    def test_log_abs_gamma_large_argument(self):
-        assert log_abs_gamma(511.0) == pytest.approx(math.lgamma(511.0), rel=1e-13)
+        assert gamma(-1.5) == pytest.approx(4.0 * SQRT_PI / 3.0, rel=1e-12)
 
 
 class TestMacdonald:
@@ -112,13 +109,17 @@ class TestMacdonaldDerivatives:
         assert got == pytest.approx(ref, rel=1e-5)
 
     def test_dx_is_minus_k1_at_order_zero(self):
-        # K_0' = -K_1: check against the lambda=1 Macdonald value
-        assert macdonald_k_dx(0.0, 1.0) == pytest.approx(-macdonald_k(1.0, 1.0), rel=1e-12)
+        # K_0' = -K_1, so my_drift(r, 0) = -x K_0'(x) / K_0(x) = x K_1(x) / K_0(x) at x = e^{-r}
+        x = 0.4
+        expected = x * macdonald_k(1.0, x) / macdonald_k(0.0, x)
+        assert my_drift(-math.log(x), 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_dx_against_finite_difference(self):
-        h = 1e-5
-        fd = (macdonald_k(0.3, 2.0 + h) - macdonald_k(0.3, 2.0 - h)) / (2.0 * h)
-        assert macdonald_k_dx(0.3, 2.0) == pytest.approx(fd, rel=1e-8)
+        # the x-derivative quadrature behind my_drift: K'(x) = -K(x) my_drift(-log x) / x
+        h, x = 1e-5, 2.0
+        fd = (macdonald_k(0.3, x + h) - macdonald_k(0.3, x - h)) / (2.0 * h)
+        dx = -macdonald_k(0.3, x) * my_drift(-math.log(x), 0.3) / x
+        assert dx == pytest.approx(fd, rel=1e-8)
 
 
 class TestKtildeDet:
@@ -135,34 +136,34 @@ class TestKtildeDet:
                     - macdonald_k_dlambda(2, x[0]) * macdonald_k_dlambda(0, x[1]))
         assert ktilde_det(r) == pytest.approx(expected, rel=1e-12)
 
+    def test_accepts_chamber_vector(self):
+        assert ktilde_det(np.array([1.2, 0.3])) == ktilde_det((1.2, 0.3))
+
     def test_vanishing_at_coincidence(self):
         near = abs(ktilde_det([1.0 + 1e-4, 1.0]))
         far = abs(ktilde_det([1.5, 1.0]))
         assert near <= 1e-3 * far
-
-    def test_accepts_chamber_vector(self):
-        assert ktilde_det(ChamberVector([1.2, 0.3])) == pytest.approx(ktilde_det([1.2, 0.3]))
 
 
 class TestConstants:
     def test_c_function_su_example(self):
         mult = Multiplicities(8, 1)
         expected = 2**4.8 * math.gamma(5.0) / (math.gamma(2.6) * math.gamma(2.6))
-        assert c_function(0.2, mult) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_c_function(0.2, mult)) == pytest.approx(expected, rel=1e-12)
 
     def test_c_function_so_example(self):
         mult = Multiplicities(3, 0)
         expected = 2**1.2 * math.gamma(2.0) / (math.gamma(1.4) * math.gamma(0.9))
-        assert c_function(0.3, mult) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(log_c_function(0.3, mult)) == pytest.approx(expected, rel=1e-12)
 
     def test_a_normalizer_values(self):
-        assert a_normalizer(Multiplicities(2, 0)) == pytest.approx(0.5, rel=1e-12)
-        assert a_normalizer(Multiplicities(4, 0)) == pytest.approx(1.0 / 12.0, rel=1e-12)
-        assert a_normalizer(Multiplicities(2, 1)) == pytest.approx(2.0**-2.5, rel=1e-12)
+        for mult, expected in ((Multiplicities(2, 0), 0.5), (Multiplicities(4, 0), 1.0 / 12.0),
+                               (Multiplicities(2, 1), 2.0**-2.5)):
+            assert math.exp(log_a_normalizer(mult)) == pytest.approx(expected, rel=1e-12)
 
     def test_a_normalizer_domain(self):
         with pytest.raises(ValueError):
-            a_normalizer(Multiplicities(1, 0))
+            log_a_normalizer(Multiplicities(1, 0))
 
 
 class TestDomainTypes:
@@ -188,10 +189,3 @@ class TestDomainTypes:
     def test_negative_multiplicity(self):
         with pytest.raises(ValueError):
             Multiplicities(-1, 0)
-
-    def test_chamber_ordering(self):
-        v = ChamberVector([2.0, 1.0, 1.0])
-        assert len(v) == 3 and not v.strict
-        assert ChamberVector([2.0, 1.0]).strict
-        with pytest.raises(ValueError):
-            ChamberVector([1.0, 2.0])

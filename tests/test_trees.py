@@ -5,21 +5,21 @@ from hypothesis import given, settings, strategies as hst
 
 from myproc.trees import (
     ExactDistribution,
+    ExactKernel,
     QPow,
     bessel3_kernel,
     exact_distribution,
     distribution_to_strings,
     graph_distance_marginal,
     graph_kernel,
-    graph_x_marginal,
     ground_state_kernel,
-    height_kernel,
     phi0_tree,
     pitman_walk_distribution,
-    pitman_walk_enumeration,
     radial_kernel,
     tree_spectral_radius,
 )
+
+from oracles import pitman_walk_enumeration
 
 
 class TestQPow:
@@ -43,8 +43,14 @@ class TestQPow:
            hst.fractions(min_value=-5, max_value=5), hst.fractions(min_value=-5, max_value=5))
     def test_multiplication_adds_grades(self, h1, h2, c1, c2):
         a, b = QPow(c1, h1, 9), QPow(c2, h2, 9)
-        prod = (a * b).normalized()
-        assert float(prod) == pytest.approx(float(a) * float(b), rel=1e-9, abs=1e-9)
+        prod = a * b
+        assert prod.half == h1 + h2 and prod.coef == c1 * c2
+
+        def squared_value(x):  # (coef q^(half/2))^2, exact
+            n = x.normalized()
+            return n.coef**2 * Fraction(9) ** n.half
+
+        assert squared_value(prod) == squared_value(a) * squared_value(b)
 
 
 class TestRadialKernel:
@@ -193,12 +199,13 @@ class TestSameLaw:
         # below-origin diagonal mass makes the raw x-marginal differ from the
         # distance law at finite q (they agree on the limit walk)
         d = exact_distribution(graph_kernel(2), (0, 0), 1)
-        assert graph_x_marginal(d) != graph_distance_marginal(d)
-        assert graph_x_marginal(d)[-1] == Fraction(1, 4)
+        x_law = d.marginal(lambda s: s[0])
+        assert x_law != graph_distance_marginal(d)
+        assert x_law[-1] == Fraction(1, 4)
 
     def test_limit_x_marginal_is_pitman(self):
         d = exact_distribution(graph_kernel(limit=True), (0, 0), 14)
-        assert graph_x_marginal(d) == pitman_walk_distribution(14)
+        assert d.marginal(lambda s: s[0]) == pitman_walk_distribution(14)
 
     def test_limit_state_invariant(self):
         d = exact_distribution(graph_kernel(limit=True), (0, 0), 15)
@@ -218,8 +225,9 @@ class TestRatesAndSpectra:
             assert Fraction(7, 2) <= ratio <= Fraction(9, 2)
 
     def test_height_chain_spectral_identity(self):
+        # height (Busemann) walk on Z: down 1/(q+1), up q/(q+1)
         q = 7
-        k = height_kernel(q)
+        k = ExactKernel("Z", lambda n: [(n - 1, Fraction(1, q + 1)), (n + 1, Fraction(q, q + 1))])
         rho = tree_spectral_radius(q)
         for n in (-4, 0, 3):
             acc = None
