@@ -70,7 +70,10 @@ def _build_config(args) -> ExperimentConfig:
             raise UsageError(f"{key} must be positive, got {values[key]}")
     cfg_values = dict(DEFAULTS.get(args.experiment, {}))
     cfg_values.update({_KEYS[key][0]: value for key, value in values.items()})
-    return ExperimentConfig(experiment=args.experiment, **cfg_values)
+    try:
+        return ExperimentConfig(experiment=args.experiment, **cfg_values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_outputs(result, out_dir: Path) -> None:

@@ -27,6 +27,20 @@ from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k
 __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_experiment", "DEFAULTS"]
 
 
+# my-generator's Markov-property test: quantile bins of the present value,
+# each split at its median into two halves of at least _MARKOV_MIN_HALF paths
+_MARKOV_BINS = 15
+_MARKOV_MIN_HALF = 50
+
+# fewest paths whose statistics each path-sampling experiment can form: a
+# sample standard deviation needs two, the Markov test full bins
+_MIN_PATHS = {
+    "my-convergence": 2,
+    "my-generator": _MARKOV_BINS * 2 * _MARKOV_MIN_HALF,
+    "conditional-law": 2,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Seeded configuration; unknown fields are rejected upstream by the CLI."""
@@ -42,6 +56,11 @@ class ExperimentConfig:
     n_seeds: int = 100
     workers: int = 1
     out_dir: Optional[str] = None
+
+    def __post_init__(self):
+        least = _MIN_PATHS.get(self.experiment, 1)
+        if self.n_paths < least:
+            raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
 
     def as_dict(self) -> Dict:
         return asdict(self)
@@ -325,7 +344,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
         mid, end, cond, _ = _markov_samples(mu, cfg, stream=4 + int(mu))
         rep = st.markov_property_test(
             st.SampleBatch(mid, {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "mu": mu}),
-            end, cond)
+            end, cond, bins=_MARKOV_BINS, min_half=_MARKOV_MIN_HALF)
         ok = rep.passed == should_pass
         checks.append(Check(f"markov_mu{mu:g}", ok, rep.statistic,
                             ("pass" if should_pass else "reject") + " at 1% (Bonferroni over bins)",
@@ -370,14 +389,18 @@ def _supq_seed_monotone(args) -> tuple:
     lshared = mx.sample_triangular_bm(p, "complex", grid, r.child(10**6))
     idx = [grid.n_steps // 2, grid.n_steps]
     _, target = mx.eta_matrix(lshared, indices=idx)
-    errs = []
-    for q in q_list:
-        acc = np.zeros((len(idx), p))
-        for rep in range(inner):
-            sp = mx.simulate_su_solvable(p, q, grid, r.child(rep), lshared)
+    acc = np.zeros((len(q_list), len(idx), p))
+    for rep in range(inner):
+        # one draw at the largest q: a smaller q integrates its leading
+        # columns, which are the noise its own draw would give (nested streams)
+        dbeta, dkappa = mx.su_noise_increments(p, max(q_list), "complex", grid, r.child(rep))
+        for i, q in enumerate(q_list):
+            sp = mx.su_solvable_from_increments(q, lshared, dbeta[:, :, :q - p], dkappa)
             _, rad = mx.finite_q_radial(sp, indices=idx)
-            acc += np.abs(np.cosh(rad) / q - target)
-        errs.append((acc / inner).mean(axis=0))
+            acc[i] += np.abs(np.cosh(rad) / q - target)
+            del sp  # at most one path and one noise array alive at a time
+        del dbeta, dkappa
+    errs = [(a / inner).mean(axis=0) for a in acc]
     ok = all(np.all(a > b) for a, b in zip(errs, errs[1:]))
     return seed, ok, [float(v) for e in errs for v in e]
 
@@ -432,9 +455,10 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
             g = pth.TimeGrid(1.0, 1000)
             r = pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17)
             lsh = mx.sample_triangular_bm(cfg.p, fieldtag, g, r.child(10**6))
-            sp = mx.simulate_su_solvable(cfg.p, 800, g, r, lsh)
+            # only c_T is kept, so each path is freed before the next is drawn
+            c_end = mx.simulate_su_solvable(cfg.p, 800, g, r, lsh).c[-1]
             J = mx.integrated_ll_star(lsh)
-            acc += float(np.real(np.trace(sp.c[-1]))) / (800 * float(np.real(np.trace(J[-1]))))
+            acc += float(np.real(np.trace(c_end))) / (800 * float(np.real(np.trace(J[-1]))))
         alphas[fieldtag] = acc / reps
     theta_ratio = alphas["complex"] / alphas["real"]
     checks.append(Check("theta_ratio", 1.8 <= theta_ratio <= 2.2, theta_ratio,

@@ -16,8 +16,13 @@ distinction cannot be misapplied):
 
 Integrators: l is advanced by the stepwise exponential l_{k+1} = l_k exp(dl),
 exact in the triangular group (positive diagonal and exact zeros above the
-diagonal); the Stratonovich integrals for b and c use the trapezoid-in-noise
-(Heun) rule, which preserves c + c* = b b* up to O(dt).
+diagonal); the exponentials of all n increments come from one call of the
+stacked expm_tri, and only the running product l_k exp(dl_k) is sequential.
+The Stratonovich integrals for b and c use the trapezoid-in-noise (Heun)
+rule, which preserves c + c* = b b* up to O(dt).  Every increment is drawn
+before integration, so the rule runs over the whole time axis at once:
+b is a cumulative sum of (l_k + l_{k+1})/2 dbeta_k, after which each step's
+c-increment is known and c is a second cumulative sum.
 """
 
 from __future__ import annotations
@@ -53,25 +58,31 @@ __all__ = [
 # small dense linear algebra
 
 def expm_tri(L: np.ndarray) -> np.ndarray:
-    """exp of a lower-triangular matrix by scaling-and-squaring Taylor.
+    """exp of a lower-triangular matrix, or of each one in a stack (..., p, p),
+    by scaling-and-squaring Taylor.
 
+    Each matrix gets its own scale s and stops adding Taylor terms once they
+    fall below 1e-20 of its partial sum; the squarings are masked per matrix.
     Every operation is a product of lower-triangular matrices, so entries
     above the diagonal remain exactly 0.0 and the diagonal stays positive
     for real diagonal input.
     """
     L = np.asarray(L)
-    norm = float(np.max(np.abs(L))) * L.shape[0]
-    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-    A = L / (2.0**s)
-    X = np.eye(L.shape[0], dtype=L.dtype)
+    norm = np.max(np.abs(L), axis=(-2, -1)) * L.shape[-1]
+    s = np.ceil(np.log2(np.maximum(norm, 0.25) / 0.25)).astype(int)
+    A = L / (2.0**s)[..., None, None]
+    X = np.broadcast_to(np.eye(L.shape[-1], dtype=L.dtype), L.shape).copy()
     term = X
+    active = np.ones(L.shape[:-2], dtype=bool)
     for k in range(1, 24):
         term = term @ A / k
-        X = X + term
-        if np.max(np.abs(term)) <= 1e-20 * np.max(np.abs(X)):
+        X = np.where(active[..., None, None], X + term, X)
+        active &= np.max(np.abs(term), axis=(-2, -1)) > 1e-20 * np.max(np.abs(X), axis=(-2, -1))
+        if not active.any():
             break
-    for _ in range(s):
-        X = X @ X
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        X[sq] = X[sq] @ X[sq]
     return X
 
 
@@ -127,10 +138,11 @@ def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: n
     drift_mat = np.zeros((p, p), dtype=dtype)
     if diag_drift is not None:
         drift_mat[np.diag_indices(p)] = np.asarray(diag_drift, dtype=float)
+    steps = expm_tri(increments + drift_mat * dt)
     frames = np.empty((n + 1, p, p), dtype=dtype)
     frames[0] = np.eye(p, dtype=dtype)
     for k in range(n):
-        frames[k + 1] = frames[k] @ expm_tri(increments[k] + drift_mat * dt)
+        np.matmul(frames[k], steps[k], out=frames[k + 1])
     return TriangularPath(p, field, grid, frames)
 
 
@@ -169,6 +181,11 @@ def eta_matrix(lpath: TriangularPath, indices: Optional[Sequence[int]] = None):
 
 # --------------------------------------------------------------------------
 # solvable-group model of SU(p,q) / SO(p,q)
+
+# transverse columns per noise-drawing block and time steps per block of the
+# dbeta* temporaries; it bounds the size of temporary arrays only
+_BLOCK = 64
+
 
 @dataclass
 class SuSolvablePath:
@@ -209,13 +226,18 @@ def su_noise_increments(p: int, q: int, field: str, grid: TimeGrid, rng: RngStre
     s2 = math.sqrt(2.0 * dt)
     cplx = field == "complex"
     dbeta = np.empty((n, p, w), dtype=complex if cplx else float)
-    for j in range(w):
-        gen = rng.child(j + 1).generator()
-        col = gen.standard_normal((n, p))
-        if cplx:
-            dbeta[:, :, j] = s2 * (col + 1j * gen.standard_normal((n, p)))
-        else:
-            dbeta[:, :, j] = s2 * col
+    # a block of columns is drawn into contiguous buffers (real parts, then
+    # imaginary parts, per column as before) and scaled into dbeta in one pass
+    parts = (dbeta.real, dbeta.imag) if cplx else (dbeta,)
+    block = np.empty((len(parts), min(w, _BLOCK), n, p))
+    for j0 in range(0, w, _BLOCK):
+        width = min(_BLOCK, w - j0)
+        for jj in range(width):
+            gen = rng.child(j0 + jj + 1).generator()
+            for buf in block[:, jj]:
+                gen.standard_normal(out=buf)
+        for part, buf in zip(parts, block):
+            np.multiply(buf[:width].transpose(1, 2, 0), s2, out=part[:, :, j0:j0 + width])
     gen = rng.child(0).generator()
     if cplx:
         dkappa = np.zeros((n, p, p), dtype=complex)
@@ -246,16 +268,21 @@ def su_solvable_from_increments(q: int, l_path: TriangularPath, dbeta: np.ndarra
     p = l_path.p
     w = q - p
     dtype = complex if (l_path.field == "complex" or dbeta.dtype.kind == "c") else float
-    b = np.zeros((n + 1, p, w), dtype=dtype)
-    c = np.zeros((n + 1, p, p), dtype=dtype)
     frames = l_path.frames
-    for k in range(n):
-        l0, l1 = frames[k], frames[k + 1]
-        db = dbeta[k]
-        b[k + 1] = b[k] + 0.5 * (l0 + l1) @ db
-        dbs_l = db.conj().T
-        c[k + 1] = c[k] + 0.5 * (l0 @ dkappa[k] @ l0.conj().T + l1 @ dkappa[k] @ l1.conj().T) \
-            + 0.5 * (b[k] @ dbs_l @ l0.conj().T + b[k + 1] @ dbs_l @ l1.conj().T)
+    frames_h = frames.conj().transpose(0, 2, 1)
+    b = np.empty((n + 1, p, w), dtype=dtype)
+    b[0] = 0.0
+    np.matmul(0.5 * (frames[:-1] + frames[1:]), dbeta, out=b[1:])
+    np.cumsum(b[1:], axis=0, out=b[1:])
+    dc = (0.5 * (frames[:-1] @ dkappa @ frames_h[:-1] + frames[1:] @ dkappa @ frames_h[1:])
+          ).astype(dtype, copy=False)
+    for k in range(0, n, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        dbs = dbeta[blk].conj().transpose(0, 2, 1)
+        dc[blk] += 0.5 * (b[:-1][blk] @ dbs @ frames_h[:-1][blk] + b[1:][blk] @ dbs @ frames_h[1:][blk])
+    c = np.empty((n + 1, p, p), dtype=dtype)
+    c[0] = 0.0
+    np.cumsum(dc, axis=0, out=c[1:])
     return SuSolvablePath(q, l_path, b, c)
 
 

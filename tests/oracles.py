@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
 equation, characteristic-polynomial singular values, plain central finite
-differences, and brute-force enumeration of the discrete Pitman law.
+differences, brute-force enumeration of the discrete Pitman law, and the
+one-matrix, one-step, one-column forms of the solvable-group engine.
 """
 
 import math
@@ -99,3 +100,65 @@ def pitman_walk_enumeration(n: int) -> dict:
         key = 2 * m - s
         out[key] = out.get(key, Fraction(0)) + weight
     return out
+
+
+def expm_tri_single(L) -> np.ndarray:
+    """exp of one lower-triangular matrix by scaling-and-squaring Taylor, one matrix at a time."""
+    L = np.asarray(L)
+    norm = float(np.max(np.abs(L))) * L.shape[0]
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    A = L / (2.0**s)
+    X = np.eye(L.shape[0], dtype=L.dtype)
+    term = X
+    for k in range(1, 24):
+        term = term @ A / k
+        X = X + term
+        if np.max(np.abs(term)) <= 1e-20 * np.max(np.abs(X)):
+            break
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
+def triangular_frames_stepwise(p: int, field: str, dt: float, increments, diag_drift=None) -> np.ndarray:
+    """Frames l_{k+1} = l_k exp(dlambda_k + drift dt), one step at a time."""
+    n = len(increments)
+    dtype = float if field == "real" else complex
+    drift_mat = np.zeros((p, p), dtype=dtype)
+    if diag_drift is not None:
+        drift_mat[np.diag_indices(p)] = np.asarray(diag_drift, dtype=float)
+    frames = np.empty((n + 1, p, p), dtype=dtype)
+    frames[0] = np.eye(p, dtype=dtype)
+    for k in range(n):
+        frames[k + 1] = frames[k] @ expm_tri_single(increments[k] + drift_mat * dt)
+    return frames
+
+
+def su_heun_stepwise(q: int, frames, dbeta, dkappa):
+    """Heun (trapezoid-in-noise) integration of b and c, one time step at a time."""
+    n, p = len(dbeta), frames.shape[1]
+    dtype = complex if (frames.dtype.kind == "c" or dbeta.dtype.kind == "c") else float
+    b = np.zeros((n + 1, p, q - p), dtype=dtype)
+    c = np.zeros((n + 1, p, p), dtype=dtype)
+    for k in range(n):
+        l0, l1 = frames[k], frames[k + 1]
+        db = dbeta[k]
+        b[k + 1] = b[k] + 0.5 * (l0 + l1) @ db
+        dbs_l = db.conj().T
+        c[k + 1] = c[k] + 0.5 * (l0 @ dkappa[k] @ l0.conj().T + l1 @ dkappa[k] @ l1.conj().T) \
+            + 0.5 * (b[k] @ dbs_l @ l0.conj().T + b[k + 1] @ dbs_l @ l1.conj().T)
+    return b, c
+
+
+def su_beta_per_column(p: int, q: int, field: str, n: int, dt: float, rng) -> np.ndarray:
+    """Transverse increments dbeta drawn column by column, each from rng.child(column + 1)."""
+    s2 = math.sqrt(2.0 * dt)
+    dbeta = np.empty((n, p, q - p), dtype=complex if field == "complex" else float)
+    for j in range(q - p):
+        gen = rng.child(j + 1).generator()
+        col = gen.standard_normal((n, p))
+        if field == "complex":
+            dbeta[:, :, j] = s2 * (col + 1j * gen.standard_normal((n, p)))
+        else:
+            dbeta[:, :, j] = s2 * col
+    return dbeta

@@ -70,6 +70,12 @@ class TestRun:
         assert capsys.readouterr().err.count("dt must be positive") == 3
         assert not any((tmp_path / d).exists() for d in "abc")
 
+    def test_too_few_paths_is_a_usage_error(self, tmp_path, capsys):
+        # the Markov test needs 15 quantile bins of at least 100 paths each
+        assert main(["run", "my-generator", "--paths", "50", "--out", str(tmp_path / "a")]) == 2
+        assert "my-generator needs paths >= 1500, got 50" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"
         main(["run", "toda-identity", "--out", str(out)])
