@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# transverse integrals per noise block of hyperbolic_radial; the width
+# selects the random streams, so changing it changes the paths of every q above it
+_RADIAL_BLOCK = 2048
 
 
 class ArcoshDomainError(RuntimeError):
@@ -144,15 +147,16 @@ def pitman_transform(b_path: ScalarPath) -> ScalarPath:
     return ScalarPath(b_path.grid, 2.0 * np.maximum.accumulate(v) - v)
 
 
-def hyperbolic_radial(q: int, b_path: ScalarPath, rng: RngStream, *, zero_noise: bool = False,
-                      block: int = 2048) -> ScalarPath:
+def hyperbolic_radial(q: int, b_path: ScalarPath, rng: RngStream, *, zero_noise: bool = False) -> ScalarPath:
     """Distance to the origin of the ground-state process on the q-dimensional
     hyperbolic space, driven by the given vertical Brownian path.
 
     Uses cosh d_t = [e^{B_t} + e^{-B_t} + e^{-B_t} sum_{k<q} (int_0^t e^{B_s} dbeta_s^k)^2] / 2
-    with left-point Ito integrals.  The k-th transverse integral draws from
-    rng.child(k), so runs with larger q extend smaller-q runs path by path
-    (shared-noise coupling).
+    with left-point Ito integrals.  The q - 1 transverse integrals are drawn in
+    blocks of _RADIAL_BLOCK: the block starting at integral k0 draws its
+    increments row by row from rng.child(k0), so the first integrals of a
+    larger-q run are those of a smaller-q run, path by path (shared-noise
+    coupling).  zero_noise drops the transverse sum, leaving d_t = |B_t|.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
@@ -163,8 +167,8 @@ def hyperbolic_radial(q: int, b_path: ScalarPath, rng: RngStream, *, zero_noise:
     sq = np.zeros(n + 1)
     if not zero_noise:
         sqrt_dt = math.sqrt(dt)
-        for k0 in range(0, q - 1, block):
-            m = min(block, q - 1 - k0)
+        for k0 in range(0, q - 1, _RADIAL_BLOCK):
+            m = min(_RADIAL_BLOCK, q - 1 - k0)
             gen = rng.child(k0).generator()
             dbeta = sqrt_dt * gen.standard_normal((m, n))
             integrals = np.cumsum(eb[:-1] * dbeta, axis=1)
@@ -184,7 +188,7 @@ def my_drift(r, lam: float = 0.0):
     stable over the whole line (repulsive wall ~ e^{-r} on the left, slow
     logarithmic decay on the right).
     """
-    x = np.exp(-np.asarray(r, dtype=float)) if np.ndim(r) else math.exp(-float(r))
+    x = np.exp(-np.asarray(r, dtype=float))
     num = _scaled_macdonald_integral(x, lam, dx_weight=1)
     den = _scaled_macdonald_integral(x, lam)
     return x * num / den

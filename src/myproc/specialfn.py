@@ -7,9 +7,10 @@ substitution t = (x/2) e^v the defining integral
     K_lam(x) = 1/2 (x/2)^lam int_0^inf e^{-t - x^2/(4t)} t^{-1-lam} dt
 
 becomes  int_0^inf cosh(lam*v) e^{-x cosh v} dv,  whose integrand decays
-doubly exponentially, so the composite trapezoid rule converges
-superexponentially under node doubling.  The same machinery yields
-lambda-derivatives (weight v^n) and the x-derivative (weight cosh v).
+doubly exponentially.  One fixed rule evaluates it: per point, a closed-form
+window [0, V(x)] and a 128-panel trapezoid sum, which converges
+geometrically in the panel count.  The same rule yields lambda-derivatives
+(weight v^n) and the x-derivative (weight cosh v).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureError",
     "Multiplicities",
     "gamma",
     "macdonald_k",
@@ -30,10 +30,6 @@ __all__ = [
     "log_c_function",
     "log_a_normalizer",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Node doubling failed to reach the requested tolerance."""
 
 
 def gamma(z: float) -> float:
@@ -82,95 +78,44 @@ class Multiplicities:
 # --------------------------------------------------------------------------
 # Macdonald quadrature core
 
-_REL_TOL = 1e-13
-_TAIL_LOG = 46.0  # integrand at the window edge is e^-46 below its peak
-_MAX_NODES = 1 << 16
-_CHUNK = 4096
+# The integrand is analytic in a strip around the real v-axis and decays
+# doubly exponentially, so a fixed trapezoid rule converges geometrically in
+# the node count (Trefethen & Weideman, SIAM Review 2014); 128 panels reach
+# round-off over x in [1e-7, 900] for the orders used here.
+_PANELS = 128
+_CHUNK = 256  # points per block: keeps the (points, nodes) temporaries in cache
 
 
-def _log_phi(v: np.ndarray, lam: float, moment: int, dx_weight: int) -> np.ndarray:
-    """log of the quadrature weight cosh(lam v) * v^moment * cosh(v)^dx_weight."""
-    out = np.logaddexp(lam * v, -lam * v) - math.log(2.0)
-    if moment:
-        with np.errstate(divide="ignore"):
-            out = out + moment * np.log(v)
-    if dx_weight:
-        out = out + dx_weight * (np.logaddexp(v, -v) - math.log(2.0))
-    return out
-
-
-def _quad_window(x_min: float, lam: float, moment: int, dx_weight: int) -> float:
-    """Window [0, V] outside which the integrand is e^-46 below its peak."""
-    v_hi = math.acosh(1.0 + (_TAIL_LOG + 60.0 * (1.0 + lam + moment + dx_weight)) / x_min) + 2.0
-    for _ in range(60):
-        v = np.linspace(0.0, v_hi, 4096)
-        g = _log_phi(v, lam, moment, dx_weight) - x_min * (np.cosh(v) - 1.0)
-        peak = np.max(g[np.isfinite(g)])
-        below = np.nonzero(g <= peak - _TAIL_LOG)[0]
-        past = below[below > np.argmax(np.where(np.isfinite(g), g, -np.inf))]
-        if past.size:
-            return float(v[past[0]])
-        v_hi *= 1.5
-    raise QuadratureError("could not bracket the integration window")
-
-
-def _phi(v: np.ndarray, lam: float, moment: int, dx_weight: int) -> np.ndarray:
-    out = np.cosh(lam * v)
-    if moment:
-        out = out * v**moment
-    if dx_weight:
-        out = out * np.cosh(v) ** dx_weight
-    return out
-
-
-def _scaled_macdonald_integral(
-    x: np.ndarray, lam: float = 0.0, moment: int = 0, dx_weight: int = 0
-) -> np.ndarray:
+def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: int = 0):
     """int_0^inf cosh(lam v) v^moment cosh(v)^dx_weight e^{-x (cosh v - 1)} dv, vectorized in x.
 
-    The e^x scaling keeps the result representable for arbitrarily large x;
-    callers wanting the raw integral multiply by e^-x themselves.
+    Each point gets its own window [0, V(x)], V = arccosh(1 + (46 + 60 (1 + lam
+    + moment + dx_weight)) / x), past which the integrand is negligible, and a
+    trapezoid rule with _PANELS panels on it; a point's value therefore does
+    not depend on the other points of the call.  A scalar x gives a float, an
+    array an array of the same shape.  The e^x scaling keeps the result
+    representable for arbitrarily large x; callers wanting the raw integral
+    multiply by e^-x themselves.
     """
     lam = abs(float(lam))
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("x must be positive")
-    flat = np.atleast_1d(x).ravel()
+    flat = x.ravel()
     out = np.empty_like(flat)
+    tail = 46.0 + 60.0 * (1.0 + lam + moment + dx_weight)
     for start in range(0, flat.size, _CHUNK):
-        xs = flat[start : start + _CHUNK]
-        V = _quad_window(float(xs.min()), lam, moment, dx_weight)
-
-        def node_sum(v):
-            # sum_i phi(v_i) e^{-x (cosh v_i - 1)}, blocked over v to bound memory
-            acc = np.zeros_like(xs)
-            for s in range(0, v.size, _CHUNK):
-                vb = v[s : s + _CHUNK]
-                acc += (
-                    _phi(vb, lam, moment, dx_weight)[None, :]
-                    * np.exp(-np.multiply.outer(xs, np.cosh(vb) - 1.0))
-                ).sum(axis=1)
-            return acc
-
-        n = 256
-        v = np.linspace(0.0, V, n + 1)
-        ends = 0.5 * (node_sum(v[:1]) + node_sum(v[-1:]))
-        total = (node_sum(v) - ends) * (V / n)
-        while True:
-            mid = (v[:-1] + v[1:]) / 2.0
-            refined = 0.5 * total + (V / (2 * n)) * node_sum(mid)
-            n *= 2
-            v = np.linspace(0.0, V, n + 1)
-            err = np.abs(refined - total)
-            total = refined
-            if np.all(err <= _REL_TOL * np.abs(refined) + 1e-300):
-                break
-            if n > _MAX_NODES:
-                raise QuadratureError(
-                    f"no convergence with {n} nodes (max err {err.max():.3e})"
-                )
-        out[start : start + _CHUNK] = total
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+        xs = flat[start : start + _CHUNK, None]
+        h = np.arccosh(1.0 + tail / xs) / _PANELS
+        v = h * np.arange(_PANELS + 1)
+        c = np.cosh(v)
+        f = np.cosh(lam * v) * np.exp(-xs * (c - 1.0))
+        if moment:
+            f *= v**moment
+        if dx_weight:
+            f *= c**dx_weight
+        out[start : start + _CHUNK] = h[:, 0] * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def macdonald_k(lam: float, x):
@@ -180,8 +125,7 @@ def macdonald_k(lam: float, x):
     so K_lam == K_{-lam} holds bitwise.  For x beyond ~700 the value underflows
     to 0.0 (the true value is below the double-precision range).
     """
-    return np.exp(-np.asarray(x, dtype=float)) * _scaled_macdonald_integral(x, lam) if np.ndim(x) \
-        else math.exp(-float(x)) * _scaled_macdonald_integral(x, lam)
+    return np.exp(-np.asarray(x, dtype=float)) * _scaled_macdonald_integral(x, lam)
 
 
 def macdonald_k_dlambda(n: int, x):
@@ -192,10 +136,10 @@ def macdonald_k_dlambda(n: int, x):
     """
     if n < 0 or n != int(n):
         raise ValueError("derivative order must be a nonnegative integer")
+    scale = np.exp(-np.asarray(x, dtype=float))
     if n % 2 == 1:
-        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-    scaled = _scaled_macdonald_integral(x, 0.0, moment=int(n))
-    return np.exp(-np.asarray(x, dtype=float)) * scaled if np.ndim(x) else math.exp(-float(x)) * scaled
+        return 0.0 * scale
+    return scale * _scaled_macdonald_integral(x, 0.0, moment=int(n))
 
 
 def macdonald_ratio(lam: float, x):

@@ -55,19 +55,6 @@ class TestReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def as_dict(self) -> Dict:
-        out = {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
-        if self.standard_error is not None:
-            out["standard_error"] = self.standard_error
-        if self.details:
-            out["details"] = self.details
-        return out
-
 
 def _values(batch) -> np.ndarray:
     return batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
@@ -184,15 +171,15 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float,
 # Markov property
 
 def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0.01,
-                         residualize: bool = True, min_half: int = 50) -> TestReport:
+                         min_half: int = 50) -> TestReport:
     """Within quantile bins of the present value, split by an extra conditioning
     statistic and KS-compare the two futures; Bonferroni across bins.
 
     For a process Markov in its own filtration, any past-measurable
     conditioner leaves the conditional law of the future unchanged, so the
-    split laws agree up to the finite bin width; `residualize` removes the
-    first-order within-bin leakage by projecting the conditioner onto the
-    within-bin variation of the present value.  Splitting instead on a
+    split laws agree up to the finite bin width.  The conditioner is
+    residualized against the within-bin variation of the present value, which
+    removes the first-order within-bin leakage.  Splitting instead on a
     non-adapted statistic (e.g. the driving noise itself) detects dependence
     even for processes that are Markov in their own filtration.
     """
@@ -213,11 +200,10 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0
         c = cond[sel].copy()
         z = z_mid[sel]
         e = z_end[sel]
-        if residualize:
-            zc = z - z.mean()
-            denom = float(zc @ zc)
-            if denom > 0.0:
-                c -= (c @ zc) / denom * zc
+        zc = z - z.mean()
+        denom = float(zc @ zc)
+        if denom > 0.0:
+            c -= (c @ zc) / denom * zc
         med = np.median(c)
         low_half, high_half = e[c <= med], e[c > med]
         if min(low_half.size, high_half.size) < min_half:
@@ -236,7 +222,7 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0
             "level": level,
             "bins": used_bins,
             "bins_rejecting": int(n_reject),
-            "residualized": residualize,
+            "residualized": True,
             **_meta(mid),
         },
     )

@@ -173,6 +173,12 @@ def test_criterion_11_theta_ratio(supq):
             f"ratio={c.value:.3f}")
 
 
+def test_monotone_errors_rows_match_header(supq):
+    table = supq.tables["monotone_errors"]
+    assert len(table["header"]) == 1 + 3 * 2 * 2  # seed, then q x {mid, end} x component
+    assert all(len(row) == len(table["header"]) for row in table["rows"])
+
+
 def test_criterion_12_determinant_flat_limit(hoog):
     ok = all(c.passed for c in hoog.checks)
     err = next(c for c in hoog.checks if c.name == "det_ratio_converged").value

@@ -320,9 +320,11 @@ class TestSuSolvable:
                 sp = simulate_su_solvable(p, q, grid, r.child(rep), lsh)
                 _, rad = finite_q_radial(sp, indices=idx)
                 acc += np.abs(np.cosh(rad) / q - target)
-            ref.append((acc / inner).mean(axis=0))
-        assert ok == all(np.all(a > b) for a, b in zip(ref, ref[1:]))
-        ref = np.concatenate(ref)
+            ref.append(acc / inner)
+        means = [e.mean(axis=0) for e in ref]
+        assert ok == all(np.all(a > b) for a, b in zip(means, means[1:]))
+        # one error per (q, time, component), in the order of the table's header
+        ref = np.concatenate([e.ravel() for e in ref])
         assert np.max(np.abs(np.array(errs) - ref) / np.abs(ref)) <= 1e-12
 
     def test_grid_mismatch_rejected(self):
@@ -369,7 +371,7 @@ class TestFiniteQRadial:
         from myproc.stats import SampleBatch, ks_two_sample
 
         rep = ks_two_sample(SampleBatch(a), SampleBatch(b), level=0.01)
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
 
 
 class TestCsv:

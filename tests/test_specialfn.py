@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.special import kve
 
 from myproc.paths import my_drift
 from myproc.specialfn import (
@@ -120,6 +121,47 @@ class TestMacdonaldDerivatives:
         fd = (macdonald_k(0.3, x + h) - macdonald_k(0.3, x - h)) / (2.0 * h)
         dx = -macdonald_k(0.3, x) * my_drift(-math.log(x), 0.3) / x
         assert dx == pytest.approx(fd, rel=1e-8)
+
+
+ORACLE_XS = np.array([1e-7, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 900.0])
+
+
+class TestFixedRule:
+    """The fixed 128-panel rule against independent references, and its pointwise independence."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    def test_ratio_against_scipy(self, lam):
+        ref = kve(lam, ORACLE_XS) / kve(0.0, ORACLE_XS)
+        assert np.max(np.abs(macdonald_ratio(lam, ORACLE_XS) / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    def test_drift_against_scipy(self, lam):
+        # -x K_lam'(x) / K_lam(x) with 2 K_lam' = -(K_{lam-1} + K_{lam+1})
+        x = ORACLE_XS
+        ref = x * (kve(lam - 1.0, x) + kve(lam + 1.0, x)) / (2.0 * kve(lam, x))
+        assert np.max(np.abs(my_drift(-np.log(x), lam) / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_lambda_derivatives_against_mpmath(self, order):
+        for x in (1e-4, 0.1, 1.0, 10.0):
+            with mpmath.workdps(30):
+                ref = float(mpmath.diff(lambda lam: mpmath.besselk(lam, x), 0, order))
+            assert macdonald_k_dlambda(order, x) == pytest.approx(ref, rel=1e-13)
+
+    def test_array_entries_equal_scalar_calls(self):
+        # a point's value depends neither on the other points of the call
+        # nor on the block of points it is evaluated in
+        assert macdonald_ratio(0.5, np.array([0.001, 3.0]))[1] == macdonald_ratio(0.5, 3.0)
+        assert isinstance(macdonald_ratio(0.5, 3.0), float)
+        xs = np.geomspace(1e-7, 900.0, 4200).reshape(2, 2100)
+        rs = -np.log(xs)
+        ratio, drift, k2 = macdonald_ratio(1.0, xs), my_drift(rs, 0.5), macdonald_k_dlambda(2, xs)
+        assert ratio.shape == drift.shape == k2.shape == xs.shape
+        for i, j in [(0, 0), (0, 2099), (1, 1995), (1, 1996), (1, 2099)]:
+            x = float(xs[i, j])
+            assert ratio[i, j] == macdonald_ratio(1.0, x)
+            assert drift[i, j] == my_drift(float(rs[i, j]), 0.5)
+            assert k2[i, j] == macdonald_k_dlambda(2, x)
 
 
 class TestKtildeDet:

@@ -96,7 +96,7 @@ class TestGeneratorTest:
         x0 = g.normal(0.0, math.sqrt(0.5), 200_000)
         x1 = x0 * math.exp(-h) + math.sqrt((1 - math.exp(-2 * h)) / 2) * g.standard_normal(200_000)
         rep = generator_test(np.stack([x0, x1]), lambda r: -r, bump, h)
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestMarkovPropertyTest:
     def test_markov_chain_passes(self):
         mid, end, past = self._synthetic(1, 60_000, leak=0.0)
         rep = markov_property_test(mid, end, past)
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
 
     def test_leaky_chain_rejects(self):
         mid, end, past = self._synthetic(2, 60_000, leak=0.5)
@@ -179,7 +179,7 @@ class TestConditionalLawTest:
         ratio = lambda e: np.exp(lam * e + 0.5 * lam * lam)
         fns = [lambda e: np.ones_like(e), lambda e: np.exp(-0.5 * e * e)]
         rep = conditional_law_test(np.stack([b, eta]), lam, fns, ratio_fn=ratio)
-        assert rep.passed, rep.as_dict()
+        assert rep.passed, rep
 
     def test_wrong_conditional_mean_rejects(self):
         g = _gen(7)
