@@ -65,9 +65,11 @@ def _build_config(args) -> ExperimentConfig:
     for key in _KEYS:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    for key in ("T", "dt", "paths", "seeds", "workers"):
+    for key in ("T", "dt", "paths", "seeds", "workers", "p"):
         if key in values and not values[key] > 0:
             raise UsageError(f"{key} must be positive, got {values[key]}")
+    if values.get("q", 0) < 0:
+        raise UsageError(f"q must be non-negative, got {values['q']}")
     cfg_values = dict(DEFAULTS.get(args.experiment, {}))
     cfg_values.update({_KEYS[key][0]: value for key, value in values.items()})
     try:
@@ -123,11 +125,12 @@ def _cmd_selftest(_args) -> int:
 
     check("K_{1/2}(2) closed form",
           abs(macdonald_k(0.5, 2.0) - math.sqrt(math.pi / 4.0) * math.exp(-2.0)) < 1e-12)
-    check("pitman law = bessel3 law (n = 10)",
+    check("pitman law = bessel3 law (n <= 10)",
           tr.pitman_walk_distribution(10) == tr.exact_distribution(tr.bessel3_kernel(), 0, 10))
-    g = tr.exact_distribution(tr.graph_kernel(2), (0, 0), 6)
-    check("tree same-law (q = 2, n = 6)",
-          tr.graph_distance_marginal(g) == tr.exact_distribution(tr.ground_state_kernel(2), 0, 6))
+    graph = tr.exact_distribution(tr.graph_kernel(2), (0, 0), 6)
+    check("tree same-law (q = 2, n <= 6)",
+          [tr.graph_distance_marginal(g) for g in graph]
+          == tr.exact_distribution(tr.ground_state_kernel(2), 0, 6))
     x = RngStream(1, 0).generator().standard_normal(2000)
     rep = ks_two_sample(SampleBatch(x), SampleBatch(x))
     check("KS identical batches", rep.statistic == 0.0 and rep.passed)

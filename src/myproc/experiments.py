@@ -46,7 +46,7 @@ class ExperimentConfig:
     """Seeded configuration; unknown fields are rejected upstream by the CLI."""
 
     experiment: str
-    q: int = 0          # 0 means "use the experiment's own q grid"
+    q: int = 0          # pitman-discrete's horizon; the other experiments fix their own q
     p: int = 2
     T: float = 1.0
     dt: float = 1e-3
@@ -122,19 +122,15 @@ def _map_seeds(fn, args, workers: int) -> list:
 # pitman-discrete: exact Pitman transform law == discrete Bessel(3) law
 
 def run_pitman_discrete(cfg: ExperimentConfig) -> ExperimentResult:
-    n_max = cfg.q if cfg.q else 24
-    checks = []
-    rows = []
-    bessel = tr.bessel3_kernel()
-    for n in range(n_max + 1):
-        pw = tr.pitman_walk_distribution(n)
-        bl = tr.exact_distribution(bessel, 0, n)
-        checks.append(Check(f"pitman_equals_bessel3_n{n}", pw == bl, float(pw == bl),
-                            "exact rational equality", {"n": n}))
-    final = tr.pitman_walk_distribution(n_max)
-    for state in sorted(final):
-        rows.append([n_max, state, f"{final[state].numerator}/{final[state].denominator}",
-                     float(final[state])])
+    n_max = cfg.q
+    pitman = tr.pitman_walk_distribution(n_max)
+    bessel = tr.exact_distribution(tr.bessel3_kernel(), 0, n_max)
+    checks = [Check(f"pitman_equals_bessel3_n{n}", pw == bl, float(pw == bl),
+                    "exact rational equality", {"n": n})
+              for n, (pw, bl) in enumerate(zip(pitman, bessel))]
+    final = pitman[-1]
+    rows = [[n_max, state, f"{final[state].numerator}/{final[state].denominator}", float(final[state])]
+            for state in sorted(final)]
     agg = Check("pitman_equals_bessel3_all", all(c.passed for c in checks), float(n_max),
                 f"exact equality for n = 0..{n_max}", {"n_max": n_max})
     return ExperimentResult("pitman-discrete", cfg.as_dict(), [agg] + checks,
@@ -149,14 +145,11 @@ def run_pitman_discrete(cfg: ExperimentConfig) -> ExperimentResult:
 def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
     n_max = 20
     checks = []
+    graph_laws = {}
     for q in (2, 3, 5):
-        gk = tr.graph_kernel(q)
-        r0 = tr.ground_state_kernel(q)
-        ok = True
-        for n in range(n_max + 1):
-            lhs = tr.graph_distance_marginal(tr.exact_distribution(gk, (0, 0), n))
-            rhs = tr.exact_distribution(r0, 0, n)
-            ok = ok and lhs == rhs
+        graph_laws[q] = tr.exact_distribution(tr.graph_kernel(q), (0, 0), n_max)
+        ground = tr.exact_distribution(tr.ground_state_kernel(q), 0, n_max)
+        ok = all(tr.graph_distance_marginal(g) == r for g, r in zip(graph_laws[q], ground))
         checks.append(Check(f"samelaw_q{q}", ok, float(ok),
                             f"exact distance-marginal equality, n <= {n_max}", {"q": q}))
     rate_rows = []
@@ -168,18 +161,17 @@ def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
             abs(dict(gs.row(n))[n + 1] - dict(bess.row(n))[n + 1]) for n in range(0, 11)
         )
 
+    err = {q: kernel_err(q) for q in (4, 16, 64, 256)}
     for q in (4, 16, 64):
-        ratio = float(kernel_err(q) / kernel_err(4 * q))
-        rate_rows.append([q, 4 * q, float(kernel_err(q)), float(kernel_err(4 * q)), ratio])
+        ratio = float(err[q] / err[4 * q])
+        rate_rows.append([q, 4 * q, float(err[q]), float(err[4 * q]), ratio])
         checks.append(Check(f"kernel_rate_q{q}", 3.5 <= ratio <= 4.5, ratio,
                             "err(q)/err(4q) in [3.5, 4.5]", {"q": q}))
-    inv_ok = True
-    lim = tr.exact_distribution(tr.graph_kernel(limit=True), (0, 0), 16)
-    for (x, y) in lim:
-        inv_ok = inv_ok and x >= abs(y) and (x - y) % 2 == 0
+    lim = tr.exact_distribution(tr.graph_kernel(limit=True), (0, 0), 16)[-1]
+    inv_ok = all(x >= abs(y) and (x - y) % 2 == 0 for (x, y) in lim)
     checks.append(Check("limit_walk_state_invariant", inv_ok, float(inv_ok),
                         "x >= |y| and x = y (mod 2) on the limit walk support", {"n": 16}))
-    law = tr.graph_distance_marginal(tr.exact_distribution(tr.graph_kernel(2), (0, 0), n_max))
+    law = tr.graph_distance_marginal(graph_laws[2][-1])
     law_rows = [[2, n_max, s, f"{m.numerator}/{m.denominator}", float(m)] for s, m in sorted(law.items())]
     return ExperimentResult(
         "tree-samelaw", cfg.as_dict(), checks,

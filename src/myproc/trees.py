@@ -9,7 +9,10 @@ asserts that the half powers cancelled.
 
 Kernels: R (radial simple walk on N), R0 (its ground-state transform),
 B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
-its flat limit, the discrete Pitman walk).
+its flat limit), and the simple symmetric walk S carried with its running
+maximum M as a chain on pairs (S, M), whose image 2M - S is the discrete
+Pitman walk.  exact_distribution is the one forward-iteration engine: it
+returns the laws at steps 0..n of one run of a chain.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ __all__ = [
     "graph_distance_marginal",
     "distribution_to_strings",
 ]
+
+# largest reachable set exact_distribution accepts at any step
+_MAX_STATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,6 @@ class QPow:
 class ExactKernel:
     """Markov kernel with exact rational transition rows."""
 
-    state_space: str
     transition: Callable[[object], List[Tuple[object, Fraction]]]
 
     def row(self, state) -> List[Tuple[object, Fraction]]:
@@ -117,9 +122,6 @@ class ExactKernel:
 
 class ExactDistribution(Dict[object, Fraction]):
     """Finite-support exact law: mapping state -> rational mass."""
-
-    def total(self) -> Fraction:
-        return sum(self.values(), Fraction(0))
 
     def marginal(self, fn: Callable[[object], object]) -> "ExactDistribution":
         out = ExactDistribution()
@@ -142,7 +144,7 @@ def radial_kernel(q: int) -> ExactKernel:
             return [(1, Fraction(1))]
         return [(n - 1, back), (n + 1, forward)]
 
-    return ExactKernel("N", transition)
+    return ExactKernel(transition)
 
 
 def phi0_tree(n: int, q: int) -> QPow:
@@ -174,7 +176,7 @@ def ground_state_kernel(q: int) -> ExactKernel:
             out.append((m, value.rational()))
         return out
 
-    return ExactKernel("N", transition)
+    return ExactKernel(transition)
 
 
 def bessel3_kernel() -> ExactKernel:
@@ -185,7 +187,7 @@ def bessel3_kernel() -> ExactKernel:
             return [(1, Fraction(1))]
         return [(n - 1, Fraction(n, 2 * (n + 1))), (n + 1, Fraction(n + 2, 2 * (n + 1)))]
 
-    return ExactKernel("N", transition)
+    return ExactKernel(transition)
 
 
 def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
@@ -216,50 +218,48 @@ def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
             ]
         return [((x - 1, y + 1), half), ((x + 1, y - 1), half)]
 
-    return ExactKernel("graph", transition)
+    return ExactKernel(transition)
 
 
-def exact_distribution(kernel: ExactKernel, start, n: int, cap: int = 10**6) -> ExactDistribution:
-    """Law of the chain at step n by exact forward iteration from a point mass."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    dist = ExactDistribution({start: Fraction(1)})
-    for _ in range(n):
-        nxt = ExactDistribution()
-        for state, mass in dist.items():
-            if mass == 0:
-                continue
-            for target, p in kernel.row(state):
-                nxt[target] = nxt.get(target, Fraction(0)) + mass * p
-        if len(nxt) > cap:
-            raise RuntimeError(f"reachable set exceeded {cap} states")
-        dist = nxt
-    return dist
+def exact_distribution(kernel: ExactKernel, start, n: int) -> List[ExactDistribution]:
+    """Laws of the chain at steps 0..n by exact forward iteration from a point mass.
 
-
-def pitman_walk_distribution(n: int) -> ExactDistribution:
-    """Exact law of 2 M_n - S_n for the simple symmetric walk S (M its running max).
-
-    Dynamic programming over the pair (S, M); the result coincides with the
-    discrete Bessel(3) law started at 0 for every n.
+    Each state's row is fetched (and checked) once per call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    half = Fraction(1, 2)
-    pairs: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    rows: Dict[object, List[Tuple[object, Fraction]]] = {}
+    laws = [ExactDistribution({start: Fraction(1)})]
     for _ in range(n):
-        nxt: Dict[Tuple[int, int], Fraction] = {}
-        for (s, m), mass in pairs.items():
-            for step in (1, -1):
-                s2 = s + step
-                key = (s2, max(m, s2))
-                nxt[key] = nxt.get(key, Fraction(0)) + mass * half
-        pairs = nxt
-    out = ExactDistribution()
-    for (s, m), mass in pairs.items():
-        key = 2 * m - s
-        out[key] = out.get(key, Fraction(0)) + mass
-    return out
+        nxt = ExactDistribution()
+        for state, mass in laws[-1].items():
+            if mass == 0:
+                continue
+            if state not in rows:
+                rows[state] = kernel.row(state)
+            for target, p in rows[state]:
+                nxt[target] = nxt.get(target, Fraction(0)) + mass * p
+        if len(nxt) > _MAX_STATES:
+            raise RuntimeError(f"reachable set exceeded {_MAX_STATES} states")
+        laws.append(nxt)
+    return laws
+
+
+def _walk_with_max(state: Tuple[int, int]):
+    """Simple symmetric walk S carried with its running maximum M: pairs (S, M)."""
+    s, m = state
+    half = Fraction(1, 2)
+    return [((s + 1, max(m, s + 1)), half), ((s - 1, m), half)]
+
+
+def pitman_walk_distribution(n: int) -> List[ExactDistribution]:
+    """Exact laws of 2 M_k - S_k at steps k = 0..n; S the simple symmetric walk, M its running max.
+
+    The (S, M) chain pushed forward by 2M - S; each law coincides with the
+    discrete Bessel(3) law started at 0 at the same step.
+    """
+    laws = exact_distribution(ExactKernel(_walk_with_max), (0, 0), n)
+    return [law.marginal(lambda sm: 2 * sm[1] - sm[0]) for law in laws]
 
 
 def _graph_distance(state: Tuple[int, int]) -> int:

@@ -5,6 +5,8 @@ heavier experiments are run once per session and shared across the criteria
 they cover.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -98,6 +100,26 @@ def test_criterion_02_tree_same_law_exact(samelaw):
     ok = len(cs) == 3 and all(c.passed for c in cs)
     _report(2, "graph-walk radial law equals ground-state chain law, q in {2,3,5}, n <= 20, exact", ok)
     assert _BUDGETS["samelaw"] < 10.0
+
+
+# SHA-256 of the exact outputs as sorted-key JSON; exact rational arithmetic
+# makes them byte-stable, so any change to a law or a rate shows here
+_EXACT_DIGESTS = {
+    ("pitman", "distribution"): "6373f487becf0f0aa609795cab62be6bb678466ee4032bf51a41b31eb26bd921",
+    ("pitman", "details"): "25e64e86a3318d6c8e77e5a2f4fc50bdd9c1618b6f12414ed82717de863b4fb0",
+    ("samelaw", "kernel_rate"): "7cdd0552f1a1a2bb4bfe0848b00adbafdd6b773a5ea6df84ef9614b57e490337",
+    ("samelaw", "radial_law"): "0cd3367bee0a9e730a6ed4dfa074eb16d5fb723c586f8ad3851f78bfe70962e2",
+    ("samelaw", "details"): "c705527148796f69c88d6fbd09f402152dc93409d3f5f7af84cbb61fb23d2cd1",
+}
+
+
+def test_exact_outputs_pinned(pitman, samelaw):
+    results = {"pitman": pitman, "samelaw": samelaw}
+    for (name, part), expected in _EXACT_DIGESTS.items():
+        result = results[name]
+        obj = result.details if part == "details" else result.tables[part]
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest == expected, (name, part)
 
 
 def test_criterion_03_kernel_convergence_rate(samelaw):

@@ -70,6 +70,23 @@ class TestRun:
         assert capsys.readouterr().err.count("dt must be positive") == 3
         assert not any((tmp_path / d).exists() for d in "abc")
 
+    def test_q_zero_is_horizon_zero(self, tmp_path):
+        out = tmp_path / "res"
+        assert main(["run", "pitman-discrete", "--q", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["q"] == 0
+        assert [c["name"] for c in report["checks"]] == ["pitman_equals_bessel3_all", "pitman_equals_bessel3_n0"]
+
+    def test_negative_q_and_p_below_one_are_usage_errors(self, tmp_path, capsys):
+        assert main(["run", "pitman-discrete", "--q", "-1", "--out", str(tmp_path / "a")]) == 2
+        assert main(["run", "supq-limit", "--p", "0", "--out", str(tmp_path / "b")]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": -3, "p": 1}))
+        assert main(["run", "pitman-discrete", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("q must be non-negative") == 2 and "p must be positive, got 0" in err
+        assert not any((tmp_path / d).exists() for d in "abc")
+
     def test_too_few_paths_is_a_usage_error(self, tmp_path, capsys):
         # the Markov test needs 15 quantile bins of at least 100 paths each
         assert main(["run", "my-generator", "--paths", "50", "--out", str(tmp_path / "a")]) == 2

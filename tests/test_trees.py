@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from myproc import trees
 from myproc.trees import (
     ExactDistribution,
     ExactKernel,
@@ -149,66 +150,90 @@ class TestGraphKernel:
 
 class TestExactDistribution:
     def test_point_mass_at_zero_steps(self):
-        d = exact_distribution(bessel3_kernel(), 0, 0)
-        assert d == {0: Fraction(1)}
+        assert exact_distribution(bessel3_kernel(), 0, 0) == [{0: Fraction(1)}]
 
     def test_two_step_bessel(self):
-        d = exact_distribution(bessel3_kernel(), 0, 2)
-        assert d == {0: Fraction(1, 4), 2: Fraction(3, 4)}
+        laws = exact_distribution(bessel3_kernel(), 0, 2)
+        assert laws == [{0: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(1, 4), 2: Fraction(3, 4)}]
 
     def test_mass_conservation_50_steps(self):
-        d = exact_distribution(radial_kernel(3), 0, 50)
-        assert d.total() == 1
+        laws = exact_distribution(radial_kernel(3), 0, 50)
+        assert len(laws) == 51
+        assert all(sum(d.values()) == 1 for d in laws)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(trees, "_MAX_STATES", 10)
         with pytest.raises(RuntimeError):
-            exact_distribution(graph_kernel(2), (0, 0), 12, cap=10)
+            exact_distribution(graph_kernel(2), (0, 0), 12)
+
+    def test_each_row_fetched_once(self):
+        calls = []
+        transition = bessel3_kernel().transition
+
+        def counted(state):
+            calls.append(state)
+            return transition(state)
+
+        laws = exact_distribution(ExactKernel(counted), 0, 30)
+        expanded = set().union(*laws[:-1])
+        assert sorted(calls) == sorted(expanded) == list(range(30))
+
+
+@pytest.fixture(scope="module")
+def bessel3_laws():
+    """Discrete Bessel(3) laws at steps 0..24 from 0, from one run of the chain."""
+    return exact_distribution(bessel3_kernel(), 0, 24)
+
+
+@pytest.fixture(scope="module")
+def pitman_laws():
+    """Laws of 2M - S at steps 0..24, from one run of the (S, M) chain."""
+    return pitman_walk_distribution(24)
 
 
 class TestPitmanWalk:
     def test_one_step(self):
-        assert pitman_walk_distribution(1) == {1: Fraction(1)}
+        assert pitman_walk_distribution(1) == [{0: Fraction(1)}, {1: Fraction(1)}]
 
     def test_two_steps(self):
-        assert pitman_walk_distribution(2) == {0: Fraction(1, 4), 2: Fraction(3, 4)}
+        assert pitman_walk_distribution(2)[-1] == {0: Fraction(1, 4), 2: Fraction(3, 4)}
 
     @pytest.mark.parametrize("n", range(0, 13))
-    def test_enumeration_oracle(self, n):
-        assert pitman_walk_distribution(n) == pitman_walk_enumeration(n)
+    def test_enumeration_oracle(self, pitman_laws, n):
+        assert pitman_laws[n] == pitman_walk_enumeration(n)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 20, 24])
-    def test_equals_bessel3_law(self, n):
-        assert pitman_walk_distribution(n) == exact_distribution(bessel3_kernel(), 0, n)
+    @pytest.mark.parametrize("n", range(0, 25))
+    def test_equals_bessel3_law(self, pitman_laws, bessel3_laws, n):
+        assert pitman_laws[n] == bessel3_laws[n]
 
     def test_string_encoding(self):
-        enc = distribution_to_strings(pitman_walk_distribution(2))
+        enc = distribution_to_strings(pitman_walk_distribution(2)[-1])
         assert enc == {"0": "1/4", "2": "3/4"}
 
 
 class TestSameLaw:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_distance_marginal_matches_ground_state(self, q):
-        gk = graph_kernel(q)
-        r0 = ground_state_kernel(q)
-        for n in range(21):
-            lhs = graph_distance_marginal(exact_distribution(gk, (0, 0), n))
-            rhs = exact_distribution(r0, 0, n)
-            assert lhs == rhs, (q, n)
+        graph = exact_distribution(graph_kernel(q), (0, 0), 20)
+        ground = exact_distribution(ground_state_kernel(q), 0, 20)
+        assert len(graph) == len(ground) == 21
+        for n, (g, r) in enumerate(zip(graph, ground)):
+            assert graph_distance_marginal(g) == r, (q, n)
 
     def test_x_marginal_differs_at_finite_q(self):
         # below-origin diagonal mass makes the raw x-marginal differ from the
         # distance law at finite q (they agree on the limit walk)
-        d = exact_distribution(graph_kernel(2), (0, 0), 1)
+        d = exact_distribution(graph_kernel(2), (0, 0), 1)[-1]
         x_law = d.marginal(lambda s: s[0])
         assert x_law != graph_distance_marginal(d)
         assert x_law[-1] == Fraction(1, 4)
 
-    def test_limit_x_marginal_is_pitman(self):
-        d = exact_distribution(graph_kernel(limit=True), (0, 0), 14)
-        assert d.marginal(lambda s: s[0]) == pitman_walk_distribution(14)
+    def test_limit_x_marginal_is_pitman(self, pitman_laws):
+        d = exact_distribution(graph_kernel(limit=True), (0, 0), 14)[-1]
+        assert d.marginal(lambda s: s[0]) == pitman_laws[14]
 
     def test_limit_state_invariant(self):
-        d = exact_distribution(graph_kernel(limit=True), (0, 0), 15)
+        d = exact_distribution(graph_kernel(limit=True), (0, 0), 15)[-1]
         assert all(x >= abs(y) and (x - y) % 2 == 0 for (x, y) in d)
 
 
@@ -227,7 +252,7 @@ class TestRatesAndSpectra:
     def test_height_chain_spectral_identity(self):
         # height (Busemann) walk on Z: down 1/(q+1), up q/(q+1)
         q = 7
-        k = ExactKernel("Z", lambda n: [(n - 1, Fraction(1, q + 1)), (n + 1, Fraction(q, q + 1))])
+        k = ExactKernel(lambda n: [(n - 1, Fraction(1, q + 1)), (n + 1, Fraction(q, q + 1))])
         rho = tree_spectral_radius(q)
         for n in (-4, 0, 3):
             acc = None
