@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 # config-file key and flag name -> (ExperimentConfig field, type)
 _KEYS = {
@@ -70,10 +70,8 @@ def _build_config(args) -> ExperimentConfig:
             raise UsageError(f"{key} must be positive, got {values[key]}")
     if values.get("q", 0) < 0:
         raise UsageError(f"q must be non-negative, got {values['q']}")
-    cfg_values = dict(DEFAULTS.get(args.experiment, {}))
-    cfg_values.update({_KEYS[key][0]: value for key, value in values.items()})
     try:
-        return ExperimentConfig(experiment=args.experiment, **cfg_values)
+        return ExperimentConfig(args.experiment, **{_KEYS[key][0]: value for key, value in values.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -32,6 +32,10 @@ __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_
 _MARKOV_BINS = 15
 _MARKOV_MIN_HALF = 50
 
+# supq-limit runs its replicas in chunks whose (n, p, p) matrix paths, one per
+# replica and q value, stay near this many bytes, so memory stays bounded at any p
+_CHUNK_BYTES = 1 << 21
+
 # fewest paths whose statistics each path-sampling experiment can form: a
 # sample standard deviation needs two, the Markov test full bins
 _MIN_PATHS = {
@@ -41,23 +45,33 @@ _MIN_PATHS = {
 }
 
 
+# per-experiment defaults of the fields left as None, resolved when the config is built
+DEFAULTS = {
+    "pitman-discrete": {"q": 24},
+    "supq-limit": {"n_seeds": 50},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Seeded configuration; unknown fields are rejected upstream by the CLI."""
 
     experiment: str
-    q: int = 0          # pitman-discrete's horizon; the other experiments fix their own q
+    q: Optional[int] = None        # pitman-discrete's horizon (24); the other experiments fix their own q (0)
     p: int = 2
     T: float = 1.0
     dt: float = 1e-3
     n_paths: int = 100_000
     lam: float = 0.5
     seed: int = 20240801
-    n_seeds: int = 100
+    n_seeds: Optional[int] = None  # outer seeds: 50 for supq-limit, else 100
     workers: int = 1
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        for key, value in {"q": 0, "n_seeds": 100, **DEFAULTS.get(self.experiment, {})}.items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
         least = _MIN_PATHS.get(self.experiment, 1)
         if self.n_paths < least:
             raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
@@ -381,23 +395,36 @@ def _supq_seed_monotone(args) -> tuple:
     lshared = mx.sample_triangular_bm(p, "complex", grid, r.child(10**6))
     idx = [grid.n_steps // 2, grid.n_steps]
     _, target = mx.eta_matrix(lshared, indices=idx)
-    acc = np.zeros((len(q_list), len(idx), p))
-    for rep in range(inner):
-        # one draw at the largest q: a smaller q integrates its leading
-        # columns, which are the noise its own draw would give (nested streams)
-        dbeta, dkappa = mx.su_noise_increments(p, max(q_list), "complex", grid, r.child(rep))
-        for i, q in enumerate(q_list):
-            sp = mx.su_solvable_from_increments(q, lshared, dbeta[:, :, :q - p], dkappa)
-            _, rad = mx.finite_q_radial(sp, indices=idx)
-            acc[i] += np.abs(np.cosh(rad) / q - target)
-            del sp  # at most one path and one noise array alive at a time
-        del dbeta, dkappa
-    errs = acc / inner
+    # the inner replicas ride on the leading axis and the q values on the next;
+    # each q adds a column group with its own noise (48, 150 and 600 columns at
+    # p = 2) to those of the smaller q, and summing the groups' W and c couples
+    # the q values in law exactly as nested columns would
+    rad = _replica_runs(p, q_list, grid, "complex", [r.child(rep) for rep in range(inner)],
+                        lambda sp, _: mx.finite_q_radial(sp, idx)[1], lshared)
+    errs = np.abs(np.cosh(rad) / np.reshape(q_list, (-1, 1, 1)) - target).mean(axis=0)
     # the verdict compares the time-mean errors componentwise; the row keeps
     # every (q, time, component) error in the order of the table's header
     means = errs.mean(axis=1)
     ok = all(np.all(a > b) for a, b in zip(means, means[1:]))
     return seed, ok, [float(v) for v in errs.ravel()]
+
+
+def _replica_runs(p: int, q, grid: pth.TimeGrid, field: str, rngs: list, reduce, shared_l=None) -> np.ndarray:
+    """reduce(path, l) of the solvable-group path of every replica stream, concatenated.
+
+    Each replica has its own l, from its stream's child 10**6, unless shared_l
+    is given.  Replicas run in chunks whose (n, p, p) matrix paths, one per
+    replica and q value, stay near _CHUNK_BYTES, and each chunk is reduced
+    before the next one runs.
+    """
+    size = max(1, _CHUNK_BYTES // (16 * grid.n_steps * np.size(q) * p * p))
+    out = []
+    for i in range(0, len(rngs), size):
+        chunk = rngs[i:i + size]
+        l = shared_l if shared_l is not None else mx.triangular_from_increments(
+            p, field, grid, np.stack([mx.triangular_increments(p, field, grid, r.child(10**6)) for r in chunk]))
+        out.append(reduce(mx.simulate_su_solvable(p, q, grid, chunk, l), l))
+    return np.concatenate(out)
 
 
 def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
@@ -427,15 +454,10 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     # invariant defect halves with dt (ratio of replica means)
     defects = {}
     for n_steps in (1000, 2000):
-        acc = 0.0
-        reps = 48
-        for i in range(reps):
-            g = pth.TimeGrid(1.0, n_steps)
-            r = pth.RngStream(cfg.seed + i, 11)
-            lsh = mx.sample_triangular_bm(cfg.p, "complex", g, r.child(10**6))
-            sp = mx.simulate_su_solvable(cfg.p, 100, g, r, lsh)
-            acc += sp.invariant_defect().max()
-        defects[n_steps] = acc / reps
+        peaks = _replica_runs(cfg.p, 100, pth.TimeGrid(1.0, n_steps), "complex",
+                              [pth.RngStream(cfg.seed + i, 11) for i in range(48)],
+                              lambda sp, _: sp.invariant_defect().max(axis=-1))
+        defects[n_steps] = float(np.mean(peaks))
     ratio = defects[1000] / defects[2000]
     checks.append(Check("invariant_halving", 1.5 <= ratio <= 2.7, ratio,
                         "defect(dt) / defect(dt/2) in [1.5, 2.7] over 48 replicas",
@@ -443,17 +465,11 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     # real-vs-complex scaling constant (theta) ratio at large q
     alphas = {}
     for fieldtag in ("complex", "real"):
-        acc = 0.0
-        reps = 16
-        for i in range(reps):
-            g = pth.TimeGrid(1.0, 1000)
-            r = pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17)
-            lsh = mx.sample_triangular_bm(cfg.p, fieldtag, g, r.child(10**6))
-            # only c_T is kept, so each path is freed before the next is drawn
-            c_end = mx.simulate_su_solvable(cfg.p, 800, g, r, lsh).c[-1]
-            J = mx.integrated_ll_star(lsh)
-            acc += float(np.real(np.trace(c_end))) / (800 * float(np.real(np.trace(J[-1]))))
-        alphas[fieldtag] = acc / reps
+        ratios = _replica_runs(cfg.p, 800, pth.TimeGrid(1.0, 1000), fieldtag,
+                               [pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17) for i in range(16)],
+                               lambda sp, l: np.einsum("rii->r", sp.c[:, -1]).real
+                               / (800 * np.einsum("rii->r", mx.integrated_ll_star(l)[:, -1]).real))
+        alphas[fieldtag] = float(np.mean(ratios))
     theta_ratio = alphas["complex"] / alphas["real"]
     checks.append(Check("theta_ratio", 1.8 <= theta_ratio <= 2.2, theta_ratio,
                         "complex : real c_t/q scaling ratio in [1.8, 2.2] at q = 800",
@@ -508,12 +524,6 @@ EXPERIMENTS = {
     "conditional-law": run_conditional_law,
     "supq-limit": run_supq_limit,
     "hoogenboom-det": run_hoogenboom_det,
-}
-
-# experiment-specific default overrides applied by the CLI when flags are absent
-DEFAULTS = {
-    "pitman-discrete": {"q": 24},
-    "supq-limit": {"n_seeds": 50},
 }
 
 

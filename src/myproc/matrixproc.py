@@ -9,8 +9,12 @@ distinction cannot be misapplied):
   * lambda (lower triangular, p x p): diagonal entries are standard real
     Brownian motions; strictly-lower entries are sqrt(2) W in the real case
     and sqrt(2) (W1 + i W2) in the complex case.
-  * beta (p x (q-p)): sqrt(2) W, resp. sqrt(2) (W1 + i W2); hence the
-    quadratic covariation <beta, beta-bar> is 2t, resp. 4t, per entry.
+  * beta (p x (q-p), the transverse columns): sqrt(2) W, resp.
+    sqrt(2) (W1 + i W2); hence <beta, beta-bar> is 2t, resp. 4t, per entry.
+    The scheme sees beta only through two p x p blocks per step and column
+    group: G, entries as for beta, and the Wishart matrix S = A A* of the
+    group's other width - p columns, from its Bartlett factor A (chi
+    diagonal, beta-like entries below it, both scaled as beta).
   * kappa (p x p skew-Hermitian): diagonal -2i W (complex; zero in the real
     case); above-diagonal entries as for lambda, mirrored by kappa* = -kappa.
 
@@ -19,10 +23,14 @@ exact in the triangular group (positive diagonal and exact zeros above the
 diagonal); the exponentials of all n increments come from one call of the
 stacked expm_tri, and only the running product l_k exp(dl_k) is sequential.
 The Stratonovich integrals for b and c use the trapezoid-in-noise (Heun)
-rule, which preserves c + c* = b b* up to O(dt).  Every increment is drawn
-before integration, so the rule runs over the whole time axis at once:
-b is a cumulative sum of (l_k + l_{k+1})/2 dbeta_k, after which each step's
-c-increment is known and c is a second cumulative sum.
+rule, which preserves c + c* = b b* up to O(dt).  The column noise is
+rotation invariant, so the rule depends on b only through its Gram matrix
+W = b b*, a Wishart process (Bru 1991): each column group carries W and its
+Cholesky factor instead of its columns, and a step costs O(p^3) at any
+q, with the law of the column scheme on the grid.  Only the Cholesky factor
+and W are sequential; the noise, the frame products and the c-increments run
+over the whole time axis at once, with replicas and column groups on leading
+axes.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,8 +54,6 @@ __all__ = [
     "sample_triangular_bm",
     "integrated_ll_star",
     "eta_matrix",
-    "su_noise_increments",
-    "su_solvable_from_increments",
     "simulate_su_solvable",
     "finite_q_radial",
     "radial_to_csv",
@@ -86,6 +92,11 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
     return X
 
 
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def singular_values(n_matrix: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order, of one matrix or of each matrix in a stack."""
     return np.linalg.svd(np.asarray(n_matrix), compute_uv=False)
@@ -101,12 +112,12 @@ class TriangularPath:
     p: int
     field: str  # "real" or "complex"
     grid: TimeGrid
-    frames: np.ndarray  # (n_steps + 1, p, p)
+    frames: np.ndarray  # (n_steps + 1, p, p), or a stack (replicas, n_steps + 1, p, p)
 
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise ValueError("field must be 'real' or 'complex'")
-        if self.frames.shape != (self.grid.n_steps + 1, self.p, self.p):
+        if self.frames.shape[-3:] != (self.grid.n_steps + 1, self.p, self.p):
             raise ValueError("frames shape mismatch")
 
 
@@ -132,17 +143,20 @@ def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) ->
 
 def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: np.ndarray,
                                diag_drift: Optional[Sequence[float]] = None) -> TriangularPath:
-    """Stepwise-exponential solution of dl = l dlambda (+ diagonal drift dt)."""
+    """Stepwise-exponential solution of dl = l dlambda (+ diagonal drift dt).
+
+    increments (..., n, p, p) may carry leading replica axes; the frames keep them.
+    """
     n, dt = grid.n_steps, grid.dt
     dtype = float if field == "real" else complex
     drift_mat = np.zeros((p, p), dtype=dtype)
     if diag_drift is not None:
         drift_mat[np.diag_indices(p)] = np.asarray(diag_drift, dtype=float)
     steps = expm_tri(increments + drift_mat * dt)
-    frames = np.empty((n + 1, p, p), dtype=dtype)
-    frames[0] = np.eye(p, dtype=dtype)
+    frames = np.empty(increments.shape[:-3] + (n + 1, p, p), dtype=dtype)
+    frames[..., 0, :, :] = np.eye(p, dtype=dtype)
     for k in range(n):
-        np.matmul(frames[k], steps[k], out=frames[k + 1])
+        np.matmul(frames[..., k, :, :], steps[..., k, :, :], out=frames[..., k + 1, :, :])
     return TriangularPath(p, field, grid, frames)
 
 
@@ -154,13 +168,12 @@ def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rng: RngStream,
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
-    """Cumulative trapezoid of int_0^t l_s l_s* ds, shape (n+1, p, p)."""
+    """Cumulative trapezoid of int_0^t l_s l_s* ds, shape (..., n+1, p, p)."""
     f = lpath.frames
-    ll = f @ f.conj().transpose(0, 2, 1)
-    steps = 0.5 * lpath.grid.dt * (ll[:-1] + ll[1:])
-    out = np.empty_like(ll)
-    out[0] = 0.0
-    np.cumsum(steps, axis=0, out=out[1:])
+    ll = f @ _h(f)
+    steps = 0.5 * lpath.grid.dt * (ll[..., :-1, :, :] + ll[..., 1:, :, :])
+    out = np.zeros_like(ll)
+    np.cumsum(steps, axis=-3, out=out[..., 1:, :, :])
     return out
 
 
@@ -182,139 +195,157 @@ def eta_matrix(lpath: TriangularPath, indices: Optional[Sequence[int]] = None):
 # --------------------------------------------------------------------------
 # solvable-group model of SU(p,q) / SO(p,q)
 
-# transverse columns per noise-drawing block and time steps per block of the
-# dbeta* temporaries; it bounds the size of temporary arrays only
-_BLOCK = 64
-
-
 @dataclass
 class SuSolvablePath:
-    """Trajectory of the distinguished Brownian motion in horocyclic coordinates."""
+    """Trajectory of the distinguished Brownian motion in horocyclic coordinates.
 
-    q: int
+    W = b b* is the Gram matrix of the transverse part b.  W and c carry the
+    leading axes of the call that made them: replicas, then nested q values.
+    """
+
+    q: Union[int, Sequence[int]]
     l_path: TriangularPath
-    b: np.ndarray  # (n+1, p, q-p)
-    c: np.ndarray  # (n+1, p, p)
-
-    @property
-    def p(self) -> int:
-        return self.l_path.p
+    W: np.ndarray  # (..., n+1, p, p)
+    c: np.ndarray  # (..., n+1, p, p)
 
     @property
     def grid(self) -> TimeGrid:
         return self.l_path.grid
 
     def invariant_defect(self) -> np.ndarray:
-        """sup-norm of c + c* - b b* at every grid point (O(dt) drift of the scheme)."""
-        bb = self.b @ self.b.conj().transpose(0, 2, 1)
-        sym = self.c + self.c.conj().transpose(0, 2, 1)
-        return np.max(np.abs(sym - bb), axis=(1, 2))
+        """sup-norm of c + c* - W at every grid point (O(dt) drift of the scheme)."""
+        return np.max(np.abs(self.c + _h(self.c) - self.W), axis=(-2, -1))
 
 
-def su_noise_increments(p: int, q: int, field: str, grid: TimeGrid, rng: RngStream):
-    """Step increments (dbeta, dkappa) with the scaling table from the module docstring.
+def _normals(gen: np.random.Generator, shape: tuple, cplx: bool) -> np.ndarray:
+    """Standard normals x, or x + iy: all real parts are drawn before the imaginary ones."""
+    z = gen.standard_normal((2,) + shape if cplx else shape)
+    return z[0] + 1j * z[1] if cplx else z
 
-    Each transverse column of beta draws from its own derived stream
-    (rng.child(column + 1)), so increasing q extends the columns of a
-    smaller-q run without changing them: q-sweeps with a shared rng are
-    coupled realizations of the same infinite noise array.
-    """
-    if q <= p:
-        raise ValueError("need q > p")
-    n, dt = grid.n_steps, grid.dt
-    w = q - p
+
+def _kappa_increments(p: int, cplx: bool, n: int, dt: float, rng: RngStream) -> np.ndarray:
+    """Increments of kappa over each step, shape (n, p, p), from the table in the module docstring."""
+    gen = rng.generator()
     s2 = math.sqrt(2.0 * dt)
-    cplx = field == "complex"
-    dbeta = np.empty((n, p, w), dtype=complex if cplx else float)
-    # a block of columns is drawn into contiguous buffers (real parts, then
-    # imaginary parts, per column as before) and scaled into dbeta in one pass
-    parts = (dbeta.real, dbeta.imag) if cplx else (dbeta,)
-    block = np.empty((len(parts), min(w, _BLOCK), n, p))
-    for j0 in range(0, w, _BLOCK):
-        width = min(_BLOCK, w - j0)
-        for jj in range(width):
-            gen = rng.child(j0 + jj + 1).generator()
-            for buf in block[:, jj]:
-                gen.standard_normal(out=buf)
-        for part, buf in zip(parts, block):
-            np.multiply(buf[:width].transpose(1, 2, 0), s2, out=part[:, :, j0:j0 + width])
-    gen = rng.child(0).generator()
+    dkappa = np.zeros((n, p, p), dtype=complex if cplx else float)
+    up = np.triu_indices(p, 1)
+    z = s2 * _normals(gen, (n, up[0].size), cplx)
+    dkappa[:, up[0], up[1]] = z
+    dkappa[:, up[1], up[0]] = -np.conj(z)
     if cplx:
-        dkappa = np.zeros((n, p, p), dtype=complex)
-        up = np.triu_indices(p, 1)
-        if up[0].size:
-            z = s2 * (gen.standard_normal((n, up[0].size)) + 1j * gen.standard_normal((n, up[0].size)))
-            dkappa[:, up[0], up[1]] = z
-            dkappa[:, up[1], up[0]] = -np.conj(z)
         di = np.diag_indices(p)
         dkappa[:, di[0], di[1]] = -2j * math.sqrt(dt) * gen.standard_normal((n, p))
-    else:
-        dkappa = np.zeros((n, p, p))
-        up = np.triu_indices(p, 1)
-        if up[0].size:
-            z = s2 * gen.standard_normal((n, up[0].size))
-            dkappa[:, up[0], up[1]] = z
-            dkappa[:, up[1], up[0]] = -z
-    return dbeta, dkappa
+    return dkappa
 
 
-def su_solvable_from_increments(q: int, l_path: TriangularPath, dbeta: np.ndarray,
-                                dkappa: np.ndarray) -> SuSolvablePath:
-    """Heun (trapezoid-in-noise) Stratonovich integration of
+def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
+                      rngs: Sequence[RngStream]) -> np.ndarray:
+    """Reduced column noise K = [G, A] of each replica and column group, shape (n, R, groups, p, 2p).
 
-        b_t = int l dbeta,   c_t = int l (dkappa) l* + int b (dbeta*) l*.
+    G is a p x p block of column noise; A is the Bartlett factor of the Wishart
+    matrix S = A A* (width - p degrees of freedom) of the group's other columns.
+    A group narrower than p has only its first `width` columns of G and no A.
+    Replica i draws every group, in order, from rngs[i].
     """
-    n = l_path.grid.n_steps
-    p = l_path.p
-    w = q - p
-    dtype = complex if (l_path.field == "complex" or dbeta.dtype.kind == "c") else float
-    frames = l_path.frames
-    frames_h = frames.conj().transpose(0, 2, 1)
-    b = np.empty((n + 1, p, w), dtype=dtype)
-    b[0] = 0.0
-    np.matmul(0.5 * (frames[:-1] + frames[1:]), dbeta, out=b[1:])
-    np.cumsum(b[1:], axis=0, out=b[1:])
-    dc = (0.5 * (frames[:-1] @ dkappa @ frames_h[:-1] + frames[1:] @ dkappa @ frames_h[1:])
-          ).astype(dtype, copy=False)
-    for k in range(0, n, _BLOCK):
-        blk = slice(k, k + _BLOCK)
-        dbs = dbeta[blk].conj().transpose(0, 2, 1)
-        dc[blk] += 0.5 * (b[:-1][blk] @ dbs @ frames_h[:-1][blk] + b[1:][blk] @ dbs @ frames_h[1:][blk])
-    c = np.empty((n + 1, p, p), dtype=dtype)
-    c[0] = 0.0
-    np.cumsum(dc, axis=0, out=c[1:])
-    return SuSolvablePath(q, l_path, b, c)
+    cols = np.arange(p)
+    low = np.tril_indices(p, -1)
+    K = np.zeros((n, len(rngs), len(widths), p, 2 * p), dtype=complex if cplx else float)
+    for i, rng in enumerate(rngs):
+        gen = rng.generator()
+        for g, width in enumerate(widths):
+            nu = width - p
+            k = K[:, i, g]
+            k[..., :p] = math.sqrt(2.0 * dt) * _normals(gen, (n, p, p), cplx) * (cols < width)
+            A = k[..., p:]
+            A[:, low[0], low[1]] = _normals(gen, (n, low[0].size), cplx) * (low[1] < nu)
+            dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)  # chi^2 degrees of freedom on the diagonal
+            A[:, cols, cols] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p)))
+            A *= math.sqrt(2.0 * dt)
+    return K
 
 
-def simulate_su_solvable(p: int, q: int, grid: TimeGrid, rng: RngStream,
+def simulate_su_solvable(p: int, q: Union[int, Sequence[int]], grid: TimeGrid,
+                         rng: Union[RngStream, Sequence[RngStream]],
                          shared_l: TriangularPath) -> SuSolvablePath:
     """Distinguished Brownian motion on the solvable group, reusing a given l trajectory.
 
-    shared_l must live on the same grid; passing the same l across several q
-    values realizes the coupled comparison in which only the transverse noise
-    dimension grows.
+    shared_l must live on the same grid; its frames may carry one leading
+    replica axis.  rng is one stream, or one per replica (a leading axis of W
+    and c).
+    q is one value, or increasing values q_1 < q_2 < ... (the next axis) whose
+    transverse columns are nested: q_j sums the column groups 1..j, of widths
+    q_1 - p, q_2 - q_1, ..., each with its own noise, so every q_j has the law
+    of a lone run and a shorter sequence reproduces the leading groups of a
+    longer one.  Passing the same l across q values realizes the coupled
+    comparison in which only the transverse noise dimension grows.
+
+    Each group is integrated through its Gram matrix.  Before step k its columns
+    are b_k = [X_k, 0] U_k with X_k X_k* = W_k (X_0 = 0, then the Cholesky
+    factor); seen through U_k the step's column noise is [G, H] U_k with
+    H H* = A A*, so with lbar = (l_k + l_{k+1}) / 2 only Z = [X_k, 0] + lbar K
+    enters the Heun step:
+
+        W_{k+1} = Z Z*,   c-increment = X_k (lbar G)* + 1/2 lbar K K* l_{k+1}*
+                                        + 1/2 (l_k dkappa l_k* + l_{k+1} dkappa l_{k+1}*).
+
+    A group narrower than p keeps its own columns instead: X_{k+1} = Z[:, :p].
     """
     if shared_l.grid != grid:
         raise ValueError("shared_l must be sampled on the same grid")
-    dbeta, dkappa = su_noise_increments(p, q, shared_l.field, grid, rng)
-    return su_solvable_from_increments(q, shared_l, dbeta, dkappa)
+    widths = np.diff(np.atleast_1d(q), prepend=p)
+    if np.any(widths < 1):
+        raise ValueError("need p < q_1 < q_2 < ...")
+    wide = widths >= p
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    n, dt, cplx = grid.n_steps, grid.dt, shared_l.field == "complex"
+    frames = shared_l.frames
+    if frames.ndim != 3 and frames.shape[0] != len(rngs):
+        raise ValueError("shared_l must hold one path, or one per replica")
+    # time-first frames (n+1, replicas or 1, 1, p, p), broadcast over replicas and groups
+    L = np.moveaxis(frames.reshape((-1,) + frames.shape[-3:]), 1, 0)[:, :, None]
+    lbar = 0.5 * (L[:-1] + L[1:])
+    K = _transverse_noise(p, widths, cplx, n, dt, rngs)
+    LK = lbar @ K
+    dc = 0.5 * LK @ _h(L[1:] @ K)  # lbar K K* l_{k+1}*
+    X = np.zeros((n + 1,) + LK.shape[1:-1] + (p,), dtype=LK.dtype)
+    W = np.zeros_like(X)
+    for k in range(n):  # only the factor and W are sequential; Z overwrites lbar K in place
+        Z = LK[k]
+        Z[..., :p] += X[k]
+        np.matmul(Z, _h(Z), out=W[k + 1])
+        X[k + 1] = Z[..., :p]
+        X[k + 1][:, wide] = np.linalg.cholesky(W[k + 1][:, wide])
+    dc += X[:-1] @ _h(LK[..., :p] - X[:-1])
+    del LK, X
+    dkappa = np.stack([_kappa_increments(p, cplx, n, dt, r.child(0)) for r in rngs], axis=1)[:, :, None]
+    np.cumsum(dc, axis=2, out=dc)
+    for l in (L[:-1], L[1:]):
+        dc += 0.5 * l @ dkappa @ _h(l)
+    c = np.zeros_like(W)
+    np.cumsum(dc, axis=0, out=c[1:])
+    np.cumsum(W, axis=2, out=W)
+    keep = (0 if isinstance(rng, RngStream) else slice(None), 0 if np.ndim(q) == 0 else slice(None))
+    return SuSolvablePath(q, shared_l, np.moveaxis(W, 0, 2)[keep], np.moveaxis(c, 0, 2)[keep])
 
 
 def finite_q_radial(path: SuSolvablePath, indices: Optional[Sequence[int]] = None):
     """Radial part along the trajectory: cosh Rad = SingVal(l + l^{*-1} + c l^{*-1}) / 2.
 
-    Returns (indices, radial) with radial rows in the closed Weyl chamber.
+    Returns (indices, radial), radial of shape (..., len(indices), p) with the
+    leading axes of the path and rows in the closed Weyl chamber.
     Arguments below 1 - 1e-12 abort (integrator bug); round-off dips are clamped.
     """
     if indices is None:
         indices = range(path.grid.n_steps + 1)
     indices = np.asarray(list(indices), dtype=int)
-    l = path.l_path.frames[indices]
-    l_star_inv = np.linalg.inv(l.conj().transpose(0, 2, 1))
-    arg = 0.5 * singular_values(l + l_star_inv + path.c[indices] @ l_star_inv)
-    low = np.any(arg < 1.0 - 1e-12, axis=1)
+    frames = path.l_path.frames
+    l = frames[..., None, indices, :, :] if np.ndim(path.q) else frames[..., indices, :, :]
+    l_star_inv = np.linalg.inv(_h(l))
+    arg = 0.5 * singular_values(l + l_star_inv + path.c[..., indices, :, :] @ l_star_inv)
+    low = arg < 1.0 - 1e-12
     if np.any(low):
-        raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1 at step {indices[low][0]}")
+        step = indices[np.nonzero(low)[-2][0]]
+        raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1 at step {step}")
     return indices, np.arccosh(np.maximum(arg, 1.0))
 
 

@@ -97,8 +97,12 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
+        # Philox(key=...) alone seeds from OS entropy before the key replaces it;
+        # a fixed seed skips that read, and the key and a zero counter then set the stream
+        bitgen = np.random.Philox(0)
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bitgen.state = {**bitgen.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
+        return np.random.Generator(bitgen)
 
     def child(self, index: int) -> "RngStream":
         """Derived stream; distinct indices give statistically independent streams."""

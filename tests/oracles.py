@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
 equation, characteristic-polynomial singular values, plain central finite
-differences, brute-force enumeration of the discrete Pitman law, and the
-one-matrix, one-step, one-column forms of the solvable-group engine.
+differences, brute-force enumeration of the discrete Pitman law, the
+one-matrix, one-step, one-column forms of the solvable-group engine, and the
+explicit-column engine that simulates every transverse column of SU(p,q).
 """
 
 import math
@@ -134,6 +135,15 @@ def triangular_frames_stepwise(p: int, field: str, dt: float, increments, diag_d
     return frames
 
 
+def su_heun_step(b, c, l0, l1, dbeta, dkappa):
+    """One Heun (trapezoid-in-noise) step of the explicit columns b and of c."""
+    b1 = b + 0.5 * (l0 + l1) @ dbeta
+    dbs = dbeta.conj().T
+    c1 = c + 0.5 * (l0 @ dkappa @ l0.conj().T + l1 @ dkappa @ l1.conj().T) \
+        + 0.5 * (b @ dbs @ l0.conj().T + b1 @ dbs @ l1.conj().T)
+    return b1, c1
+
+
 def su_heun_stepwise(q: int, frames, dbeta, dkappa):
     """Heun (trapezoid-in-noise) integration of b and c, one time step at a time."""
     n, p = len(dbeta), frames.shape[1]
@@ -141,12 +151,7 @@ def su_heun_stepwise(q: int, frames, dbeta, dkappa):
     b = np.zeros((n + 1, p, q - p), dtype=dtype)
     c = np.zeros((n + 1, p, p), dtype=dtype)
     for k in range(n):
-        l0, l1 = frames[k], frames[k + 1]
-        db = dbeta[k]
-        b[k + 1] = b[k] + 0.5 * (l0 + l1) @ db
-        dbs_l = db.conj().T
-        c[k + 1] = c[k] + 0.5 * (l0 @ dkappa[k] @ l0.conj().T + l1 @ dkappa[k] @ l1.conj().T) \
-            + 0.5 * (b[k] @ dbs_l @ l0.conj().T + b[k + 1] @ dbs_l @ l1.conj().T)
+        b[k + 1], c[k + 1] = su_heun_step(b[k], c[k], frames[k], frames[k + 1], dbeta[k], dkappa[k])
     return b, c
 
 
@@ -162,3 +167,80 @@ def su_beta_per_column(p: int, q: int, field: str, n: int, dt: float, rng) -> np
         else:
             dbeta[:, :, j] = s2 * col
     return dbeta
+
+
+# --------------------------------------------------------------------------
+# the explicit-column engine: every transverse column of beta is simulated
+
+# transverse columns per noise-drawing block and time steps per block of the
+# dbeta* temporaries; it bounds the size of temporary arrays only
+_BLOCK = 64
+
+
+def su_noise_increments(p: int, q: int, field: str, grid, rng):
+    """Step increments (dbeta, dkappa), shapes (n, p, q - p) and (n, p, p).
+
+    Each transverse column of beta draws from its own derived stream
+    (rng.child(column + 1)), so increasing q extends the columns of a
+    smaller-q run without changing them; dkappa draws from rng.child(0).
+    """
+    if q <= p:
+        raise ValueError("need q > p")
+    n, dt = grid.n_steps, grid.dt
+    w = q - p
+    s2 = math.sqrt(2.0 * dt)
+    cplx = field == "complex"
+    dbeta = np.empty((n, p, w), dtype=complex if cplx else float)
+    # a block of columns is drawn into contiguous buffers (real parts, then
+    # imaginary parts, per column) and scaled into dbeta in one pass
+    parts = (dbeta.real, dbeta.imag) if cplx else (dbeta,)
+    block = np.empty((len(parts), min(w, _BLOCK), n, p))
+    for j0 in range(0, w, _BLOCK):
+        width = min(_BLOCK, w - j0)
+        for jj in range(width):
+            gen = rng.child(j0 + jj + 1).generator()
+            for buf in block[:, jj]:
+                gen.standard_normal(out=buf)
+        for part, buf in zip(parts, block):
+            np.multiply(buf[:width].transpose(1, 2, 0), s2, out=part[:, :, j0:j0 + width])
+    gen = rng.child(0).generator()
+    up = np.triu_indices(p, 1)
+    if cplx:
+        dkappa = np.zeros((n, p, p), dtype=complex)
+        if up[0].size:
+            z = s2 * (gen.standard_normal((n, up[0].size)) + 1j * gen.standard_normal((n, up[0].size)))
+            dkappa[:, up[0], up[1]] = z
+            dkappa[:, up[1], up[0]] = -np.conj(z)
+        di = np.diag_indices(p)
+        dkappa[:, di[0], di[1]] = -2j * math.sqrt(dt) * gen.standard_normal((n, p))
+    else:
+        dkappa = np.zeros((n, p, p))
+        if up[0].size:
+            z = s2 * gen.standard_normal((n, up[0].size))
+            dkappa[:, up[0], up[1]] = z
+            dkappa[:, up[1], up[0]] = -z
+    return dbeta, dkappa
+
+
+def su_solvable_from_increments(q: int, frames, dbeta, dkappa):
+    """(b, c) by the Heun rule over the whole time axis: b, then c, as cumulative sums.
+
+        b_t = int l dbeta,   c_t = int l (dkappa) l* + int b (dbeta*) l*.
+    """
+    n, p = len(dbeta), frames.shape[1]
+    dtype = complex if (frames.dtype.kind == "c" or dbeta.dtype.kind == "c") else float
+    frames_h = frames.conj().transpose(0, 2, 1)
+    b = np.empty((n + 1, p, q - p), dtype=dtype)
+    b[0] = 0.0
+    np.matmul(0.5 * (frames[:-1] + frames[1:]), dbeta, out=b[1:])
+    np.cumsum(b[1:], axis=0, out=b[1:])
+    dc = (0.5 * (frames[:-1] @ dkappa @ frames_h[:-1] + frames[1:] @ dkappa @ frames_h[1:])
+          ).astype(dtype, copy=False)
+    for k in range(0, n, _BLOCK):
+        blk = slice(k, k + _BLOCK)
+        dbs = dbeta[blk].conj().transpose(0, 2, 1)
+        dc[blk] += 0.5 * (b[:-1][blk] @ dbs @ frames_h[:-1][blk] + b[1:][blk] @ dbs @ frames_h[1:][blk])
+    c = np.empty((n + 1, p, p), dtype=dtype)
+    c[0] = 0.0
+    np.cumsum(dc, axis=0, out=c[1:])
+    return b, c

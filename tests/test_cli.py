@@ -1,6 +1,7 @@
 import json
 
 from myproc.cli import main
+from myproc.experiments import ExperimentConfig, run_experiment
 
 
 class TestVerbs:
@@ -98,3 +99,20 @@ class TestRun:
         main(["run", "toda-identity", "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert all("provenance" in c for c in report["checks"])
+
+
+class TestDefaults:
+    def test_python_call_uses_the_experiment_defaults(self):
+        assert ExperimentConfig("pitman-discrete").q == 24
+        assert ExperimentConfig("pitman-discrete", q=0).q == 0
+        assert ExperimentConfig("supq-limit").as_dict()["n_seeds"] == 50
+        assert (ExperimentConfig("toda-identity").q, ExperimentConfig("my-convergence").n_seeds) == (0, 100)
+        result = run_experiment(ExperimentConfig("pitman-discrete"))
+        assert result.passed and result.config["q"] == 24
+        assert [c.name for c in result.checks][-1] == "pitman_equals_bessel3_n24"
+
+    def test_report_echoes_the_default(self, tmp_path):
+        out = tmp_path / "res"
+        assert main(["run", "pitman-discrete", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["q"] == 24 and len(report["checks"]) == 1 + 25

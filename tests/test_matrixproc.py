@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from scipy.stats import ks_2samp
+
+from myproc import experiments, matrixproc as mx
 from myproc.experiments import _supq_seed_monotone
 from myproc.matrixproc import (
+    SuSolvablePath,
     TriangularPath,
     eta_matrix,
     expm_tri,
@@ -18,8 +22,6 @@ from myproc.matrixproc import (
     sample_triangular_bm,
     simulate_su_solvable,
     singular_values,
-    su_noise_increments,
-    su_solvable_from_increments,
     triangular_from_increments,
     triangular_increments,
 )
@@ -29,7 +31,10 @@ from oracles import (
     charpoly_singular_values,
     expm_tri_single,
     su_beta_per_column,
+    su_heun_step,
     su_heun_stepwise,
+    su_noise_increments,
+    su_solvable_from_increments,
     triangular_frames_stepwise,
 )
 
@@ -138,6 +143,16 @@ class TestTriangularBrownian:
         b = sample_triangular_bm(2, "real", grid, RNG.child(5)).frames
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_replica_axis_matches_single_paths(self, field):
+        grid = TimeGrid(1.0, 200)
+        inc = np.stack([triangular_increments(3, field, grid, RNG.child(60 + i)) for i in range(4)])
+        lp = triangular_from_increments(3, field, grid, inc.reshape(2, 2, 200, 3, 3), [0.2, 0.0, -0.1])
+        assert lp.frames.shape == (2, 2, 201, 3, 3)
+        for i in range(4):
+            single = triangular_from_increments(3, field, grid, inc[i], [0.2, 0.0, -0.1]).frames
+            assert _rel_err(lp.frames.reshape(4, 201, 3, 3)[i], single) <= 1e-12
+
 
 def _rel_err(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
@@ -158,16 +173,16 @@ class TestEngineAgainstStepwise:
         assert _rel_err(lp.frames, triangular_frames_stepwise(p, field, grid.dt, inc, diag_drift)) <= 1e-12
         q = p + 70
         dbeta, dkappa = su_noise_increments(p, q, field, grid, r)
-        sp = su_solvable_from_increments(q, lp, dbeta, dkappa)
+        b_cols, c_cols = su_solvable_from_increments(q, lp.frames, dbeta, dkappa)
         b, c = su_heun_stepwise(q, lp.frames, dbeta, dkappa)
-        assert sp.b.dtype == b.dtype and sp.c.dtype == c.dtype
-        assert _rel_err(sp.b, b) <= 1e-12
-        assert _rel_err(sp.c, c) <= 1e-12
+        assert b_cols.dtype == b.dtype and c_cols.dtype == c.dtype
+        assert _rel_err(b_cols, b) <= 1e-12
+        assert _rel_err(c_cols, c) <= 1e-12
 
 
 class TestNoiseStreams:
-    # SHA-256 of triangular_increments and su_noise_increments on TimeGrid(0.5, 100),
-    # RngStream(11, p), q = p + 70, p = 1, 2, 3: the streams the verdicts were run on
+    # SHA-256 of triangular_increments and the explicit-column noise on TimeGrid(0.5, 100),
+    # RngStream(11, p), q = p + 70, p = 1, 2, 3: the streams of the column engine
     DIGESTS = {
         "real": "ab726e31630035f93ad66041be91a4af050eccf0b454fe7cb890e7cb89238267",
         "complex": "e223e9f84d34d3843d9708740f7e366de04567ad60711e14dfa84b9fec575581",
@@ -191,10 +206,19 @@ class TestNoiseStreams:
         ref = su_beta_per_column(p, q, field, grid.n_steps, grid.dt, RngStream(12, 0))
         assert dbeta.dtype == ref.dtype and np.array_equal(dbeta, ref)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_kappa_stream_unchanged(self, field, p):
+        # the Gram engine draws dkappa from rng.child(0) exactly as the column engine does
+        grid = TimeGrid(0.5, 50)
+        ref = su_noise_increments(p, p + 3, field, grid, RngStream(13, p))[1]
+        got = mx._kappa_increments(p, field == "complex", grid.n_steps, grid.dt, RngStream(13, p).child(0))
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 class TestEngineMemory:
     def test_traced_peak_near_result_size(self):
-        # temporaries stay blocked: no second full-size (n, p, q - p) array
+        # temporaries of the column engine stay blocked: no second full-size (n, p, q - p) array
         grid = TimeGrid(1.0, 1000)
         r = RngStream(7, 0)
         lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
@@ -204,12 +228,45 @@ class TestEngineMemory:
             noise_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            sp = su_solvable_from_increments(800, lsh, dbeta, dkappa)
+            b, c = su_solvable_from_increments(800, lsh.frames, dbeta, dkappa)
             heun_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert noise_peak <= 1.3 * (dbeta.nbytes + dkappa.nbytes)
-        assert heun_peak <= 1.3 * (sp.b.nbytes + sp.c.nbytes)
+        assert heun_peak <= 1.3 * (b.nbytes + c.nbytes)
+
+    def test_gram_engine_cost_flat_in_q(self, monkeypatch):
+        # the normals and Gamma variates drawn, and the traced memory peak, do not grow with q
+        grid = TimeGrid(1.0, 400)
+        lsh = sample_triangular_bm(2, "complex", grid, RngStream(8, 0).child(10**6))
+        drawn = []
+        plain = RngStream.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.gen, name)(*args, **kwargs)
+                    drawn.append(np.size(out))
+                    return out
+                return draw
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Counting(plain(self)))
+        cost = {}
+        for q in (50, 5000):
+            drawn.clear()
+            tracemalloc.start()
+            try:
+                sp = simulate_su_solvable(2, q, grid, [RngStream(8, i) for i in range(4)], lsh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(sp.c))
+            cost[q] = (sum(drawn), peak)
+        assert cost[50][0] == cost[5000][0] > 0
+        assert cost[5000][1] <= 1.05 * cost[50][1]
 
 
 class TestEtaMatrix:
@@ -246,13 +303,31 @@ class TestEtaMatrix:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+def _rotation_to(b, X):
+    """Unitary U with b = [X, 0] U, for b (p x w) of full row rank and X X* = b b*."""
+    p = b.shape[0]
+    V = np.linalg.solve(X, b)  # orthonormal rows
+    Q = np.linalg.qr(V.conj().T, mode="complete")[0]  # its last columns are orthogonal to V's rows
+    return np.vstack([V, Q[:, p:].conj().T])
+
+
+def _normal(rs, shape, field):
+    z = rs.normal(size=shape)
+    return z + 1j * rs.normal(size=shape) if field == "complex" else z
+
+
+def _fixed_noise(monkeypatch, K):
+    """Let the Gram engine run on the reduced noise K (n, p, 2p) of one replica and one group."""
+    monkeypatch.setattr(mx, "_transverse_noise", lambda *args: K[:, None, None])
+
+
 class TestSuSolvable:
     def test_initial_state(self):
         grid = TimeGrid(0.5, 100)
         lsh = sample_triangular_bm(2, "complex", grid, RNG.child(9))
         sp = simulate_su_solvable(2, 30, grid, RNG.child(10), lsh)
         assert np.allclose(sp.l_path.frames[0], np.eye(2))
-        assert np.all(sp.b[0] == 0.0) and np.all(sp.c[0] == 0.0)
+        assert np.all(sp.W[0] == 0.0) and np.all(sp.c[0] == 0.0)
         assert sp.invariant_defect()[0] == 0.0
 
     def test_deterministic_debug_product_rule(self):
@@ -260,12 +335,87 @@ class TestSuSolvable:
         grid = TimeGrid(1.0, 64)
         p, q = 2, 5
         frames = np.broadcast_to(np.eye(p, dtype=complex), (grid.n_steps + 1, p, p)).copy()
-        lpath = TriangularPath(p, "complex", grid, frames)
         dbeta = np.zeros((grid.n_steps, p, q - p), dtype=complex)
         dbeta[:, 0, 0] = grid.dt  # beta_{11}(t) = t
         dkappa = np.zeros((grid.n_steps, p, p), dtype=complex)
-        sp = su_solvable_from_increments(q, lpath, dbeta, dkappa)
-        assert np.max(sp.invariant_defect()) < 1e-15
+        b, c = su_solvable_from_increments(q, frames, dbeta, dkappa)
+        defect = np.abs(c + c.conj().transpose(0, 2, 1) - b @ b.conj().transpose(0, 2, 1))
+        assert np.max(defect) < 1e-15
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_reduced_step_matches_rotated_columns(self, field, p, monkeypatch):
+        # the explicit Heun step on b = [X, 0] U with column noise [G, H] U gives, step
+        # after step, the (W, c) of the reduced step driven by G and a factor of H H*
+        n, q = 6, 3 * p + 2
+        w = q - p
+        grid = TimeGrid(0.3, n)
+        rs = np.random.default_rng(p)
+        G, H = _normal(rs, (n, p, p), field), _normal(rs, (n, p, w - p), field)
+        _fixed_noise(monkeypatch, np.concatenate([G, np.linalg.cholesky(H @ H.conj().swapaxes(1, 2))], axis=2))
+        lp = sample_triangular_bm(p, field, grid, RNG.child(20 + p))
+        sp = simulate_su_solvable(p, q, grid, RNG.child(30), lp)
+        dkappa = su_noise_increments(p, q, field, grid, RNG.child(30))[1]
+        b = np.zeros((p, w), dtype=G.dtype)
+        c = np.zeros((p, p), dtype=G.dtype)
+        for k in range(n):
+            U = _rotation_to(b, np.linalg.cholesky(b @ b.conj().T)) if k else np.eye(w)
+            dbeta = np.concatenate([G[k], H[k]], axis=1) @ U
+            b, c = su_heun_step(b, c, lp.frames[k], lp.frames[k + 1], dbeta, dkappa[k])
+            assert _rel_err(sp.W[k + 1], b @ b.conj().T) <= 1e-12
+            assert _rel_err(sp.c[k + 1], c) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_narrow_group_keeps_its_columns(self, field, monkeypatch):
+        # fewer columns than p: the group carries b itself, driven by its own column noise
+        p, q, n = 3, 5, 8
+        grid = TimeGrid(0.4, n)
+        dbeta = _normal(np.random.default_rng(9), (n, p, q - p), field)
+        K = np.zeros((n, p, 2 * p), dtype=dbeta.dtype)
+        K[:, :, : q - p] = dbeta
+        _fixed_noise(monkeypatch, K)
+        lp = sample_triangular_bm(p, field, grid, RNG.child(24))
+        sp = simulate_su_solvable(p, q, grid, RNG.child(31), lp)
+        b, c = su_heun_stepwise(q, lp.frames, dbeta, su_noise_increments(p, q, field, grid, RNG.child(31))[1])
+        assert _rel_err(sp.W, b @ b.conj().transpose(0, 2, 1)) <= 1e-12
+        assert _rel_err(sp.c, c) <= 1e-12
+
+    def test_reduced_noise_structure(self):
+        # widths 2 < p, p + 1 and p + 6 at p = 3: the columns past a narrow group's width
+        # are empty, and the Bartlett factor has width - p chi columns
+        p = 3
+        K = mx._transverse_noise(p, np.array([2, 4, 9]), True, 50, 0.01, [RngStream(14, 0), RngStream(14, 1)])
+        assert K.shape == (50, 2, 3, p, 2 * p)
+        G, A = K[..., :p], K[..., p:]
+        assert np.all(G[:, :, 0, :, 2:] == 0.0) and np.all(G[:, :, 0, :, :2] != 0.0)
+        assert np.all(A[:, :, 0] == 0.0)
+        assert np.all(A[:, :, 1, :, 1:] == 0.0) and np.all(A[:, :, 1, 1:, 0] != 0.0)
+        diag = np.diagonal(A[:, :, 2], axis1=-2, axis2=-1)
+        assert np.all(diag.real > 0.0) and np.all(diag.imag == 0.0)
+        assert np.all(A[:, :, 2][..., np.triu_indices(p, 1)[0], np.triu_indices(p, 1)[1]] == 0.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_law_matches_explicit_columns(self, field, p):
+        # given l, W_T and cosh Rad_T have the law of the explicit-column engine:
+        # two-sample KS on every entry, Bonferroni at 1% overall
+        n_rep, q = 800, 2 * p + 5
+        grid = TimeGrid(0.5, 40)
+        lp = sample_triangular_bm(p, field, grid, RngStream(41, p))
+        gram = simulate_su_solvable(p, q, grid, [RngStream(42, 10_000 * p + i) for i in range(n_rep)], lp)
+        cols = [su_solvable_from_increments(q, lp.frames, *su_noise_increments(
+            p, q, field, grid, RngStream(43, 10_000 * p + i))) for i in range(n_rep)]
+        b_end = np.array([b[-1] for b, _ in cols])
+        explicit = SuSolvablePath(q, lp, b_end @ b_end.conj().swapaxes(1, 2), np.array([c for _, c in cols]))
+        samples = []
+        for path, W_end in ((gram, gram.W[:, -1]), (explicit, explicit.W)):
+            low = np.tril_indices(p, -1)
+            parts = [np.diagonal(W_end, axis1=1, axis2=2).real, W_end[:, low[0], low[1]].real,
+                     W_end[:, low[0], low[1]].imag if field == "complex" else np.empty((n_rep, 0)),
+                     np.cosh(finite_q_radial(path, [grid.n_steps])[1][:, 0])]
+            samples.append(np.concatenate(parts, axis=1))
+        pvalues = [ks_2samp(a, b).pvalue for a, b in zip(samples[0].T, samples[1].T)]
+        assert min(pvalues) >= 0.01 / len(pvalues), pvalues
 
     def test_invariant_defect_scales_with_dt(self):
         rel = {}
@@ -276,7 +426,7 @@ class TestSuSolvable:
                 r = RngStream(900 + i, 0)
                 lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
                 sp = simulate_su_solvable(2, 60, grid, r, lsh)
-                scale = 1.0 + np.max(np.abs(sp.b[-1] @ sp.b[-1].conj().T))
+                scale = 1.0 + np.max(np.abs(sp.W[-1]))
                 acc += sp.invariant_defect().max() / scale
             rel[n_steps] = acc / 6
         assert 1.2 <= rel[500] / rel[1000] <= 3.2
@@ -299,13 +449,44 @@ class TestSuSolvable:
         assert np.array_equal(dk_small, dk_large)
         # the integrated paths agree to round-off (BLAS summation order differs by shape)
         lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
-        small = simulate_su_solvable(2, 20, grid, r, lsh)
-        large = simulate_su_solvable(2, 50, grid, r, lsh)
-        assert np.max(np.abs(small.b[-1] - large.b[-1][:, : 20 - 2])) < 1e-12
+        small, _ = su_solvable_from_increments(20, lsh.frames, db_small, dk_small)
+        large, _ = su_solvable_from_increments(50, lsh.frames, db_large, dk_large)
+        assert np.max(np.abs(small[-1] - large[-1][:, : 20 - 2])) < 1e-12
+
+    def test_nested_groups_extend_smaller_q(self):
+        # q values ride on one axis: the leading groups of a longer q sequence are the
+        # groups of a shorter one, and a lone q is the first group
+        grid = TimeGrid(0.5, 100)
+        lsh = sample_triangular_bm(2, "complex", grid, RNG.child(15))
+        rngs = [RNG.child(16), RNG.child(17)]
+        lone = simulate_su_solvable(2, 20, grid, rngs, lsh)
+        pair = simulate_su_solvable(2, (20, 50), grid, rngs, lsh)
+        triple = simulate_su_solvable(2, (20, 50, 90), grid, rngs, lsh)
+        assert pair.c.shape == (2, 2, grid.n_steps + 1, 2, 2)
+        assert _rel_err(pair.W[:, 0], lone.W) <= 1e-12 and _rel_err(pair.c[:, 0], lone.c) <= 1e-12
+        assert _rel_err(triple.W[:, :2], pair.W) <= 1e-12 and _rel_err(triple.c[:, :2], pair.c) <= 1e-12
+        with pytest.raises(ValueError):
+            simulate_su_solvable(2, (20, 20), grid, rngs, lsh)
+
+    def test_replica_paths_match_single_calls(self):
+        # replicas with their own l and nested q values: each slice is a lone call
+        grid = TimeGrid(0.5, 60)
+        rngs = [RNG.child(18), RNG.child(19)]
+        paths = [sample_triangular_bm(2, "complex", grid, r.child(10**6)) for r in rngs]
+        stacked = TriangularPath(2, "complex", grid, np.stack([lp.frames for lp in paths]))
+        both = simulate_su_solvable(2, (20, 50), grid, rngs, stacked)
+        _, rad = finite_q_radial(both, [30, 60])
+        assert rad.shape == (2, 2, 2, 2)
+        for i, (r, lp) in enumerate(zip(rngs, paths)):
+            one = simulate_su_solvable(2, (20, 50), grid, r, lp)
+            assert _rel_err(both.W[i], one.W) <= 1e-12 and _rel_err(both.c[i], one.c) <= 1e-12
+            assert _rel_err(rad[i], finite_q_radial(one, [30, 60])[1]) <= 1e-12
+        with pytest.raises(ValueError):
+            simulate_su_solvable(2, 20, grid, rngs * 2, stacked)
 
     def test_shared_draw_matches_per_q_redraw(self):
-        # one draw at the largest q, integrated on column prefixes, gives the
-        # errors of a fresh draw per q through simulate_su_solvable
+        # the batched replicas and nested q values of _supq_seed_monotone give the
+        # errors of one simulate_su_solvable call per replica
         seed, dt, T, p, q_list, inner = 5, 0.01, 0.3, 2, (5, 12, 30), 3
         _, ok, errs = _supq_seed_monotone((seed, dt, T, p, q_list, inner))
         grid = TimeGrid(T, round(T / dt))
@@ -314,12 +495,12 @@ class TestSuSolvable:
         idx = [grid.n_steps // 2, grid.n_steps]
         _, target = eta_matrix(lsh, indices=idx)
         ref = []
-        for q in q_list:
+        for i, q in enumerate(q_list):
             acc = np.zeros((len(idx), p))
             for rep in range(inner):
-                sp = simulate_su_solvable(p, q, grid, r.child(rep), lsh)
+                sp = simulate_su_solvable(p, q_list, grid, r.child(rep), lsh)
                 _, rad = finite_q_radial(sp, indices=idx)
-                acc += np.abs(np.cosh(rad) / q - target)
+                acc += np.abs(np.cosh(rad[i]) / q - target)
             ref.append(acc / inner)
         means = [e.mean(axis=0) for e in ref]
         assert ok == all(np.all(a > b) for a, b in zip(means, means[1:]))
@@ -327,10 +508,32 @@ class TestSuSolvable:
         ref = np.concatenate([e.ravel() for e in ref])
         assert np.max(np.abs(np.array(errs) - ref) / np.abs(ref)) <= 1e-12
 
+    def test_replica_chunks_change_no_result(self, monkeypatch):
+        # supq-limit runs its replicas in memory-bounded chunks, with a shared l or one l each
+        grid = TimeGrid(0.3, 30)
+        rngs = [RngStream(21, i) for i in range(5)]
+        lsh = sample_triangular_bm(2, "complex", grid, RngStream(21, 99))
+
+        def runs():
+            return [experiments._replica_runs(2, (5, 12), grid, "complex", rngs, lambda sp, l: sp.c[..., -1, :, :], shared)
+                    for shared in (lsh, None)]
+
+        whole = runs()
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)  # one replica per call
+        for a, b in zip(whole, runs()):
+            assert a.shape == (5, 2, 2, 2) and _rel_err(b, a) <= 1e-12
+
+    def test_narrow_first_group_in_the_seed_errors(self):
+        # p = 3 with q_1 = 5: the first group has 2 < p columns
+        _, ok, errs = _supq_seed_monotone((6, 0.01, 0.3, 3, (5, 12, 30), 3))
+        assert len(errs) == 3 * 2 * 3 and np.all(np.isfinite(errs)) and np.all(np.array(errs) > 0)
+
     def test_grid_mismatch_rejected(self):
         lsh = sample_triangular_bm(2, "complex", TimeGrid(1.0, 100), RNG.child(11))
         with pytest.raises(ValueError):
             simulate_su_solvable(2, 10, TimeGrid(1.0, 200), RNG.child(12), lsh)
+        with pytest.raises(ValueError):
+            simulate_su_solvable(2, 2, TimeGrid(1.0, 100), RNG.child(12), lsh)
 
 
 class TestFiniteQRadial:

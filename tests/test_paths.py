@@ -46,6 +46,19 @@ class TestGridAndStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_generator_reads_no_os_entropy(self, monkeypatch):
+        # the stream is Philox keyed by (seed, stream_id); building it reads no OS entropy
+        key = np.array([5, 9], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+
+        def no_entropy(*args):
+            raise AssertionError("OS entropy read")
+
+        monkeypatch.setattr("numpy.random.bit_generator.randbits", no_entropy)
+        with pytest.raises(AssertionError):
+            np.random.SeedSequence()  # the patch reaches numpy's entropy source
+        assert np.array_equal(RngStream(5, 9).generator().standard_normal(8), ref)
+
     def test_children_distinct_and_stable(self):
         base = RngStream(7, 3)
         assert base.child(0) == base.child(0)
