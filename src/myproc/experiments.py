@@ -307,32 +307,31 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # my-generator: generator z-test for log eta, plus Markov-property controls
 
-def _markov_samples(mu: float, cfg: ExperimentConfig, stream: int):
-    t_lag, t_mid, t_end = 0.9, 1.0, 1.5
-    b, z = pth.exp_functional_samples([t_lag, t_mid, t_end], cfg.dt, cfg.n_paths,
-                                      pth.RngStream(cfg.seed, stream), mu=mu)
-    log_mid = np.log(z[1])
-    cond = log_mid - np.log(z[0])
-    return log_mid, np.log(z[2]), cond, b[1]
-
-
 def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     h = cfg.dt
     bump = st.gaussian_bump(0.0, 1.0)
+    lam = cfg.lam
+    # every path check reads a functional of one Brownian driver, drawn once
+    stream = 2
+    t_lag, t_mid, t_end = 0.9, 1.0, 1.5
+    functionals = [(2.0, 0.0), (2.0, lam), (1.0, 0.0), (3.0, 0.0)]
+    mus, drifts = zip(*functionals)
+    z = pth.exp_functional_samples([t_lag, t_mid, t_mid + h, t_end], cfg.dt, cfg.n_paths,
+                                   pth.RngStream(cfg.seed, stream), mu=mus, drift=drifts)[1]
+    log_z = np.log(z, out=z)  # every check reads log Z; (functional, time, path)
+
+    def meta(j, **extra):
+        return {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, **extra,
+                "stream": stream, "mu": mus[j], "drift": drifts[j]}
+
     # generator of log eta at t = 1 with the Macdonald log-derivative drift
-    b, z = pth.exp_functional_samples([1.0, 1.0 + h], cfg.dt, cfg.n_paths,
-                                      pth.RngStream(cfg.seed, 2))
-    x_pairs = st.SampleBatch(np.log(z), {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": 1.0})
+    x_pairs = st.SampleBatch(log_z[0, 1:3], meta(0, t=1.0))
     rep = st.generator_test(x_pairs, lambda r: pth.my_drift(r, 0.0), bump, h)
     checks.append(Check("generator_log_eta", rep.passed, rep.statistic,
                         "|z| <= 3 against the Macdonald-drift generator", rep.details))
     # drifted case: same code path with driver drift lam and the lam-indexed drift
-    lam = cfg.lam
-    b, z = pth.exp_functional_samples([1.0, 1.0 + h], cfg.dt, cfg.n_paths,
-                                      pth.RngStream(cfg.seed, 21), drift=lam)
-    x_pairs = st.SampleBatch(np.log(z), {"seed": cfg.seed, "dt": cfg.dt,
-                                         "n_paths": cfg.n_paths, "t": 1.0, "driver_drift": lam})
+    x_pairs = st.SampleBatch(log_z[1, 1:3], meta(1, t=1.0, driver_drift=lam))
     rep = st.generator_test(x_pairs, lambda r: pth.my_drift(r, lam), bump, h)
     checks.append(Check("generator_log_eta_drifted", rep.passed, rep.statistic,
                         f"|z| <= 3 with driver drift {lam} and the matching drift index", rep.details))
@@ -340,19 +339,18 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     gen = pth.RngStream(cfg.seed, 3).generator()
     x0 = gen.normal(0.0, math.sqrt(0.5), cfg.n_paths)
     x1 = x0 * math.exp(-h) + math.sqrt((1.0 - math.exp(-2.0 * h)) / 2.0) * gen.standard_normal(cfg.n_paths)
-    rep = st.generator_test(st.SampleBatch(np.stack([x0, x1]), {"seed": cfg.seed}),
+    rep = st.generator_test(st.SampleBatch(np.stack([x0, x1]), {"seed": cfg.seed, "stream": 3}),
                             lambda r: np.zeros_like(r), bump, h)
     checks.append(Check("wrong_drift_rejects", not rep.passed, rep.statistic,
                         "|z| > 3 for the zero-drift hypothesis on OU data", rep.details))
     # Markov-property tests across the exponential-functional family
-    expect = {1.0: True, 2.0: True, 3.0: False}
-    for mu, should_pass in expect.items():
-        mid, end, cond, _ = _markov_samples(mu, cfg, stream=4 + int(mu))
-        rep = st.markov_property_test(
-            st.SampleBatch(mid, {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "mu": mu}),
-            end, cond, bins=_MARKOV_BINS, min_half=_MARKOV_MIN_HALF)
+    # (functional, whether the Markov property holds): mu = 1, 2 and 3 at drift 0
+    for j, should_pass in ((2, True), (0, True), (3, False)):
+        log_lag, log_mid, _, log_end = log_z[j]
+        rep = st.markov_property_test(st.SampleBatch(log_mid, meta(j)), log_end, log_mid - log_lag,
+                                      bins=_MARKOV_BINS, min_half=_MARKOV_MIN_HALF)
         ok = rep.passed == should_pass
-        checks.append(Check(f"markov_mu{mu:g}", ok, rep.statistic,
+        checks.append(Check(f"markov_mu{mus[j]:g}", ok, rep.statistic,
                             ("pass" if should_pass else "reject") + " at 1% (Bonferroni over bins)",
                             rep.details))
     return ExperimentResult("my-generator", cfg.as_dict(), checks)

@@ -199,42 +199,66 @@ def my_drift(r, lam: float = 0.0):
 
 
 def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng: RngStream,
-                           mu: float = 2.0, drift: float = 0.0):
-    """Joint samples of (B_t, Z_t) with Z_t = int_0^t e^{mu B_s - B_t} ds at the given times.
+                           mu=2.0, drift=0.0):
+    """Joint samples of (B_t, Z_t) with Z_t = int_0^t e^{mu X_s - X_t} ds, X_t = B_t + drift t,
+    at the given times, by the trapezoid rule on the grid k * dt.
 
-    Streams over the time axis (memory O(n_paths)); returns two arrays of
-    shape (len(times), n_paths).  mu = 2 is the Markov exponential functional,
-    mu = 1 the driver-adapted one, mu = 3 the non-Markov counterexample.
+    mu = 2 is the Markov exponential functional, mu = 1 the driver-adapted
+    one, mu = 3 the non-Markov counterexample.  mu and drift may be
+    equal-length sequences, one functional per (mu, drift) pair: all of them
+    read one Brownian driver B, which draws one standard_normal(n_paths) per
+    step from rng.generator(), so the noise drawn does not grow with their
+    number.  Streams over the time axis (memory O(n_paths) per functional).
+
+    Returns the driver B, shape (len(times), n_paths), and Z: of the same
+    shape for a scalar call, with a leading functional axis, shape
+    (len(mu), len(times), n_paths), for a sequence call.
     """
+    scalar = np.ndim(mu) == 0 and np.ndim(drift) == 0
+    mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
+                                      np.atleast_1d(np.asarray(drift, dtype=float)))
+    if mus.ndim != 1 or mus.size == 0:
+        raise ValueError("mu and drift must be scalars or equal-length sequences")
     times = list(times)
-    if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be positive and strictly increasing")
-    n_total = round(times[-1] / dt)
-    marks = {}
-    for i, t in enumerate(times):
-        k = round(t / dt)
+    steps = [round(t / dt) for t in times]
+    for k, t in zip(steps, times):
         if abs(k * dt - t) > 1e-9:
             raise ValueError(f"time {t} is not a multiple of dt")
-        marks[k] = i
+    if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
+    marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
     sqrt_dt = math.sqrt(dt)
+    half_dt = 0.5 * dt
     b = np.zeros(n_paths)
-    integral = np.zeros(n_paths)
-    emu = np.ones(n_paths)
+    integral = [np.zeros(n_paths) for _ in mus]
+    emu = [np.ones(n_paths) for _ in mus]
+    spare = np.empty(n_paths)  # the step's normals, then each e^{mu X} in turn
     out_b = np.empty((len(times), n_paths))
-    out_z = np.empty((len(times), n_paths))
-    for k in range(1, n_total + 1):
-        b_next = b + drift * dt + sqrt_dt * gen.standard_normal(n_paths)
-        emu_next = np.exp(mu * b_next)
-        integral += 0.5 * dt * (emu + emu_next)
-        b, emu = b_next, emu_next
-        if k in marks:
-            i = marks[k]
+    out_z = np.empty((mus.size, len(times), n_paths))
+    for k in range(1, steps[-1] + 1):
+        gen.standard_normal(out=spare)
+        spare *= sqrt_dt
+        b += spare
+        i = marks.get(k)
+        if i is not None:
             out_b[i] = b
-            out_z[i] = integral * np.exp(-b)
-    if not np.all(np.isfinite(out_z)):
-        raise OverflowError("exponential functional left double range; use shorter horizons")
-    return out_b, out_z
+        for j, (mu_j, drift_j) in enumerate(zip(mus, drifts)):
+            shift = drift_j * (k * dt)
+            x = np.add(b, shift, out=spare) if shift else b
+            emu_next = np.exp(np.multiply(x, mu_j, out=spare), out=spare)
+            # trapezoid step, in the storage of the e^{mu X} it retires
+            emu[j] += emu_next
+            emu[j] *= half_dt
+            integral[j] += emu[j]
+            spare, emu[j] = emu[j], emu_next
+            if i is not None:
+                z = np.add(b, shift, out=out_z[j, i]) if shift else b
+                z = np.exp(np.negative(z, out=out_z[j, i]), out=out_z[j, i])
+                z *= integral[j]
+                if not np.all(np.isfinite(z)):
+                    raise OverflowError("exponential functional left double range; use shorter horizons")
+    return out_b, out_z[0] if scalar else out_z
 
 
 def paths_to_csv(paths: Sequence[ScalarPath], fileobj) -> None:

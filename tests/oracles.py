@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
 equation, characteristic-polynomial singular values, plain central finite
 differences, brute-force enumeration of the discrete Pitman law, the
-one-matrix, one-step, one-column forms of the solvable-group engine, and the
-explicit-column engine that simulates every transverse column of SU(p,q).
+one-matrix, one-step, one-column forms of the solvable-group engine, the
+explicit-column engine that simulates every transverse column of SU(p,q),
+and the one-functional, fresh-arrays-every-step loop of the exponential
+functional.
 """
 
 import math
@@ -244,3 +246,25 @@ def su_solvable_from_increments(q: int, frames, dbeta, dkappa):
     c[0] = 0.0
     np.cumsum(dc, axis=0, out=c[1:])
     return b, c
+
+
+def exp_functional_stepwise(times, dt: float, n_paths: int, rng, mu: float = 2.0, drift: float = 0.0):
+    """(X_t, Z_t) at the given grid times for one functional, Z_t = int_0^t e^{mu X_s - X_t} ds,
+    where X is a Brownian path with the given drift accumulated step by step
+    from rng.generator(), one standard_normal(n_paths) per step."""
+    marks = {round(t / dt): i for i, t in enumerate(times)}
+    gen = rng.generator()
+    x = np.zeros(n_paths)
+    integral = np.zeros(n_paths)
+    emu = np.ones(n_paths)
+    out_x = np.empty((len(times), n_paths))
+    out_z = np.empty((len(times), n_paths))
+    for k in range(1, max(marks) + 1):
+        x_next = x + drift * dt + math.sqrt(dt) * gen.standard_normal(n_paths)
+        emu_next = np.exp(mu * x_next)
+        integral = integral + 0.5 * dt * (emu + emu_next)
+        x, emu = x_next, emu_next
+        if k in marks:
+            out_x[marks[k]] = x
+            out_z[marks[k]] = integral * np.exp(-x)
+    return out_x, out_z

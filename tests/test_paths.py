@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from myproc.paths import (
 )
 from myproc.specialfn import macdonald_k
 from myproc.stats import SampleBatch, ks_two_sample
+from oracles import exp_functional_stepwise
 
 GRID = TimeGrid(1.0, 1000)
 RNG = RngStream(20240809, 0)
@@ -251,6 +253,16 @@ class TestBatchSamples:
         with pytest.raises(ValueError):
             exp_functional_samples([0.50007], 1e-3, 16, RNG.child(17))
 
+    def test_colliding_times_rejected(self):
+        # both times round to step 1000; the first row would never be written
+        with pytest.raises(ValueError):
+            exp_functional_samples([1.0, 1.0 + 1e-11], 1e-3, 4, RngStream(1, 0))
+
+    def test_time_at_step_zero_rejected(self):
+        # 1e-12 rounds to step 0, which no step writes
+        with pytest.raises(ValueError):
+            exp_functional_samples([1e-12], 1e-3, 4, RngStream(1, 0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_along_the_path_raises(self):
         # mu B_s leaves double range before t = 1 although the final B is moderate
@@ -276,3 +288,81 @@ class TestBatchSamples:
         assert lines[0] == "replica,t,value"
         assert len(lines) == 1 + 3 * 3
         assert lines[4].startswith("1,0,")
+
+
+class TestSharedDriver:
+    """Several functionals of one Brownian driver: exp_functional_samples with sequence mu, drift."""
+
+    TIMES = [0.25, 0.5, 1.0]
+    MUS = [2.0, 2.0, 1.0, 3.0]
+    DRIFTS = [0.0, 0.5, 0.0, 0.0]
+
+    def test_shapes(self):
+        b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=self.MUS, drift=self.DRIFTS)
+        assert b.shape == (3, 16) and z.shape == (4, 3, 16)
+        b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=[2.0])
+        assert b.shape == (3, 16) and z.shape == (1, 3, 16)
+
+    def test_driftless_functionals_equal_scalar_calls(self):
+        b, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=self.MUS, drift=self.DRIFTS)
+        for j, (mu, drift) in enumerate(zip(self.MUS, self.DRIFTS)):
+            if drift == 0.0:
+                b1, z1 = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=mu)
+                assert np.array_equal(z[j], z1) and np.array_equal(b, b1)
+
+    @pytest.mark.parametrize("mu, drift", [(2.0, 0.5), (1.0, -0.7), (3.0, 0.0)])
+    def test_matches_stepwise_oracle(self, mu, drift):
+        # the drifted functional reads B + drift t; the oracle accumulates the drift step by step
+        _, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=[2.0, mu], drift=[0.0, drift])
+        x_ref, z_ref = exp_functional_stepwise(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
+        assert np.max(np.abs(z[1] / z_ref - 1.0)) <= 1e-12
+        b, z1 = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
+        assert np.max(np.abs(z1 / z_ref - 1.0)) <= 1e-12
+        assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
+
+    def test_scalar_driftless_stream_pinned(self):
+        # digest of the scalar drift-0 output, unchanged since the one-functional engine
+        b, z = exp_functional_samples(self.TIMES, 1e-3, 512, RngStream(20240809, 7))
+        h = hashlib.sha256()
+        h.update(b.tobytes())
+        h.update(z.tobytes())
+        assert h.hexdigest() == "9f61e252e7e9993aeea662e67da6d0c38d6f399641e038053687783dc764a5cc"
+
+    def test_sequence_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[1.0, 2.0], drift=[0.0, 0.0, 0.5])
+        with pytest.raises(ValueError):
+            exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[])
+
+    def test_noise_and_memory_flat_in_functionals(self, monkeypatch):
+        # m functionals draw exactly n_steps * n_paths normals, and the traced peak is
+        # the result plus O(m) arrays of n_paths: no per-step or per-time state
+        n_paths, steps = 20_000, 200
+        times = [0.05, 0.1, 0.2]
+        drawn = []
+        plain = RngStream.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.gen, name)(*args, **kwargs)
+                    drawn.append(np.size(out))
+                    return out
+                return draw
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Counting(plain(self)))
+        row = n_paths * 8
+        for m in (1, 8):
+            drawn.clear()
+            tracemalloc.start()
+            try:
+                b, z = exp_functional_samples(times, 1e-3, n_paths, RngStream(9, 0),
+                                              mu=np.linspace(1.0, 3.0, m), drift=np.resize([0.0, 0.5], m))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(drawn) == steps * n_paths
+            assert peak <= b.nbytes + z.nbytes + (2 * m + 4) * row
