@@ -75,6 +75,14 @@ class ExperimentConfig:
         least = _MIN_PATHS.get(self.experiment, 1)
         if self.n_paths < least:
             raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
+        if self.experiment == "my-convergence" and not self.T >= 0.1:
+            raise ValueError(f"my-convergence measures its error from t = 0.1 on, got T = {self.T}")
+        # the times each path experiment reads off its dt grid
+        marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,)}
+        for t in marks.get(self.experiment, ()):
+            k = round(t / self.dt)
+            if k < 1 or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
+                raise ValueError(f"{self.experiment} reads t = {t}, which is not a whole number of dt = {self.dt} steps")
 
     def as_dict(self) -> Dict:
         return asdict(self)
@@ -264,10 +272,12 @@ def _convergence_seed_err(args) -> tuple:
     b = pth.sample_bm(grid, 0.0, base.child(0))
     lg = pth.log_eta(b).values
     k0 = grid.index_of(0.1)
-    errs = []
-    for q in (q_small, q_large):
-        d = pth.hyperbolic_radial(q, b, base.child(1)).values
-        errs.append(float(np.max(np.abs(d[k0:] - math.log(q) - lg[k0:]))))
+    # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
+    # l = e^B; nested column groups give q_large the transverse noise of q_small
+    l = mx.triangular_from_increments(1, "real", grid, np.diff(b.values)[:, None, None])
+    sp = mx.simulate_su_solvable(1, (q_small, q_large), grid, base.child(1), l)
+    _, d = mx.finite_q_radial(sp)
+    errs = [float(np.max(np.abs(d[i, k0:, 0] - math.log(q) - lg[k0:]))) for i, q in enumerate((q_small, q_large))]
     return seed, errs[0], errs[1]
 
 

@@ -1,7 +1,9 @@
 """Matrix-valued processes: Brownian motion on the lower-triangular group,
 the singular-value functional SingVal(l_t^{-1} int_0^t l l* ds), and the
 finite-q radial part of the distinguished Brownian motion on the solvable
-model of SU(p,q) / SO(p,q).
+model of SU(p,q) / SO(p,q).  The p = 1, real case is the hyperbolic space
+H^q = SO(1,q) / SO(q): with l = e^B it gives the radial part on H^q driven by
+the vertical Brownian path B, cosh Rad = cosh B + e^{-B} c / 2.
 
 Conventions for the driving noise (one place, so the real/complex scaling
 distinction cannot be misapplied):

@@ -1,6 +1,7 @@
 """Scalar path engine: Brownian paths, the exponential functional
-eta_t = int_0^t e^{2 B_s - B_t} ds, the Pitman transform, the hyperbolic
-radial representation, and the limiting diffusion's log-derivative drift.
+eta_t = int_0^t e^{2 B_s - B_t} ds, the Pitman transform, and the limiting
+diffusion's log-derivative drift.  The radial part on the hyperbolic space
+H^q is the p = 1, real case of matrixproc's solvable-group engine.
 
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
@@ -27,16 +28,12 @@ __all__ = [
     "eta_functional",
     "log_eta",
     "pitman_transform",
-    "hyperbolic_radial",
     "my_drift",
     "exp_functional_samples",
     "paths_to_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
-# transverse integrals per noise block of hyperbolic_radial; the width
-# selects the random streams, so changing it changes the paths of every q above it
-_RADIAL_BLOCK = 2048
 
 
 class ArcoshDomainError(RuntimeError):
@@ -149,39 +146,6 @@ def pitman_transform(b_path: ScalarPath) -> ScalarPath:
     """2 max_{s <= t} B_s - B_t; nonnegative since the running max dominates both B_t and 0."""
     v = b_path.values
     return ScalarPath(b_path.grid, 2.0 * np.maximum.accumulate(v) - v)
-
-
-def hyperbolic_radial(q: int, b_path: ScalarPath, rng: RngStream, *, zero_noise: bool = False) -> ScalarPath:
-    """Distance to the origin of the ground-state process on the q-dimensional
-    hyperbolic space, driven by the given vertical Brownian path.
-
-    Uses cosh d_t = [e^{B_t} + e^{-B_t} + e^{-B_t} sum_{k<q} (int_0^t e^{B_s} dbeta_s^k)^2] / 2
-    with left-point Ito integrals.  The q - 1 transverse integrals are drawn in
-    blocks of _RADIAL_BLOCK: the block starting at integral k0 draws its
-    increments row by row from rng.child(k0), so the first integrals of a
-    larger-q run are those of a smaller-q run, path by path (shared-noise
-    coupling).  zero_noise drops the transverse sum, leaving d_t = |B_t|.
-    """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    b = b_path.values
-    n = b_path.grid.n_steps
-    dt = b_path.grid.dt
-    eb = np.exp(b)
-    sq = np.zeros(n + 1)
-    if not zero_noise:
-        sqrt_dt = math.sqrt(dt)
-        for k0 in range(0, q - 1, _RADIAL_BLOCK):
-            m = min(_RADIAL_BLOCK, q - 1 - k0)
-            gen = rng.child(k0).generator()
-            dbeta = sqrt_dt * gen.standard_normal((m, n))
-            integrals = np.cumsum(eb[:-1] * dbeta, axis=1)
-            sq[1:] += np.einsum("ij,ij->j", integrals, integrals)
-    arg = 0.5 * (eb + 1.0 / eb) + 0.5 * sq / eb
-    low = arg < 1.0 - 1e-12
-    if np.any(low):
-        raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1: integrator bug")
-    return ScalarPath(b_path.grid, np.arccosh(np.maximum(arg, 1.0)))
 
 
 def my_drift(r, lam: float = 0.0):

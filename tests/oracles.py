@@ -6,8 +6,9 @@ equation, characteristic-polynomial singular values, plain central finite
 differences, brute-force enumeration of the discrete Pitman law, the
 one-matrix, one-step, one-column forms of the solvable-group engine, the
 explicit-column engine that simulates every transverse column of SU(p,q),
-and the one-functional, fresh-arrays-every-step loop of the exponential
-functional.
+the column-by-column left-point Ito form of the radial part on the
+hyperbolic space H^q, and the one-functional, fresh-arrays-every-step loop
+of the exponential functional.
 """
 
 import math
@@ -246,6 +247,22 @@ def su_solvable_from_increments(q: int, frames, dbeta, dkappa):
     c[0] = 0.0
     np.cumsum(dc, axis=0, out=c[1:])
     return b, c
+
+
+def hyperbolic_radial_columns(q: int, b, dt: float, rng) -> np.ndarray:
+    """Distance to the origin of the ground-state process on H^q, driven by the
+    vertical Brownian path b (its values on a grid of step dt):
+
+        cosh d_t = [e^{B_t} + e^{-B_t} + e^{-B_t} sum_{k<q} (int_0^t e^{B_s} dbeta_s^k)^2] / 2
+
+    with left-point Ito integrals of q - 1 independent standard Brownian
+    motions beta^k, drawn at once as standard_normal((q - 1, n)) from rng.generator().
+    """
+    eb = np.exp(b)
+    dbeta = math.sqrt(dt) * rng.generator().standard_normal((q - 1, len(b) - 1))
+    integrals = np.cumsum(eb[:-1] * dbeta, axis=1)
+    sq = np.concatenate([[0.0], np.einsum("ij,ij->j", integrals, integrals)])
+    return np.arccosh(np.maximum(0.5 * (eb + 1.0 / eb + sq / eb), 1.0))
 
 
 def exp_functional_stepwise(times, dt: float, n_paths: int, rng, mu: float = 2.0, drift: float = 0.0):

@@ -94,6 +94,18 @@ class TestRun:
         assert "my-generator needs paths >= 1500, got 50" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_times_off_the_grid_are_usage_errors(self, tmp_path, capsys):
+        # my-convergence reads t = 0.1, t = 1.0 and T on the dt grid
+        assert main(["run", "my-convergence", "--T", "0.05", "--out", str(tmp_path / "a")]) == 2
+        assert main(["run", "my-convergence", "--dt", "0.3", "--out", str(tmp_path / "b")]) == 2
+        assert main(["run", "my-convergence", "--T", "0.5005", "--dt", "0.001", "--out", str(tmp_path / "c")]) == 2
+        assert main(["run", "conditional-law", "--dt", "0.3", "--out", str(tmp_path / "d")]) == 2
+        assert main(["run", "my-generator", "--dt", "0.25", "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "got T = 0.05" in err and "t = 0.5005, which is not a whole number of dt = 0.001 steps" in err
+        assert err.count("t = 0.1, which") == 1 and err.count("t = 1.0, which") == 1 and "t = 0.9, which" in err
+        assert not any((tmp_path / d).exists() for d in "abcde")
+
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"
         main(["run", "toda-identity", "--out", str(out)])

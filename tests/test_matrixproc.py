@@ -25,11 +25,12 @@ from myproc.matrixproc import (
     triangular_from_increments,
     triangular_increments,
 )
-from myproc.paths import RngStream, ScalarPath, TimeGrid, eta_functional, hyperbolic_radial
+from myproc.paths import RngStream, ScalarPath, TimeGrid, eta_functional
 
 from oracles import (
     charpoly_singular_values,
     expm_tri_single,
+    hyperbolic_radial_columns,
     su_beta_per_column,
     su_heun_step,
     su_heun_stepwise,
@@ -236,9 +237,9 @@ class TestEngineMemory:
         assert heun_peak <= 1.3 * (b.nbytes + c.nbytes)
 
     def test_gram_engine_cost_flat_in_q(self, monkeypatch):
-        # the normals and Gamma variates drawn, and the traced memory peak, do not grow with q
+        # the normals and Gamma variates drawn, and the traced memory peak, do not grow with q;
+        # p = 1, real is the radial part on the hyperbolic space H^q
         grid = TimeGrid(1.0, 400)
-        lsh = sample_triangular_bm(2, "complex", grid, RngStream(8, 0).child(10**6))
         drawn = []
         plain = RngStream.generator
 
@@ -254,19 +255,22 @@ class TestEngineMemory:
                 return draw
 
         monkeypatch.setattr(RngStream, "generator", lambda self: Counting(plain(self)))
-        cost = {}
-        for q in (50, 5000):
-            drawn.clear()
-            tracemalloc.start()
-            try:
-                sp = simulate_su_solvable(2, q, grid, [RngStream(8, i) for i in range(4)], lsh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.all(np.isfinite(sp.c))
-            cost[q] = (sum(drawn), peak)
-        assert cost[50][0] == cost[5000][0] > 0
-        assert cost[5000][1] <= 1.05 * cost[50][1]
+        for p, field, qs in ((2, "complex", (50, 5000)), (1, "real", (100, 10_000))):
+            lsh = sample_triangular_bm(p, field, grid, RngStream(8, 0).child(10**6))
+            cost = []
+            for q in qs:
+                drawn.clear()
+                tracemalloc.start()
+                try:
+                    sp = simulate_su_solvable(p, q, grid, [RngStream(8, i) for i in range(4)], lsh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert np.all(np.isfinite(sp.c))
+                cost.append((sum(drawn), peak))
+            (draws_small, peak_small), (draws_large, peak_large) = cost
+            assert draws_small == draws_large > 0, p
+            assert peak_large <= 1.05 * peak_small, p
 
 
 class TestEtaMatrix:
@@ -455,18 +459,20 @@ class TestSuSolvable:
 
     def test_nested_groups_extend_smaller_q(self):
         # q values ride on one axis: the leading groups of a longer q sequence are the
-        # groups of a shorter one, and a lone q is the first group
+        # groups of a shorter one, and a lone q is the first group; p = 1, real is H^q
         grid = TimeGrid(0.5, 100)
-        lsh = sample_triangular_bm(2, "complex", grid, RNG.child(15))
         rngs = [RNG.child(16), RNG.child(17)]
-        lone = simulate_su_solvable(2, 20, grid, rngs, lsh)
-        pair = simulate_su_solvable(2, (20, 50), grid, rngs, lsh)
-        triple = simulate_su_solvable(2, (20, 50, 90), grid, rngs, lsh)
-        assert pair.c.shape == (2, 2, grid.n_steps + 1, 2, 2)
-        assert _rel_err(pair.W[:, 0], lone.W) <= 1e-12 and _rel_err(pair.c[:, 0], lone.c) <= 1e-12
-        assert _rel_err(triple.W[:, :2], pair.W) <= 1e-12 and _rel_err(triple.c[:, :2], pair.c) <= 1e-12
-        with pytest.raises(ValueError):
-            simulate_su_solvable(2, (20, 20), grid, rngs, lsh)
+        for p, field, qs in ((2, "complex", (20, 50, 90)), (1, "real", (100, 10_000))):
+            lsh = sample_triangular_bm(p, field, grid, RNG.child(15))
+            lone = simulate_su_solvable(p, qs[0], grid, rngs, lsh)
+            W, c = lone.W[:, None], lone.c[:, None]
+            for j in range(2, len(qs) + 1):
+                longer = simulate_su_solvable(p, qs[:j], grid, rngs, lsh)
+                assert longer.c.shape == (2, j, grid.n_steps + 1, p, p)
+                assert _rel_err(longer.W[:, :j - 1], W) <= 1e-12 and _rel_err(longer.c[:, :j - 1], c) <= 1e-12
+                W, c = longer.W, longer.c
+            with pytest.raises(ValueError):
+                simulate_su_solvable(p, (qs[0], qs[0]), grid, rngs, lsh)
 
     def test_replica_paths_match_single_calls(self):
         # replicas with their own l and nested q values: each slice is a lone call
@@ -558,7 +564,8 @@ class TestFiniteQRadial:
 
     @pytest.mark.slow
     def test_p1_matches_hyperbolic_radial_in_law(self):
-        # same law, different couplings: two-sample KS at 1% must not reject
+        # the Gram engine's Heun rule at p = 1 against the left-point Ito columns on H^q,
+        # driven by the same B: two-sample KS at 1% must not reject
         q, n_rep, t = 50, 500, 1.0
         grid = TimeGrid(t, 250)
         a = np.empty(n_rep)
@@ -569,8 +576,7 @@ class TestFiniteQRadial:
             sp = simulate_su_solvable(1, q, grid, r, lsh)
             _, rad = finite_q_radial(sp, indices=[grid.n_steps])
             a[i] = rad[0, 0]
-            bm = ScalarPath(grid, np.log(lsh.frames[:, 0, 0]))
-            b[i] = hyperbolic_radial(q, bm, r.child(5)).values[-1]
+            b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[:, 0, 0]), grid.dt, r.child(5))[-1]
         from myproc.stats import SampleBatch, ks_two_sample
 
         rep = ks_two_sample(SampleBatch(a), SampleBatch(b), level=0.01)

@@ -13,13 +13,14 @@ from myproc.paths import (
     TimeGrid,
     eta_functional,
     exp_functional_samples,
-    hyperbolic_radial,
     log_eta,
     my_drift,
     paths_to_csv,
     pitman_transform,
     sample_bm,
 )
+from myproc.experiments import _convergence_seed_err
+from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
 from myproc.specialfn import macdonald_k
 from myproc.stats import SampleBatch, ks_two_sample
 from oracles import exp_functional_stepwise
@@ -157,43 +158,42 @@ class TestPitman:
         assert out.min() >= 0.0
 
 
+def _radial(q, b: ScalarPath, rng: RngStream) -> np.ndarray:
+    """Radial part on H^q driven by b, one row per q: the SO(1,q) solvable-group engine with l = e^B."""
+    l = triangular_from_increments(1, "real", b.grid, np.diff(b.values)[:, None, None])
+    _, rad = finite_q_radial(simulate_su_solvable(1, q, b.grid, rng, l))
+    return rad[..., 0]
+
+
 class TestHyperbolicRadial:
     def test_starts_at_zero(self):
         b = sample_bm(GRID, 0.0, RNG.child(4))
-        d = hyperbolic_radial(50, b, RNG.child(5))
-        assert d.values[0] == 0.0
-        assert d.values.min() >= 0.0
-
-    def test_zero_noise_reduces_to_abs(self):
-        b = sample_bm(GRID, 0.0, RNG.child(6))
-        d = hyperbolic_radial(50, b, RNG.child(7), zero_noise=True)
-        assert np.max(np.abs(d.values - np.abs(b.values))) < 1e-9
+        d = _radial(50, b, RNG.child(5))
+        assert d[0] == 0.0
+        assert d.min() >= 0.0
 
     def test_shared_noise_convergence(self):
+        # one nested (100, 10^4) call per driver: q = 10^4 extends the columns of q = 100
         wins = 0
+        k0 = GRID.index_of(0.1)
         for i in range(10):
             b = sample_bm(GRID, 0.0, RNG.child(300 + i))
             lg = log_eta(b).values
-            k0 = GRID.index_of(0.1)
-            errs = []
-            for q in (100, 10_000):
-                d = hyperbolic_radial(q, b, RNG.child(400 + i)).values
-                errs.append(np.max(np.abs(d[k0:] - math.log(q) - lg[k0:])))
+            d = _radial((100, 10_000), b, RNG.child(400 + i))
+            errs = [np.max(np.abs(row[k0:] - math.log(q) - lg[k0:])) for row, q in zip(d, (100, 10_000))]
             wins += errs[1] < errs[0]
         assert wins >= 9
 
-    def test_stream_pinned_across_blocks(self):
-        # q - 1 = 2999 transverse integrals fill one block of 2048 and part of a second
-        rng = RngStream(20240801, 3)
-        b = sample_bm(TimeGrid(1.0, 8), 0.0, rng.child(0))
-        d = hyperbolic_radial(3000, b, rng.child(1)).values
-        assert hashlib.sha256(d.tobytes()).hexdigest() == (
-            "de75196b55067a8e4887428f0bf4781d1046fa1a1645c82ce597cfd6b28cf8f3")
+    def test_convergence_stream_pinned(self):
+        # a given version and seed give byte-identical my-convergence seed errors
+        _, e_small, e_large = _convergence_seed_err((3, 0.01, 0.2, 100, 10_000))
+        assert hashlib.sha256(np.array([e_small, e_large]).tobytes()).hexdigest() == (
+            "82e54cd0fe0ccb7c73e2c82514976878ed7c8ab8a94099954669eec6bc0e0e55")
 
     def test_q_validation(self):
         b = sample_bm(GRID, 0.0, RNG.child(8))
-        with pytest.raises(ValueError):
-            hyperbolic_radial(1, b, RNG.child(9))
+        with pytest.raises(ValueError):  # simulate_su_solvable(1, 1, ...): H^1 has no transverse column
+            _radial(1, b, RNG.child(9))
 
 
 class TestMyDrift:
