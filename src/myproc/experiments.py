@@ -32,8 +32,9 @@ __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_
 _MARKOV_BINS = 15
 _MARKOV_MIN_HALF = 50
 
-# supq-limit runs its replicas in chunks whose (n, p, p) matrix paths, one per
-# replica and q value, stay near this many bytes, so memory stays bounded at any p
+# supq-limit runs its replicas, and my-convergence its seeds, in chunks whose
+# (n, p, p) matrix paths, one per replica and q value, stay near this many
+# bytes, so memory stays bounded at any p and seed count
 _CHUNK_BYTES = 1 << 21
 
 # fewest paths whose statistics each path-sampling experiment can form: a
@@ -78,7 +79,8 @@ class ExperimentConfig:
         if self.experiment == "my-convergence" and not self.T >= 0.1:
             raise ValueError(f"my-convergence measures its error from t = 0.1 on, got T = {self.T}")
         # the times each path experiment reads off its dt grid
-        marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,)}
+        marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,),
+                 "supq-limit": (self.T,)}
         for t in marks.get(self.experiment, ()):
             k = round(t / self.dt)
             if k < 1 or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
@@ -133,7 +135,7 @@ def _table(header, rows):
 
 
 def _map_seeds(fn, args, workers: int) -> list:
-    """fn over the per-seed argument tuples, sorted; in a process pool when workers > 1."""
+    """fn over the argument tuples (one per seed or chunk of seeds), sorted; in a process pool when workers > 1."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return sorted(ex.map(fn, args))
@@ -265,20 +267,23 @@ def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # my-convergence: E[eta_1] moment check and shared-noise hyperbolic limit
 
-def _convergence_seed_err(args) -> tuple:
-    seed, dt, T, q_small, q_large = args
+def _convergence_seed_err(args) -> list:
+    seeds, dt, T, q_small, q_large = args
     grid = pth.TimeGrid(T, round(T / dt))
-    base = pth.RngStream(seed, 0)
-    b = pth.sample_bm(grid, 0.0, base.child(0))
-    lg = pth.log_eta(b).values
+    bases = [pth.RngStream(seed, 0) for seed in seeds]
+    drivers = [pth.sample_bm(grid, 0.0, base.child(0)) for base in bases]
+    b = np.stack([driver.values for driver in drivers])
+    lg = np.stack([pth.log_eta(driver).values for driver in drivers])
     k0 = grid.index_of(0.1)
     # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
-    # l = e^B; nested column groups give q_large the transverse noise of q_small
-    l = mx.triangular_from_increments(1, "real", grid, np.diff(b.values)[:, None, None])
-    sp = mx.simulate_su_solvable(1, (q_small, q_large), grid, base.child(1), l)
+    # l = e^B; the seeds ride on the replica axis, and nested column groups give
+    # q_large the transverse noise of q_small
+    l = mx.triangular_from_increments(1, "real", grid, np.diff(b)[..., None, None])
+    sp = mx.simulate_su_solvable(1, (q_small, q_large), grid, [base.child(1) for base in bases], l)
     _, d = mx.finite_q_radial(sp)
-    errs = [float(np.max(np.abs(d[i, k0:, 0] - math.log(q) - lg[k0:]))) for i, q in enumerate((q_small, q_large))]
-    return seed, errs[0], errs[1]
+    log_q = np.array([math.log(q_small), math.log(q_large)])[:, None]
+    errs = np.max(np.abs(d[:, :, k0:, 0] - log_q - lg[:, None, k0:]), axis=-1)
+    return [(seed, float(e_small), float(e_large)) for seed, (e_small, e_large) in zip(seeds, errs)]
 
 
 def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -297,9 +302,13 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
                          "mean": mean, "se": sem, "target": target}))
     # shared-noise convergence over seeds
     q_small, q_large = 100, 10_000
-    args = [(cfg.seed + 100 + i, cfg.dt, cfg.T, q_small, q_large) for i in range(cfg.n_seeds)]
-    results = _map_seeds(_convergence_seed_err, args, cfg.workers)
-    rows = [[s, e2, e4] for s, e2, e4 in results]
+    seeds = [cfg.seed + 100 + i for i in range(cfg.n_seeds)]
+    # contiguous chunks of seeds on the replica axis: at least one per worker, and
+    # no larger than _CHUNK_BYTES allows; a seed's errors do not depend on its chunk
+    size = max(1, _CHUNK_BYTES // (16 * round(cfg.T / cfg.dt) * 2))
+    size = min(size, -(-len(seeds) // cfg.workers))
+    args = [(seeds[i:i + size], cfg.dt, cfg.T, q_small, q_large) for i in range(0, len(seeds), size)]
+    rows = [list(r) for chunk in _map_seeds(_convergence_seed_err, args, cfg.workers) for r in chunk]
     e2s = np.array([r[1] for r in rows])
     e4s = np.array([r[2] for r in rows])
     frac = float(np.mean(e4s < e2s))

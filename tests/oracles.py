@@ -124,6 +124,19 @@ def expm_tri_single(L) -> np.ndarray:
     return X
 
 
+def expm_tri_2x2(L) -> np.ndarray:
+    """exp of one lower-triangular 2 x 2 matrix [[a, 0], [c, d]] in closed form.
+
+    The off-diagonal entry is c (e^a - e^d) / (a - d), written as
+    c e^{(a+d)/2} sinh(h) / h with h = (a - d) / 2 so that it stays accurate
+    as a -> d; the ratio sinh(h) / h is 1 at h = 0.
+    """
+    (a, _), (c, d) = np.asarray(L)
+    h = (a - d) / 2
+    ratio = np.sinh(h) / h if h != 0 else 1.0
+    return np.array([[np.exp(a), 0.0], [c * np.exp((a + d) / 2) * ratio, np.exp(d)]])
+
+
 def triangular_frames_stepwise(p: int, field: str, dt: float, increments, diag_drift=None) -> np.ndarray:
     """Frames l_{k+1} = l_k exp(dlambda_k + drift dt), one step at a time."""
     n = len(increments)

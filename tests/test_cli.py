@@ -46,6 +46,14 @@ class TestRun:
         b["config"].pop("out_dir")
         assert a == b
 
+    def test_my_convergence_independent_of_workers(self, tmp_path):
+        # the seeds run in contiguous chunks, one per worker, on the replica axis
+        outs = [tmp_path / f"w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["run", "my-convergence", "--seeds", "4", "--T", "0.2", "--dt", "0.01",
+                         "--workers", str(w), "--out", str(out)]) == 0
+        assert (outs[0] / "seed_errors.csv").read_bytes() == (outs[1] / "seed_errors.csv").read_bytes()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": 6, "seed": 3}))
@@ -101,10 +109,14 @@ class TestRun:
         assert main(["run", "my-convergence", "--T", "0.5005", "--dt", "0.001", "--out", str(tmp_path / "c")]) == 2
         assert main(["run", "conditional-law", "--dt", "0.3", "--out", str(tmp_path / "d")]) == 2
         assert main(["run", "my-generator", "--dt", "0.25", "--out", str(tmp_path / "e")]) == 2
+        # supq-limit steps its seeds' grids by dt up to T
+        assert main(["run", "supq-limit", "--T", "0.35", "--dt", "0.1", "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
         assert "got T = 0.05" in err and "t = 0.5005, which is not a whole number of dt = 0.001 steps" in err
         assert err.count("t = 0.1, which") == 1 and err.count("t = 1.0, which") == 1 and "t = 0.9, which" in err
-        assert not any((tmp_path / d).exists() for d in "abcde")
+        assert "supq-limit reads t = 0.35, which is not a whole number of dt = 0.1 steps" in err
+        assert "Traceback" not in err
+        assert not any((tmp_path / d).exists() for d in "abcdef")
 
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"

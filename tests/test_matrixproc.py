@@ -29,6 +29,7 @@ from myproc.paths import RngStream, ScalarPath, TimeGrid, eta_functional
 
 from oracles import (
     charpoly_singular_values,
+    expm_tri_2x2,
     expm_tri_single,
     hyperbolic_radial_columns,
     su_beta_per_column,
@@ -75,9 +76,49 @@ class TestExpmTri:
         for idx in np.ndindex(L.shape[:2]):
             ref = expm_tri_single(L[idx])
             assert np.max(np.abs(E[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # a matrix's exponential does not depend on the rest of its stack
+            assert np.array_equal(E[idx], expm_tri(L[idx]))
         assert np.all(E[..., 0, 1:] == 0.0) and np.all(E[..., 1, 2] == 0.0)
         diag = np.diagonal(E, axis1=-2, axis2=-1)
         assert np.all(diag.real > 0.0) and np.all(diag.imag == 0.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_closed_form_2x2(self, field):
+        # generic diagonals, a = d exactly and |a - d| = 1e-9, at norms 0.01 to 40
+        # (up to eight squarings), against c (e^a - e^d) / (a - d) below the diagonal
+        rng = np.random.default_rng(6)
+        mats = []
+        for norm in np.geomspace(0.01, 40.0, 16):
+            for gap in (None, 0.0, 1e-9):
+                a, d, c = rng.uniform(-1.0, 1.0, 3)
+                if field == "complex":
+                    c = c + 1j * rng.uniform(-1.0, 1.0)
+                if gap is not None:
+                    d = a + gap
+                M = np.array([[a, 0.0], [c, d]])
+                mats.append(M * norm / (2.0 * np.max(np.abs(M))))
+        L = np.array(mats)
+        for M, E in zip(L, expm_tri(L)):
+            ref = expm_tri_2x2(M)
+            assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_matrix_input_untouched(self):
+        L = np.array([[4.0, 0.0], [1.0, 3.0]])
+        expm_tri(L)
+        assert np.array_equal(L, [[4.0, 0.0], [1.0, 3.0]])
+
+    def test_memory_peak(self):
+        # the temporaries of a supq-limit-sized stack of step increments stay
+        # within a few copies of the output
+        grid = TimeGrid(2.0, 2000)
+        L = np.stack([triangular_increments(2, "complex", grid, RngStream(8, i)) for i in range(48)])
+        tracemalloc.start()
+        try:
+            E = expm_tri(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * E.nbytes
 
 
 class TestSingularValues:

@@ -186,7 +186,7 @@ class TestHyperbolicRadial:
 
     def test_convergence_stream_pinned(self):
         # a given version and seed give byte-identical my-convergence seed errors
-        _, e_small, e_large = _convergence_seed_err((3, 0.01, 0.2, 100, 10_000))
+        [(_, e_small, e_large)] = _convergence_seed_err(([3], 0.01, 0.2, 100, 10_000))
         assert hashlib.sha256(np.array([e_small, e_large]).tobytes()).hexdigest() == (
             "82e54cd0fe0ccb7c73e2c82514976878ed7c8ab8a94099954669eec6bc0e0e55")
 
