@@ -4,7 +4,7 @@ eta_t = int_0^t e^{2 B_s - B_t} ds and its matrix and tree analogues.
 Submodules:
   specialfn   Macdonald function and its lambda-derivatives, multiplicities
   series      Toda / Calogero-Moser-Sutherland eigenfunction series, spherical limits
-  paths       scalar path engine (Brownian, eta, Pitman transform, hyperbolic radial)
+  paths       scalar path engine (Brownian paths, eta and its sample streams, Macdonald drift)
   matrixproc  triangular-group Brownian motion and solvable-model radial parts
   trees       exact rational Markov chains on trees and their flat limits
   stats       KS / generator / Markov-property / conditional-law tests

@@ -2,6 +2,7 @@
 
 Verbs:
   run <experiment> [flags]   run one named experiment, write report + CSV tables
+  run all [flags]            run every experiment with the same flags, then print a summary
   list-experiments           show the experiment registry
   selftest                   fast end-to-end sanity run (< 10 s)
 
@@ -18,6 +19,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
@@ -60,7 +62,8 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_configs(args, names) -> list:
+    """One config per experiment name; under `run all`, out is the parent of each experiment's directory."""
     values = _load_config_file(args.config) if args.config else {}
     for key in _KEYS:
         if getattr(args, key) is not None:
@@ -70,10 +73,16 @@ def _build_config(args) -> ExperimentConfig:
             raise UsageError(f"{key} must be positive, got {values[key]}")
     if values.get("q", 0) < 0:
         raise UsageError(f"q must be non-negative, got {values['q']}")
-    try:
-        return ExperimentConfig(args.experiment, **{_KEYS[key][0]: value for key, value in values.items()})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    configs = []
+    for name in names:
+        own = dict(values)
+        if "out" in own and args.experiment == "all":
+            own["out"] = str(Path(own["out"]) / name)
+        try:
+            configs.append(ExperimentConfig(name, **{_KEYS[key][0]: value for key, value in own.items()}))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return configs
 
 
 def _write_outputs(result, out_dir: Path) -> None:
@@ -87,19 +96,28 @@ def _write_outputs(result, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.experiment not in EXPERIMENTS:
+    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
         print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
-        print("known experiments: " + ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
+        print("known experiments: all, " + ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return 2
-    cfg = _build_config(args)
-    result = run_experiment(cfg)
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.experiment
-    _write_outputs(result, out_dir)
-    for check in result.checks:
-        mark = "PASS" if check.passed else "FAIL"
-        print(f"[{mark}] {result.name}: {check.name} = {check.value} ({check.threshold})")
-    print(f"report: {out_dir / 'report.json'}")
-    return 0 if result.passed else 1
+    # every config is built, and every usage error raised, before anything runs
+    configs = _build_configs(args, sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment])
+    summary = []
+    for cfg in configs:
+        t0 = time.perf_counter()
+        result = run_experiment(cfg)
+        out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.experiment
+        _write_outputs(result, out_dir)
+        for check in result.checks:
+            mark = "PASS" if check.passed else "FAIL"
+            print(f"[{mark}] {result.name}: {check.name} = {check.value} ({check.threshold})")
+        print(f"report: {out_dir / 'report.json'}")
+        summary.append((cfg.experiment, result.passed, time.perf_counter() - t0))
+    if args.experiment == "all":
+        print("\n== summary ==")
+        for name, passed, seconds in summary:
+            print(f"{'PASS' if passed else 'FAIL':4s}  {name:20s}  {seconds:8.1f} s")
+    return 0 if all(passed for _, passed, _ in summary) else 1
 
 
 def _cmd_list(_args) -> int:
@@ -142,8 +160,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    run_p = sub.add_parser("run", help="run a named experiment")
-    run_p.add_argument("experiment", help="experiment name (see list-experiments)")
+    run_p = sub.add_parser("run", help="run a named experiment, or all of them")
+    run_p.add_argument("experiment", help="experiment name (see list-experiments), or all")
     run_p.add_argument("--q", type=int, default=None, help="dimension parameter where applicable")
     run_p.add_argument("--p", type=int, default=None, help="rank (matrix experiments)")
     run_p.add_argument("--T", type=float, default=None, help="time horizon")

@@ -82,7 +82,8 @@ class ExperimentConfig:
         marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,),
                  "supq-limit": (self.T,)}
         for t in marks.get(self.experiment, ()):
-            k = round(t / self.dt)
+            steps = t / self.dt
+            k = round(steps) if math.isfinite(steps) else 0  # an infinite T, or a dt too small to count
             if k < 1 or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
                 raise ValueError(f"{self.experiment} reads t = {t}, which is not a whole number of dt = {self.dt} steps")
 
@@ -135,7 +136,9 @@ def _table(header, rows):
 
 
 def _map_seeds(fn, args, workers: int) -> list:
-    """fn over the argument tuples (one per seed or chunk of seeds), sorted; in a process pool when workers > 1."""
+    """fn over the argument tuples (one per seed or chunk of seeds), sorted; in a process pool of at
+    most one worker per tuple when that is more than one (the pool forks all its workers at once)."""
+    workers = min(workers, len(args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return sorted(ex.map(fn, args))
@@ -271,7 +274,7 @@ def _convergence_seed_err(args) -> list:
     seeds, dt, T, q_small, q_large = args
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
-    drivers = [pth.sample_bm(grid, 0.0, base.child(0)) for base in bases]
+    drivers = [pth.sample_bm(grid, base.child(0)) for base in bases]
     b = np.stack([driver.values for driver in drivers])
     lg = np.stack([pth.log_eta(driver).values for driver in drivers])
     k0 = grid.index_of(0.1)

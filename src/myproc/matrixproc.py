@@ -37,7 +37,6 @@ axes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -58,7 +57,6 @@ __all__ = [
     "eta_matrix",
     "simulate_su_solvable",
     "finite_q_radial",
-    "radial_to_csv",
 ]
 
 
@@ -159,18 +157,14 @@ def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) ->
     return out
 
 
-def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: np.ndarray,
-                               diag_drift: Optional[Sequence[float]] = None) -> TriangularPath:
-    """Stepwise-exponential solution of dl = l dlambda (+ diagonal drift dt).
+def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
+    """Stepwise-exponential solution of dl = l dlambda.
 
     increments (..., n, p, p) may carry leading replica axes; the frames keep them.
     """
-    n, dt = grid.n_steps, grid.dt
+    n = grid.n_steps
     dtype = float if field == "real" else complex
-    drift_mat = np.zeros((p, p), dtype=dtype)
-    if diag_drift is not None:
-        drift_mat[np.diag_indices(p)] = np.asarray(diag_drift, dtype=float)
-    steps = expm_tri(increments + drift_mat * dt)
+    steps = expm_tri(increments)
     frames = np.empty(increments.shape[:-3] + (n + 1, p, p), dtype=dtype)
     frames[..., 0, :, :] = np.eye(p, dtype=dtype)
     for k in range(n):
@@ -178,11 +172,9 @@ def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: n
     return TriangularPath(p, field, grid, frames)
 
 
-def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rng: RngStream,
-                         diag_drift: Optional[Sequence[float]] = None) -> TriangularPath:
+def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rng: RngStream) -> TriangularPath:
     """Brownian motion on the lower-triangular group with positive diagonal."""
-    return triangular_from_increments(p, field, grid, triangular_increments(p, field, grid, rng),
-                                      diag_drift)
+    return triangular_from_increments(p, field, grid, triangular_increments(p, field, grid, rng))
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
@@ -366,11 +358,3 @@ def finite_q_radial(path: SuSolvablePath, indices: Optional[Sequence[int]] = Non
         raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1 at step {step}")
     return indices, np.arccosh(np.maximum(arg, 1.0))
 
-
-def radial_to_csv(times: Sequence[float], radial: np.ndarray, fileobj) -> None:
-    """Write per-time chamber vectors as columns t, r_1..r_p."""
-    radial = np.asarray(radial)
-    writer = csv.writer(fileobj)
-    writer.writerow(["t"] + [f"r_{i + 1}" for i in range(radial.shape[1])])
-    for t, row in zip(times, radial):
-        writer.writerow([f"{t:.12g}"] + [f"{v:.17g}" for v in row])

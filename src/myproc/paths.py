@@ -1,5 +1,5 @@
 """Scalar path engine: Brownian paths, the exponential functional
-eta_t = int_0^t e^{2 B_s - B_t} ds, the Pitman transform, and the limiting
+eta_t = int_0^t e^{2 B_s - B_t} ds and its sample streams, and the limiting
 diffusion's log-derivative drift.  The radial part on the hyperbolic space
 H^q is the p = 1, real case of matrixproc's solvable-group engine.
 
@@ -10,7 +10,6 @@ state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,10 +26,8 @@ __all__ = [
     "sample_bm",
     "eta_functional",
     "log_eta",
-    "pitman_transform",
     "my_drift",
     "exp_functional_samples",
-    "paths_to_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -62,9 +59,6 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
-
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def index_of(self, t: float) -> int:
         k = round(t / self.dt)
@@ -106,13 +100,10 @@ class RngStream:
         return RngStream(self.seed, _splitmix64(self.stream_id ^ _splitmix64(index + 1)))
 
 
-def sample_bm(grid: TimeGrid, drift: float, rng: RngStream, sigma: float = 1.0) -> ScalarPath:
-    """Brownian path from 0 with the given drift; sigma=0 is the deterministic debug mode."""
-    dt = grid.dt
-    gauss = rng.generator().standard_normal(grid.n_steps) if sigma else np.zeros(grid.n_steps)
-    increments = drift * dt + sigma * math.sqrt(dt) * gauss
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return ScalarPath(grid, values)
+def sample_bm(grid: TimeGrid, rng: RngStream) -> ScalarPath:
+    """Standard Brownian path from 0 on the grid."""
+    increments = math.sqrt(grid.dt) * rng.generator().standard_normal(grid.n_steps)
+    return ScalarPath(grid, np.concatenate([[0.0], np.cumsum(increments)]))
 
 
 def _log_trapezoid_integral(b: np.ndarray, dt: float) -> np.ndarray:
@@ -140,12 +131,6 @@ def log_eta(b_path: ScalarPath) -> ScalarPath:
     """log eta_t on the grid; the t = 0 entry is -inf (entrance boundary)."""
     b = b_path.values
     return ScalarPath(b_path.grid, _log_trapezoid_integral(b, b_path.grid.dt) - b)
-
-
-def pitman_transform(b_path: ScalarPath) -> ScalarPath:
-    """2 max_{s <= t} B_s - B_t; nonnegative since the running max dominates both B_t and 0."""
-    v = b_path.values
-    return ScalarPath(b_path.grid, 2.0 * np.maximum.accumulate(v) - v)
 
 
 def my_drift(r, lam: float = 0.0):
@@ -224,11 +209,3 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
                     raise OverflowError("exponential functional left double range; use shorter horizons")
     return out_b, out_z[0] if scalar else out_z
 
-
-def paths_to_csv(paths: Sequence[ScalarPath], fileobj) -> None:
-    """Long-format batch export with columns replica,t,value."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["replica", "t", "value"])
-    for i, path in enumerate(paths):
-        for t, v in zip(path.grid.times(), path.values):
-            writer.writerow([i, f"{t:.12g}", f"{v:.17g}"])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,9 +68,7 @@ class SeriesExpansion:
     """Truncated coefficients b_0..b_N of an exponential eigenfunction series."""
 
     lam: float
-    kind: str  # "toda" or "cms"
     coeffs: np.ndarray
-    mult: Optional[Multiplicities] = None
 
     @property
     def order(self) -> int:
@@ -108,7 +106,7 @@ def toda_series(lam: float, N: int) -> SeriesExpansion:
         raise ValueError("N must be a positive even integer")
     v = np.zeros(2)
     v[1] = 1.0
-    return SeriesExpansion(lam, "toda", _series_coeffs(lam, N, v))
+    return SeriesExpansion(lam, _series_coeffs(lam, N, v))
 
 
 def cms_series(lam: float, mult: Multiplicities, N: int) -> SeriesExpansion:
@@ -117,7 +115,7 @@ def cms_series(lam: float, mult: Multiplicities, N: int) -> SeriesExpansion:
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
     v = _potential_coeffs(mult, N // 2)
-    return SeriesExpansion(lam, "cms", _series_coeffs(lam, N, v), mult)
+    return SeriesExpansion(lam, _series_coeffs(lam, N, v))
 
 
 def eval_series(s: SeriesExpansion, r: float, tol: float = 1e-12) -> float:
@@ -142,17 +140,15 @@ def eval_series(s: SeriesExpansion, r: float, tol: float = 1e-12) -> float:
     return total
 
 
-def _adaptive_value(lam: float, r: float, mult: Optional[Multiplicities], n0: int = 16,
-                    n_max: int = 1 << 14) -> float:
-    """Series value with N doubled until the last term is negligible and decaying."""
-    N = n0
+def _adaptive_value(lam: float, r: float, mult: Multiplicities) -> float:
+    """CMS series value with N doubled from 16 until the last term is negligible and decaying."""
+    N = 16
     while True:
-        s = toda_series(lam, N) if mult is None else cms_series(lam, mult, N)
         try:
-            return eval_series(s, r, tol=1e-13)
+            return eval_series(cms_series(lam, mult, N), r, tol=1e-13)
         except TruncationError:
             N *= 2
-            if N > n_max:
+            if N > 1 << 14:
                 raise
 
 
@@ -199,15 +195,15 @@ def g_q_error(lam: float, r: float, mult: Multiplicities, a_variant: str = "squa
     return shifted - macdonald_k(lam, math.exp(-r))
 
 
-def even_lambda_derivatives(f, h: float, orders: Sequence[int], extra: int = 1):
+def even_lambda_derivatives(f, h: float, orders: Sequence[int]):
     """Derivatives of an even analytic f at 0, orders even, via a node solve.
 
-    Uses values f(h), f(2h), ... and solves for the Taylor coefficients in
-    lam^2; with `extra` spare nodes the truncation error is O(h^{2(m+extra)}).
+    Uses values f(h), ..., f(m h) and solves for the first m Taylor
+    coefficients in lam^2, m = max(orders) / 2 + 2 (one spare node).
     """
     if any(o % 2 or o < 0 for o in orders):
         raise ValueError("orders must be even and nonnegative")
-    m = max(orders) // 2 + 1 + extra
+    m = max(orders) // 2 + 2
     ks = np.arange(1, m + 1, dtype=float)
     A = np.vander(ks**2, m, increasing=True)
     vals = np.array([f(k * h) for k in ks])
@@ -215,14 +211,11 @@ def even_lambda_derivatives(f, h: float, orders: Sequence[int], extra: int = 1):
     return [math.factorial(o) * coef[o // 2] / h**o for o in orders]
 
 
-def g_q_even_derivative(order: int, r: float, mult: Multiplicities,
-                        a_variant: str = "squared", h: float = 5e-3) -> float:
-    """d^order/dlam^order of g_q at lam = 0 (orders even; odd orders vanish)."""
+def g_q_even_derivative(order: int, r: float, mult: Multiplicities) -> float:
+    """d^order/dlam^order of g_q at lam = 0 by a stencil of step 5e-3 (orders even; odd orders vanish)."""
     if order % 2:
         return 0.0
-    return even_lambda_derivatives(
-        lambda la: g_q_error(la, r, mult, a_variant), h, [order]
-    )[0]
+    return even_lambda_derivatives(lambda la: g_q_error(la, r, mult), 5e-3, [order])[0]
 
 
 def _hoog_prefactor(p: int, q: int) -> float:
@@ -270,7 +263,7 @@ def hoogenboom_det(lams: Sequence[float], p: int, q: int, r) -> float:
     return _hoog_prefactor(p, q) * np.linalg.det(mat) / denom
 
 
-def finite_q_ktilde(r, p: int, q: int, h: float = 0.0) -> float:
+def finite_q_ktilde(r, p: int, q: int) -> float:
     """a(q)-scaled determinant of lambda-derivatives of the rank-one products.
 
     Entry (i, j) is d^{2(j-1)}/dlam^{2(j-1)} of
@@ -279,15 +272,14 @@ def finite_q_ktilde(r, p: int, q: int, h: float = 0.0) -> float:
     corresponding lambda-derivative of K_lam(e^{-r_i}), so ratios of these
     determinants converge to ratios of ktilde_det.
 
-    The stencil step defaults to 5e-3 for p <= 2 and 2e-2 for higher ranks:
+    The stencil step is 5e-3 for p <= 2 and 2e-2 for higher ranks:
     each branch of the two-sided combination grows like 1/lam near 0, and the
     order-2(p-1) extraction amplifies that cancellation noise by h^{-2(p-1)}.
     """
     rv = tuple(float(v) for v in r)
     if len(rv) != p:
         raise ValueError("need p chamber coordinates")
-    if h <= 0.0:
-        h = 5e-3 if p <= 2 else 2e-2
+    h = 5e-3 if p <= 2 else 2e-2
     mult = Multiplicities(2 * (q - p), 1)
     shift = math.log(mult.m_alpha)
     la = log_a_normalizer(mult, "squared")

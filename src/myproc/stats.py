@@ -28,6 +28,8 @@ __all__ = [
     "conditional_law_test",
 ]
 
+_Z_BOUND = 3.0  # |z| beyond this rejects, in the generator and conditional-law tests
+
 
 @dataclass
 class SampleBatch:
@@ -48,7 +50,6 @@ class TestReport:
     statistic: float
     threshold: float
     verdict: str  # "pass" or "reject"
-    standard_error: Optional[float] = None
     details: Dict = field(default_factory=dict)
 
     @property
@@ -138,12 +139,11 @@ def indicator_bins(edges: Sequence[float]):
     return fns
 
 
-def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float,
-                   z_max: float = 3.0) -> TestReport:
+def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float) -> TestReport:
     """z-score of E[f(X_{t+h}) - f(X_t) - h (f''/2 + drift f')(X_t)].
 
     Under the diffusion with generator (1/2) d^2/dr^2 + drift d/dr the mean is
-    O(h^2), so |z| beyond z_max rejects the proposed drift.  samples holds the
+    O(h^2), so |z| beyond 3 rejects the proposed drift.  samples holds the
     paired values (X_t, X_{t+h}) as rows.
     """
     v = _values(samples)
@@ -160,9 +160,8 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float,
     return TestReport(
         "generator_test",
         z,
-        z_max,
-        "pass" if abs(z) <= z_max else "reject",
-        standard_error=se,
+        _Z_BOUND,
+        "pass" if abs(z) <= _Z_BOUND else "reject",
         details={"h": h, "n": int(d.size), "test_fn": test_fn.label, **_meta(samples)},
     )
 
@@ -170,10 +169,9 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float,
 # --------------------------------------------------------------------------
 # Markov property
 
-def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0.01,
-                         min_half: int = 50) -> TestReport:
+def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 50) -> TestReport:
     """Within quantile bins of the present value, split by an extra conditioning
-    statistic and KS-compare the two futures; Bonferroni across bins.
+    statistic and KS-compare the two futures at level 1%, Bonferroni across bins.
 
     For a process Markov in its own filtration, any past-measurable
     conditioner leaves the conditional law of the future unchanged, so the
@@ -186,6 +184,7 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0
     z_mid = _values(mid)
     z_end = _values(end)
     cond = _values(conditioner)
+    level = 0.01
     if not (z_mid.size == z_end.size == cond.size):
         raise ValueError("mid, end and conditioner must be aligned")
     qs = np.quantile(z_mid, np.linspace(0.0, 1.0, bins + 1))
@@ -232,15 +231,14 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, level: float = 0
 # conditional law
 
 def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
-                         ratio_fn: Optional[Callable] = None, z_max: float = 3.0,
-                         kurtosis_cap: float = 500.0) -> TestReport:
+                         ratio_fn: Optional[Callable] = None) -> TestReport:
     """Moment test of E[(e^{lam B_t} - K_lam(1/eta_t)/K_0(1/eta_t)) g_j(eta_t)] = 0.
 
     samples holds rows (B_t, eta_t).  Passes when every estimate is within
-    z_max standard errors of zero.  ratio_fn overrides the Macdonald ratio
+    3 standard errors of zero.  ratio_fn overrides the Macdonald ratio
     (used by calibration tests with synthetic conditional means).  A
     heavy-tail warning is recorded when the empirical kurtosis of e^{lam B}
-    exceeds kurtosis_cap.
+    exceeds 500.
     """
     if abs(lam) > 2.0:
         raise ValueError("|lam| <= 2 required to control the e^{lam B} tails")
@@ -272,14 +270,14 @@ def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
     return TestReport(
         "conditional_law_test",
         worst,
-        z_max,
-        "pass" if worst <= z_max else "reject",
+        _Z_BOUND,
+        "pass" if worst <= _Z_BOUND else "reject",
         details={
             "lam": lam,
             "n": int(b_t.size),
             "per_function": rows,
             "kurtosis": kurt,
-            "heavy_tail_warning": bool(kurt > kurtosis_cap),
+            "heavy_tail_warning": bool(kurt > 500.0),
             **_meta(samples),
         },
     )

@@ -137,17 +137,14 @@ def expm_tri_2x2(L) -> np.ndarray:
     return np.array([[np.exp(a), 0.0], [c * np.exp((a + d) / 2) * ratio, np.exp(d)]])
 
 
-def triangular_frames_stepwise(p: int, field: str, dt: float, increments, diag_drift=None) -> np.ndarray:
-    """Frames l_{k+1} = l_k exp(dlambda_k + drift dt), one step at a time."""
+def triangular_frames_stepwise(p: int, field: str, increments) -> np.ndarray:
+    """Frames l_{k+1} = l_k exp(dlambda_k), one step at a time."""
     n = len(increments)
     dtype = float if field == "real" else complex
-    drift_mat = np.zeros((p, p), dtype=dtype)
-    if diag_drift is not None:
-        drift_mat[np.diag_indices(p)] = np.asarray(diag_drift, dtype=float)
     frames = np.empty((n + 1, p, p), dtype=dtype)
     frames[0] = np.eye(p, dtype=dtype)
     for k in range(n):
-        frames[k + 1] = frames[k] @ expm_tri_single(increments[k] + drift_mat * dt)
+        frames[k + 1] = frames[k] @ expm_tri_single(increments[k])
     return frames
 
 

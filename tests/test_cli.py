@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from myproc import experiments
 from myproc.cli import main
-from myproc.experiments import ExperimentConfig, run_experiment
+from myproc.experiments import EXPERIMENTS, Check, ExperimentConfig, ExperimentResult, run_experiment
 
 
 class TestVerbs:
@@ -118,6 +121,24 @@ class TestRun:
         assert "Traceback" not in err
         assert not any((tmp_path / d).exists() for d in "abcdef")
 
+    @pytest.mark.parametrize("argv, config", [
+        (["supq-limit", "--T", "inf"], None),
+        (["my-convergence", "--T", "inf"], None),
+        (["my-generator", "--dt", "1e-320"], None),
+        (["supq-limit"], {"T": float("inf")}),
+    ], ids=["supq-limit-T", "my-convergence-T", "my-generator-dt", "config-file-T"])
+    def test_non_finite_step_counts_are_usage_errors(self, tmp_path, capsys, argv, config):
+        # an infinite T, or t / dt overflowing to inf: no grid step count holds it
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))  # {"T": Infinity}
+            argv = argv + ["--config", str(cfg)]
+        assert main(["run", *argv, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "which is not a whole number of dt" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"
         main(["run", "toda-identity", "--out", str(out)])
@@ -140,3 +161,81 @@ class TestDefaults:
         assert main(["run", "pitman-discrete", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["q"] == 24 and len(report["checks"]) == 1 + 25
+
+
+def _fake(name: str, passed: bool, ran: list):
+    def run(cfg):
+        ran.append(cfg)
+        return ExperimentResult(name, cfg.as_dict(), [Check("fake", passed, float(passed), "fake")])
+    return run
+
+
+class TestRunAll:
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        """An empty experiment registry for the test to fill; the real one is restored afterwards."""
+        for name in list(EXPERIMENTS):
+            monkeypatch.delitem(EXPERIMENTS, name)
+        return EXPERIMENTS
+
+    def test_summary_row_per_experiment_and_exit_1_on_a_failure(self, registry, tmp_path, capsys):
+        ran = []
+        registry["conditional-law"] = _fake("conditional-law", True, ran)
+        registry["toda-identity"] = _fake("toda-identity", False, ran)
+        assert main(["run", "all", "--out", str(tmp_path)]) == 1
+        summary = capsys.readouterr().out.split("== summary ==\n")[1].splitlines()
+        assert [row.split()[:2] for row in summary] == [["PASS", "conditional-law"], ["FAIL", "toda-identity"]]
+        assert all(row.endswith(" s") for row in summary)
+        for cfg in ran:  # each experiment writes under <out>/<name>/ and echoes that directory
+            report = json.loads((tmp_path / cfg.experiment / "report.json").read_text())
+            assert report["config"]["out_dir"] == str(tmp_path / cfg.experiment)
+
+    def test_all_passing_exits_0(self, registry, tmp_path):
+        ran = []
+        registry["conditional-law"] = _fake("conditional-law", True, ran)
+        registry["toda-identity"] = _fake("toda-identity", True, ran)
+        assert main(["run", "all", "--out", str(tmp_path), "--seed", "3"]) == 0
+        assert [(cfg.experiment, cfg.seed) for cfg in ran] == [("conditional-law", 3), ("toda-identity", 3)]
+
+    def test_flag_one_experiment_rejects_runs_nothing(self, registry, tmp_path, capsys):
+        # my-convergence reads t = 0.1, so T = 0.05 is a usage error for it alone
+        ran = []
+        registry["conditional-law"] = _fake("conditional-law", True, ran)
+        registry["my-convergence"] = _fake("my-convergence", True, ran)
+        assert main(["run", "all", "--T", "0.05", "--out", str(tmp_path)]) == 2
+        assert "got T = 0.05" in capsys.readouterr().err
+        assert ran == [] and not list(tmp_path.rglob("report.json"))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool the experiments open; each pool maps in-process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers, n_args, sizes", [(8, 1, []), (8, 3, [3]), (2, 5, [2]), (1, 5, [])])
+    def test_pool_has_at_most_one_worker_per_task(self, pool_sizes, workers, n_args, sizes):
+        assert experiments._map_seeds(abs, [-i for i in range(n_args)], workers) == list(range(n_args))
+        assert pool_sizes == sizes
+
+    def test_one_seed_forks_no_pool(self, pool_sizes, tmp_path):
+        assert main(["run", "my-convergence", "--seeds", "1", "--T", "0.2", "--dt", "0.01", "--paths", "100",
+                     "--workers", "4", "--out", str(tmp_path)]) in (0, 1)
+        assert pool_sizes == []

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 import tracemalloc
 
@@ -18,7 +17,6 @@ from myproc.matrixproc import (
     expm_tri,
     finite_q_radial,
     integrated_ll_star,
-    radial_to_csv,
     sample_triangular_bm,
     simulate_su_solvable,
     singular_values,
@@ -160,9 +158,8 @@ class TestTriangularBrownian:
     def test_determinant_identity(self):
         grid = TimeGrid(1.0, 400)
         inc = triangular_increments(2, "complex", grid, RNG.child(3))
-        lp = triangular_from_increments(2, "complex", grid, inc, diag_drift=[0.3, -0.1])
-        diag_sum = float(inc[:, 0, 0].real.sum() + inc[:, 1, 1].real.sum())
-        expected = math.exp(diag_sum + 1.0 * (0.3 - 0.1))
+        lp = triangular_from_increments(2, "complex", grid, inc)
+        expected = math.exp(float(inc[:, 0, 0].real.sum() + inc[:, 1, 1].real.sum()))
         assert np.linalg.det(lp.frames[-1]) == pytest.approx(expected, rel=1e-12)
 
     def test_p2_closed_form(self):
@@ -189,10 +186,10 @@ class TestTriangularBrownian:
     def test_replica_axis_matches_single_paths(self, field):
         grid = TimeGrid(1.0, 200)
         inc = np.stack([triangular_increments(3, field, grid, RNG.child(60 + i)) for i in range(4)])
-        lp = triangular_from_increments(3, field, grid, inc.reshape(2, 2, 200, 3, 3), [0.2, 0.0, -0.1])
+        lp = triangular_from_increments(3, field, grid, inc.reshape(2, 2, 200, 3, 3))
         assert lp.frames.shape == (2, 2, 201, 3, 3)
         for i in range(4):
-            single = triangular_from_increments(3, field, grid, inc[i], [0.2, 0.0, -0.1]).frames
+            single = triangular_from_increments(3, field, grid, inc[i]).frames
             assert _rel_err(lp.frames.reshape(4, 201, 3, 3)[i], single) <= 1e-12
 
 
@@ -209,10 +206,11 @@ class TestEngineAgainstStepwise:
     def test_frames_and_heun(self, field, p, drift):
         grid = TimeGrid(1.0, 300)
         r = RngStream(123, 10 * p + drift)
-        diag_drift = [0.3, -0.2, 0.1][:p] if drift else None
         inc = triangular_increments(p, field, grid, r.child(10**6))
-        lp = triangular_from_increments(p, field, grid, inc, diag_drift)
-        assert _rel_err(lp.frames, triangular_frames_stepwise(p, field, grid.dt, inc, diag_drift)) <= 1e-12
+        if drift:  # increments with a deterministic diagonal part (0.3, -0.2, 0.1) dt
+            inc[:, range(p), range(p)] += np.array([0.3, -0.2, 0.1][:p]) * grid.dt
+        lp = triangular_from_increments(p, field, grid, inc)
+        assert _rel_err(lp.frames, triangular_frames_stepwise(p, field, inc)) <= 1e-12
         q = p + 70
         dbeta, dkappa = su_noise_increments(p, q, field, grid, r)
         b_cols, c_cols = su_solvable_from_increments(q, lp.frames, dbeta, dkappa)
@@ -623,11 +621,3 @@ class TestFiniteQRadial:
         rep = ks_two_sample(SampleBatch(a), SampleBatch(b), level=0.01)
         assert rep.passed, rep
 
-
-class TestCsv:
-    def test_radial_csv(self):
-        buf = io.StringIO()
-        radial_to_csv([0.0, 0.5], np.array([[0.0, 0.0], [2.0, 1.0]]), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,r_1,r_2"
-        assert lines[2].startswith("0.5,2")

@@ -1,11 +1,9 @@
 import hashlib
-import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
 
 from myproc.paths import (
     RngStream,
@@ -15,8 +13,6 @@ from myproc.paths import (
     exp_functional_samples,
     log_eta,
     my_drift,
-    paths_to_csv,
-    pitman_transform,
     sample_bm,
 )
 from myproc.experiments import _convergence_seed_err
@@ -26,13 +22,13 @@ from myproc.stats import SampleBatch, ks_two_sample
 from oracles import exp_functional_stepwise
 
 GRID = TimeGrid(1.0, 1000)
+GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
 RNG = RngStream(20240809, 0)
 
 
 class TestGridAndStreams:
     def test_grid_basics(self):
         assert GRID.dt == pytest.approx(1e-3)
-        assert GRID.times().shape == (1001,)
         assert GRID.index_of(0.1) == 100
         with pytest.raises(ValueError):
             GRID.index_of(0.10037)
@@ -69,48 +65,44 @@ class TestGridAndStreams:
 
 
 class TestBrownian:
-    def test_deterministic_debug_mode(self):
-        p = sample_bm(GRID, 1.5, RNG, sigma=0.0)
-        assert np.allclose(p.values, 1.5 * GRID.times())
-
     def test_same_stream_same_path(self):
-        assert np.array_equal(sample_bm(GRID, 0.0, RNG).values, sample_bm(GRID, 0.0, RNG).values)
+        assert np.array_equal(sample_bm(GRID, RNG).values, sample_bm(GRID, RNG).values)
 
     def test_terminal_variance(self):
         grid = TimeGrid(1.0, 8)
-        finals = np.array([sample_bm(grid, 0.0, RNG.child(i)).values[-1] for i in range(10_000)])
+        finals = np.array([sample_bm(grid, RNG.child(i)).values[-1] for i in range(10_000)])
         var = finals.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(finals) - 1))
         assert abs(var - 1.0) <= 5.0 * se
 
     def test_starts_at_zero(self):
-        assert sample_bm(GRID, 2.0, RNG).values[0] == 0.0
+        assert sample_bm(GRID, RNG).values[0] == 0.0
 
 
 class TestEtaFunctional:
     def test_zero_path_gives_t(self):
         p = ScalarPath(GRID, np.zeros(1001))
-        assert np.allclose(eta_functional(p).values, GRID.times(), atol=1e-12)
+        assert np.allclose(eta_functional(p).values, GRID_TIMES, atol=1e-12)
 
     def test_linear_path_gives_sinh(self):
         c = 0.8
-        p = ScalarPath(GRID, c * GRID.times())
+        p = ScalarPath(GRID, c * GRID_TIMES)
         got = eta_functional(p).values
-        assert np.max(np.abs(got - np.sinh(c * GRID.times()) / c)) < 1e-5
+        assert np.max(np.abs(got - np.sinh(c * GRID_TIMES) / c)) < 1e-5
 
     def test_positive_after_zero(self):
-        eta = eta_functional(sample_bm(GRID, 0.0, RNG.child(1))).values
+        eta = eta_functional(sample_bm(GRID, RNG.child(1))).values
         assert eta[0] == 0.0
         assert np.all(eta[1:] > 0.0)
 
     def test_small_time_behavior(self):
         # eta at the first grid point is dt up to a sqrt(dt)-sized band
         for i in range(20):
-            eta = eta_functional(sample_bm(GRID, 0.0, RNG.child(100 + i))).values
+            eta = eta_functional(sample_bm(GRID, RNG.child(100 + i))).values
             assert abs(eta[1] - GRID.dt) <= 0.1 * math.sqrt(GRID.dt) * GRID.dt + 1e-12
 
     def test_log_domain_matches_direct(self):
-        b = ScalarPath(GRID, 31.0 * np.sin(3.0 * GRID.times()))
+        b = ScalarPath(GRID, 31.0 * np.sin(3.0 * GRID_TIMES))
         direct_integral = np.concatenate(
             [[0.0], np.cumsum(0.5 * GRID.dt * (np.exp(2 * b.values[:-1]) + np.exp(2 * b.values[1:])))])
         expected = np.exp(-b.values) * direct_integral
@@ -123,7 +115,7 @@ class TestEtaFunctional:
             eta_functional(b)
 
     def test_log_eta_consistent(self):
-        b = sample_bm(GRID, 0.0, RNG.child(2))
+        b = sample_bm(GRID, RNG.child(2))
         le = log_eta(b).values
         eta = eta_functional(b).values
         assert le[0] == -np.inf
@@ -136,28 +128,6 @@ class TestEtaFunctional:
         assert abs(m - math.exp(0.5)) <= 3.0 * se
 
 
-class TestPitman:
-    def test_zero_path(self):
-        p = ScalarPath(GRID, np.zeros(1001))
-        assert np.all(pitman_transform(p).values == 0.0)
-
-    def test_nondecreasing_path_fixed(self):
-        p = ScalarPath(GRID, np.linspace(0.0, 2.0, 1001))
-        assert np.array_equal(pitman_transform(p).values, p.values)
-
-    def test_nonnegative_on_random_paths(self):
-        for i in range(1000):
-            path = sample_bm(TimeGrid(1.0, 50), 0.0, RNG.child(2000 + i))
-            assert pitman_transform(path).values.min() >= 0.0
-
-    @settings(max_examples=50, deadline=None)
-    @given(hst.lists(hst.floats(-5, 5), min_size=1, max_size=40))
-    def test_nonnegative_property(self, increments):
-        vals = np.concatenate([[0.0], np.cumsum(increments)])
-        out = 2.0 * np.maximum.accumulate(vals) - vals
-        assert out.min() >= 0.0
-
-
 def _radial(q, b: ScalarPath, rng: RngStream) -> np.ndarray:
     """Radial part on H^q driven by b, one row per q: the SO(1,q) solvable-group engine with l = e^B."""
     l = triangular_from_increments(1, "real", b.grid, np.diff(b.values)[:, None, None])
@@ -167,7 +137,7 @@ def _radial(q, b: ScalarPath, rng: RngStream) -> np.ndarray:
 
 class TestHyperbolicRadial:
     def test_starts_at_zero(self):
-        b = sample_bm(GRID, 0.0, RNG.child(4))
+        b = sample_bm(GRID, RNG.child(4))
         d = _radial(50, b, RNG.child(5))
         assert d[0] == 0.0
         assert d.min() >= 0.0
@@ -177,7 +147,7 @@ class TestHyperbolicRadial:
         wins = 0
         k0 = GRID.index_of(0.1)
         for i in range(10):
-            b = sample_bm(GRID, 0.0, RNG.child(300 + i))
+            b = sample_bm(GRID, RNG.child(300 + i))
             lg = log_eta(b).values
             d = _radial((100, 10_000), b, RNG.child(400 + i))
             errs = [np.max(np.abs(row[k0:] - math.log(q) - lg[k0:])) for row, q in zip(d, (100, 10_000))]
@@ -191,7 +161,7 @@ class TestHyperbolicRadial:
             "82e54cd0fe0ccb7c73e2c82514976878ed7c8ab8a94099954669eec6bc0e0e55")
 
     def test_q_validation(self):
-        b = sample_bm(GRID, 0.0, RNG.child(8))
+        b = sample_bm(GRID, RNG.child(8))
         with pytest.raises(ValueError):  # simulate_su_solvable(1, 1, ...): H^1 has no transverse column
             _radial(1, b, RNG.child(9))
 
@@ -268,26 +238,6 @@ class TestBatchSamples:
         # mu B_s leaves double range before t = 1 although the final B is moderate
         with pytest.raises(OverflowError):
             exp_functional_samples([1.0], 1e-3, 1, RngStream(10, 0), mu=1000.0)
-
-    def test_csv_roundtrip(self):
-        p = sample_bm(TimeGrid(0.01, 10), 0.0, RNG.child(18))
-        buf = io.StringIO()
-        paths_to_csv([p], buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 12
-        _, t, v = lines[3].split(",")
-        assert float(t) == pytest.approx(p.grid.times()[2])
-        assert float(v) == p.values[2]
-
-    def test_batch_csv_long_format(self):
-        grid = TimeGrid(0.01, 2)
-        batch = [sample_bm(grid, 0.0, RNG.child(20 + i)) for i in range(3)]
-        buf = io.StringIO()
-        paths_to_csv(batch, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "replica,t,value"
-        assert len(lines) == 1 + 3 * 3
-        assert lines[4].startswith("1,0,")
 
 
 class TestSharedDriver:

@@ -84,7 +84,7 @@ class TestEvalSeries:
         s = toda_series(0.3, 4)
         single = s.coeffs.copy()
         single[2:] = 0.0
-        s2 = type(s)(0.3, "toda", single)
+        s2 = type(s)(0.3, single)
         assert eval_series(s2, 2.0) == pytest.approx(math.exp(0.6), rel=1e-14)
 
     def test_truncation_doubling_agreement(self):
