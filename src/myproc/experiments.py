@@ -45,6 +45,10 @@ _MIN_PATHS = {
     "conditional-law": 2,
 }
 
+# supq-limit's nested q values; p must stay below the first, since the
+# transverse columns of a q value number q - p
+_SUPQ_Q = (50, 200, 800)
+
 
 # per-experiment defaults of the fields left as None, resolved when the config is built
 DEFAULTS = {
@@ -55,7 +59,7 @@ DEFAULTS = {
 
 @dataclass
 class ExperimentConfig:
-    """Seeded configuration; unknown fields are rejected upstream by the CLI."""
+    """Seeded configuration.  The CLI's value checks live here, so a Python caller gets them too (ValueError)."""
 
     experiment: str
     q: Optional[int] = None        # pitman-discrete's horizon (24); the other experiments fix their own q (0)
@@ -73,18 +77,26 @@ class ExperimentConfig:
         for key, value in {"q": 0, "n_seeds": 100, **DEFAULTS.get(self.experiment, {})}.items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
+        # named as the flags are; these come before the grid rule, which divides by dt
+        for key, value in (("T", self.T), ("dt", self.dt), ("paths", self.n_paths), ("seeds", self.n_seeds),
+                           ("workers", self.workers), ("p", self.p)):
+            if not value > 0:
+                raise ValueError(f"{key} must be positive, got {value}")
+        if self.q < 0:
+            raise ValueError(f"q must be non-negative, got {self.q}")
         least = _MIN_PATHS.get(self.experiment, 1)
         if self.n_paths < least:
             raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
         if self.experiment == "my-convergence" and not self.T >= 0.1:
             raise ValueError(f"my-convergence measures its error from t = 0.1 on, got T = {self.T}")
+        if self.experiment == "supq-limit" and self.p >= _SUPQ_Q[0]:
+            raise ValueError(f"supq-limit needs p < {_SUPQ_Q[0]}, its smallest q, got p = {self.p}")
         # the times each path experiment reads off its dt grid
         marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,),
-                 "supq-limit": (self.T,)}
+                 "supq-limit": (self.T, self.T / 2)}
         for t in marks.get(self.experiment, ()):
-            steps = t / self.dt
-            k = round(steps) if math.isfinite(steps) else 0  # an infinite T, or a dt too small to count
-            if k < 1 or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
+            k = pth._grid_steps(t, self.dt)
+            if k is None or k < 1:
                 raise ValueError(f"{self.experiment} reads t = {t}, which is not a whole number of dt = {self.dt} steps")
 
     def as_dict(self) -> Dict:
@@ -143,6 +155,11 @@ def _map_seeds(fn, args, workers: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return sorted(ex.map(fn, args))
     return sorted(map(fn, args))
+
+
+def _chunk_size(n_steps: int, n_q: int, p: int) -> int:
+    """Replicas per chunk: each holds n_q complex (n_steps, p, p) matrix paths, 16 bytes an entry."""
+    return max(1, _CHUNK_BYTES // (16 * n_steps * n_q * p * p))
 
 
 # --------------------------------------------------------------------------
@@ -235,13 +252,13 @@ def run_toda_identity(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
     qs = (8, 32, 128, 512)
+    mults = [Multiplicities(2 * (q - 1), 1) for q in qs]  # SU(1,q)
     checks = []
     rows = []
     for lam in (0.2, 0.45):
         for r in (1.0, 2.0):
             vals = []
-            for q in qs:
-                mult = Multiplicities.from_group("SU", q)
+            for q, mult in zip(qs, mults):
                 vals.append(se.g_q_error(lam, r, mult))
                 rows.append([lam, r, q, vals[-1]])
             dec = all(abs(a) > abs(b) for a, b in zip(vals, vals[1:]))
@@ -251,16 +268,13 @@ def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
             checks.append(Check(f"gq_small_at_512_lam{lam}_r{r}", abs(vals[-1]) < 1e-2,
                                 abs(vals[-1]), "|g_512| < 1e-2", {"lam": lam, "r": r}))
     for r in (1.0, 2.0):
-        d2 = [se.g_q_even_derivative(2, r, Multiplicities.from_group("SU", q)) for q in qs]
+        d2 = [se.g_q_even_derivative(2, r, mult) for mult in mults]
         dec = all(abs(a) > abs(b) for a, b in zip(d2, d2[1:]))
         checks.append(Check(f"gq_second_derivative_decreasing_r{r}", dec, abs(d2[-1]),
                             "decreasing |d^2 g_q / dlam^2 (0)| over q", {"r": r, "values": d2}))
     # normalizer-variant comparison: only the squared-Gamma form converges to 0
-    var_rows = []
-    for q in qs:
-        mult = Multiplicities.from_group("SU", q)
-        var_rows.append([q, se.g_q_error(0.2, 1.0, mult, "squared"),
-                         se.g_q_error(0.2, 1.0, mult, "single")])
+    var_rows = [[q, se.g_q_error(0.2, 1.0, mult, "squared"), se.g_q_error(0.2, 1.0, mult, "single")]
+                for q, mult in zip(qs, mults)]
     return ExperimentResult(
         "spherical-limit", cfg.as_dict(), checks,
         {"g_q": _table(["lam", "r", "q", "g_q"], rows),
@@ -308,8 +322,7 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     seeds = [cfg.seed + 100 + i for i in range(cfg.n_seeds)]
     # contiguous chunks of seeds on the replica axis: at least one per worker, and
     # no larger than _CHUNK_BYTES allows; a seed's errors do not depend on its chunk
-    size = max(1, _CHUNK_BYTES // (16 * round(cfg.T / cfg.dt) * 2))
-    size = min(size, -(-len(seeds) // cfg.workers))
+    size = min(_chunk_size(round(cfg.T / cfg.dt), 2, 1), -(-len(seeds) // cfg.workers))
     args = [(seeds[i:i + size], cfg.dt, cfg.T, q_small, q_large) for i in range(0, len(seeds), size)]
     rows = [list(r) for chunk in _map_seeds(_convergence_seed_err, args, cfg.workers) for r in chunk]
     e2s = np.array([r[1] for r in rows])
@@ -348,33 +361,32 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
                 "stream": stream, "mu": mus[j], "drift": drifts[j]}
 
     # generator of log eta at t = 1 with the Macdonald log-derivative drift
-    x_pairs = st.SampleBatch(log_z[0, 1:3], meta(0, t=1.0))
-    rep = st.generator_test(x_pairs, lambda r: pth.my_drift(r, 0.0), bump, h)
+    rep = st.generator_test(log_z[0, 1:3], lambda r: pth.my_drift(r, 0.0), bump, h)
     checks.append(Check("generator_log_eta", rep.passed, rep.statistic,
-                        "|z| <= 3 against the Macdonald-drift generator", rep.details))
+                        "|z| <= 3 against the Macdonald-drift generator", {**rep.details, **meta(0, t=1.0)}))
     # drifted case: same code path with driver drift lam and the lam-indexed drift
-    x_pairs = st.SampleBatch(log_z[1, 1:3], meta(1, t=1.0, driver_drift=lam))
-    rep = st.generator_test(x_pairs, lambda r: pth.my_drift(r, lam), bump, h)
+    rep = st.generator_test(log_z[1, 1:3], lambda r: pth.my_drift(r, lam), bump, h)
     checks.append(Check("generator_log_eta_drifted", rep.passed, rep.statistic,
-                        f"|z| <= 3 with driver drift {lam} and the matching drift index", rep.details))
+                        f"|z| <= 3 with driver drift {lam} and the matching drift index",
+                        {**rep.details, **meta(1, t=1.0, driver_drift=lam)}))
     # wrong-drift control: an OU sample pair tested against zero drift must reject
     gen = pth.RngStream(cfg.seed, 3).generator()
     x0 = gen.normal(0.0, math.sqrt(0.5), cfg.n_paths)
     x1 = x0 * math.exp(-h) + math.sqrt((1.0 - math.exp(-2.0 * h)) / 2.0) * gen.standard_normal(cfg.n_paths)
-    rep = st.generator_test(st.SampleBatch(np.stack([x0, x1]), {"seed": cfg.seed, "stream": 3}),
-                            lambda r: np.zeros_like(r), bump, h)
+    rep = st.generator_test(np.stack([x0, x1]), lambda r: np.zeros_like(r), bump, h)
     checks.append(Check("wrong_drift_rejects", not rep.passed, rep.statistic,
-                        "|z| > 3 for the zero-drift hypothesis on OU data", rep.details))
+                        "|z| > 3 for the zero-drift hypothesis on OU data",
+                        {**rep.details, "seed": cfg.seed, "stream": 3}))
     # Markov-property tests across the exponential-functional family
     # (functional, whether the Markov property holds): mu = 1, 2 and 3 at drift 0
     for j, should_pass in ((2, True), (0, True), (3, False)):
         log_lag, log_mid, _, log_end = log_z[j]
-        rep = st.markov_property_test(st.SampleBatch(log_mid, meta(j)), log_end, log_mid - log_lag,
+        rep = st.markov_property_test(log_mid, log_end, log_mid - log_lag,
                                       bins=_MARKOV_BINS, min_half=_MARKOV_MIN_HALF)
         ok = rep.passed == should_pass
         checks.append(Check(f"markov_mu{mus[j]:g}", ok, rep.statistic,
                             ("pass" if should_pass else "reject") + " at 1% (Bonferroni over bins)",
-                            rep.details))
+                            {**rep.details, **meta(j)}))
     return ExperimentResult("my-generator", cfg.as_dict(), checks)
 
 
@@ -386,8 +398,8 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     b, z = pth.exp_functional_samples([1.0], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
     b1, eta1 = b[0], z[0]
-    samples = st.SampleBatch(np.stack([b1, eta1]),
-                             {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": 1.0})
+    samples = np.stack([b1, eta1])
+    meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": 1.0}
     for lam in (0.5, 1.0):
         if lam == 0.5:
             edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
@@ -397,7 +409,7 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
             gs = [st.gaussian_bump(c, 0.6).f for c in (0.8, 1.6, 3.0)]
         rep = st.conditional_law_test(samples, lam, gs)
         checks.append(Check(f"conditional_law_lam{lam}", rep.passed, rep.statistic,
-                            "all test-function estimates within 3 SE", rep.details))
+                            "all test-function estimates within 3 SE", {**rep.details, **meta}))
         for row in rep.details["per_function"]:
             rows.append([lam, row["g"], row["estimate"], row["se"], row["z"]])
     return ExperimentResult("conditional-law", cfg.as_dict(), checks,
@@ -437,7 +449,7 @@ def _replica_runs(p: int, q, grid: pth.TimeGrid, field: str, rngs: list, reduce,
     replica and q value, stay near _CHUNK_BYTES, and each chunk is reduced
     before the next one runs.
     """
-    size = max(1, _CHUNK_BYTES // (16 * grid.n_steps * np.size(q) * p * p))
+    size = _chunk_size(grid.n_steps, np.size(q), p)
     out = []
     for i in range(0, len(rngs), size):
         chunk = rngs[i:i + size]
@@ -449,7 +461,7 @@ def _replica_runs(p: int, q, grid: pth.TimeGrid, field: str, rngs: list, reduce,
 
 def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
-    q_list = (50, 200, 800)
+    q_list = _SUPQ_Q
     inner = 8
     args = [(cfg.seed + 500 + i, cfg.dt, cfg.T, cfg.p, q_list, inner) for i in range(cfg.n_seeds)]
     results = _map_seeds(_supq_seed_monotone, args, cfg.workers)

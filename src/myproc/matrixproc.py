@@ -187,15 +187,13 @@ def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
     return out
 
 
-def eta_matrix(lpath: TriangularPath, indices: Optional[Sequence[int]] = None):
-    """Per-time singular values of l_t^{-1} int_0^t l_s l_s* ds.
+def eta_matrix(lpath: TriangularPath, indices: Sequence[int]):
+    """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each >= 1).
 
     Returns (indices, radial) with radial of shape (len(indices), p), each row
-    weakly decreasing.  Defaults to every grid point from the first step on.
+    weakly decreasing.
     """
     J = integrated_ll_star(lpath)
-    if indices is None:
-        indices = range(1, lpath.grid.n_steps + 1)
     indices = np.asarray(list(indices), dtype=int)
     if np.any(indices < 1):
         raise ValueError("eta is defined from the first grid point on")

@@ -45,6 +45,16 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _grid_steps(t: float, dt: float) -> int | None:
+    """The whole number k with k dt = t, to 1e-9 relative to max(1, |t|), or None if there is
+    none; also None when t / dt is not finite (an infinite t, or a dt too small to count)."""
+    steps = t / dt
+    if not math.isfinite(steps):
+        return None
+    k = round(steps)
+    return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k * dt, k = 0..n_steps, with horizon T = n_steps * dt."""
@@ -61,8 +71,8 @@ class TimeGrid:
         return self.horizon / self.n_steps
 
     def index_of(self, t: float) -> int:
-        k = round(t / self.dt)
-        if not (0 <= k <= self.n_steps) or abs(k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
+        k = _grid_steps(t, self.dt)
+        if k is None or not 0 <= k <= self.n_steps:
             raise ValueError(f"t={t} is not a grid point")
         return k
 
@@ -169,9 +179,9 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
     if mus.ndim != 1 or mus.size == 0:
         raise ValueError("mu and drift must be scalars or equal-length sequences")
     times = list(times)
-    steps = [round(t / dt) for t in times]
+    steps = [_grid_steps(t, dt) for t in times]
     for k, t in zip(steps, times):
-        if abs(k * dt - t) > 1e-9:
+        if k is None:
             raise ValueError(f"time {t} is not a multiple of dt")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")

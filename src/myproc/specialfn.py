@@ -1,8 +1,10 @@
-"""Gamma and Macdonald-type special functions.
+"""Gamma, the Macdonald function and the rank-one Harish-Chandra constants.
 
-Gamma comes from the standard library.  The Macdonald function is a
-trapezoidal quadrature of its integral representation.  After the
-substitution t = (x/2) e^v the defining integral
+Gamma comes from the standard library.  Multiplicities holds the root
+multiplicities of a rank-one symmetric space, which the c-function and the
+flat-limit normalizer a(q) read.  The Macdonald function is a trapezoidal
+quadrature of its integral representation.  After the substitution
+t = (x/2) e^v the defining integral
 
     K_lam(x) = 1/2 (x/2)^lam int_0^inf e^{-t - x^2/(4t)} t^{-1-lam} dt
 
@@ -40,16 +42,10 @@ def gamma(z: float) -> float:
 # --------------------------------------------------------------------------
 # Domain types
 
-_GROUP_MULTIPLICITIES = {
-    "SO": lambda q: (q - 1, 0),
-    "SU": lambda q: (2 * (q - 1), 1),
-    "Sp": lambda q: (4 * (q - 1), 3),
-}
-
-
 @dataclass(frozen=True)
 class Multiplicities:
-    """Root multiplicities (m_alpha, m_2alpha) of a rank-one symmetric space."""
+    """Root multiplicities (m_alpha, m_2alpha) of a rank-one symmetric space;
+    SU(1,q) / S(U(1) x U(q)) has (2 (q - 1), 1)."""
 
     m_alpha: int
     m_2alpha: int
@@ -57,22 +53,6 @@ class Multiplicities:
     def __post_init__(self):
         if self.m_alpha < 0 or self.m_2alpha < 0:
             raise ValueError("multiplicities must be nonnegative")
-
-    @classmethod
-    def from_group(cls, group: str, q: int) -> "Multiplicities":
-        """Multiplicities of SO(1,q), SU(1,q) or Sp(1,q)."""
-        try:
-            make = _GROUP_MULTIPLICITIES[group]
-        except KeyError:
-            raise ValueError(f"unknown group tag {group!r}; expected SO, SU or Sp") from None
-        if q < 2:
-            raise ValueError("q must be >= 2")
-        return cls(*make(q))
-
-    @property
-    def rho(self) -> float:
-        """Half sum of roots with multiplicity: (m_alpha + 2 m_2alpha) / 2."""
-        return 0.5 * (self.m_alpha + 2 * self.m_2alpha)
 
 
 # --------------------------------------------------------------------------

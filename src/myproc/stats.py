@@ -1,8 +1,9 @@
 """Statistical verification toolkit: two-sample tests, generator tests,
 a Markov-property test, and the conditional-law moment test.
 
-All tests are deterministic functions of their input samples and return a
-TestReport whose verdict is a pure function of statistic vs threshold.
+All tests take plain arrays, are deterministic functions of them and return
+a TestReport whose passed flag is a pure function of statistic vs threshold.
+Callers add their samples' provenance to the report's details themselves.
 Aggregation over bins or test functions is Bonferroni.
 """
 
@@ -15,7 +16,6 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "SampleBatch",
     "TestReport",
     "TestFunction",
     "gaussian_bump",
@@ -32,37 +32,13 @@ _Z_BOUND = 3.0  # |z| beyond this rejects, in the generator and conditional-law 
 
 
 @dataclass
-class SampleBatch:
-    """Exchangeable replicate values plus generating-configuration metadata."""
-
-    values: np.ndarray
-    meta: Dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
 class TestReport:
     """Outcome of one statistical check."""
 
-    name: str
     statistic: float
     threshold: float
-    verdict: str  # "pass" or "reject"
+    passed: bool
     details: Dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _values(batch) -> np.ndarray:
-    return batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
-
-
-def _meta(batch) -> Dict:
-    return dict(batch.meta) if isinstance(batch, SampleBatch) else {}
 
 
 # --------------------------------------------------------------------------
@@ -86,18 +62,12 @@ def ks_threshold(n_a: int, n_b: int, level: float) -> float:
 
 def ks_two_sample(a, b, level: float = 0.01) -> TestReport:
     """Two-sample KS test at the given asymptotic level (batch sizes >= 100)."""
-    va, vb = _values(a), _values(b)
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if va.size < 100 or vb.size < 100:
         raise ValueError("KS test needs batches of size >= 100")
     stat = ks_statistic(va, vb)
     thr = ks_threshold(va.size, vb.size, level)
-    return TestReport(
-        "ks_two_sample",
-        stat,
-        thr,
-        "pass" if stat <= thr else "reject",
-        details={"level": level, "n_a": int(va.size), "n_b": int(vb.size), **_meta(a)},
-    )
+    return TestReport(stat, thr, stat <= thr, {"level": level, "n_a": int(va.size), "n_b": int(vb.size)})
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +116,7 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float)
     O(h^2), so |z| beyond 3 rejects the proposed drift.  samples holds the
     paired values (X_t, X_{t+h}) as rows.
     """
-    v = _values(samples)
+    v = np.asarray(samples, dtype=float)
     if v.ndim != 2 or v.shape[0] != 2:
         raise ValueError("samples must contain two rows: X_t and X_{t+h}")
     x_now, x_next = v[0], v[1]
@@ -157,13 +127,7 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float)
         raise ValueError("degenerate variance in the generator statistic")
     se = sd / math.sqrt(d.size)
     z = float(d.mean()) / se
-    return TestReport(
-        "generator_test",
-        z,
-        _Z_BOUND,
-        "pass" if abs(z) <= _Z_BOUND else "reject",
-        details={"h": h, "n": int(d.size), "test_fn": test_fn.label, **_meta(samples)},
-    )
+    return TestReport(z, _Z_BOUND, abs(z) <= _Z_BOUND, {"h": h, "n": int(d.size), "test_fn": test_fn.label})
 
 
 # --------------------------------------------------------------------------
@@ -181,9 +145,7 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 
     non-adapted statistic (e.g. the driving noise itself) detects dependence
     even for processes that are Markov in their own filtration.
     """
-    z_mid = _values(mid)
-    z_end = _values(end)
-    cond = _values(conditioner)
+    z_mid, z_end, cond = (np.asarray(x, dtype=float) for x in (mid, end, conditioner))
     level = 0.01
     if not (z_mid.size == z_end.size == cond.size):
         raise ValueError("mid, end and conditioner must be aligned")
@@ -212,19 +174,8 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 
         worst_ratio = max(worst_ratio, stat / thr)
         n_reject += stat > thr
         used_bins += 1
-    return TestReport(
-        "markov_property_test",
-        worst_ratio,
-        1.0,
-        "pass" if n_reject == 0 else "reject",
-        details={
-            "level": level,
-            "bins": used_bins,
-            "bins_rejecting": int(n_reject),
-            "residualized": True,
-            **_meta(mid),
-        },
-    )
+    return TestReport(worst_ratio, 1.0, n_reject == 0,
+                      {"level": level, "bins": used_bins, "bins_rejecting": int(n_reject), "residualized": True})
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +193,7 @@ def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
     """
     if abs(lam) > 2.0:
         raise ValueError("|lam| <= 2 required to control the e^{lam B} tails")
-    v = _values(samples)
+    v = np.asarray(samples, dtype=float)
     if v.ndim != 2 or v.shape[0] != 2:
         raise ValueError("samples must contain two rows: B_t and eta_t")
     b_t, eta_t = v[0], v[1]
@@ -267,17 +218,6 @@ def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
         zj = abs(est) / se if se > 0 else 0.0
         rows.append({"g": j, "estimate": est, "se": se, "z": zj})
         worst = max(worst, zj)
-    return TestReport(
-        "conditional_law_test",
-        worst,
-        _Z_BOUND,
-        "pass" if worst <= _Z_BOUND else "reject",
-        details={
-            "lam": lam,
-            "n": int(b_t.size),
-            "per_function": rows,
-            "kurtosis": kurt,
-            "heavy_tail_warning": bool(kurt > 500.0),
-            **_meta(samples),
-        },
-    )
+    return TestReport(worst, _Z_BOUND, worst <= _Z_BOUND,
+                      {"lam": lam, "n": int(b_t.size), "per_function": rows, "kurtosis": kurt,
+                       "heavy_tail_warning": bool(kurt > 500.0)})

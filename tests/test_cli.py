@@ -95,9 +95,12 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": -3, "p": 1}))
         assert main(["run", "pitman-discrete", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+        # supq-limit's smallest q is 50, and a q value holds q - p transverse columns
+        assert main(["run", "supq-limit", "--p", "50", "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.count("q must be non-negative") == 2 and "p must be positive, got 0" in err
-        assert not any((tmp_path / d).exists() for d in "abc")
+        assert "supq-limit needs p < 50, its smallest q, got p = 50" in err and "Traceback" not in err
+        assert not any((tmp_path / d).exists() for d in "abcd")
 
     def test_too_few_paths_is_a_usage_error(self, tmp_path, capsys):
         # the Markov test needs 15 quantile bins of at least 100 paths each
@@ -114,12 +117,16 @@ class TestRun:
         assert main(["run", "my-generator", "--dt", "0.25", "--out", str(tmp_path / "e")]) == 2
         # supq-limit steps its seeds' grids by dt up to T
         assert main(["run", "supq-limit", "--T", "0.35", "--dt", "0.1", "--out", str(tmp_path / "f")]) == 2
+        # and it reads t = T/2: one step, and an odd step count, have no grid point there
+        assert main(["run", "supq-limit", "--T", "0.001", "--out", str(tmp_path / "g")]) == 2
+        assert main(["run", "supq-limit", "--T", "0.003", "--out", str(tmp_path / "h")]) == 2
         err = capsys.readouterr().err
         assert "got T = 0.05" in err and "t = 0.5005, which is not a whole number of dt = 0.001 steps" in err
         assert err.count("t = 0.1, which") == 1 and err.count("t = 1.0, which") == 1 and "t = 0.9, which" in err
         assert "supq-limit reads t = 0.35, which is not a whole number of dt = 0.1 steps" in err
-        assert "Traceback" not in err
-        assert not any((tmp_path / d).exists() for d in "abcdef")
+        assert "supq-limit reads t = 0.0005, which" in err and "supq-limit reads t = 0.0015, which" in err
+        assert err.count("error: ") == 8 and "Traceback" not in err
+        assert not any((tmp_path / d).exists() for d in "abcdefgh")
 
     @pytest.mark.parametrize("argv, config", [
         (["supq-limit", "--T", "inf"], None),
@@ -155,6 +162,14 @@ class TestDefaults:
         result = run_experiment(ExperimentConfig("pitman-discrete"))
         assert result.passed and result.config["q"] == 24
         assert [c.name for c in result.checks][-1] == "pitman_equals_bessel3_n24"
+
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("supq-limit", "n_seeds", 0), ("my-convergence", "workers", 0), ("conditional-law", "n_paths", 0),
+        ("conditional-law", "dt", 0.0), ("supq-limit", "p", 0), ("pitman-discrete", "q", -1),
+    ])
+    def test_python_call_applies_the_cli_checks(self, experiment, field, value):
+        with pytest.raises(ValueError, match=" must be "):
+            ExperimentConfig(experiment, **{field: value})
 
     def test_report_echoes_the_default(self, tmp_path):
         out = tmp_path / "res"

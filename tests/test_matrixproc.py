@@ -319,7 +319,7 @@ class TestEtaMatrix:
         lp = triangular_from_increments(1, "real", grid, inc)
         driver = ScalarPath(grid, np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]))
         scalar = eta_functional(driver).values
-        _, rad = eta_matrix(lp)
+        _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
         assert np.max(np.abs(rad[:, 0] - scalar[1:])) < 1e-12
 
     def test_small_time_slope(self):
@@ -332,7 +332,7 @@ class TestEtaMatrix:
     def test_rows_weakly_decreasing(self):
         grid = TimeGrid(1.0, 300)
         lp = sample_triangular_bm(3, "complex", grid, RNG.child(7))
-        _, rad = eta_matrix(lp)
+        _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
         assert np.all(rad[:, :-1] >= rad[:, 1:] - 1e-14)
 
     def test_shift_identity(self):
@@ -616,8 +616,8 @@ class TestFiniteQRadial:
             _, rad = finite_q_radial(sp, indices=[grid.n_steps])
             a[i] = rad[0, 0]
             b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[:, 0, 0]), grid.dt, r.child(5))[-1]
-        from myproc.stats import SampleBatch, ks_two_sample
+        from myproc.stats import ks_two_sample
 
-        rep = ks_two_sample(SampleBatch(a), SampleBatch(b), level=0.01)
+        rep = ks_two_sample(a, b, level=0.01)
         assert rep.passed, rep
 

@@ -18,7 +18,7 @@ from myproc.paths import (
 from myproc.experiments import _convergence_seed_err
 from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
 from myproc.specialfn import macdonald_k
-from myproc.stats import SampleBatch, ks_two_sample
+from myproc.stats import ks_two_sample
 from oracles import exp_functional_stepwise
 
 GRID = TimeGrid(1.0, 1000)
@@ -209,7 +209,7 @@ class TestEulerDiffusion:
         for _ in range(990):
             x = x + np.interp(x, nodes, drift) * dt + math.sqrt(dt) * gen.standard_normal(n)
             assert nodes[0] <= x.min() and x.max() <= nodes[-1]
-        rep = ks_two_sample(SampleBatch(x), SampleBatch(direct), level=0.01)
+        rep = ks_two_sample(x, direct, level=0.01)
         assert rep.passed, rep
 
 

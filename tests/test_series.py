@@ -174,7 +174,7 @@ class TestFlatLimit:
                 assert abs(lhs - macdonald_k(lam, math.exp(-r))) <= 1e-8
 
     def test_g_q_decay_squared_variant(self):
-        vals = [abs(g_q_error(0.2, 1.0, Multiplicities.from_group("SU", q))) for q in (8, 32, 128, 512)]
+        vals = [abs(g_q_error(0.2, 1.0, Multiplicities(2 * (q - 1), 1))) for q in (8, 32, 128, 512)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 
@@ -182,11 +182,11 @@ class TestFlatLimit:
         # dropping the square on Gamma(m_alpha/2) sends a(q) delta^{1/2} phi to 0,
         # so g_q tends to -K instead of 0
         k = macdonald_k(0.2, math.exp(-1.0))
-        g = g_q_error(0.2, 1.0, Multiplicities.from_group("SU", 512), a_variant="single")
+        g = g_q_error(0.2, 1.0, Multiplicities(2 * 511, 1), a_variant="single")
         assert g == pytest.approx(-k, rel=1e-2)
 
     def test_g_q_second_derivative_decay(self):
-        vals = [abs(g_q_even_derivative(2, 1.0, Multiplicities.from_group("SU", q)))
+        vals = [abs(g_q_even_derivative(2, 1.0, Multiplicities(2 * (q - 1), 1)))
                 for q in (8, 32, 128, 512)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 

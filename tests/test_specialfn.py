@@ -209,25 +209,6 @@ class TestConstants:
 
 
 class TestDomainTypes:
-    @pytest.mark.parametrize("group,q,expected", [
-        ("SO", 7, (6, 0)),
-        ("SU", 7, (12, 1)),
-        ("Sp", 7, (24, 3)),
-    ])
-    def test_group_multiplicities(self, group, q, expected):
-        m = Multiplicities.from_group(group, q)
-        assert (m.m_alpha, m.m_2alpha) == expected
-
-    def test_rho(self):
-        assert Multiplicities(8, 1).rho == 5.0
-
-    def test_rho_nonnegative(self):
-        assert Multiplicities(0, 0).rho == 0.0
-
-    def test_invalid_group(self):
-        with pytest.raises(ValueError):
-            Multiplicities.from_group("SL", 3)
-
     def test_negative_multiplicity(self):
         with pytest.raises(ValueError):
             Multiplicities(-1, 0)

@@ -5,7 +5,6 @@ import pytest
 
 from myproc.paths import RngStream, exp_functional_samples
 from myproc.stats import (
-    SampleBatch,
     gaussian_bump,
     generator_test,
     indicator_bins,
@@ -24,7 +23,7 @@ def _gen(seed):
 class TestKsTwoSample:
     def test_identical_batches(self):
         x = _gen(1).standard_normal(2000)
-        rep = ks_two_sample(SampleBatch(x), SampleBatch(x))
+        rep = ks_two_sample(x, x)
         assert rep.statistic == 0.0 and rep.passed
 
     def test_undersized_batch(self):
