@@ -57,8 +57,11 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         try:
             out[key] = _KEYS[key][1](value)
-        except (TypeError, ValueError):
-            raise UsageError(f"config key {key!r} has invalid value {value!r}") from None
+            valid = not isinstance(value, bool) and (not isinstance(value, (int, float)) or out[key] == value)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise UsageError(f"config key {key!r} has invalid value {value!r}")
     return out
 
 

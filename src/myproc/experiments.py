@@ -45,6 +45,12 @@ _MIN_PATHS = {
     "conditional-law": 2,
 }
 
+# grid times that both the runs and ExperimentConfig's on-grid rule read: my-convergence's
+# eta-mean time and error start, my-generator's lag, present and future, conditional-law's t
+_ETA_MEAN_T, _ERROR_FROM_T = 1.0, 0.1
+_GENERATOR_TIMES = (0.9, 1.0, 1.5)
+_CONDITIONAL_T = 1.0
+
 # supq-limit's nested q values; p must stay below the first, since the
 # transverse columns of a q value number q - p
 _SUPQ_Q = (50, 200, 800)
@@ -84,16 +90,18 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be positive, got {value}")
         if self.q < 0:
             raise ValueError(f"q must be non-negative, got {self.q}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         least = _MIN_PATHS.get(self.experiment, 1)
         if self.n_paths < least:
             raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
-        if self.experiment == "my-convergence" and not self.T >= 0.1:
-            raise ValueError(f"my-convergence measures its error from t = 0.1 on, got T = {self.T}")
+        if self.experiment == "my-convergence" and not self.T >= _ERROR_FROM_T:
+            raise ValueError(f"my-convergence measures its error from t = {_ERROR_FROM_T} on, got T = {self.T}")
         if self.experiment == "supq-limit" and self.p >= _SUPQ_Q[0]:
             raise ValueError(f"supq-limit needs p < {_SUPQ_Q[0]}, its smallest q, got p = {self.p}")
         # the times each path experiment reads off its dt grid
-        marks = {"my-convergence": (0.1, 1.0, self.T), "my-generator": (0.9, 1.0, 1.5), "conditional-law": (1.0,),
-                 "supq-limit": (self.T, self.T / 2)}
+        marks = {"my-convergence": (_ERROR_FROM_T, _ETA_MEAN_T, self.T), "my-generator": _GENERATOR_TIMES,
+                 "conditional-law": (_CONDITIONAL_T,), "supq-limit": (self.T, self.T / 2)}
         for t in marks.get(self.experiment, ()):
             k = pth._grid_steps(t, self.dt)
             if k is None or k < 1:
@@ -112,13 +120,7 @@ class Check:
     provenance: Dict = field(default_factory=dict)
 
     def as_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "threshold": self.threshold,
-            "provenance": self.provenance,
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 @dataclass
@@ -233,11 +235,8 @@ def run_toda_identity(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     for lam in (0.1, 0.3, 0.45):
         for r in (0.5, 1.0, 2.0, 3.0):
-            lhs = 0.0
-            for s in (1.0, -1.0):
-                sl = s * lam
-                series = se.toda_series(sl, 60)
-                lhs += gamma(sl) * 2.0 ** (sl - 1.0) * se.eval_series(series, r)
+            lhs = sum(gamma(sl) * 2.0 ** (sl - 1.0) * se.eval_series(sl, se.toda_series(sl, 60), r)
+                      for sl in (lam, -lam))
             k = macdonald_k(lam, math.exp(-r))
             diff = abs(lhs - k)
             rows.append([lam, r, lhs, k, diff])
@@ -288,18 +287,17 @@ def _convergence_seed_err(args) -> list:
     seeds, dt, T, q_small, q_large = args
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
-    drivers = [pth.sample_bm(grid, base.child(0)) for base in bases]
-    b = np.stack([driver.values for driver in drivers])
-    lg = np.stack([pth.log_eta(driver).values for driver in drivers])
-    k0 = grid.index_of(0.1)
+    b = np.stack([pth.sample_bm(grid, base.child(0)) for base in bases])
+    lg = np.stack([pth.log_eta(row, grid.dt) for row in b])
+    k0 = grid.index_of(_ERROR_FROM_T)
     # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
     # l = e^B; the seeds ride on the replica axis, and nested column groups give
     # q_large the transverse noise of q_small
     l = mx.triangular_from_increments(1, "real", grid, np.diff(b)[..., None, None])
     sp = mx.simulate_su_solvable(1, (q_small, q_large), grid, [base.child(1) for base in bases], l)
-    _, d = mx.finite_q_radial(sp)
+    _, d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
     log_q = np.array([math.log(q_small), math.log(q_large)])[:, None]
-    errs = np.max(np.abs(d[:, :, k0:, 0] - log_q - lg[:, None, k0:]), axis=-1)
+    errs = np.max(np.abs(d[..., 0] - log_q - lg[:, None, k0:]), axis=-1)
     return [(seed, float(e_small), float(e_large)) for seed, (e_small, e_large) in zip(seeds, errs)]
 
 
@@ -307,11 +305,10 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     # exponential-functional mean: E[eta_t] = t e^{t/2}
     n_paths = cfg.n_paths
-    _, z = pth.exp_functional_samples([1.0], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))
-    eta1 = z[0]
+    eta1 = pth.exp_functional_samples([_ETA_MEAN_T], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0]
     mean = float(eta1.mean())
     sem = float(eta1.std(ddof=1)) / math.sqrt(n_paths)
-    target = math.exp(0.5)
+    target = _ETA_MEAN_T * math.exp(_ETA_MEAN_T / 2)
     zscore = (mean - target) / sem
     checks.append(Check("eta_mean", abs(zscore) <= 3.0, zscore,
                         "|E[eta_1] - e^(1/2)| <= 3 SE",
@@ -349,7 +346,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     lam = cfg.lam
     # every path check reads a functional of one Brownian driver, drawn once
     stream = 2
-    t_lag, t_mid, t_end = 0.9, 1.0, 1.5
+    t_lag, t_mid, t_end = _GENERATOR_TIMES
     functionals = [(2.0, 0.0), (2.0, lam), (1.0, 0.0), (3.0, 0.0)]
     mus, drifts = zip(*functionals)
     z = pth.exp_functional_samples([t_lag, t_mid, t_mid + h, t_end], cfg.dt, cfg.n_paths,
@@ -363,12 +360,12 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     # generator of log eta at t = 1 with the Macdonald log-derivative drift
     rep = st.generator_test(log_z[0, 1:3], lambda r: pth.my_drift(r, 0.0), bump, h)
     checks.append(Check("generator_log_eta", rep.passed, rep.statistic,
-                        "|z| <= 3 against the Macdonald-drift generator", {**rep.details, **meta(0, t=1.0)}))
+                        "|z| <= 3 against the Macdonald-drift generator", {**rep.details, **meta(0, t=t_mid)}))
     # drifted case: same code path with driver drift lam and the lam-indexed drift
     rep = st.generator_test(log_z[1, 1:3], lambda r: pth.my_drift(r, lam), bump, h)
     checks.append(Check("generator_log_eta_drifted", rep.passed, rep.statistic,
                         f"|z| <= 3 with driver drift {lam} and the matching drift index",
-                        {**rep.details, **meta(1, t=1.0, driver_drift=lam)}))
+                        {**rep.details, **meta(1, t=t_mid, driver_drift=lam)}))
     # wrong-drift control: an OU sample pair tested against zero drift must reject
     gen = pth.RngStream(cfg.seed, 3).generator()
     x0 = gen.normal(0.0, math.sqrt(0.5), cfg.n_paths)
@@ -396,10 +393,9 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
 def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     rows = []
-    b, z = pth.exp_functional_samples([1.0], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
-    b1, eta1 = b[0], z[0]
-    samples = np.stack([b1, eta1])
-    meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": 1.0}
+    b, z = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
+    samples, eta1 = np.concatenate([b, z]), z[0]
+    meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": _CONDITIONAL_T}
     for lam in (0.5, 1.0):
         if lam == 0.5:
             edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
@@ -475,8 +471,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     grid = pth.TimeGrid(1.0, 10_000)
     inc = mx.triangular_increments(1, "real", grid, pth.RngStream(cfg.seed, 9))
     lpath = mx.triangular_from_increments(1, "real", grid, inc)
-    driver = pth.ScalarPath(grid, np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]))
-    eta_scalar = pth.eta_functional(driver).values[-1]
+    eta_scalar = pth.eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)[-1]
     _, rad = mx.eta_matrix(lpath, indices=[grid.n_steps])
     rel = abs(rad[0, 0] - eta_scalar) / abs(eta_scalar)
     tol = 5.0 * math.sqrt(grid.dt)

@@ -137,6 +137,12 @@ class TriangularPath:
             raise ValueError("frames shape mismatch")
 
 
+def _normals(gen: np.random.Generator, shape: tuple, cplx: bool) -> np.ndarray:
+    """Standard normals x, or x + iy: all real parts are drawn before the imaginary ones."""
+    z = gen.standard_normal((2,) + shape if cplx else shape)
+    return z[0] + 1j * z[1] if cplx else z
+
+
 def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) -> np.ndarray:
     """Increments of the triangular driver lambda over each step, shape (n, p, p)."""
     gen = rng.generator()
@@ -148,12 +154,7 @@ def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) ->
     out[:, idx[0], idx[1]] = sd * gen.standard_normal((n, p))
     low = np.tril_indices(p, -1)
     if low[0].size:
-        if field == "real":
-            out[:, low[0], low[1]] = math.sqrt(2.0 * dt) * gen.standard_normal((n, low[0].size))
-        else:
-            re = gen.standard_normal((n, low[0].size))
-            im = gen.standard_normal((n, low[0].size))
-            out[:, low[0], low[1]] = math.sqrt(2.0 * dt) * (re + 1j * im)
+        out[:, low[0], low[1]] = math.sqrt(2.0 * dt) * _normals(gen, (n, low[0].size), field == "complex")
     return out
 
 
@@ -223,12 +224,6 @@ class SuSolvablePath:
     def invariant_defect(self) -> np.ndarray:
         """sup-norm of c + c* - W at every grid point (O(dt) drift of the scheme)."""
         return np.max(np.abs(self.c + _h(self.c) - self.W), axis=(-2, -1))
-
-
-def _normals(gen: np.random.Generator, shape: tuple, cplx: bool) -> np.ndarray:
-    """Standard normals x, or x + iy: all real parts are drawn before the imaginary ones."""
-    z = gen.standard_normal((2,) + shape if cplx else shape)
-    return z[0] + 1j * z[1] if cplx else z
 
 
 def _kappa_increments(p: int, cplx: bool, n: int, dt: float, rng: RngStream) -> np.ndarray:
@@ -336,15 +331,14 @@ def simulate_su_solvable(p: int, q: Union[int, Sequence[int]], grid: TimeGrid,
     return SuSolvablePath(q, shared_l, np.moveaxis(W, 0, 2)[keep], np.moveaxis(c, 0, 2)[keep])
 
 
-def finite_q_radial(path: SuSolvablePath, indices: Optional[Sequence[int]] = None):
+def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     """Radial part along the trajectory: cosh Rad = SingVal(l + l^{*-1} + c l^{*-1}) / 2.
 
-    Returns (indices, radial), radial of shape (..., len(indices), p) with the
-    leading axes of the path and rows in the closed Weyl chamber.
+    Returns (indices, radial) at the grid indices given, radial of shape
+    (..., len(indices), p) with the leading axes of the path and rows in the
+    closed Weyl chamber.
     Arguments below 1 - 1e-12 abort (integrator bug); round-off dips are clamped.
     """
-    if indices is None:
-        indices = range(path.grid.n_steps + 1)
     indices = np.asarray(list(indices), dtype=int)
     frames = path.l_path.frames
     l = frames[..., None, indices, :, :] if np.ndim(path.q) else frames[..., indices, :, :]

@@ -1,7 +1,8 @@
 """Scalar path engine: Brownian paths, the exponential functional
 eta_t = int_0^t e^{2 B_s - B_t} ds and its sample streams, and the limiting
-diffusion's log-derivative drift.  The radial part on the hyperbolic space
-H^q is the p = 1, real case of matrixproc's solvable-group engine.
+diffusion's log-derivative drift; a scalar path is a plain (n_steps + 1,)
+array on a TimeGrid.  The radial part on the hyperbolic space H^q is the
+p = 1, real case of matrixproc's solvable-group engine.
 
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
@@ -20,7 +21,6 @@ from .specialfn import _scaled_macdonald_integral
 
 __all__ = [
     "TimeGrid",
-    "ScalarPath",
     "RngStream",
     "ArcoshDomainError",
     "sample_bm",
@@ -77,19 +77,6 @@ class TimeGrid:
         return k
 
 
-@dataclass
-class ScalarPath:
-    """A scalar trajectory sampled on a TimeGrid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_steps + 1,):
-            raise ValueError("values must have length n_steps + 1")
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream: identical (seed, stream_id) reproduce bit-for-bit."""
@@ -110,37 +97,31 @@ class RngStream:
         return RngStream(self.seed, _splitmix64(self.stream_id ^ _splitmix64(index + 1)))
 
 
-def sample_bm(grid: TimeGrid, rng: RngStream) -> ScalarPath:
-    """Standard Brownian path from 0 on the grid."""
+def sample_bm(grid: TimeGrid, rng: RngStream) -> np.ndarray:
+    """Standard Brownian path from 0 on the grid, shape (n_steps + 1,)."""
     increments = math.sqrt(grid.dt) * rng.generator().standard_normal(grid.n_steps)
-    return ScalarPath(grid, np.concatenate([[0.0], np.cumsum(increments)]))
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
-def _log_trapezoid_integral(b: np.ndarray, dt: float) -> np.ndarray:
-    """log of the cumulative trapezoid of e^{2 B_s} ds (first entry -inf)."""
+def log_eta(b: np.ndarray, dt: float) -> np.ndarray:
+    """log eta_t on the grid of step dt of the path b, by the cumulative trapezoid of
+    e^{2 B_s} ds accumulated in log space; the t = 0 entry is -inf (entrance boundary)."""
     log_steps = math.log(dt / 2.0) + np.logaddexp(2.0 * b[:-1], 2.0 * b[1:])
     out = np.empty(len(b))
     out[0] = -np.inf
     np.logaddexp.accumulate(log_steps, out=out[1:])
-    return out
+    return out - b
 
 
-def eta_functional(b_path: ScalarPath) -> ScalarPath:
-    """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds by trapezoid accumulation in log space; eta_0 = 0.
+def eta_functional(b: np.ndarray, dt: float) -> np.ndarray:
+    """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds on the grid of step dt of the path b; eta_0 = 0.
 
-    The integral never overflows; a driving path beyond +-700 raises, because
-    eta itself would not be representable.
+    The log-space integral never overflows; a driving path beyond +-700
+    raises, because eta itself would not be representable.
     """
-    b = b_path.values
     if np.max(np.abs(b)) > 700.0:
         raise OverflowError("driving path exceeds +-700; eta would not be representable")
-    return ScalarPath(b_path.grid, np.exp(_log_trapezoid_integral(b, b_path.grid.dt) - b))
-
-
-def log_eta(b_path: ScalarPath) -> ScalarPath:
-    """log eta_t on the grid; the t = 0 entry is -inf (entrance boundary)."""
-    b = b_path.values
-    return ScalarPath(b_path.grid, _log_trapezoid_integral(b, b_path.grid.dt) - b)
+    return np.exp(log_eta(b, dt))
 
 
 def my_drift(r, lam: float = 0.0):

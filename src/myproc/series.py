@@ -11,8 +11,8 @@ with b_0 = 1.  Substituting the expansion into H Psi = lam^2 Psi gives the
 recurrence  n (n - 2 lam) b_n = sum_{k >= 1} v_k b_{n-2k}, where v_k are the
 coefficients of the potential's expansion in powers of e^{-2r}
 (1/sinh^2 r = 4 sum_k k e^{-2kr}, 1/sinh^2 2r = 4 sum_k k e^{-4kr}).
-Only even n contribute; the expansion breaks down when 2 lam is a nonzero
-integer (resonance).
+Only even n contribute, so a truncation is the plain array b_0..b_N, N even;
+the expansion breaks down when 2 lam is a nonzero integer (resonance).
 
 Combining the two branches +-lam with the c-function and a Gamma factor gives
 the product of the rank-one spherical function with the square root of the
@@ -23,7 +23,6 @@ infinity, argument shifted by log m_alpha) is the Macdonald function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .specialfn import Multiplicities, log_a_normalizer, log_c_function, macdona
 __all__ = [
     "ResonanceError",
     "TruncationError",
-    "SeriesExpansion",
     "toda_series",
     "cms_series",
     "eval_series",
@@ -63,18 +61,6 @@ def _check_resonance(lam: float) -> None:
         raise ResonanceError(f"2*lam = {2 * lam} is within {_RESONANCE_GUARD} of a nonzero integer")
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Truncated coefficients b_0..b_N of an exponential eigenfunction series."""
-
-    lam: float
-    coeffs: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
 def _potential_coeffs(mult: Multiplicities, k_max: int) -> np.ndarray:
     """Coefficients v_k of the CMS potential sum_k v_k e^{-2kr} (index 1..k_max)."""
     ma, m2 = mult.m_alpha, mult.m_2alpha
@@ -89,6 +75,9 @@ def _potential_coeffs(mult: Multiplicities, k_max: int) -> np.ndarray:
 
 
 def _series_coeffs(lam: float, N: int, v: np.ndarray) -> np.ndarray:
+    _check_resonance(lam)
+    if N < 2 or N % 2:
+        raise ValueError("N must be a positive even integer")
     b = np.zeros(N + 1)
     b[0] = 1.0
     for n in range(2, N + 1, 2):
@@ -99,41 +88,30 @@ def _series_coeffs(lam: float, N: int, v: np.ndarray) -> np.ndarray:
     return b
 
 
-def toda_series(lam: float, N: int) -> SeriesExpansion:
-    """Expansion of the H_T eigenfunction: b_n = b_{n-2} / (n (n - 2 lam))."""
-    _check_resonance(lam)
-    if N < 2 or N % 2:
-        raise ValueError("N must be a positive even integer")
-    v = np.zeros(2)
-    v[1] = 1.0
-    return SeriesExpansion(lam, _series_coeffs(lam, N, v))
+def toda_series(lam: float, N: int) -> np.ndarray:
+    """Coefficients b_0..b_N of the H_T eigenfunction: b_n = b_{n-2} / (n (n - 2 lam))."""
+    return _series_coeffs(lam, N, np.array([0.0, 1.0]))
 
 
-def cms_series(lam: float, mult: Multiplicities, N: int) -> SeriesExpansion:
-    """Expansion of the H_CMS eigenfunction for the given multiplicities."""
-    _check_resonance(lam)
-    if N < 2 or N % 2:
-        raise ValueError("N must be a positive even integer")
-    v = _potential_coeffs(mult, N // 2)
-    return SeriesExpansion(lam, _series_coeffs(lam, N, v))
+def cms_series(lam: float, mult: Multiplicities, N: int) -> np.ndarray:
+    """Coefficients b_0..b_N of the H_CMS eigenfunction for the given multiplicities."""
+    return _series_coeffs(lam, N, _potential_coeffs(mult, N // 2))
 
 
-def eval_series(s: SeriesExpansion, r: float, tol: float = 1e-12) -> float:
-    """sum_{n <= N} b_n e^{(lam - n) r}, with a geometric tail estimate.
+def eval_series(lam: float, coeffs: np.ndarray, r: float, tol: float = 1e-12) -> float:
+    """sum_{n <= N} b_n e^{(lam - n) r} of coeffs b_0..b_N, with a geometric tail estimate.
 
     Raises TruncationError when the estimated tail beyond N exceeds tol
     relative to the partial sum (increase N, or increase r).
     """
-    n = np.arange(len(s.coeffs))
-    terms = s.coeffs * np.exp((s.lam - n) * r)
+    n = np.arange(len(coeffs))
+    terms = coeffs * np.exp((lam - n) * r)
     total = float(terms.sum())
-    t_last = abs(terms[-1]) if len(terms) % 2 else abs(terms[-2])
-    idx = len(terms) - 1 if len(terms) % 2 else len(terms) - 2
-    t_prev = abs(terms[idx - 2]) if idx >= 2 else 0.0
+    t_last, t_prev = abs(terms[-1]), abs(terms[-3])
     if t_last > 0.0:
         ratio = t_last / t_prev if t_prev > 0.0 else 1.0
         if ratio >= 1.0:
-            raise TruncationError(f"terms not decaying at N={s.order} (ratio {ratio:.3g})")
+            raise TruncationError(f"terms not decaying at N={len(coeffs) - 1} (ratio {ratio:.3g})")
         tail = t_last * ratio / (1.0 - ratio)
         if tail > tol * max(abs(total), 1e-300):
             raise TruncationError(f"estimated tail {tail:.3e} exceeds tolerance {tol:.1e}")
@@ -145,7 +123,7 @@ def _adaptive_value(lam: float, r: float, mult: Multiplicities) -> float:
     N = 16
     while True:
         try:
-            return eval_series(cms_series(lam, mult, N), r, tol=1e-13)
+            return eval_series(lam, cms_series(lam, mult, N), r, tol=1e-13)
         except TruncationError:
             N *= 2
             if N > 1 << 14:

@@ -103,10 +103,7 @@ def gaussian_bump(center: float, width: float) -> TestFunction:
 
 def indicator_bins(edges: Sequence[float]):
     """Bounded indicator test functions 1[a < x <= b] for consecutive edges."""
-    fns = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        fns.append(lambda x, a=a, b=b: ((x > a) & (x <= b)).astype(float))
-    return fns
+    return [lambda x, a=a, b=b: ((x > a) & (x <= b)).astype(float) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float) -> TestReport:
@@ -152,7 +149,6 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 
     qs = np.quantile(z_mid, np.linspace(0.0, 1.0, bins + 1))
     worst_ratio = 0.0
     n_reject = 0
-    used_bins = 0
     for i in range(bins):
         lo, hi = qs[i], qs[i + 1]
         sel = (z_mid >= lo) & ((z_mid <= hi) if i == bins - 1 else (z_mid < hi))
@@ -173,9 +169,8 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 
         thr = ks_threshold(low_half.size, high_half.size, level / bins)
         worst_ratio = max(worst_ratio, stat / thr)
         n_reject += stat > thr
-        used_bins += 1
     return TestReport(worst_ratio, 1.0, n_reject == 0,
-                      {"level": level, "bins": used_bins, "bins_rejecting": int(n_reject), "residualized": True})
+                      {"level": level, "bins": bins, "bins_rejecting": int(n_reject), "residualized": True})
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +198,8 @@ def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
         def ratio_fn(e, lam=lam):
             return macdonald_ratio(lam, 1.0 / np.asarray(e, dtype=float))
 
-    weight = np.exp(lam * b_t) - np.asarray(ratio_fn(eta_t))
     elb = np.exp(lam * b_t)
+    weight = elb - np.asarray(ratio_fn(eta_t))
     centered = elb - elb.mean()
     m2 = float(np.mean(centered**2))
     kurt = float(np.mean(centered**4) / m2**2) if m2 > 0 else 0.0

@@ -73,6 +73,23 @@ class TestRun:
         assert main(["run", "pitman-discrete", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, argv, config, message", [
+        ("my-generator", ["--lambda", "nan", "--paths", "1500"], None, "lam must be finite, got nan"),
+        ("toda-identity", ["--lambda", "inf"], None, "lam must be finite, got inf"),
+        ("toda-identity", [], {"paths": 1999.9}, "config key 'paths' has invalid value 1999.9"),
+        ("toda-identity", [], {"seeds": True}, "config key 'seeds' has invalid value True"),
+        ("toda-identity", [], {"paths": float("inf")}, "config key 'paths' has invalid value inf"),
+    ], ids=["lambda-nan", "lambda-inf", "config-fractional-paths", "config-bool-seeds", "config-infinite-paths"])
+    def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
+        # a non-finite lambda, or a config value its key's type would change or cannot hold
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))  # {"paths": Infinity} for an infinite float
+            argv = argv + ["--config", str(cfg)]
+        assert main(["run", experiment, *argv, "--out", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
+        assert not (tmp_path / "a").exists()
+
     def test_non_positive_numbers_are_usage_errors(self, tmp_path, capsys):
         assert main(["run", "conditional-law", "--dt", "0", "--out", str(tmp_path / "a")]) == 2
         assert main(["run", "supq-limit", "--dt", "-0.001", "--out", str(tmp_path / "b")]) == 2
@@ -166,6 +183,7 @@ class TestDefaults:
     @pytest.mark.parametrize("experiment, field, value", [
         ("supq-limit", "n_seeds", 0), ("my-convergence", "workers", 0), ("conditional-law", "n_paths", 0),
         ("conditional-law", "dt", 0.0), ("supq-limit", "p", 0), ("pitman-discrete", "q", -1),
+        ("my-generator", "lam", float("nan")), ("toda-identity", "lam", float("inf")),
     ])
     def test_python_call_applies_the_cli_checks(self, experiment, field, value):
         with pytest.raises(ValueError, match=" must be "):

@@ -23,7 +23,7 @@ from myproc.matrixproc import (
     triangular_from_increments,
     triangular_increments,
 )
-from myproc.paths import RngStream, ScalarPath, TimeGrid, eta_functional
+from myproc.paths import RngStream, TimeGrid, eta_functional
 
 from oracles import (
     charpoly_singular_values,
@@ -317,8 +317,7 @@ class TestEtaMatrix:
         grid = TimeGrid(1.0, 2000)
         inc = triangular_increments(1, "real", grid, RNG.child(6))
         lp = triangular_from_increments(1, "real", grid, inc)
-        driver = ScalarPath(grid, np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]))
-        scalar = eta_functional(driver).values
+        scalar = eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)
         _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
         assert np.max(np.abs(rad[:, 0] - scalar[1:])) < 1e-12
 

@@ -7,7 +7,6 @@ import pytest
 
 from myproc.paths import (
     RngStream,
-    ScalarPath,
     TimeGrid,
     eta_functional,
     exp_functional_samples,
@@ -66,58 +65,56 @@ class TestGridAndStreams:
 
 class TestBrownian:
     def test_same_stream_same_path(self):
-        assert np.array_equal(sample_bm(GRID, RNG).values, sample_bm(GRID, RNG).values)
+        assert np.array_equal(sample_bm(GRID, RNG), sample_bm(GRID, RNG))
 
     def test_terminal_variance(self):
         grid = TimeGrid(1.0, 8)
-        finals = np.array([sample_bm(grid, RNG.child(i)).values[-1] for i in range(10_000)])
+        finals = np.array([sample_bm(grid, RNG.child(i))[-1] for i in range(10_000)])
         var = finals.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(finals) - 1))
         assert abs(var - 1.0) <= 5.0 * se
 
     def test_starts_at_zero(self):
-        assert sample_bm(GRID, RNG).values[0] == 0.0
+        assert sample_bm(GRID, RNG)[0] == 0.0
 
 
 class TestEtaFunctional:
     def test_zero_path_gives_t(self):
-        p = ScalarPath(GRID, np.zeros(1001))
-        assert np.allclose(eta_functional(p).values, GRID_TIMES, atol=1e-12)
+        assert np.allclose(eta_functional(np.zeros(1001), GRID.dt), GRID_TIMES, atol=1e-12)
 
     def test_linear_path_gives_sinh(self):
         c = 0.8
-        p = ScalarPath(GRID, c * GRID_TIMES)
-        got = eta_functional(p).values
+        got = eta_functional(c * GRID_TIMES, GRID.dt)
         assert np.max(np.abs(got - np.sinh(c * GRID_TIMES) / c)) < 1e-5
 
     def test_positive_after_zero(self):
-        eta = eta_functional(sample_bm(GRID, RNG.child(1))).values
+        eta = eta_functional(sample_bm(GRID, RNG.child(1)), GRID.dt)
         assert eta[0] == 0.0
         assert np.all(eta[1:] > 0.0)
 
     def test_small_time_behavior(self):
         # eta at the first grid point is dt up to a sqrt(dt)-sized band
         for i in range(20):
-            eta = eta_functional(sample_bm(GRID, RNG.child(100 + i))).values
+            eta = eta_functional(sample_bm(GRID, RNG.child(100 + i)), GRID.dt)
             assert abs(eta[1] - GRID.dt) <= 0.1 * math.sqrt(GRID.dt) * GRID.dt + 1e-12
 
     def test_log_domain_matches_direct(self):
-        b = ScalarPath(GRID, 31.0 * np.sin(3.0 * GRID_TIMES))
+        b = 31.0 * np.sin(3.0 * GRID_TIMES)
         direct_integral = np.concatenate(
-            [[0.0], np.cumsum(0.5 * GRID.dt * (np.exp(2 * b.values[:-1]) + np.exp(2 * b.values[1:])))])
-        expected = np.exp(-b.values) * direct_integral
-        got = eta_functional(b).values
+            [[0.0], np.cumsum(0.5 * GRID.dt * (np.exp(2 * b[:-1]) + np.exp(2 * b[1:])))])
+        expected = np.exp(-b) * direct_integral
+        got = eta_functional(b, GRID.dt)
         assert np.max(np.abs(got[1:] / expected[1:] - 1.0)) < 1e-12
 
     def test_overflow_guard(self):
-        b = ScalarPath(GRID, np.linspace(0.0, 800.0, 1001))
+        b = np.linspace(0.0, 800.0, 1001)
         with pytest.raises(OverflowError):
-            eta_functional(b)
+            eta_functional(b, GRID.dt)
 
     def test_log_eta_consistent(self):
         b = sample_bm(GRID, RNG.child(2))
-        le = log_eta(b).values
-        eta = eta_functional(b).values
+        le = log_eta(b, GRID.dt)
+        eta = eta_functional(b, GRID.dt)
         assert le[0] == -np.inf
         assert np.allclose(le[1:], np.log(eta[1:]), atol=1e-12)
 
@@ -128,10 +125,11 @@ class TestEtaFunctional:
         assert abs(m - math.exp(0.5)) <= 3.0 * se
 
 
-def _radial(q, b: ScalarPath, rng: RngStream) -> np.ndarray:
-    """Radial part on H^q driven by b, one row per q: the SO(1,q) solvable-group engine with l = e^B."""
-    l = triangular_from_increments(1, "real", b.grid, np.diff(b.values)[:, None, None])
-    _, rad = finite_q_radial(simulate_su_solvable(1, q, b.grid, rng, l))
+def _radial(q, b: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Radial part on H^q driven by the GRID path b, one row per q and a column per grid
+    point: the SO(1,q) solvable-group engine with l = e^B."""
+    l = triangular_from_increments(1, "real", GRID, np.diff(b)[:, None, None])
+    _, rad = finite_q_radial(simulate_su_solvable(1, q, GRID, rng, l), range(GRID.n_steps + 1))
     return rad[..., 0]
 
 
@@ -148,7 +146,7 @@ class TestHyperbolicRadial:
         k0 = GRID.index_of(0.1)
         for i in range(10):
             b = sample_bm(GRID, RNG.child(300 + i))
-            lg = log_eta(b).values
+            lg = log_eta(b, GRID.dt)
             d = _radial((100, 10_000), b, RNG.child(400 + i))
             errs = [np.max(np.abs(row[k0:] - math.log(q) - lg[k0:])) for row, q in zip(d, (100, 10_000))]
             wins += errs[1] < errs[0]
