@@ -84,7 +84,6 @@ def _build_configs(args, names) -> list:
 
 
 def _write_outputs(result, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(result.as_dict(), indent=2, default=str) + "\n")
     for name, table in result.tables.items():
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:
@@ -98,13 +97,18 @@ def _cmd_run(args) -> int:
         print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
         print("known experiments: all, " + ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return 2
-    # every config is built, and every usage error raised, before anything runs
+    # every config is built, every output directory made, and every usage error raised, before anything runs
     configs = _build_configs(args, sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment])
+    out_dirs = [Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.experiment for cfg in configs]
+    try:
+        for out_dir in out_dirs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {exc.filename}: {exc.strerror}") from None
     summary = []
-    for cfg in configs:
+    for cfg, out_dir in zip(configs, out_dirs):
         t0 = time.perf_counter()
         result = run_experiment(cfg)
-        out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.experiment
         _write_outputs(result, out_dir)
         for check in result.checks:
             mark = "PASS" if check.passed else "FAIL"

@@ -293,8 +293,8 @@ def _convergence_seed_err(args) -> list:
     # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
     # l = e^B; the seeds ride on the replica axis, and nested column groups give
     # q_large the transverse noise of q_small
-    l = mx.triangular_from_increments(1, "real", grid, np.diff(b)[..., None, None])
-    sp = mx.simulate_su_solvable(1, (q_small, q_large), grid, [base.child(1) for base in bases], l)
+    l = mx.triangular_from_increments(grid, np.diff(b)[..., None, None])
+    sp = mx.simulate_su_solvable((q_small, q_large), [base.child(1) for base in bases], l)
     _, d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
     log_q = np.array([math.log(q_small), math.log(q_large)])[:, None]
     errs = np.max(np.abs(d[..., 0] - log_q - lg[:, None, k0:]), axis=-1)
@@ -305,7 +305,7 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     # exponential-functional mean: E[eta_t] = t e^{t/2}
     n_paths = cfg.n_paths
-    eta1 = pth.exp_functional_samples([_ETA_MEAN_T], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0]
+    eta1 = pth.exp_functional_samples([_ETA_MEAN_T], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0, 0]
     mean = float(eta1.mean())
     sem = float(eta1.std(ddof=1)) / math.sqrt(n_paths)
     target = _ETA_MEAN_T * math.exp(_ETA_MEAN_T / 2)
@@ -393,7 +393,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
 def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     rows = []
-    b, z = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
+    b, (z,) = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
     samples, eta1 = np.concatenate([b, z]), z[0]
     meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": _CONDITIONAL_T}
     for lam in (0.5, 1.0):
@@ -428,7 +428,7 @@ def _supq_seed_monotone(args) -> tuple:
     # p = 2) to those of the smaller q, and summing the groups' W and c couples
     # the q values in law exactly as nested columns would
     rad = _replica_runs(p, q_list, grid, "complex", [r.child(rep) for rep in range(inner)],
-                        lambda sp, _: mx.finite_q_radial(sp, idx)[1], lshared)
+                        lambda sp: mx.finite_q_radial(sp, idx)[1], lshared)
     errs = np.abs(np.cosh(rad) / np.reshape(q_list, (-1, 1, 1)) - target).mean(axis=0)
     # the verdict compares the time-mean errors componentwise; the row keeps
     # every (q, time, component) error in the order of the table's header
@@ -437,21 +437,21 @@ def _supq_seed_monotone(args) -> tuple:
     return seed, ok, [float(v) for v in errs.ravel()]
 
 
-def _replica_runs(p: int, q, grid: pth.TimeGrid, field: str, rngs: list, reduce, shared_l=None) -> np.ndarray:
-    """reduce(path, l) of the solvable-group path of every replica stream, concatenated.
+def _replica_runs(p: int, q: tuple, grid: pth.TimeGrid, field: str, rngs: list, reduce, shared_l=None) -> np.ndarray:
+    """reduce(path) of the solvable-group path of every replica stream, concatenated.
 
     Each replica has its own l, from its stream's child 10**6, unless shared_l
     is given.  Replicas run in chunks whose (n, p, p) matrix paths, one per
     replica and q value, stay near _CHUNK_BYTES, and each chunk is reduced
     before the next one runs.
     """
-    size = _chunk_size(grid.n_steps, np.size(q), p)
+    size = _chunk_size(grid.n_steps, len(q), p)
     out = []
     for i in range(0, len(rngs), size):
         chunk = rngs[i:i + size]
         l = shared_l if shared_l is not None else mx.triangular_from_increments(
-            p, field, grid, np.stack([mx.triangular_increments(p, field, grid, r.child(10**6)) for r in chunk]))
-        out.append(reduce(mx.simulate_su_solvable(p, q, grid, chunk, l), l))
+            grid, np.stack([mx.triangular_increments(p, field, grid, r.child(10**6)) for r in chunk]))
+        out.append(reduce(mx.simulate_su_solvable(q, chunk, l)))
     return np.concatenate(out)
 
 
@@ -470,7 +470,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     # p = 1 reduction at fine dt: matrix functional vs scalar functional, same noise
     grid = pth.TimeGrid(1.0, 10_000)
     inc = mx.triangular_increments(1, "real", grid, pth.RngStream(cfg.seed, 9))
-    lpath = mx.triangular_from_increments(1, "real", grid, inc)
+    lpath = mx.triangular_from_increments(grid, inc)
     eta_scalar = pth.eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)[-1]
     _, rad = mx.eta_matrix(lpath, indices=[grid.n_steps])
     rel = abs(rad[0, 0] - eta_scalar) / abs(eta_scalar)
@@ -481,9 +481,9 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     # invariant defect halves with dt (ratio of replica means)
     defects = {}
     for n_steps in (1000, 2000):
-        peaks = _replica_runs(cfg.p, 100, pth.TimeGrid(1.0, n_steps), "complex",
+        peaks = _replica_runs(cfg.p, (100,), pth.TimeGrid(1.0, n_steps), "complex",
                               [pth.RngStream(cfg.seed + i, 11) for i in range(48)],
-                              lambda sp, _: sp.invariant_defect().max(axis=-1))
+                              lambda sp: sp.invariant_defect().max(axis=-1)[:, 0])
         defects[n_steps] = float(np.mean(peaks))
     ratio = defects[1000] / defects[2000]
     checks.append(Check("invariant_halving", 1.5 <= ratio <= 2.7, ratio,
@@ -492,10 +492,10 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     # real-vs-complex scaling constant (theta) ratio at large q
     alphas = {}
     for fieldtag in ("complex", "real"):
-        ratios = _replica_runs(cfg.p, 800, pth.TimeGrid(1.0, 1000), fieldtag,
+        ratios = _replica_runs(cfg.p, (800,), pth.TimeGrid(1.0, 1000), fieldtag,
                                [pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17) for i in range(16)],
-                               lambda sp, l: np.einsum("rii->r", sp.c[:, -1]).real
-                               / (800 * np.einsum("rii->r", mx.integrated_ll_star(l)[:, -1]).real))
+                               lambda sp: np.einsum("rii->r", sp.c[:, 0, -1]).real
+                               / (800 * np.einsum("rii->r", mx.integrated_ll_star(sp.l_path)[:, -1]).real))
         alphas[fieldtag] = float(np.mean(ratios))
     theta_ratio = alphas["complex"] / alphas["real"]
     checks.append(Check("theta_ratio", 1.8 <= theta_ratio <= 2.2, theta_ratio,
@@ -511,14 +511,13 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
 # hoogenboom-det: normalized finite-q determinants converge to the ktilde ratio
 
 def run_hoogenboom_det(cfg: ExperimentConfig) -> ExperimentResult:
-    p = 2
     r = (1.5, 0.5)
     r0 = (2.0, 1.0)
     target = ktilde_det(r) / ktilde_det(r0)
     rows = []
     errs = []
     for q in (16, 64, 256):
-        val = se.finite_q_ktilde(r, p, q) / se.finite_q_ktilde(r0, p, q)
+        val = se.finite_q_ktilde(r, q) / se.finite_q_ktilde(r0, q)
         err = abs(val - target)
         rows.append([q, val, target, err])
         errs.append(err)
@@ -531,7 +530,7 @@ def run_hoogenboom_det(cfg: ExperimentConfig) -> ExperimentResult:
     ]
     # consistency of the closed-form determinant formula in rank one
     mult = Multiplicities(2 * (6 - 1), 1)
-    v1 = se.hoogenboom_det([0.21], 1, 6, [2.0])
+    v1 = se.hoogenboom_det([0.21], 6, [2.0])
     v2 = se.rank1_spherical(0.21, mult, 2.0, log_scale=-0.5 * se.log_delta_q(2.0, mult))
     checks.append(Check("rank_one_reduction", abs(v1 - v2) <= 1e-12 * abs(v2), abs(v1 - v2),
                         "p=1 determinant equals the rank-one spherical value", {"q": 6}))

@@ -31,15 +31,16 @@ W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
 and W are sequential; the noise, the frame products and the c-increments run
-over the whole time axis at once, with replicas and column groups on leading
-axes.
+over the whole time axis at once.  A path's arrays own its layout: W and c
+always carry replica and q-value axes, and p, the field and the grid are read
+from the frames and their path, never passed beside them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,17 +124,14 @@ def singular_values(n_matrix: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TriangularPath:
-    """Trajectory of a lower-triangular matrix process with positive diagonal."""
+    """Trajectory of a lower-triangular matrix process with positive diagonal;
+    p is frames.shape[-1], and the field is complex iff the frames are."""
 
-    p: int
-    field: str  # "real" or "complex"
     grid: TimeGrid
     frames: np.ndarray  # (n_steps + 1, p, p), or a stack (replicas, n_steps + 1, p, p)
 
     def __post_init__(self):
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
-        if self.frames.shape[-3:] != (self.grid.n_steps + 1, self.p, self.p):
+        if self.frames.shape[-3:] != (self.grid.n_steps + 1,) + self.frames.shape[-1:] * 2:
             raise ValueError("frames shape mismatch")
 
 
@@ -145,6 +143,8 @@ def _normals(gen: np.random.Generator, shape: tuple, cplx: bool) -> np.ndarray:
 
 def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) -> np.ndarray:
     """Increments of the triangular driver lambda over each step, shape (n, p, p)."""
+    if field not in ("real", "complex"):
+        raise ValueError("field must be 'real' or 'complex'")
     gen = rng.generator()
     n, dt = grid.n_steps, grid.dt
     dtype = float if field == "real" else complex
@@ -158,24 +158,23 @@ def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) ->
     return out
 
 
-def triangular_from_increments(p: int, field: str, grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
-    """Stepwise-exponential solution of dl = l dlambda.
+def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
+    """Stepwise-exponential solution of dl = l dlambda, in the dtype of the increments.
 
     increments (..., n, p, p) may carry leading replica axes; the frames keep them.
     """
     n = grid.n_steps
-    dtype = float if field == "real" else complex
     steps = expm_tri(increments)
-    frames = np.empty(increments.shape[:-3] + (n + 1, p, p), dtype=dtype)
-    frames[..., 0, :, :] = np.eye(p, dtype=dtype)
+    frames = np.empty(increments.shape[:-3] + (n + 1,) + increments.shape[-2:], dtype=increments.dtype)
+    frames[..., 0, :, :] = np.eye(increments.shape[-1])
     for k in range(n):
         np.matmul(frames[..., k, :, :], steps[..., k, :, :], out=frames[..., k + 1, :, :])
-    return TriangularPath(p, field, grid, frames)
+    return TriangularPath(grid, frames)
 
 
 def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rng: RngStream) -> TriangularPath:
     """Brownian motion on the lower-triangular group with positive diagonal."""
-    return triangular_from_increments(p, field, grid, triangular_increments(p, field, grid, rng))
+    return triangular_from_increments(grid, triangular_increments(p, field, grid, rng))
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
@@ -191,14 +190,14 @@ def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
 def eta_matrix(lpath: TriangularPath, indices: Sequence[int]):
     """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each >= 1).
 
-    Returns (indices, radial) with radial of shape (len(indices), p), each row
-    weakly decreasing.
+    Returns (indices, radial) with radial of shape (..., len(indices), p), with the
+    leading replica axes of the frames and each row weakly decreasing.
     """
     J = integrated_ll_star(lpath)
     indices = np.asarray(list(indices), dtype=int)
     if np.any(indices < 1):
         raise ValueError("eta is defined from the first grid point on")
-    return indices, singular_values(np.linalg.solve(lpath.frames[indices], J[indices]))
+    return indices, singular_values(np.linalg.solve(lpath.frames[..., indices, :, :], J[..., indices, :, :]))
 
 
 # --------------------------------------------------------------------------
@@ -208,14 +207,14 @@ def eta_matrix(lpath: TriangularPath, indices: Sequence[int]):
 class SuSolvablePath:
     """Trajectory of the distinguished Brownian motion in horocyclic coordinates.
 
-    W = b b* is the Gram matrix of the transverse part b.  W and c carry the
-    leading axes of the call that made them: replicas, then nested q values.
+    W = b b* is the Gram matrix of the transverse part b.  W and c have shape
+    (replicas, q values, n+1, p, p): one row per stream and nested q value of
+    the call that made them.
     """
 
-    q: Union[int, Sequence[int]]
     l_path: TriangularPath
-    W: np.ndarray  # (..., n+1, p, p)
-    c: np.ndarray  # (..., n+1, p, p)
+    W: np.ndarray
+    c: np.ndarray
 
     @property
     def grid(self) -> TimeGrid:
@@ -267,15 +266,13 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
     return K
 
 
-def simulate_su_solvable(p: int, q: Union[int, Sequence[int]], grid: TimeGrid,
-                         rng: Union[RngStream, Sequence[RngStream]],
-                         shared_l: TriangularPath) -> SuSolvablePath:
+def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: TriangularPath) -> SuSolvablePath:
     """Distinguished Brownian motion on the solvable group, reusing a given l trajectory.
 
-    shared_l must live on the same grid; its frames may carry one leading
-    replica axis.  rng is one stream, or one per replica (a leading axis of W
-    and c).
-    q is one value, or increasing values q_1 < q_2 < ... (the next axis) whose
+    p, the grid and the field are those of l, whose frames hold one path, or
+    one per replica (a leading axis).  rngs holds one stream per replica: the
+    leading axis of W and c.
+    q holds increasing values q_1 < q_2 < ... (the next axis) whose
     transverse columns are nested: q_j sums the column groups 1..j, of widths
     q_1 - p, q_2 - q_1, ..., each with its own noise, so every q_j has the law
     of a lone run and a shorter sequence reproduces the leading groups of a
@@ -293,17 +290,14 @@ def simulate_su_solvable(p: int, q: Union[int, Sequence[int]], grid: TimeGrid,
 
     A group narrower than p keeps its own columns instead: X_{k+1} = Z[:, :p].
     """
-    if shared_l.grid != grid:
-        raise ValueError("shared_l must be sampled on the same grid")
-    widths = np.diff(np.atleast_1d(q), prepend=p)
+    frames = l.frames
+    p, n, dt, cplx = frames.shape[-1], l.grid.n_steps, l.grid.dt, np.iscomplexobj(frames)
+    widths = np.diff(q, prepend=p)
     if np.any(widths < 1):
         raise ValueError("need p < q_1 < q_2 < ...")
     wide = widths >= p
-    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
-    n, dt, cplx = grid.n_steps, grid.dt, shared_l.field == "complex"
-    frames = shared_l.frames
     if frames.ndim != 3 and frames.shape[0] != len(rngs):
-        raise ValueError("shared_l must hold one path, or one per replica")
+        raise ValueError("l must hold one path, or one per replica")
     # time-first frames (n+1, replicas or 1, 1, p, p), broadcast over replicas and groups
     L = np.moveaxis(frames.reshape((-1,) + frames.shape[-3:]), 1, 0)[:, :, None]
     lbar = 0.5 * (L[:-1] + L[1:])
@@ -322,26 +316,23 @@ def simulate_su_solvable(p: int, q: Union[int, Sequence[int]], grid: TimeGrid,
     del LK, X
     dkappa = np.stack([_kappa_increments(p, cplx, n, dt, r.child(0)) for r in rngs], axis=1)[:, :, None]
     np.cumsum(dc, axis=2, out=dc)
-    for l in (L[:-1], L[1:]):
-        dc += 0.5 * l @ dkappa @ _h(l)
+    for lk in (L[:-1], L[1:]):
+        dc += 0.5 * lk @ dkappa @ _h(lk)
     c = np.zeros_like(W)
     np.cumsum(dc, axis=0, out=c[1:])
     np.cumsum(W, axis=2, out=W)
-    keep = (0 if isinstance(rng, RngStream) else slice(None), 0 if np.ndim(q) == 0 else slice(None))
-    return SuSolvablePath(q, shared_l, np.moveaxis(W, 0, 2)[keep], np.moveaxis(c, 0, 2)[keep])
+    return SuSolvablePath(l, np.moveaxis(W, 0, 2), np.moveaxis(c, 0, 2))
 
 
 def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     """Radial part along the trajectory: cosh Rad = SingVal(l + l^{*-1} + c l^{*-1}) / 2.
 
     Returns (indices, radial) at the grid indices given, radial of shape
-    (..., len(indices), p) with the leading axes of the path and rows in the
-    closed Weyl chamber.
+    (replicas, q values, len(indices), p) with rows in the closed Weyl chamber.
     Arguments below 1 - 1e-12 abort (integrator bug); round-off dips are clamped.
     """
     indices = np.asarray(list(indices), dtype=int)
-    frames = path.l_path.frames
-    l = frames[..., None, indices, :, :] if np.ndim(path.q) else frames[..., indices, :, :]
+    l = path.l_path.frames[..., None, indices, :, :]
     l_star_inv = np.linalg.inv(_h(l))
     arg = 0.5 * singular_values(l + l_star_inv + path.c[..., indices, :, :] @ l_star_inv)
     low = arg < 1.0 - 1e-12

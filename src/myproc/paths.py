@@ -150,11 +150,9 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
     step from rng.generator(), so the noise drawn does not grow with their
     number.  Streams over the time axis (memory O(n_paths) per functional).
 
-    Returns the driver B, shape (len(times), n_paths), and Z: of the same
-    shape for a scalar call, with a leading functional axis, shape
-    (len(mu), len(times), n_paths), for a sequence call.
+    Returns the driver B, shape (len(times), n_paths), and Z with a leading
+    functional axis, shape (functionals, len(times), n_paths).
     """
-    scalar = np.ndim(mu) == 0 and np.ndim(drift) == 0
     mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
                                       np.atleast_1d(np.asarray(drift, dtype=float)))
     if mus.ndim != 1 or mus.size == 0:
@@ -198,5 +196,5 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
                 z *= integral[j]
                 if not np.all(np.isfinite(z)):
                     raise OverflowError("exponential functional left double range; use shorter horizons")
-    return out_b, out_z[0] if scalar else out_z
+    return out_b, out_z
 

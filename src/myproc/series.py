@@ -66,12 +66,8 @@ def _potential_coeffs(mult: Multiplicities, k_max: int) -> np.ndarray:
     ma, m2 = mult.m_alpha, mult.m_2alpha
     c1 = 0.25 * ma * (ma + 2 * m2 - 2)
     c2 = float(m2 * (m2 - 2))
-    v = np.zeros(k_max + 1)
-    for k in range(1, k_max + 1):
-        v[k] = 4.0 * k * c1
-        if k % 2 == 0:
-            v[k] += 2.0 * k * c2
-    return v
+    k = np.arange(k_max + 1)
+    return 4.0 * k * c1 + np.where(k % 2 == 0, 2.0 * k * c2, 0.0)  # 1/sinh^2 2r feeds only even k
 
 
 def _series_coeffs(lam: float, N: int, v: np.ndarray) -> np.ndarray:
@@ -203,18 +199,19 @@ def _hoog_prefactor(p: int, q: int) -> float:
     return val
 
 
-def hoogenboom_det(lams: Sequence[float], p: int, q: int, r) -> float:
+def hoogenboom_det(lams: Sequence[float], q: int, r) -> float:
     """Rank-p spherical function value via the rank-one determinant formula.
 
     phi_lam^{(p,q)}(r) = A(p,q) det( phi_{lam_i}^{(1,q-p+1)}(r_j) )
                          / prod_{i<j} (cosh 2r_i - cosh 2r_j)(lam_i^2 - lam_j^2),
 
     with each rank-one factor evaluated through rank1_spherical / log_delta_q at
-    the SU(1, q-p+1) multiplicities (2(q-p), 1).
+    the SU(1, q-p+1) multiplicities (2(q-p), 1), where p = len(r).
     """
     rv = tuple(float(v) for v in r)
-    if len(lams) != p or len(rv) != p:
-        raise ValueError("need p spectral parameters and p chamber coordinates")
+    p = len(rv)
+    if len(lams) != p:
+        raise ValueError("need one spectral parameter per chamber coordinate")
     if q < p:
         raise ValueError("q must be >= p")
     if any(a <= b for a, b in zip(rv, rv[1:])) and p > 1:
@@ -241,8 +238,8 @@ def hoogenboom_det(lams: Sequence[float], p: int, q: int, r) -> float:
     return _hoog_prefactor(p, q) * np.linalg.det(mat) / denom
 
 
-def finite_q_ktilde(r, p: int, q: int) -> float:
-    """a(q)-scaled determinant of lambda-derivatives of the rank-one products.
+def finite_q_ktilde(r, q: int) -> float:
+    """a(q)-scaled determinant of lambda-derivatives of the rank-one products, p = len(r).
 
     Entry (i, j) is d^{2(j-1)}/dlam^{2(j-1)} of
     a(q-p+1) (delta^{1/2} phi_lam)(r_i + log m_alpha) at lam = 0, with the
@@ -255,8 +252,7 @@ def finite_q_ktilde(r, p: int, q: int) -> float:
     order-2(p-1) extraction amplifies that cancellation noise by h^{-2(p-1)}.
     """
     rv = tuple(float(v) for v in r)
-    if len(rv) != p:
-        raise ValueError("need p chamber coordinates")
+    p = len(rv)
     h = 5e-3 if p <= 2 else 2e-2
     mult = Multiplicities(2 * (q - p), 1)
     shift = math.log(mult.m_alpha)

@@ -72,10 +72,10 @@ def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: 
     Each point gets its own window [0, V(x)], V = arccosh(1 + (46 + 60 (1 + lam
     + moment + dx_weight)) / x), past which the integrand is negligible, and a
     trapezoid rule with _PANELS panels on it; a point's value therefore does
-    not depend on the other points of the call.  A scalar x gives a float, an
-    array an array of the same shape.  The e^x scaling keeps the result
-    representable for arbitrarily large x; callers wanting the raw integral
-    multiply by e^-x themselves.
+    not depend on the other points of the call.  The result has the shape of
+    x, 0-d for a scalar.  The e^x scaling keeps the result representable for
+    arbitrarily large x; callers wanting the raw integral multiply by e^-x
+    themselves.
     """
     lam = abs(float(lam))
     x = np.asarray(x, dtype=float)
@@ -95,7 +95,7 @@ def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: 
         if dx_weight:
             f *= c**dx_weight
         out[start : start + _CHUNK] = h[:, 0] * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
-    return out.reshape(x.shape) if x.ndim else float(out[0])
+    return out.reshape(x.shape)
 
 
 def macdonald_k(lam: float, x):

@@ -102,23 +102,42 @@ def test_criterion_02_tree_same_law_exact(samelaw):
     assert _BUDGETS["samelaw"] < 10.0
 
 
-# SHA-256 of the exact outputs as sorted-key JSON; exact rational arithmetic
-# makes them byte-stable, so any change to a law or a rate shows here
-_EXACT_DIGESTS = {
+# SHA-256 of every experiment's outputs as sorted-key JSON: a table, the details, all
+# checks (their as_dict) or all tables.  Exact rational arithmetic makes the tree outputs
+# byte-stable, and a given version and seed the others, so any change to a law, a rate,
+# a stream or a verdict shows here
+_DIGESTS = {
     ("pitman", "distribution"): "6373f487becf0f0aa609795cab62be6bb678466ee4032bf51a41b31eb26bd921",
     ("pitman", "details"): "25e64e86a3318d6c8e77e5a2f4fc50bdd9c1618b6f12414ed82717de863b4fb0",
     ("samelaw", "kernel_rate"): "7cdd0552f1a1a2bb4bfe0848b00adbafdd6b773a5ea6df84ef9614b57e490337",
     ("samelaw", "radial_law"): "0cd3367bee0a9e730a6ed4dfa074eb16d5fb723c586f8ad3851f78bfe70962e2",
     ("samelaw", "details"): "c705527148796f69c88d6fbd09f402152dc93409d3f5f7af84cbb61fb23d2cd1",
+    ("conditional", "checks"): "f184c0cd6b61e57071d9b863d85a70ab3f2767357515d1751b09c93fbc6da4b9",
+    ("conditional", "tables"): "99031eb1292f091d347a4eda3507510fe5b9e1ac260aaa98214078dc4a2835ab",
+    ("hoog", "checks"): "b21e164febf1a14bd3f2e920ce8caf05294a2b58e6385652695dbeb54e8f1d0d",
+    ("hoog", "tables"): "d9a747e9a26027408a11cb619f11c5e43f0e139c580c664975e1f76b248ecebd",
+    ("convergence", "checks"): "1781bd7cbf34bf0fe2f92118cb9380e315dbb7f6c4bd884de32fd39373f1f9a2",
+    ("convergence", "tables"): "0de3a4ee0dc6e987b7186f7d172cdb901f1f60b57bb496a75a08884788c45e98",
+    ("generator", "checks"): "0a9e831a314d2ba28ed9a61a266143274331bfd50238f27c8485203a45f156f8",
+    ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    ("spherical", "checks"): "21855cf4220f74fa85d6c39fa28e25960ebf66540cbcedb5c87a4d128a12447a",
+    ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",
+    ("supq", "checks"): "71394407b99ca5ebec1a3d74b3fff0e62c74a3cdc081a44ed8845fd0c39d1e11",
+    ("supq", "tables"): "540f9eb482b903f9a341e3a826aa9f4a894bbe0b33038fbee415a8c0f3b86856",
+    ("toda", "checks"): "13dc4f13cd48249a4a4730366b7d1993bf9cbe990a794f117efbc0e0436e47c5",
+    ("toda", "tables"): "485bbd53037816b0569e9cf9660b0da0b18eb857c122bbf2be53329f2d78beb6",
 }
 
 
-def test_exact_outputs_pinned(pitman, samelaw):
-    results = {"pitman": pitman, "samelaw": samelaw}
-    for (name, part), expected in _EXACT_DIGESTS.items():
+def test_exact_outputs_pinned(pitman, samelaw, toda, spherical, convergence, generator, conditional, supq, hoog):
+    results = {"pitman": pitman, "samelaw": samelaw, "toda": toda, "spherical": spherical,
+               "convergence": convergence, "generator": generator, "conditional": conditional,
+               "supq": supq, "hoog": hoog}
+    for (name, part), expected in _DIGESTS.items():
         result = results[name]
-        obj = result.details if part == "details" else result.tables[part]
-        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        whole = {"details": result.details, "checks": [c.as_dict() for c in result.checks], "tables": result.tables}
+        obj = whole[part] if part in whole else result.tables[part]
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
         assert digest == expected, (name, part)
 
 

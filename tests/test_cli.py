@@ -79,15 +79,24 @@ class TestRun:
         ("toda-identity", [], {"paths": 1999.9}, "config key 'paths' has invalid value 1999.9"),
         ("toda-identity", [], {"seeds": True}, "config key 'seeds' has invalid value True"),
         ("toda-identity", [], {"paths": float("inf")}, "config key 'paths' has invalid value inf"),
-    ], ids=["lambda-nan", "lambda-inf", "config-fractional-paths", "config-bool-seeds", "config-infinite-paths"])
+        ("toda-identity", ["--out", "{tmp}/file"], None, "cannot create output directory {tmp}/file: File exists"),
+        ("all", ["--out", "{tmp}/file"], None,
+         "cannot create output directory {tmp}/file/conditional-law: Not a directory"),
+    ], ids=["lambda-nan", "lambda-inf", "config-fractional-paths", "config-bool-seeds", "config-infinite-paths",
+            "out-names-a-file", "run-all-out-names-a-file"])
     def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
-        # a non-finite lambda, or a config value its key's type would change or cannot hold
+        # a non-finite lambda, a config value its key's type would change or cannot hold, or an
+        # --out that names a file (the later --out wins); each fails before any experiment runs
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))  # {"paths": Infinity} for an infinite float
             argv = argv + ["--config", str(cfg)]
-        assert main(["run", experiment, *argv, "--out", str(tmp_path / "a")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"  # one line, no traceback
+        assert main(["run", experiment, "--out", str(tmp_path / "a"), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"  # one line, no traceback
+        assert "[PASS]" not in out and "[FAIL]" not in out
         assert not (tmp_path / "a").exists()
 
     def test_non_positive_numbers_are_usage_errors(self, tmp_path, capsys):

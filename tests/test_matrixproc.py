@@ -142,7 +142,7 @@ class TestTriangularBrownian:
     def test_p1_is_scalar_exponential(self):
         grid = TimeGrid(1.0, 500)
         inc = triangular_increments(1, "real", grid, RNG.child(1))
-        lp = triangular_from_increments(1, "real", grid, inc)
+        lp = triangular_from_increments(grid, inc)
         lam = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
         assert np.max(np.abs(lp.frames[:, 0, 0] - np.exp(lam))) < 1e-12
 
@@ -158,7 +158,7 @@ class TestTriangularBrownian:
     def test_determinant_identity(self):
         grid = TimeGrid(1.0, 400)
         inc = triangular_increments(2, "complex", grid, RNG.child(3))
-        lp = triangular_from_increments(2, "complex", grid, inc)
+        lp = triangular_from_increments(grid, inc)
         expected = math.exp(float(inc[:, 0, 0].real.sum() + inc[:, 1, 1].real.sum()))
         assert np.linalg.det(lp.frames[-1]) == pytest.approx(expected, rel=1e-12)
 
@@ -167,7 +167,7 @@ class TestTriangularBrownian:
         # (Stratonovich; evaluated with the trapezoid-in-noise rule on the same increments)
         grid = TimeGrid(1.0, 10_000)
         inc = triangular_increments(2, "real", grid, RNG.child(4))
-        lp = triangular_from_increments(2, "real", grid, inc)
+        lp = triangular_from_increments(grid, inc)
         l1 = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
         l2 = np.concatenate([[0.0], np.cumsum(inc[:, 1, 1])])
         f = np.exp(l2 - l1)
@@ -186,10 +186,10 @@ class TestTriangularBrownian:
     def test_replica_axis_matches_single_paths(self, field):
         grid = TimeGrid(1.0, 200)
         inc = np.stack([triangular_increments(3, field, grid, RNG.child(60 + i)) for i in range(4)])
-        lp = triangular_from_increments(3, field, grid, inc.reshape(2, 2, 200, 3, 3))
+        lp = triangular_from_increments(grid, inc.reshape(2, 2, 200, 3, 3))
         assert lp.frames.shape == (2, 2, 201, 3, 3)
         for i in range(4):
-            single = triangular_from_increments(3, field, grid, inc[i]).frames
+            single = triangular_from_increments(grid, inc[i]).frames
             assert _rel_err(lp.frames.reshape(4, 201, 3, 3)[i], single) <= 1e-12
 
 
@@ -209,7 +209,7 @@ class TestEngineAgainstStepwise:
         inc = triangular_increments(p, field, grid, r.child(10**6))
         if drift:  # increments with a deterministic diagonal part (0.3, -0.2, 0.1) dt
             inc[:, range(p), range(p)] += np.array([0.3, -0.2, 0.1][:p]) * grid.dt
-        lp = triangular_from_increments(p, field, grid, inc)
+        lp = triangular_from_increments(grid, inc)
         assert _rel_err(lp.frames, triangular_frames_stepwise(p, field, inc)) <= 1e-12
         q = p + 70
         dbeta, dkappa = su_noise_increments(p, q, field, grid, r)
@@ -301,7 +301,7 @@ class TestEngineMemory:
                 drawn.clear()
                 tracemalloc.start()
                 try:
-                    sp = simulate_su_solvable(p, q, grid, [RngStream(8, i) for i in range(4)], lsh)
+                    sp = simulate_su_solvable((q,), [RngStream(8, i) for i in range(4)], lsh)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -316,10 +316,19 @@ class TestEtaMatrix:
     def test_p1_reduces_to_scalar_eta(self):
         grid = TimeGrid(1.0, 2000)
         inc = triangular_increments(1, "real", grid, RNG.child(6))
-        lp = triangular_from_increments(1, "real", grid, inc)
+        lp = triangular_from_increments(grid, inc)
         scalar = eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)
         _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
         assert np.max(np.abs(rad[:, 0] - scalar[1:])) < 1e-12
+
+    def test_replica_stack_matches_single_paths(self):
+        # stacked frames (replicas, n+1, p, p): the indices pick times of every replica
+        grid = TimeGrid(1.0, 10)
+        paths = [sample_triangular_bm(2, "complex", grid, RNG.child(50 + i)) for i in range(3)]
+        _, rad = eta_matrix(TriangularPath(grid, np.stack([lp.frames for lp in paths])), [5, 10])
+        assert rad.shape == (3, 2, 2)
+        for i, lp in enumerate(paths):
+            assert _rel_err(rad[i], eta_matrix(lp, [5, 10])[1]) <= 1e-12
 
     def test_small_time_slope(self):
         grid = TimeGrid(0.02, 20)
@@ -367,10 +376,11 @@ class TestSuSolvable:
     def test_initial_state(self):
         grid = TimeGrid(0.5, 100)
         lsh = sample_triangular_bm(2, "complex", grid, RNG.child(9))
-        sp = simulate_su_solvable(2, 30, grid, RNG.child(10), lsh)
+        sp = simulate_su_solvable((30,), [RNG.child(10)], lsh)
+        assert sp.W.shape == sp.c.shape == (1, 1, grid.n_steps + 1, 2, 2)
         assert np.allclose(sp.l_path.frames[0], np.eye(2))
-        assert np.all(sp.W[0] == 0.0) and np.all(sp.c[0] == 0.0)
-        assert sp.invariant_defect()[0] == 0.0
+        assert np.all(sp.W[..., 0, :, :] == 0.0) and np.all(sp.c[..., 0, :, :] == 0.0)
+        assert sp.invariant_defect()[0, 0, 0] == 0.0
 
     def test_deterministic_debug_product_rule(self):
         # all noises zero except one linear beta entry: c + c* = b b* exactly
@@ -396,7 +406,7 @@ class TestSuSolvable:
         G, H = _normal(rs, (n, p, p), field), _normal(rs, (n, p, w - p), field)
         _fixed_noise(monkeypatch, np.concatenate([G, np.linalg.cholesky(H @ H.conj().swapaxes(1, 2))], axis=2))
         lp = sample_triangular_bm(p, field, grid, RNG.child(20 + p))
-        sp = simulate_su_solvable(p, q, grid, RNG.child(30), lp)
+        sp = simulate_su_solvable((q,), [RNG.child(30)], lp)
         dkappa = su_noise_increments(p, q, field, grid, RNG.child(30))[1]
         b = np.zeros((p, w), dtype=G.dtype)
         c = np.zeros((p, p), dtype=G.dtype)
@@ -404,8 +414,8 @@ class TestSuSolvable:
             U = _rotation_to(b, np.linalg.cholesky(b @ b.conj().T)) if k else np.eye(w)
             dbeta = np.concatenate([G[k], H[k]], axis=1) @ U
             b, c = su_heun_step(b, c, lp.frames[k], lp.frames[k + 1], dbeta, dkappa[k])
-            assert _rel_err(sp.W[k + 1], b @ b.conj().T) <= 1e-12
-            assert _rel_err(sp.c[k + 1], c) <= 1e-12
+            assert _rel_err(sp.W[0, 0, k + 1], b @ b.conj().T) <= 1e-12
+            assert _rel_err(sp.c[0, 0, k + 1], c) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_narrow_group_keeps_its_columns(self, field, monkeypatch):
@@ -417,10 +427,10 @@ class TestSuSolvable:
         K[:, :, : q - p] = dbeta
         _fixed_noise(monkeypatch, K)
         lp = sample_triangular_bm(p, field, grid, RNG.child(24))
-        sp = simulate_su_solvable(p, q, grid, RNG.child(31), lp)
+        sp = simulate_su_solvable((q,), [RNG.child(31)], lp)
         b, c = su_heun_stepwise(q, lp.frames, dbeta, su_noise_increments(p, q, field, grid, RNG.child(31))[1])
-        assert _rel_err(sp.W, b @ b.conj().transpose(0, 2, 1)) <= 1e-12
-        assert _rel_err(sp.c, c) <= 1e-12
+        assert _rel_err(sp.W[0, 0], b @ b.conj().transpose(0, 2, 1)) <= 1e-12
+        assert _rel_err(sp.c[0, 0], c) <= 1e-12
 
     def test_reduced_noise_structure(self):
         # widths 2 < p, p + 1 and p + 6 at p = 3: the columns past a narrow group's width
@@ -444,17 +454,20 @@ class TestSuSolvable:
         n_rep, q = 800, 2 * p + 5
         grid = TimeGrid(0.5, 40)
         lp = sample_triangular_bm(p, field, grid, RngStream(41, p))
-        gram = simulate_su_solvable(p, q, grid, [RngStream(42, 10_000 * p + i) for i in range(n_rep)], lp)
+        gram = simulate_su_solvable((q,), [RngStream(42, 10_000 * p + i) for i in range(n_rep)], lp)
         cols = [su_solvable_from_increments(q, lp.frames, *su_noise_increments(
             p, q, field, grid, RngStream(43, 10_000 * p + i))) for i in range(n_rep)]
         b_end = np.array([b[-1] for b, _ in cols])
-        explicit = SuSolvablePath(q, lp, b_end @ b_end.conj().swapaxes(1, 2), np.array([c for _, c in cols]))
+        # the explicit runs in the engine's layout: W at the end time only, c on the grid
+        explicit = SuSolvablePath(lp, (b_end @ b_end.conj().swapaxes(1, 2))[:, None, None],
+                                  np.array([c for _, c in cols])[:, None])
         samples = []
-        for path, W_end in ((gram, gram.W[:, -1]), (explicit, explicit.W)):
+        for path in (gram, explicit):
+            W_end = path.W[:, 0, -1]
             low = np.tril_indices(p, -1)
             parts = [np.diagonal(W_end, axis1=1, axis2=2).real, W_end[:, low[0], low[1]].real,
                      W_end[:, low[0], low[1]].imag if field == "complex" else np.empty((n_rep, 0)),
-                     np.cosh(finite_q_radial(path, [grid.n_steps])[1][:, 0])]
+                     np.cosh(finite_q_radial(path, [grid.n_steps])[1][:, 0, 0])]
             samples.append(np.concatenate(parts, axis=1))
         pvalues = [ks_2samp(a, b).pvalue for a, b in zip(samples[0].T, samples[1].T)]
         assert min(pvalues) >= 0.01 / len(pvalues), pvalues
@@ -467,8 +480,8 @@ class TestSuSolvable:
                 grid = TimeGrid(1.0, n_steps)
                 r = RngStream(900 + i, 0)
                 lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
-                sp = simulate_su_solvable(2, 60, grid, r, lsh)
-                scale = 1.0 + np.max(np.abs(sp.W[-1]))
+                sp = simulate_su_solvable((60,), [r], lsh)
+                scale = 1.0 + np.max(np.abs(sp.W[0, 0, -1]))
                 acc += sp.invariant_defect().max() / scale
             rel[n_steps] = acc / 6
         assert 1.2 <= rel[500] / rel[1000] <= 3.2
@@ -477,9 +490,9 @@ class TestSuSolvable:
         grid = TimeGrid(1.0, 500)
         r = RngStream(42, 0)
         lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
-        sp = simulate_su_solvable(2, 800, grid, r, lsh)
+        sp = simulate_su_solvable((800,), [r], lsh)
         J = integrated_ll_star(lsh)
-        ratio = np.real(np.trace(sp.c[-1])) / (800 * np.real(np.trace(J[-1])))
+        ratio = np.real(np.trace(sp.c[0, 0, -1])) / (800 * np.real(np.trace(J[-1])))
         assert ratio == pytest.approx(2.0, abs=0.3)
 
     def test_nested_transverse_columns(self):
@@ -502,31 +515,31 @@ class TestSuSolvable:
         rngs = [RNG.child(16), RNG.child(17)]
         for p, field, qs in ((2, "complex", (20, 50, 90)), (1, "real", (100, 10_000))):
             lsh = sample_triangular_bm(p, field, grid, RNG.child(15))
-            lone = simulate_su_solvable(p, qs[0], grid, rngs, lsh)
-            W, c = lone.W[:, None], lone.c[:, None]
+            lone = simulate_su_solvable(qs[:1], rngs, lsh)
+            W, c = lone.W, lone.c
             for j in range(2, len(qs) + 1):
-                longer = simulate_su_solvable(p, qs[:j], grid, rngs, lsh)
+                longer = simulate_su_solvable(qs[:j], rngs, lsh)
                 assert longer.c.shape == (2, j, grid.n_steps + 1, p, p)
                 assert _rel_err(longer.W[:, :j - 1], W) <= 1e-12 and _rel_err(longer.c[:, :j - 1], c) <= 1e-12
                 W, c = longer.W, longer.c
             with pytest.raises(ValueError):
-                simulate_su_solvable(p, (qs[0], qs[0]), grid, rngs, lsh)
+                simulate_su_solvable((qs[0], qs[0]), rngs, lsh)
 
     def test_replica_paths_match_single_calls(self):
         # replicas with their own l and nested q values: each slice is a lone call
         grid = TimeGrid(0.5, 60)
         rngs = [RNG.child(18), RNG.child(19)]
         paths = [sample_triangular_bm(2, "complex", grid, r.child(10**6)) for r in rngs]
-        stacked = TriangularPath(2, "complex", grid, np.stack([lp.frames for lp in paths]))
-        both = simulate_su_solvable(2, (20, 50), grid, rngs, stacked)
+        stacked = TriangularPath(grid, np.stack([lp.frames for lp in paths]))
+        both = simulate_su_solvable((20, 50), rngs, stacked)
         _, rad = finite_q_radial(both, [30, 60])
         assert rad.shape == (2, 2, 2, 2)
         for i, (r, lp) in enumerate(zip(rngs, paths)):
-            one = simulate_su_solvable(2, (20, 50), grid, r, lp)
-            assert _rel_err(both.W[i], one.W) <= 1e-12 and _rel_err(both.c[i], one.c) <= 1e-12
-            assert _rel_err(rad[i], finite_q_radial(one, [30, 60])[1]) <= 1e-12
+            one = simulate_su_solvable((20, 50), [r], lp)
+            assert _rel_err(both.W[i], one.W[0]) <= 1e-12 and _rel_err(both.c[i], one.c[0]) <= 1e-12
+            assert _rel_err(rad[i], finite_q_radial(one, [30, 60])[1][0]) <= 1e-12
         with pytest.raises(ValueError):
-            simulate_su_solvable(2, 20, grid, rngs * 2, stacked)
+            simulate_su_solvable((20,), rngs * 2, stacked)
 
     def test_shared_draw_matches_per_q_redraw(self):
         # the batched replicas and nested q values of _supq_seed_monotone give the
@@ -542,9 +555,9 @@ class TestSuSolvable:
         for i, q in enumerate(q_list):
             acc = np.zeros((len(idx), p))
             for rep in range(inner):
-                sp = simulate_su_solvable(p, q_list, grid, r.child(rep), lsh)
+                sp = simulate_su_solvable(q_list, [r.child(rep)], lsh)
                 _, rad = finite_q_radial(sp, indices=idx)
-                acc += np.abs(np.cosh(rad[i]) / q - target)
+                acc += np.abs(np.cosh(rad[0, i]) / q - target)
             ref.append(acc / inner)
         means = [e.mean(axis=0) for e in ref]
         assert ok == all(np.all(a > b) for a, b in zip(means, means[1:]))
@@ -559,7 +572,7 @@ class TestSuSolvable:
         lsh = sample_triangular_bm(2, "complex", grid, RngStream(21, 99))
 
         def runs():
-            return [experiments._replica_runs(2, (5, 12), grid, "complex", rngs, lambda sp, l: sp.c[..., -1, :, :], shared)
+            return [experiments._replica_runs(2, (5, 12), grid, "complex", rngs, lambda sp: sp.c[..., -1, :, :], shared)
                     for shared in (lsh, None)]
 
         whole = runs()
@@ -572,21 +585,20 @@ class TestSuSolvable:
         _, ok, errs = _supq_seed_monotone((6, 0.01, 0.3, 3, (5, 12, 30), 3))
         assert len(errs) == 3 * 2 * 3 and np.all(np.isfinite(errs)) and np.all(np.array(errs) > 0)
 
-    def test_grid_mismatch_rejected(self):
+    def test_q_not_above_p_rejected(self):
+        # a q value holds q - p transverse columns, so q = p has none
         lsh = sample_triangular_bm(2, "complex", TimeGrid(1.0, 100), RNG.child(11))
         with pytest.raises(ValueError):
-            simulate_su_solvable(2, 10, TimeGrid(1.0, 200), RNG.child(12), lsh)
-        with pytest.raises(ValueError):
-            simulate_su_solvable(2, 2, TimeGrid(1.0, 100), RNG.child(12), lsh)
+            simulate_su_solvable((2,), [RNG.child(12)], lsh)
 
 
 class TestFiniteQRadial:
     def test_zero_at_origin(self):
         grid = TimeGrid(0.5, 100)
         lsh = sample_triangular_bm(2, "complex", grid, RNG.child(13))
-        sp = simulate_su_solvable(2, 30, grid, RNG.child(14), lsh)
+        sp = simulate_su_solvable((30,), [RNG.child(14)], lsh)
         _, rad = finite_q_radial(sp, indices=[0])
-        assert np.allclose(rad[0], 0.0)
+        assert rad.shape == (1, 1, 1, 2) and np.allclose(rad, 0.0)
 
     def test_flat_limit_toward_eta(self):
         grid = TimeGrid(1.0, 500)
@@ -595,9 +607,9 @@ class TestFiniteQRadial:
         _, target = eta_matrix(lsh, indices=[500])
         errs = []
         for q in (50, 800):
-            sp = simulate_su_solvable(2, q, grid, r.child(1), lsh)
+            sp = simulate_su_solvable((q,), [r.child(1)], lsh)
             _, rad = finite_q_radial(sp, indices=[500])
-            errs.append(np.max(np.abs(np.cosh(rad) / q - target)))
+            errs.append(np.max(np.abs(np.cosh(rad[0, 0]) / q - target)))
         assert errs[1] < errs[0]
 
     @pytest.mark.slow
@@ -611,9 +623,9 @@ class TestFiniteQRadial:
         for i in range(n_rep):
             r = RngStream(31_000 + i, 0)
             lsh = sample_triangular_bm(1, "real", grid, r.child(10**6))
-            sp = simulate_su_solvable(1, q, grid, r, lsh)
+            sp = simulate_su_solvable((q,), [r], lsh)
             _, rad = finite_q_radial(sp, indices=[grid.n_steps])
-            a[i] = rad[0, 0]
+            a[i] = rad[0, 0, 0, 0]
             b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[:, 0, 0]), grid.dt, r.child(5))[-1]
         from myproc.stats import ks_two_sample
 

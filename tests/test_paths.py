@@ -119,24 +119,24 @@ class TestEtaFunctional:
         assert np.allclose(le[1:], np.log(eta[1:]), atol=1e-12)
 
     def test_mean_at_t1(self):
-        _, z = exp_functional_samples([1.0], 1e-3, 20_000, RNG.child(3))
-        m = z[0].mean()
-        se = z[0].std(ddof=1) / math.sqrt(z[0].size)
+        _, [[z]] = exp_functional_samples([1.0], 1e-3, 20_000, RNG.child(3))
+        m = z.mean()
+        se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(m - math.exp(0.5)) <= 3.0 * se
 
 
-def _radial(q, b: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Radial part on H^q driven by the GRID path b, one row per q and a column per grid
-    point: the SO(1,q) solvable-group engine with l = e^B."""
-    l = triangular_from_increments(1, "real", GRID, np.diff(b)[:, None, None])
-    _, rad = finite_q_radial(simulate_su_solvable(1, q, GRID, rng, l), range(GRID.n_steps + 1))
-    return rad[..., 0]
+def _radial(q: tuple, b: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Radial part on H^q driven by the GRID path b, one row per q value and a column per
+    grid point: the SO(1,q) solvable-group engine with l = e^B."""
+    l = triangular_from_increments(GRID, np.diff(b)[:, None, None])
+    _, rad = finite_q_radial(simulate_su_solvable(q, [rng], l), range(GRID.n_steps + 1))
+    return rad[0, ..., 0]
 
 
 class TestHyperbolicRadial:
     def test_starts_at_zero(self):
         b = sample_bm(GRID, RNG.child(4))
-        d = _radial(50, b, RNG.child(5))
+        [d] = _radial((50,), b, RNG.child(5))
         assert d[0] == 0.0
         assert d.min() >= 0.0
 
@@ -160,8 +160,8 @@ class TestHyperbolicRadial:
 
     def test_q_validation(self):
         b = sample_bm(GRID, RNG.child(8))
-        with pytest.raises(ValueError):  # simulate_su_solvable(1, 1, ...): H^1 has no transverse column
-            _radial(1, b, RNG.child(9))
+        with pytest.raises(ValueError):  # q = 1 = p: H^1 has no transverse column
+            _radial((1,), b, RNG.child(9))
 
 
 class TestMyDrift:
@@ -198,7 +198,7 @@ class TestEulerDiffusion:
         # Euler with the Macdonald drift, started from log eta at t0, must match
         # the directly simulated log eta at t = 1 in law (two-sample KS at 1%)
         t0, n, dt = 0.01, 4000, 1e-3
-        _, z = exp_functional_samples([t0, 1.0], dt, n, RNG.child(14))
+        _, (z,) = exp_functional_samples([t0, 1.0], dt, n, RNG.child(14))
         x = np.log(z[0])
         direct = np.log(z[1])
         nodes = np.linspace(x.min() - 6.0, x.max() + 8.0, 4001)
@@ -248,14 +248,15 @@ class TestSharedDriver:
     def test_shapes(self):
         b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=self.MUS, drift=self.DRIFTS)
         assert b.shape == (3, 16) and z.shape == (4, 3, 16)
-        b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=[2.0])
-        assert b.shape == (3, 16) and z.shape == (1, 3, 16)
+        for mu in ([2.0], 2.0):  # a scalar mu is one functional, and keeps the functional axis
+            b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=mu)
+            assert b.shape == (3, 16) and z.shape == (1, 3, 16)
 
     def test_driftless_functionals_equal_scalar_calls(self):
         b, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=self.MUS, drift=self.DRIFTS)
         for j, (mu, drift) in enumerate(zip(self.MUS, self.DRIFTS)):
             if drift == 0.0:
-                b1, z1 = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=mu)
+                b1, (z1,) = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=mu)
                 assert np.array_equal(z[j], z1) and np.array_equal(b, b1)
 
     @pytest.mark.parametrize("mu, drift", [(2.0, 0.5), (1.0, -0.7), (3.0, 0.0)])
@@ -264,7 +265,7 @@ class TestSharedDriver:
         _, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=[2.0, mu], drift=[0.0, drift])
         x_ref, z_ref = exp_functional_stepwise(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
         assert np.max(np.abs(z[1] / z_ref - 1.0)) <= 1e-12
-        b, z1 = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
+        b, (z1,) = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
         assert np.max(np.abs(z1 / z_ref - 1.0)) <= 1e-12
         assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 from myproc.series import (
     ResonanceError,
     TruncationError,
+    _potential_coeffs,
     cms_series,
     even_lambda_derivatives,
     eval_series,
@@ -72,6 +73,18 @@ class TestCmsSeries:
     def test_even_truncation_required(self):
         with pytest.raises(ValueError):
             cms_series(0.2, Multiplicities(4, 0), 9)
+
+    @pytest.mark.parametrize("mult", [Multiplicities(4, 0), Multiplicities(7, 1), Multiplicities(12, 3)])
+    def test_potential_coefficients_bitwise(self, mult):
+        # v_k term by term: 1/sinh^2 r feeds every k, 1/sinh^2 2r the even ones
+        ma, m2 = mult.m_alpha, mult.m_2alpha
+        ref = []
+        for k in range(1, 21):
+            v = 4.0 * k * (0.25 * ma * (ma + 2 * m2 - 2))
+            if k % 2 == 0:
+                v += 2.0 * k * float(m2 * (m2 - 2))
+            ref.append(v)
+        assert np.array_equal(_potential_coeffs(mult, 20)[1:], ref)
 
 
 class TestEvalSeries:
@@ -213,13 +226,13 @@ class TestEvenDerivatives:
 class TestHoogenboom:
     def test_p1_reduction(self):
         mult = Multiplicities(2 * 5, 1)
-        v1 = hoogenboom_det([0.21], 1, 6, [2.0])
+        v1 = hoogenboom_det([0.21], 6, [2.0])
         v2 = rank1_spherical(0.21, mult, 2.0, log_scale=-0.5 * log_delta_q(2.0, mult))
         assert v1 == pytest.approx(v2, rel=1e-13)
 
     def test_permutation_invariance(self):
-        a = hoogenboom_det([0.21, 0.47], 2, 6, [2.0, 1.0])
-        b = hoogenboom_det([0.47, 0.21], 2, 6, [2.0, 1.0])
+        a = hoogenboom_det([0.21, 0.47], 6, [2.0, 1.0])
+        b = hoogenboom_det([0.47, 0.21], 6, [2.0, 1.0])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_truncation_stability(self):
@@ -239,23 +252,23 @@ class TestHoogenboom:
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
-            hoogenboom_det([0.21, 0.21], 2, 6, [2.0, 1.0])
+            hoogenboom_det([0.21, 0.21], 6, [2.0, 1.0])
         with pytest.raises(ValueError):
-            hoogenboom_det([1.0, 0.47], 2, 6, [2.0, 1.0])
+            hoogenboom_det([1.0, 0.47], 6, [2.0, 1.0])
         with pytest.raises(ValueError):
-            hoogenboom_det([0.21, 0.47], 2, 6, [1.0, 2.0])
+            hoogenboom_det([0.21, 0.47], 6, [1.0, 2.0])
 
     def test_finite_q_ktilde_ratio_converges(self):
         r, r0 = (1.5, 0.5), (2.0, 1.0)
         target = ktilde_det(r) / ktilde_det(r0)
-        val = finite_q_ktilde(r, 2, 64) / finite_q_ktilde(r0, 2, 64)
+        val = finite_q_ktilde(r, 64) / finite_q_ktilde(r0, 64)
         assert val == pytest.approx(target, abs=5e-4)
 
     def test_finite_q_ktilde_rank_three(self):
         # fourth-order lambda entries (wider stencil step kicks in by default)
         r, r0 = (2.2, 1.4, 0.6), (2.0, 1.2, 0.4)
         target = ktilde_det(r) / ktilde_det(r0)
-        errs = [abs(finite_q_ktilde(r, 3, q) / finite_q_ktilde(r0, 3, q) - target)
+        errs = [abs(finite_q_ktilde(r, q) / finite_q_ktilde(r0, q) - target)
                 for q in (16, 64)]
         assert errs[1] < errs[0]
         assert errs[1] < 1e-3
