@@ -1,22 +1,26 @@
 """Exact computations for radial walks on regular trees and their flat limits.
 
-Everything in this module is exact: probabilities are `fractions.Fraction`
-over arbitrary-precision integers, and the irrational sqrt(q) appearing in
-the spectral radius 2 sqrt(q)/(q+1) and in the ground state
-phi_0(n) = (1 + n (q-1)/(q+1)) q^{-n/2} is carried symbolically as a formal
-half-integer power of q (class QPow).  Every exposed transition probability
-asserts that the half powers cancelled.
+Everything in this module is exact: probabilities and laws are exposed as
+`fractions.Fraction` over arbitrary-precision integers, and the irrational
+sqrt(q) appearing in the spectral radius 2 sqrt(q)/(q+1) and in the ground
+state phi_0(n) = (1 + n (q-1)/(q+1)) q^{-n/2} is carried symbolically as a
+formal half-integer power of q (class QPow).  Every exposed transition
+probability asserts that the half powers cancelled.
 
 Kernels: R (radial simple walk on N), R0 (its ground-state transform),
 B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
 its flat limit), and the simple symmetric walk S carried with its running
 maximum M as a chain on pairs (S, M), whose image 2M - S is the discrete
 Pitman walk.  exact_distribution is the one forward-iteration engine: it
-returns the laws at steps 0..n of one run of a chain.
+returns the laws at steps 0..n of one run of a chain.  Inside it a row is
+integer weights over one row denominator, and a law is integer numerators
+over one common denominator per step, so a step needs only integer + and x
+and one gcd; each state's Fraction is built once, when its law is returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
@@ -56,11 +60,17 @@ class QPow:
         if self.q != other.q:
             raise ValueError("mixing different q")
 
+    @staticmethod
+    def _exact(other) -> Fraction:
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError(f"QPow takes a QPow, int or Fraction operand, not {type(other).__name__}")
+        return Fraction(other)
+
     def __mul__(self, other):
         if isinstance(other, QPow):
             self._check(other)
             return QPow(self.coef * other.coef, self.half + other.half, self.q)
-        return QPow(self.coef * Fraction(other), self.half, self.q)
+        return QPow(self.coef * self._exact(other), self.half, self.q)
 
     __rmul__ = __mul__
 
@@ -70,7 +80,7 @@ class QPow:
             if other.coef == 0:
                 raise ZeroDivisionError
             return QPow(self.coef / other.coef, self.half - other.half, self.q)
-        return QPow(self.coef / Fraction(other), self.half, self.q)
+        return QPow(self.coef / self._exact(other), self.half, self.q)
 
     def __add__(self, other: "QPow") -> "QPow":
         self._check(other)
@@ -110,25 +120,43 @@ class ExactKernel:
 
     transition: Callable[[object], List[Tuple[object, Fraction]]]
 
-    def row(self, state) -> List[Tuple[object, Fraction]]:
+    def weights(self, state) -> Tuple[int, List[Tuple[object, int]]]:
+        """The row at state as (d, [(target, w), ...]) with probabilities w / d.
+
+        d is the lcm of the row's denominators.  Every probability must be an
+        int or a Fraction; the row is checked to sum to 1 with no negative
+        entry on these integer weights, the ones exact_distribution uses.
+        """
         moves = self.transition(state)
-        total = sum(p for _, p in moves)
-        if total != 1:
-            raise AssertionError(f"row at {state} sums to {total}, not 1")
-        if any(p < 0 for _, p in moves):
+        for _, p in moves:
+            if not isinstance(p, (int, Fraction)):
+                raise TypeError(f"probability {p!r} at {state} is a {type(p).__name__}, not an int or a Fraction")
+        d = math.lcm(*(p.denominator for _, p in moves))
+        row = [(target, p.numerator * (d // p.denominator)) for target, p in moves]
+        total = sum(w for _, w in row)
+        if total != d:
+            raise AssertionError(f"row at {state} sums to {Fraction(total, d)}, not 1")
+        if any(w < 0 for _, w in row):
             raise AssertionError(f"negative probability at {state}")
-        return moves
+        return d, row
+
+    def row(self, state) -> List[Tuple[object, Fraction]]:
+        """The checked row at state as [(target, probability), ...]."""
+        d, row = self.weights(state)
+        return [(target, Fraction(w, d)) for target, w in row]
 
 
 class ExactDistribution(Dict[object, Fraction]):
     """Finite-support exact law: mapping state -> rational mass."""
 
     def marginal(self, fn: Callable[[object], object]) -> "ExactDistribution":
-        out = ExactDistribution()
+        """Push-forward law of fn(state), summed as integers over the lcm of the masses' denominators."""
+        den = math.lcm(*(mass.denominator for mass in self.values()))
+        nums: Dict[object, int] = {}
         for state, mass in self.items():
             key = fn(state)
-            out[key] = out.get(key, Fraction(0)) + mass
-        return out
+            nums[key] = nums.get(key, 0) + mass.numerator * (den // mass.denominator)
+        return ExactDistribution((key, Fraction(num, den)) for key, num in nums.items())
 
 
 def radial_kernel(q: int) -> ExactKernel:
@@ -224,24 +252,38 @@ def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
 def exact_distribution(kernel: ExactKernel, start, n: int) -> List[ExactDistribution]:
     """Laws of the chain at steps 0..n by exact forward iteration from a point mass.
 
-    Each state's row is fetched (and checked) once per call.
+    The laws are exposed as Fractions; the iteration carries each step's law
+    as integer numerators over one common denominator.  A step scales the
+    numerator of each live (positive-mass) state by lcm(live row
+    denominators) / its row's denominator, adds plain ints, and divides the
+    numerators and the denominator by their gcd.  Zero-mass targets stay as
+    keys and zero-mass states are never expanded.  Each state's row is
+    fetched (and checked) once per call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows: Dict[object, List[Tuple[object, Fraction]]] = {}
+    rows: Dict[object, Tuple[int, List[Tuple[object, int]]]] = {}
+    nums: Dict[object, int] = {start: 1}
+    den = 1
     laws = [ExactDistribution({start: Fraction(1)})]
     for _ in range(n):
-        nxt = ExactDistribution()
-        for state, mass in laws[-1].items():
-            if mass == 0:
-                continue
+        live = [(state, num) for state, num in nums.items() if num]
+        for state, _ in live:
             if state not in rows:
-                rows[state] = kernel.row(state)
-            for target, p in rows[state]:
-                nxt[target] = nxt.get(target, Fraction(0)) + mass * p
+                rows[state] = kernel.weights(state)
+        step = math.lcm(*(rows[state][0] for state, _ in live))
+        nxt: Dict[object, int] = {}
+        for state, num in live:
+            d, row = rows[state]
+            num *= step // d
+            for target, w in row:
+                nxt[target] = nxt.get(target, 0) + num * w
         if len(nxt) > _MAX_STATES:
             raise RuntimeError(f"reachable set exceeded {_MAX_STATES} states")
-        laws.append(nxt)
+        g = math.gcd(den * step, *nxt.values())
+        den = den * step // g
+        nums = {target: num // g for target, num in nxt.items()}
+        laws.append(ExactDistribution((target, Fraction(num, den)) for target, num in nums.items()))
     return laws
 
 

@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
 equation, characteristic-polynomial singular values, plain central finite
 differences, brute-force enumeration of the discrete Pitman law, the
+one-Fraction-per-transition forward iteration of an exact chain, the
 one-matrix, one-step, one-column forms of the solvable-group engine, the
 explicit-column engine that simulates every transverse column of SU(p,q),
 the column-by-column left-point Ito form of the radial part on the
@@ -104,6 +105,28 @@ def pitman_walk_enumeration(n: int) -> dict:
         key = 2 * m - s
         out[key] = out.get(key, Fraction(0)) + weight
     return out
+
+
+def exact_distribution_fractions(kernel, start, n: int) -> list:
+    """Laws of a chain at steps 0..n, one Fraction product and sum per transition.
+
+    Reads the kernel's raw transition rows, so the library's integer row form
+    and its common-denominator step are not used.  Zero-mass targets stay as
+    keys; zero-mass states are not expanded.
+    """
+    rows = {}
+    laws = [{start: Fraction(1)}]
+    for _ in range(n):
+        nxt = {}
+        for state, mass in laws[-1].items():
+            if mass == 0:
+                continue
+            if state not in rows:
+                rows[state] = kernel.transition(state)
+            for target, p in rows[state]:
+                nxt[target] = nxt.get(target, Fraction(0)) + mass * p
+        laws.append(nxt)
+    return laws
 
 
 def expm_tri_single(L) -> np.ndarray:

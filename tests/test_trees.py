@@ -20,7 +20,18 @@ from myproc.trees import (
     tree_spectral_radius,
 )
 
-from oracles import pitman_walk_enumeration
+from oracles import exact_distribution_fractions, pitman_walk_enumeration
+
+
+def _counted(transition):
+    """A kernel over transition that records each state whose row it is asked for."""
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return transition(state)
+
+    return ExactKernel(counted), calls
 
 
 class TestQPow:
@@ -52,6 +63,13 @@ class TestQPow:
             return n.coef**2 * Fraction(9) ** n.half
 
         assert squared_value(prod) == squared_value(a) * squared_value(b)
+
+    def test_float_operand_rejected(self):
+        a = QPow(Fraction(1), 0, 4)
+        for op in (lambda: a * 0.1, lambda: 0.1 * a, lambda: a / 0.1):
+            with pytest.raises(TypeError, match="float"):
+                op()
+        assert (a * 3 / Fraction(1, 2)).coef == 6
 
 
 class TestRadialKernel:
@@ -167,16 +185,83 @@ class TestExactDistribution:
             exact_distribution(graph_kernel(2), (0, 0), 12)
 
     def test_each_row_fetched_once(self):
-        calls = []
-        transition = bessel3_kernel().transition
-
-        def counted(state):
-            calls.append(state)
-            return transition(state)
-
-        laws = exact_distribution(ExactKernel(counted), 0, 30)
+        kernel, calls = _counted(bessel3_kernel().transition)
+        laws = exact_distribution(kernel, 0, 30)
         expanded = set().union(*laws[:-1])
         assert sorted(calls) == sorted(expanded) == list(range(30))
+
+    def test_zero_mass_target_kept_but_never_expanded(self):
+        # every state n >= 0 moves up surely and to -1 with probability 0
+        def transition(n):
+            return [(-1, Fraction(0)), (n + 1, Fraction(1))]
+
+        kernel, calls = _counted(transition)
+        laws = exact_distribution(kernel, 0, 6)
+        oracle = exact_distribution_fractions(ExactKernel(transition), 0, 6)
+        assert [list(law.items()) for law in laws] == [list(law.items()) for law in oracle]
+        assert all(law[-1] == 0 for law in laws[1:])
+        assert sorted(calls) == list(range(6))
+
+    def test_float_probability_rejected(self):
+        kernel = ExactKernel(lambda n: [(n - 1, 0.5), (n + 1, 0.5)])
+        with pytest.raises(TypeError, match=r"at 0 is a float"):
+            exact_distribution(kernel, 0, 3)
+        with pytest.raises(TypeError, match=r"at 7 is a float"):
+            kernel.row(7)
+
+    def test_row_checks_messages(self):
+        too_much = ExactKernel(lambda n: [(n - 1, Fraction(1, 2)), (n + 1, Fraction(1))])
+        with pytest.raises(AssertionError, match=r"^row at 0 sums to 3/2, not 1$"):
+            exact_distribution(too_much, 0, 1)
+        negative = ExactKernel(lambda n: [(n - 1, Fraction(-1, 2)), (n + 1, Fraction(3, 2))])
+        with pytest.raises(AssertionError, match=r"^negative probability at 0$"):
+            exact_distribution(negative, 0, 1)
+
+    def test_integer_weights_over_row_lcm(self):
+        assert ExactKernel(lambda n: [(0, Fraction(1, 6)), (1, 0), (2, Fraction(5, 6))]).weights(0) == (
+            6, [(0, 1), (1, 0), (2, 5)])
+        assert ground_state_kernel(3).weights(1) == (3, [(0, 1), (2, 2)])
+
+
+_ORACLE_CHAINS = {
+    "radial-3": (radial_kernel(3), 0),
+    "ground-2": (ground_state_kernel(2), 0),
+    "ground-3": (ground_state_kernel(3), 0),
+    "ground-5": (ground_state_kernel(5), 0),
+    "bessel3": (bessel3_kernel(), 0),
+    "graph-2": (graph_kernel(2), (0, 0)),
+    "graph-3": (graph_kernel(3), (0, 0)),
+    "graph-limit": (graph_kernel(limit=True), (0, 0)),
+    "walk-with-max": (ExactKernel(trees._walk_with_max), (0, 0)),
+}
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("chain", sorted(_ORACLE_CHAINS))
+    def test_laws_match_fraction_engine(self, chain):
+        kernel, start = _ORACLE_CHAINS[chain]
+        laws = exact_distribution(kernel, start, 20)
+        oracle = exact_distribution_fractions(kernel, start, 20)
+        assert [list(law.items()) for law in laws] == [list(law.items()) for law in oracle]
+        assert all(type(m) is Fraction for law in laws for m in law.values())
+
+    @staticmethod
+    def _fraction_marginal(law, fn):
+        out = {}
+        for state, mass in law.items():
+            out[fn(state)] = out.get(fn(state), Fraction(0)) + mass
+        return out
+
+    def test_marginal_matches_fraction_sum(self):
+        mixed = ExactDistribution({(2, 0): Fraction(1, 3), (0, -2): Fraction(1, 6), (2, 4): Fraction(1, 2)})
+        graph = exact_distribution(graph_kernel(3), (0, 0), 12)
+        for law, fn in [(mixed, lambda s: s[0]), (graph[7], trees._graph_distance), (graph[12], lambda s: s[1])]:
+            assert list(law.marginal(fn).items()) == list(self._fraction_marginal(law, fn).items())
+        assert list(mixed.marginal(lambda s: s[0]).items()) == [(2, Fraction(5, 6)), (0, Fraction(1, 6))]
+
+    def test_marginal_of_empty_law(self):
+        out = ExactDistribution().marginal(lambda s: s)
+        assert out == {} and isinstance(out, ExactDistribution)
 
 
 @pytest.fixture(scope="module")
