@@ -4,7 +4,7 @@ Verbs:
   run <experiment> [flags]   run one named experiment, write report + CSV tables
   run all [flags]            run every experiment with the same flags, then print a summary
   list-experiments           show the experiment registry
-  selftest                   fast end-to-end sanity run (< 10 s)
+  selftest                   the K_{1/2}(2) closed form, then every check of the exact experiments
 
 Configuration comes from an optional JSON config file (--config) overridden
 by explicit flags; every run writes a report.json that echoes the full
@@ -38,6 +38,9 @@ _KEYS = {
     "out": ("out_dir", str, "output directory"),
 }
 
+# the experiments whose checks are exact identities; selftest runs them at their defaults
+_EXACT = ("pitman-discrete", "tree-samelaw", "toda-identity", "spherical-limit", "hoogenboom-det")
+
 
 class UsageError(Exception):
     pass
@@ -57,7 +60,7 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         try:
             out[key] = _KEYS[key][1](value)
-            valid = not isinstance(value, bool) and (not isinstance(value, (int, float)) or out[key] == value)
+            valid = not isinstance(value, bool) and out[key] == value
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
@@ -92,6 +95,12 @@ def _write_outputs(result, out_dir: Path) -> None:
             writer.writerows(table["rows"])
 
 
+def _print_checks(result) -> None:
+    for check in result.checks:
+        mark = "PASS" if check.passed else "FAIL"
+        print(f"[{mark}] {result.name}: {check.name} = {check.value} ({check.threshold})")
+
+
 def _cmd_run(args) -> int:
     if args.experiment != "all" and args.experiment not in EXPERIMENTS:
         print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
@@ -110,9 +119,7 @@ def _cmd_run(args) -> int:
         t0 = time.perf_counter()
         result = run_experiment(cfg)
         _write_outputs(result, out_dir)
-        for check in result.checks:
-            mark = "PASS" if check.passed else "FAIL"
-            print(f"[{mark}] {result.name}: {check.name} = {check.value} ({check.threshold})")
+        _print_checks(result)
         print(f"report: {out_dir / 'report.json'}")
         summary.append((cfg.experiment, result.passed, time.perf_counter() - t0))
     if args.experiment == "all":
@@ -129,30 +136,15 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    from . import trees as tr
-    from .paths import RngStream
     from .specialfn import macdonald_k
-    from .stats import ks_two_sample
 
-    failures = 0
-
-    def check(label, ok):
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] selftest: {label}")
-        failures += not ok
-
-    check("K_{1/2}(2) closed form",
-          abs(macdonald_k(0.5, 2.0) - math.sqrt(math.pi / 4.0) * math.exp(-2.0)) < 1e-12)
-    check("pitman law = bessel3 law (n <= 10)",
-          tr.pitman_walk_distribution(10) == tr.exact_distribution(tr.bessel3_kernel(), 0, 10))
-    graph = tr.exact_distribution(tr.graph_kernel(2), (0, 0), 6)
-    check("tree same-law (q = 2, n <= 6)",
-          [tr.graph_distance_marginal(g) for g in graph]
-          == tr.exact_distribution(tr.ground_state_kernel(2), 0, 6))
-    x = RngStream(1, 0).generator().standard_normal(2000)
-    rep = ks_two_sample(x, x)
-    check("KS identical batches", rep.statistic == 0.0 and rep.passed)
-    return 0 if failures == 0 else 1
+    passed = abs(macdonald_k(0.5, 2.0) - math.sqrt(math.pi / 4.0) * math.exp(-2.0)) < 1e-12
+    print(f"[{'PASS' if passed else 'FAIL'}] selftest: K_{{1/2}}(2) closed form")
+    for name in _EXACT:
+        result = run_experiment(ExperimentConfig(name))
+        _print_checks(result)
+        passed = passed and result.passed
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
@@ -172,7 +164,7 @@ def main(argv=None) -> int:
     list_p = sub.add_parser("list-experiments", help="print the experiment registry")
     list_p.set_defaults(fn=_cmd_list)
 
-    self_p = sub.add_parser("selftest", help="fast sanity checks")
+    self_p = sub.add_parser("selftest", help="closed-form oracle plus the exact experiments' checks")
     self_p.set_defaults(fn=_cmd_selftest)
 
     try:

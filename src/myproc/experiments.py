@@ -10,6 +10,7 @@ functions with the default configurations.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
@@ -151,8 +152,8 @@ def _table(header, rows):
 
 def _map_seeds(fn, args, workers: int) -> list:
     """fn over the argument tuples (one per seed or chunk of seeds), sorted; in a process pool of at
-    most one worker per tuple when that is more than one (the pool forks all its workers at once)."""
-    workers = min(workers, len(args))
+    most one worker per tuple and per CPU when that is more than one (the pool forks all its workers at once)."""
+    workers = min(workers, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return sorted(ex.map(fn, args))
@@ -191,11 +192,11 @@ def run_pitman_discrete(cfg: ExperimentConfig) -> ExperimentResult:
 def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
     n_max = 20
     checks = []
-    graph_laws = {}
+    radial_laws = {}
     for q in (2, 3, 5):
-        graph_laws[q] = tr.exact_distribution(tr.graph_kernel(q), (0, 0), n_max)
-        ground = tr.exact_distribution(tr.ground_state_kernel(q), 0, n_max)
-        ok = all(tr.graph_distance_marginal(g) == r for g, r in zip(graph_laws[q], ground))
+        graph_laws = tr.exact_distribution(tr.graph_kernel(q), (0, 0), n_max)
+        radial_laws[q] = [tr.graph_distance_marginal(g) for g in graph_laws]
+        ok = radial_laws[q] == tr.exact_distribution(tr.ground_state_kernel(q), 0, n_max)
         checks.append(Check(f"samelaw_q{q}", ok, float(ok),
                             f"exact distance-marginal equality, n <= {n_max}", {"q": q}))
     rate_rows = []
@@ -217,7 +218,7 @@ def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
     inv_ok = all(x >= abs(y) and (x - y) % 2 == 0 for (x, y) in lim)
     checks.append(Check("limit_walk_state_invariant", inv_ok, float(inv_ok),
                         "x >= |y| and x = y (mod 2) on the limit walk support", {"n": 16}))
-    law = tr.graph_distance_marginal(graph_laws[2][-1])
+    law = radial_laws[2][-1]
     law_rows = [[2, n_max, s, f"{m.numerator}/{m.denominator}", float(m)] for s, m in sorted(law.items())]
     return ExperimentResult(
         "tree-samelaw", cfg.as_dict(), checks,
@@ -254,12 +255,11 @@ def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
     mults = [Multiplicities(2 * (q - 1), 1) for q in qs]  # SU(1,q)
     checks = []
     rows = []
+    g_q = {}
     for lam in (0.2, 0.45):
         for r in (1.0, 2.0):
-            vals = []
-            for q, mult in zip(qs, mults):
-                vals.append(se.g_q_error(lam, r, mult))
-                rows.append([lam, r, q, vals[-1]])
+            vals = g_q[lam, r] = [se.g_q_error(lam, r, mult) for mult in mults]
+            rows += [[lam, r, q, v] for q, v in zip(qs, vals)]
             dec = all(abs(a) > abs(b) for a, b in zip(vals, vals[1:]))
             checks.append(Check(f"gq_decreasing_lam{lam}_r{r}", dec, abs(vals[-1]),
                                 "strictly decreasing |g_q| over q in " + str(qs),
@@ -271,9 +271,9 @@ def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
         dec = all(abs(a) > abs(b) for a, b in zip(d2, d2[1:]))
         checks.append(Check(f"gq_second_derivative_decreasing_r{r}", dec, abs(d2[-1]),
                             "decreasing |d^2 g_q / dlam^2 (0)| over q", {"r": r, "values": d2}))
-    # normalizer-variant comparison: only the squared-Gamma form converges to 0
-    var_rows = [[q, se.g_q_error(0.2, 1.0, mult, "squared"), se.g_q_error(0.2, 1.0, mult, "single")]
-                for q, mult in zip(qs, mults)]
+    # normalizer-variant comparison: only the squared-Gamma form (g_q's default) converges to 0
+    var_rows = [[q, squared, se.g_q_error(0.2, 1.0, mult, "single")]
+                for q, mult, squared in zip(qs, mults, g_q[0.2, 1.0])]
     return ExperimentResult(
         "spherical-limit", cfg.as_dict(), checks,
         {"g_q": _table(["lam", "r", "q", "g_q"], rows),

@@ -1,5 +1,5 @@
-"""Statistical verification toolkit: two-sample tests, generator tests,
-a Markov-property test, and the conditional-law moment test.
+"""Statistical verification toolkit: the two-sample KS statistic and threshold,
+generator tests, a Markov-property test, and the conditional-law moment test.
 
 All tests take plain arrays, are deterministic functions of them and return
 a TestReport whose passed flag is a pure function of statistic vs threshold.
@@ -22,7 +22,6 @@ __all__ = [
     "indicator_bins",
     "ks_statistic",
     "ks_threshold",
-    "ks_two_sample",
     "generator_test",
     "markov_property_test",
     "conditional_law_test",
@@ -58,16 +57,6 @@ def ks_threshold(n_a: int, n_b: int, level: float) -> float:
     """Asymptotic rejection threshold c(alpha) sqrt((n+m)/(n m))."""
     c = math.sqrt(-0.5 * math.log(level / 2.0))
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
-
-
-def ks_two_sample(a, b, level: float = 0.01) -> TestReport:
-    """Two-sample KS test at the given asymptotic level (batch sizes >= 100)."""
-    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if va.size < 100 or vb.size < 100:
-        raise ValueError("KS test needs batches of size >= 100")
-    stat = ks_statistic(va, vb)
-    thr = ks_threshold(va.size, vb.size, level)
-    return TestReport(stat, thr, stat <= thr, {"level": level, "n_a": int(va.size), "n_b": int(vb.size)})
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ one-matrix, one-step, one-column forms of the solvable-group engine, the
 explicit-column engine that simulates every transverse column of SU(p,q),
 the column-by-column left-point Ito form of the radial part on the
 hyperbolic space H^q, and the one-functional, fresh-arrays-every-step loop
-of the exponential functional.
+of the exponential functional.  The two-sample KS test that compares sample
+batches in the tests is built on the library's KS statistic and threshold.
 """
 
 import math
@@ -17,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
+
+from myproc.stats import TestReport, ks_statistic, ks_threshold
 
 
 def macdonald_raw_integral(lam: float, x: float) -> float:
@@ -318,3 +321,13 @@ def exp_functional_stepwise(times, dt: float, n_paths: int, rng, mu: float = 2.0
             out_x[marks[k]] = x
             out_z[marks[k]] = integral * np.exp(-x)
     return out_x, out_z
+
+
+def ks_two_sample(a, b, level: float = 0.01) -> TestReport:
+    """Two-sample KS test at the given asymptotic level (batch sizes >= 100)."""
+    va, vb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if va.size < 100 or vb.size < 100:
+        raise ValueError("KS test needs batches of size >= 100")
+    stat = ks_statistic(va, vb)
+    thr = ks_threshold(va.size, vb.size, level)
+    return TestReport(stat, thr, stat <= thr, {"level": level, "n_a": int(va.size), "n_b": int(vb.size)})

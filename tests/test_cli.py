@@ -19,8 +19,22 @@ class TestVerbs:
             assert name in out
 
     def test_selftest(self, capsys):
+        # the closed-form line, then one line per check of each exact experiment at its defaults
         assert main(["selftest"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[PASS] selftest: K_{1/2}(2) closed form"
+        names = ("pitman-discrete", "tree-samelaw", "toda-identity", "spherical-limit", "hoogenboom-det")
+        results = [run_experiment(ExperimentConfig(name)) for name in names]
+        assert lines[1:] == [f"[PASS] {r.name}: {c.name} = {c.value} ({c.threshold})"
+                             for r in results for c in r.checks]
+        assert len(lines) == 59
+
+    def test_selftest_exits_1_on_a_failed_check(self, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "toda-identity", _fake("toda-identity", False, []))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] toda-identity: fake = 0.0 (fake)" in out and out.count("[FAIL]") == 1
+        assert "[PASS] hoogenboom-det: rank_one_reduction" in out  # the later experiments still run
 
 
 class TestRun:
@@ -79,13 +93,17 @@ class TestRun:
         ("toda-identity", [], {"paths": 1999.9}, "config key 'paths' has invalid value 1999.9"),
         ("toda-identity", [], {"seeds": True}, "config key 'seeds' has invalid value True"),
         ("toda-identity", [], {"paths": float("inf")}, "config key 'paths' has invalid value inf"),
+        ("toda-identity", [], {"out": None}, "config key 'out' has invalid value None"),
+        ("toda-identity", [], {"out": ["x"]}, "config key 'out' has invalid value ['x']"),
+        ("toda-identity", [], {"paths": "5000"}, "config key 'paths' has invalid value '5000'"),
         ("toda-identity", ["--out", "{tmp}/file"], None, "cannot create output directory {tmp}/file: File exists"),
         ("all", ["--out", "{tmp}/file"], None,
          "cannot create output directory {tmp}/file/conditional-law: Not a directory"),
     ], ids=["lambda-nan", "lambda-inf", "config-fractional-paths", "config-bool-seeds", "config-infinite-paths",
-            "out-names-a-file", "run-all-out-names-a-file"])
+            "out-null", "out-list", "paths-string", "out-names-a-file", "run-all-out-names-a-file"])
     def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
-        # a non-finite lambda, a config value its key's type would change or cannot hold, or an
+        # a non-finite lambda, a config value its key's type would change or cannot hold (a null or a
+        # list `out` would become a directory name, a string `paths` a number), or an
         # --out that names a file (the later --out wins); each fails before any experiment runs
         (tmp_path / "file").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -273,8 +291,16 @@ def pool_sizes(monkeypatch):
 
 class TestWorkerPool:
     @pytest.mark.parametrize("workers, n_args, sizes", [(8, 1, []), (8, 3, [3]), (2, 5, [2]), (1, 5, [])])
-    def test_pool_has_at_most_one_worker_per_task(self, pool_sizes, workers, n_args, sizes):
+    def test_pool_has_at_most_one_worker_per_task(self, pool_sizes, monkeypatch, workers, n_args, sizes):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         assert experiments._map_seeds(abs, [-i for i in range(n_args)], workers) == list(range(n_args))
+        assert pool_sizes == sizes
+
+    @pytest.mark.parametrize("cpus, sizes", [(4, [4]), (1, []), (None, [])])
+    def test_pool_has_at_most_one_worker_per_cpu(self, pool_sizes, monkeypatch, cpus, sizes):
+        # --seeds 3000 --workers 3000 would otherwise fork 3000 processes at once
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments._map_seeds(abs, [-i for i in range(3000)], 3000) == list(range(3000))
         assert pool_sizes == sizes
 
     def test_one_seed_forks_no_pool(self, pool_sizes, tmp_path):

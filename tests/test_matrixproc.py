@@ -30,6 +30,7 @@ from oracles import (
     expm_tri_2x2,
     expm_tri_single,
     hyperbolic_radial_columns,
+    ks_two_sample,
     su_beta_per_column,
     su_heun_step,
     su_heun_stepwise,
@@ -627,8 +628,6 @@ class TestFiniteQRadial:
             _, rad = finite_q_radial(sp, indices=[grid.n_steps])
             a[i] = rad[0, 0, 0, 0]
             b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[:, 0, 0]), grid.dt, r.child(5))[-1]
-        from myproc.stats import ks_two_sample
-
         rep = ks_two_sample(a, b, level=0.01)
         assert rep.passed, rep
 

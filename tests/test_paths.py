@@ -17,8 +17,7 @@ from myproc.paths import (
 from myproc.experiments import _convergence_seed_err
 from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
 from myproc.specialfn import macdonald_k
-from myproc.stats import ks_two_sample
-from oracles import exp_functional_stepwise
+from oracles import exp_functional_stepwise, ks_two_sample
 
 GRID = TimeGrid(1.0, 1000)
 GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID

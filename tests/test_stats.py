@@ -11,9 +11,9 @@ from myproc.stats import (
     conditional_law_test,
     ks_statistic,
     ks_threshold,
-    ks_two_sample,
     markov_property_test,
 )
+from oracles import ks_two_sample
 
 
 def _gen(seed):
