@@ -9,7 +9,7 @@ Verbs:
 Configuration comes from an optional JSON config file (--config) overridden
 by explicit flags; every run writes a report.json that echoes the full
 configuration, so results are reproducible byte for byte from the report.
-Exit status: 0 all checks passed, 1 some check failed, 2 usage error.
+Exit status: 0 all checks passed, 1 some check failed, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ import sys
 import time
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .paths import ArcoshDomainError
+from .series import ResonanceError, TruncationError
 
 # config-file key and flag name -> (ExperimentConfig field, type, flag help)
 _KEYS = {
@@ -41,9 +45,24 @@ _KEYS = {
 # the experiments whose checks are exact identities; selftest runs them at their defaults
 _EXACT = ("pitman-discrete", "tree-samelaw", "toda-identity", "spherical-limit", "hoogenboom-det")
 
+# the errors of a computation that broke down, as opposed to a check that failed (exit 3)
+_NUMERICAL = (ArcoshDomainError, TruncationError, ResonanceError, OverflowError, LinAlgError)
+
 
 class UsageError(Exception):
     pass
+
+
+class NumericalFailure(Exception):
+    pass
+
+
+def _run(cfg):
+    """run_experiment, with a numerical error raised again as a NumericalFailure that names the experiment."""
+    try:
+        return run_experiment(cfg)
+    except _NUMERICAL as exc:
+        raise NumericalFailure(f"numerical failure in {cfg.experiment}: {type(exc).__name__}: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -117,7 +136,7 @@ def _cmd_run(args) -> int:
     summary = []
     for cfg, out_dir in zip(configs, out_dirs):
         t0 = time.perf_counter()
-        result = run_experiment(cfg)
+        result = _run(cfg)
         _write_outputs(result, out_dir)
         _print_checks(result)
         print(f"report: {out_dir / 'report.json'}")
@@ -141,7 +160,7 @@ def _cmd_selftest(_args) -> int:
     passed = abs(macdonald_k(0.5, 2.0) - math.sqrt(math.pi / 4.0) * math.exp(-2.0)) < 1e-12
     print(f"[{'PASS' if passed else 'FAIL'}] selftest: K_{{1/2}}(2) closed form")
     for name in _EXACT:
-        result = run_experiment(ExperimentConfig(name))
+        result = _run(ExperimentConfig(name))
         _print_checks(result)
         passed = passed and result.passed
     return 0 if passed else 1
@@ -170,9 +189,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalFailure) else 2
 
 
 if __name__ == "__main__":

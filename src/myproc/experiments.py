@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,9 +34,9 @@ __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_
 _MARKOV_BINS = 15
 _MARKOV_MIN_HALF = 50
 
-# supq-limit runs its replicas, and my-convergence its seeds, in chunks whose
-# (n, p, p) matrix paths, one per replica and q value, stay near this many
-# bytes, so memory stays bounded at any p and seed count
+# the Monte Carlo batches run their replicas in chunks whose (n, p, p) matrix
+# paths, one per replica and q value, stay near this many bytes, so memory
+# stays bounded at any p and seed count
 _CHUNK_BYTES = 1 << 21
 
 # fewest paths whose statistics each path-sampling experiment can form: a
@@ -52,8 +53,8 @@ _ETA_MEAN_T, _ERROR_FROM_T = 1.0, 0.1
 _GENERATOR_TIMES = (0.9, 1.0, 1.5)
 _CONDITIONAL_T = 1.0
 
-# supq-limit's nested q values; p must stay below the first, since the
-# transverse columns of a q value number q - p
+# supq-limit's nested q values; p is at most half the first, so that every
+# column group (q_1 - p, q_2 - q_1, ... transverse columns) is at least p wide
 _SUPQ_Q = (50, 200, 800)
 
 
@@ -98,8 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
         if self.experiment == "my-convergence" and not self.T >= _ERROR_FROM_T:
             raise ValueError(f"my-convergence measures its error from t = {_ERROR_FROM_T} on, got T = {self.T}")
-        if self.experiment == "supq-limit" and self.p >= _SUPQ_Q[0]:
-            raise ValueError(f"supq-limit needs p < {_SUPQ_Q[0]}, its smallest q, got p = {self.p}")
+        if self.experiment == "supq-limit" and self.p > _SUPQ_Q[0] // 2:
+            raise ValueError(f"supq-limit needs p <= {_SUPQ_Q[0] // 2}, half its smallest q, got p = {self.p}")
         # the times each path experiment reads off its dt grid
         marks = {"my-convergence": (_ERROR_FROM_T, _ETA_MEAN_T, self.T), "my-generator": _GENERATOR_TIMES,
                  "conditional-law": (_CONDITIONAL_T,), "supq-limit": (self.T, self.T / 2)}
@@ -150,14 +151,17 @@ def _table(header, rows):
     return {"header": list(header), "rows": [list(r) for r in rows]}
 
 
-def _map_seeds(fn, args, workers: int) -> list:
-    """fn over the argument tuples (one per seed or chunk of seeds), sorted; in a process pool of at
-    most one worker per tuple and per CPU when that is more than one (the pool forks all its workers at once)."""
-    workers = min(workers, len(args), os.cpu_count() or 1)
+def _chunk_map(fn, items: list, size: int, workers: int) -> list:
+    """fn over consecutive runs of at most size items, at least one run per worker, with the
+    lists it returns concatenated in order; in a process pool of at most one worker per run and
+    per CPU when that is more than one (the pool forks all its workers at once)."""
+    size = min(size, -(-len(items) // workers))
+    runs = [items[i:i + size] for i in range(0, len(items), size)]
+    workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return sorted(ex.map(fn, args))
-    return sorted(map(fn, args))
+            return [x for out in ex.map(fn, runs) for x in out]
+    return [x for run in runs for x in fn(run)]
 
 
 def _chunk_size(n_steps: int, n_q: int, p: int) -> int:
@@ -283,8 +287,8 @@ def run_spherical_limit(cfg: ExperimentConfig) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # my-convergence: E[eta_1] moment check and shared-noise hyperbolic limit
 
-def _convergence_seed_err(args) -> list:
-    seeds, dt, T, q_small, q_large = args
+def _convergence_rows(seeds: list, dt: float, T: float, q: tuple) -> list:
+    """Rows [seed, err(q_small), err(q_large)] of a run of my-convergence's seeds."""
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
     b = np.stack([pth.sample_bm(grid, base.child(0)) for base in bases])
@@ -294,11 +298,11 @@ def _convergence_seed_err(args) -> list:
     # l = e^B; the seeds ride on the replica axis, and nested column groups give
     # q_large the transverse noise of q_small
     l = mx.triangular_from_increments(grid, np.diff(b)[..., None, None])
-    sp = mx.simulate_su_solvable((q_small, q_large), [base.child(1) for base in bases], l)
+    sp = mx.simulate_su_solvable(q, [base.child(1) for base in bases], l)
     _, d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
-    log_q = np.array([math.log(q_small), math.log(q_large)])[:, None]
+    log_q = np.array([math.log(v) for v in q])[:, None]
     errs = np.max(np.abs(d[..., 0] - log_q - lg[:, None, k0:]), axis=-1)
-    return [(seed, float(e_small), float(e_large)) for seed, (e_small, e_large) in zip(seeds, errs)]
+    return [[seed] + e for seed, e in zip(seeds, errs.tolist())]
 
 
 def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -317,13 +321,10 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # shared-noise convergence over seeds
     q_small, q_large = 100, 10_000
     seeds = [cfg.seed + 100 + i for i in range(cfg.n_seeds)]
-    # contiguous chunks of seeds on the replica axis: at least one per worker, and
-    # no larger than _CHUNK_BYTES allows; a seed's errors do not depend on its chunk
-    size = min(_chunk_size(round(cfg.T / cfg.dt), 2, 1), -(-len(seeds) // cfg.workers))
-    args = [(seeds[i:i + size], cfg.dt, cfg.T, q_small, q_large) for i in range(0, len(seeds), size)]
-    rows = [list(r) for chunk in _map_seeds(_convergence_seed_err, args, cfg.workers) for r in chunk]
-    e2s = np.array([r[1] for r in rows])
-    e4s = np.array([r[2] for r in rows])
+    # a seed's errors do not depend on its run of seeds
+    rows = _chunk_map(partial(_convergence_rows, dt=cfg.dt, T=cfg.T, q=(q_small, q_large)), seeds,
+                      _chunk_size(round(cfg.T / cfg.dt), 2, 1), cfg.workers)
+    e2s, e4s = np.array(rows)[:, 1:].T
     frac = float(np.mean(e4s < e2s))
     med = float(np.median(e4s))
     checks.append(Check("shared_noise_monotone", frac >= 0.9, frac,
@@ -416,57 +417,37 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
 # supq-limit: matrix flat limits, the p=1 reduction, the structural invariant,
 # and the real-vs-complex scaling-constant ratio
 
-def _supq_seed_monotone(args) -> tuple:
-    seed, dt, T, p, q_list, inner = args
+def _supq_rows(seeds: list, dt: float, T: float, p: int, q: tuple, inner: int) -> list:
+    """Rows [seed, mean error over the inner replicas per (q, time, component)] of a run of supq-limit's seeds."""
     grid = pth.TimeGrid(T, round(T / dt))
-    r = pth.RngStream(seed, 0)
-    lshared = mx.sample_triangular_bm(p, "complex", grid, r.child(10**6))
+    bases = [pth.RngStream(seed, 0) for seed in seeds]
+    ls = [mx.sample_triangular_bm(p, "complex", grid, r.child(10**6)) for r in bases]
     idx = [grid.n_steps // 2, grid.n_steps]
-    _, target = mx.eta_matrix(lshared, indices=idx)
-    # the inner replicas ride on the leading axis and the q values on the next;
-    # each q adds a column group with its own noise (48, 150 and 600 columns at
-    # p = 2) to those of the smaller q, and summing the groups' W and c couples
-    # the q values in law exactly as nested columns would
-    rad = _replica_runs(p, q_list, grid, "complex", [r.child(rep) for rep in range(inner)],
-                        lambda sp: mx.finite_q_radial(sp, idx)[1], lshared)
-    errs = np.abs(np.cosh(rad) / np.reshape(q_list, (-1, 1, 1)) - target).mean(axis=0)
-    # the verdict compares the time-mean errors componentwise; the row keeps
-    # every (q, time, component) error in the order of the table's header
-    means = errs.mean(axis=1)
-    ok = all(np.all(a > b) for a, b in zip(means, means[1:]))
-    return seed, ok, [float(v) for v in errs.ravel()]
-
-
-def _replica_runs(p: int, q: tuple, grid: pth.TimeGrid, field: str, rngs: list, reduce, shared_l=None) -> np.ndarray:
-    """reduce(path) of the solvable-group path of every replica stream, concatenated.
-
-    Each replica has its own l, from its stream's child 10**6, unless shared_l
-    is given.  Replicas run in chunks whose (n, p, p) matrix paths, one per
-    replica and q value, stay near _CHUNK_BYTES, and each chunk is reduced
-    before the next one runs.
-    """
-    size = _chunk_size(grid.n_steps, len(q), p)
-    out = []
-    for i in range(0, len(rngs), size):
-        chunk = rngs[i:i + size]
-        l = shared_l if shared_l is not None else mx.triangular_from_increments(
-            grid, np.stack([mx.triangular_increments(p, field, grid, r.child(10**6)) for r in chunk]))
-        out.append(reduce(mx.simulate_su_solvable(q, chunk, l)))
-    return np.concatenate(out)
+    target = np.stack([mx.eta_matrix(l, indices=idx)[1] for l in ls])
+    # each seed's l is repeated over its inner replicas on the leading axis, and the
+    # q values ride on the next; each q adds a column group with its own noise (48,
+    # 150 and 600 columns at p = 2) to those of the smaller q, and summing the groups'
+    # W and c couples the q values in law exactly as nested columns would
+    lpath = mx.TriangularPath(grid, np.repeat(np.stack([l.frames for l in ls]), inner, axis=0))
+    sp = mx.simulate_su_solvable(q, [r.child(rep) for r in bases for rep in range(inner)], lpath)
+    rad = mx.finite_q_radial(sp, idx)[1].reshape(len(seeds), inner, len(q), len(idx), p)
+    errs = np.abs(np.cosh(rad) / np.reshape(q, (-1, 1, 1)) - target[:, None, None]).mean(axis=1)
+    return [[seed] + e.ravel().tolist() for seed, e in zip(seeds, errs)]
 
 
 def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
-    q_list = _SUPQ_Q
-    inner = 8
-    args = [(cfg.seed + 500 + i, cfg.dt, cfg.T, cfg.p, q_list, inner) for i in range(cfg.n_seeds)]
-    results = _map_seeds(_supq_seed_monotone, args, cfg.workers)
-    frac = float(np.mean([ok for _, ok, _ in results]))
+    q_list, inner = _SUPQ_Q, 8
+    seeds = [cfg.seed + 500 + i for i in range(cfg.n_seeds)]
+    rows = _chunk_map(partial(_supq_rows, dt=cfg.dt, T=cfg.T, p=cfg.p, q=q_list, inner=inner), seeds,
+                      max(1, _chunk_size(round(cfg.T / cfg.dt), len(q_list), cfg.p) // inner), cfg.workers)
+    # the verdict compares the time-mean errors componentwise
+    means = np.array(rows)[:, 1:].reshape(len(rows), len(q_list), 2, cfg.p).mean(axis=2)
+    frac = float(np.mean(np.all(means[:, :-1] > means[:, 1:], axis=(1, 2))))
     checks.append(Check("cosh_radial_monotone", frac >= 0.9, frac,
                         f"componentwise error decreasing over q={q_list} on >= 90% of {cfg.n_seeds} seeds "
                         f"(per-seed error = mean over {inner} transverse-noise replicas, shared l)",
                         {"seed": cfg.seed, "dt": cfg.dt, "q_list": list(q_list), "inner_replicas": inner}))
-    rows = [[s] + v for s, _, v in results]
     # p = 1 reduction at fine dt: matrix functional vs scalar functional, same noise
     grid = pth.TimeGrid(1.0, 10_000)
     inc = mx.triangular_increments(1, "real", grid, pth.RngStream(cfg.seed, 9))
@@ -478,25 +459,30 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     checks.append(Check("p1_reduction", rel <= tol, rel,
                         f"relative gap <= 5 sqrt(dt) = {tol:.3g}",
                         {"seed": cfg.seed, "dt": grid.dt}))
+
+    def replica_mean(q, grid, field, rngs, reduce) -> float:
+        # mean of reduce(path) over each replica's solvable-group path, with its own l from its stream's child 10**6
+        def run(chunk):
+            l = mx.triangular_from_increments(grid, np.stack(
+                [mx.triangular_increments(cfg.p, field, grid, r.child(10**6)) for r in chunk]))
+            return reduce(mx.simulate_su_solvable(q, chunk, l))
+        return float(np.mean(_chunk_map(run, rngs, _chunk_size(grid.n_steps, len(q), cfg.p), 1)))
+
     # invariant defect halves with dt (ratio of replica means)
-    defects = {}
-    for n_steps in (1000, 2000):
-        peaks = _replica_runs(cfg.p, (100,), pth.TimeGrid(1.0, n_steps), "complex",
-                              [pth.RngStream(cfg.seed + i, 11) for i in range(48)],
-                              lambda sp: sp.invariant_defect().max(axis=-1)[:, 0])
-        defects[n_steps] = float(np.mean(peaks))
+    defects = {n_steps: replica_mean((100,), pth.TimeGrid(1.0, n_steps), "complex",
+                                     [pth.RngStream(cfg.seed + i, 11) for i in range(48)],
+                                     lambda sp: sp.invariant_defect().max(axis=-1)[:, 0])
+               for n_steps in (1000, 2000)}
     ratio = defects[1000] / defects[2000]
     checks.append(Check("invariant_halving", 1.5 <= ratio <= 2.7, ratio,
                         "defect(dt) / defect(dt/2) in [1.5, 2.7] over 48 replicas",
                         {"seed": cfg.seed, "q": 100, "defects": defects}))
     # real-vs-complex scaling constant (theta) ratio at large q
-    alphas = {}
-    for fieldtag in ("complex", "real"):
-        ratios = _replica_runs(cfg.p, (800,), pth.TimeGrid(1.0, 1000), fieldtag,
-                               [pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17) for i in range(16)],
-                               lambda sp: np.einsum("rii->r", sp.c[:, 0, -1]).real
-                               / (800 * np.einsum("rii->r", mx.integrated_ll_star(sp.l_path)[:, -1]).real))
-        alphas[fieldtag] = float(np.mean(ratios))
+    alphas = {fieldtag: replica_mean((800,), pth.TimeGrid(1.0, 1000), fieldtag,
+                                     [pth.RngStream(cfg.seed + 7000 + i, 13 if fieldtag == "complex" else 17) for i in range(16)],
+                                     lambda sp: np.einsum("rii->r", sp.c[:, 0, -1]).real
+                                     / (800 * np.einsum("rii->r", mx.integrated_ll_star(sp.l_path)[:, -1]).real))
+              for fieldtag in ("complex", "real")}
     theta_ratio = alphas["complex"] / alphas["real"]
     checks.append(Check("theta_ratio", 1.8 <= theta_ratio <= 2.2, theta_ratio,
                         "complex : real c_t/q scaling ratio in [1.8, 2.2] at q = 800",

@@ -246,7 +246,6 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
 
     G is a p x p block of column noise; A is the Bartlett factor of the Wishart
     matrix S = A A* (width - p degrees of freedom) of the group's other columns.
-    A group narrower than p has only its first `width` columns of G and no A.
     Replica i draws every group, in order, from rngs[i].
     """
     cols = np.arange(p)
@@ -256,9 +255,8 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
         gen = rng.generator()
         for g, width in enumerate(widths):
             nu = width - p
-            k = K[:, i, g]
-            k[..., :p] = math.sqrt(2.0 * dt) * _normals(gen, (n, p, p), cplx) * (cols < width)
-            A = k[..., p:]
+            K[:, i, g, :, :p] = math.sqrt(2.0 * dt) * _normals(gen, (n, p, p), cplx)
+            A = K[:, i, g, :, p:]
             A[:, low[0], low[1]] = _normals(gen, (n, low[0].size), cplx) * (low[1] < nu)
             dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)  # chi^2 degrees of freedom on the diagonal
             A[:, cols, cols] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p)))
@@ -274,10 +272,10 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     leading axis of W and c.
     q holds increasing values q_1 < q_2 < ... (the next axis) whose
     transverse columns are nested: q_j sums the column groups 1..j, of widths
-    q_1 - p, q_2 - q_1, ..., each with its own noise, so every q_j has the law
-    of a lone run and a shorter sequence reproduces the leading groups of a
-    longer one.  Passing the same l across q values realizes the coupled
-    comparison in which only the transverse noise dimension grows.
+    q_1 - p, q_2 - q_1, ..., each at least p and with its own noise, so every
+    q_j has the law of a lone run and a shorter sequence reproduces the leading
+    groups of a longer one.  Passing the same l across q values realizes the
+    coupled comparison in which only the transverse noise dimension grows.
 
     Each group is integrated through its Gram matrix.  Before step k its columns
     are b_k = [X_k, 0] U_k with X_k X_k* = W_k (X_0 = 0, then the Cholesky
@@ -287,15 +285,12 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
 
         W_{k+1} = Z Z*,   c-increment = X_k (lbar G)* + 1/2 lbar K K* l_{k+1}*
                                         + 1/2 (l_k dkappa l_k* + l_{k+1} dkappa l_{k+1}*).
-
-    A group narrower than p keeps its own columns instead: X_{k+1} = Z[:, :p].
     """
     frames = l.frames
     p, n, dt, cplx = frames.shape[-1], l.grid.n_steps, l.grid.dt, np.iscomplexobj(frames)
     widths = np.diff(q, prepend=p)
-    if np.any(widths < 1):
-        raise ValueError("need p < q_1 < q_2 < ...")
-    wide = widths >= p
+    if np.any(widths < p):
+        raise ValueError(f"need column groups q_1 - p, q_2 - q_1, ... of at least p = {p} columns, got {widths}")
     if frames.ndim != 3 and frames.shape[0] != len(rngs):
         raise ValueError("l must hold one path, or one per replica")
     # time-first frames (n+1, replicas or 1, 1, p, p), broadcast over replicas and groups
@@ -310,8 +305,7 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         Z = LK[k]
         Z[..., :p] += X[k]
         np.matmul(Z, _h(Z), out=W[k + 1])
-        X[k + 1] = Z[..., :p]
-        X[k + 1][:, wide] = np.linalg.cholesky(W[k + 1][:, wide])
+        X[k + 1] = np.linalg.cholesky(W[k + 1])
     dc += X[:-1] @ _h(LK[..., :p] - X[:-1])
     del LK, X
     dkappa = np.stack([_kappa_increments(p, cplx, n, dt, r.child(0)) for r in rngs], axis=1)[:, :, None]

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from myproc import experiments
 from myproc.cli import main
+from myproc.paths import ArcoshDomainError
+from myproc.series import ResonanceError, TruncationError
 from myproc.experiments import EXPERIMENTS, Check, ExperimentConfig, ExperimentResult, run_experiment
 
 
@@ -63,13 +66,16 @@ class TestRun:
         b["config"].pop("out_dir")
         assert a == b
 
-    def test_my_convergence_independent_of_workers(self, tmp_path):
-        # the seeds run in contiguous chunks, one per worker, on the replica axis
+    @pytest.mark.parametrize("experiment, argv, table", [
+        ("my-convergence", ["--seeds", "4", "--T", "0.2", "--dt", "0.01"], "seed_errors.csv"),
+        ("supq-limit", ["--seeds", "3"], "monotone_errors.csv"),
+    ], ids=["my-convergence", "supq-limit"])
+    def test_seed_batches_independent_of_workers(self, tmp_path, experiment, argv, table):
+        # the seeds run in contiguous runs, at least one per worker, on the replica axis
         outs = [tmp_path / f"w{w}" for w in (1, 2)]
         for w, out in zip((1, 2), outs):
-            assert main(["run", "my-convergence", "--seeds", "4", "--T", "0.2", "--dt", "0.01",
-                         "--workers", str(w), "--out", str(out)]) == 0
-        assert (outs[0] / "seed_errors.csv").read_bytes() == (outs[1] / "seed_errors.csv").read_bytes()
+            assert main(["run", experiment, *argv, "--workers", str(w), "--out", str(out)]) == 0
+        assert (outs[0] / table).read_bytes() == (outs[1] / table).read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -139,11 +145,11 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q": -3, "p": 1}))
         assert main(["run", "pitman-discrete", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
-        # supq-limit's smallest q is 50, and a q value holds q - p transverse columns
-        assert main(["run", "supq-limit", "--p", "50", "--out", str(tmp_path / "d")]) == 2
+        # supq-limit's smallest q is 50, and its first column group holds 50 - p >= p columns
+        assert main(["run", "supq-limit", "--p", "26", "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.count("q must be non-negative") == 2 and "p must be positive, got 0" in err
-        assert "supq-limit needs p < 50, its smallest q, got p = 50" in err and "Traceback" not in err
+        assert "supq-limit needs p <= 25, half its smallest q, got p = 26" in err and "Traceback" not in err
         assert not any((tmp_path / d).exists() for d in "abcd")
 
     def test_too_few_paths_is_a_usage_error(self, tmp_path, capsys):
@@ -197,11 +203,36 @@ class TestRun:
         assert all("provenance" in c for c in report["checks"])
 
 
+class TestNumericalFailure:
+    _ERRORS = [ArcoshDomainError("cosh argument 0.9 below 1 at step 7"), TruncationError("series did not converge"),
+               ResonanceError("2 lam = 1"), OverflowError("math range error"), np.linalg.LinAlgError("not definite")]
+
+    @pytest.mark.parametrize("error", _ERRORS, ids=lambda e: type(e).__name__)
+    def test_exits_3_with_one_line(self, monkeypatch, tmp_path, capsys, error):
+        def run(cfg):
+            raise error
+        monkeypatch.setitem(EXPERIMENTS, "toda-identity", run)
+        assert main(["run", "toda-identity", "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert err == f"error: numerical failure in toda-identity: {type(error).__name__}: {error}\n"
+        assert out == "" and not (tmp_path / "report.json").exists()
+        assert main(["selftest"]) == 3
+        assert capsys.readouterr().err == err
+
+    def test_other_errors_are_not_numerical_failures(self, monkeypatch, tmp_path):
+        def run(cfg):
+            raise ValueError("a bug, not a breakdown")
+        monkeypatch.setitem(EXPERIMENTS, "toda-identity", run)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["run", "toda-identity", "--out", str(tmp_path)])
+
+
 class TestDefaults:
     def test_python_call_uses_the_experiment_defaults(self):
         assert ExperimentConfig("pitman-discrete").q == 24
         assert ExperimentConfig("pitman-discrete", q=0).q == 0
         assert ExperimentConfig("supq-limit").as_dict()["n_seeds"] == 50
+        assert ExperimentConfig("supq-limit", p=25).p == 25  # the largest p whose column groups are p wide
         assert (ExperimentConfig("toda-identity").q, ExperimentConfig("my-convergence").n_seeds) == (0, 100)
         result = run_experiment(ExperimentConfig("pitman-discrete"))
         assert result.passed and result.config["q"] == 24
@@ -289,19 +320,33 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def _negate(run: list) -> list:
+    return [-x for x in run]
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("workers, n_args, sizes", [(8, 1, []), (8, 3, [3]), (2, 5, [2]), (1, 5, [])])
     def test_pool_has_at_most_one_worker_per_task(self, pool_sizes, monkeypatch, workers, n_args, sizes):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
-        assert experiments._map_seeds(abs, [-i for i in range(n_args)], workers) == list(range(n_args))
+        assert experiments._chunk_map(_negate, list(range(n_args)), 1, workers) == [-i for i in range(n_args)]
         assert pool_sizes == sizes
 
     @pytest.mark.parametrize("cpus, sizes", [(4, [4]), (1, []), (None, [])])
     def test_pool_has_at_most_one_worker_per_cpu(self, pool_sizes, monkeypatch, cpus, sizes):
         # --seeds 3000 --workers 3000 would otherwise fork 3000 processes at once
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        assert experiments._map_seeds(abs, [-i for i in range(3000)], 3000) == list(range(3000))
+        assert experiments._chunk_map(_negate, list(range(3000)), 1, 3000) == [-i for i in range(3000)]
         assert pool_sizes == sizes
+
+    @pytest.mark.parametrize("size, workers, runs", [
+        (2, 1, [[0, 1], [2, 3], [4]]), (10, 1, [[0, 1, 2, 3, 4]]), (10, 2, [[0, 1, 2], [3, 4]]),
+        (10, 4, [[0, 1], [2, 3], [4]]), (1, 2, [[0], [1], [2], [3], [4]]),
+    ])
+    def test_runs_are_contiguous_and_at_least_one_per_worker(self, pool_sizes, monkeypatch, size, workers, runs):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        seen = []
+        assert experiments._chunk_map(lambda run: seen.append(run) or run, list(range(5)), size, workers) == list(range(5))
+        assert seen == runs and pool_sizes == ([min(workers, len(runs))] if workers > 1 else [])
 
     def test_one_seed_forks_no_pool(self, pool_sizes, tmp_path):
         assert main(["run", "my-convergence", "--seeds", "1", "--T", "0.2", "--dt", "0.01", "--paths", "100",

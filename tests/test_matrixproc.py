@@ -8,8 +8,8 @@ from scipy.linalg import expm as scipy_expm
 
 from scipy.stats import ks_2samp
 
-from myproc import experiments, matrixproc as mx
-from myproc.experiments import _supq_seed_monotone
+from myproc import matrixproc as mx
+from myproc.experiments import _convergence_rows, _supq_rows
 from myproc.matrixproc import (
     SuSolvablePath,
     TriangularPath,
@@ -418,29 +418,14 @@ class TestSuSolvable:
             assert _rel_err(sp.W[0, 0, k + 1], b @ b.conj().T) <= 1e-12
             assert _rel_err(sp.c[0, 0, k + 1], c) <= 1e-12
 
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_narrow_group_keeps_its_columns(self, field, monkeypatch):
-        # fewer columns than p: the group carries b itself, driven by its own column noise
-        p, q, n = 3, 5, 8
-        grid = TimeGrid(0.4, n)
-        dbeta = _normal(np.random.default_rng(9), (n, p, q - p), field)
-        K = np.zeros((n, p, 2 * p), dtype=dbeta.dtype)
-        K[:, :, : q - p] = dbeta
-        _fixed_noise(monkeypatch, K)
-        lp = sample_triangular_bm(p, field, grid, RNG.child(24))
-        sp = simulate_su_solvable((q,), [RNG.child(31)], lp)
-        b, c = su_heun_stepwise(q, lp.frames, dbeta, su_noise_increments(p, q, field, grid, RNG.child(31))[1])
-        assert _rel_err(sp.W[0, 0], b @ b.conj().transpose(0, 2, 1)) <= 1e-12
-        assert _rel_err(sp.c[0, 0], c) <= 1e-12
-
     def test_reduced_noise_structure(self):
-        # widths 2 < p, p + 1 and p + 6 at p = 3: the columns past a narrow group's width
-        # are empty, and the Bartlett factor has width - p chi columns
+        # widths p, p + 1 and p + 6 at p = 3: G is a full p x p block, and the
+        # Bartlett factor has width - p chi columns
         p = 3
-        K = mx._transverse_noise(p, np.array([2, 4, 9]), True, 50, 0.01, [RngStream(14, 0), RngStream(14, 1)])
+        K = mx._transverse_noise(p, np.array([3, 4, 9]), True, 50, 0.01, [RngStream(14, 0), RngStream(14, 1)])
         assert K.shape == (50, 2, 3, p, 2 * p)
         G, A = K[..., :p], K[..., p:]
-        assert np.all(G[:, :, 0, :, 2:] == 0.0) and np.all(G[:, :, 0, :, :2] != 0.0)
+        assert np.all(G != 0.0)
         assert np.all(A[:, :, 0] == 0.0)
         assert np.all(A[:, :, 1, :, 1:] == 0.0) and np.all(A[:, :, 1, 1:, 0] != 0.0)
         diag = np.diagonal(A[:, :, 2], axis1=-2, axis2=-1)
@@ -543,10 +528,11 @@ class TestSuSolvable:
             simulate_su_solvable((20,), rngs * 2, stacked)
 
     def test_shared_draw_matches_per_q_redraw(self):
-        # the batched replicas and nested q values of _supq_seed_monotone give the
-        # errors of one simulate_su_solvable call per replica
+        # the batched replicas and nested q values of _supq_rows give the errors
+        # of one simulate_su_solvable call per replica
         seed, dt, T, p, q_list, inner = 5, 0.01, 0.3, 2, (5, 12, 30), 3
-        _, ok, errs = _supq_seed_monotone((seed, dt, T, p, q_list, inner))
+        [[row_seed, *errs]] = _supq_rows([seed], dt, T, p, q_list, inner)
+        assert row_seed == seed
         grid = TimeGrid(T, round(T / dt))
         r = RngStream(seed, 0)
         lsh = sample_triangular_bm(p, "complex", grid, r.child(10**6))
@@ -560,37 +546,33 @@ class TestSuSolvable:
                 _, rad = finite_q_radial(sp, indices=idx)
                 acc += np.abs(np.cosh(rad[0, i]) / q - target)
             ref.append(acc / inner)
-        means = [e.mean(axis=0) for e in ref]
-        assert ok == all(np.all(a > b) for a, b in zip(means, means[1:]))
         # one error per (q, time, component), in the order of the table's header
         ref = np.concatenate([e.ravel() for e in ref])
         assert np.max(np.abs(np.array(errs) - ref) / np.abs(ref)) <= 1e-12
 
-    def test_replica_chunks_change_no_result(self, monkeypatch):
-        # supq-limit runs its replicas in memory-bounded chunks, with a shared l or one l each
-        grid = TimeGrid(0.3, 30)
-        rngs = [RngStream(21, i) for i in range(5)]
-        lsh = sample_triangular_bm(2, "complex", grid, RngStream(21, 99))
-
-        def runs():
-            return [experiments._replica_runs(2, (5, 12), grid, "complex", rngs, lambda sp: sp.c[..., -1, :, :], shared)
-                    for shared in (lsh, None)]
-
-        whole = runs()
-        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)  # one replica per call
-        for a, b in zip(whole, runs()):
-            assert a.shape == (5, 2, 2, 2) and _rel_err(b, a) <= 1e-12
-
-    def test_narrow_first_group_in_the_seed_errors(self):
-        # p = 3 with q_1 = 5: the first group has 2 < p columns
-        _, ok, errs = _supq_seed_monotone((6, 0.01, 0.3, 3, (5, 12, 30), 3))
-        assert len(errs) == 3 * 2 * 3 and np.all(np.isfinite(errs)) and np.all(np.array(errs) > 0)
+    def test_replica_chunks_change_no_result(self):
+        # my-convergence and supq-limit put runs of seeds on the replica axis: a
+        # seed's row is exactly the same alone as in a run with other seeds
+        seeds = [6, 7, 8]
+        for rows, args in ((_convergence_rows, (0.01, 0.2, (100, 10_000))),
+                           (_supq_rows, (0.01, 0.2, 2, (50, 200, 800), 8)), (_supq_rows, (0.01, 0.2, 3, (9, 15, 40), 3))):
+            together = rows(seeds, *args)
+            assert [row[0] for row in together] == seeds
+            assert together == [row for seed in seeds for row in rows([seed], *args)]
 
     def test_q_not_above_p_rejected(self):
         # a q value holds q - p transverse columns, so q = p has none
         lsh = sample_triangular_bm(2, "complex", TimeGrid(1.0, 100), RNG.child(11))
         with pytest.raises(ValueError):
             simulate_su_solvable((2,), [RNG.child(12)], lsh)
+
+    def test_group_narrower_than_p_rejected(self):
+        # every column group needs at least p columns, so that its Gram matrix has a Cholesky factor
+        lsh = sample_triangular_bm(3, "complex", TimeGrid(0.1, 10), RNG.child(11))
+        for q in ((5,), (6, 8), (6, 9, 11)):
+            with pytest.raises(ValueError, match="of at least p = 3 columns"):
+                simulate_su_solvable(q, [RNG.child(12)], lsh)
+        assert simulate_su_solvable((6, 9, 12), [RNG.child(12)], lsh).W.shape == (1, 3, 11, 3, 3)
 
 
 class TestFiniteQRadial:

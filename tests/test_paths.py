@@ -14,7 +14,7 @@ from myproc.paths import (
     my_drift,
     sample_bm,
 )
-from myproc.experiments import _convergence_seed_err
+from myproc.experiments import _convergence_rows
 from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
 from myproc.specialfn import macdonald_k
 from oracles import exp_functional_stepwise, ks_two_sample
@@ -153,7 +153,7 @@ class TestHyperbolicRadial:
 
     def test_convergence_stream_pinned(self):
         # a given version and seed give byte-identical my-convergence seed errors
-        [(_, e_small, e_large)] = _convergence_seed_err(([3], 0.01, 0.2, 100, 10_000))
+        [(_, e_small, e_large)] = _convergence_rows([3], 0.01, 0.2, (100, 10_000))
         assert hashlib.sha256(np.array([e_small, e_large]).tobytes()).hexdigest() == (
             "82e54cd0fe0ccb7c73e2c82514976878ed7c8ab8a94099954669eec6bc0e0e55")
 
