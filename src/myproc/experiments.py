@@ -198,8 +198,7 @@ def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     radial_laws = {}
     for q in (2, 3, 5):
-        graph_laws = tr.exact_distribution(tr.graph_kernel(q), (0, 0), n_max)
-        radial_laws[q] = [tr.graph_distance_marginal(g) for g in graph_laws]
+        radial_laws[q] = tr.exact_distribution(tr.graph_kernel(q), (0, 0), n_max, image=tr.graph_distance)
         ok = radial_laws[q] == tr.exact_distribution(tr.ground_state_kernel(q), 0, n_max)
         checks.append(Check(f"samelaw_q{q}", ok, float(ok),
                             f"exact distance-marginal equality, n <= {n_max}", {"q": q}))

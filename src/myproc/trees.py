@@ -12,10 +12,12 @@ B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
 its flat limit), and the simple symmetric walk S carried with its running
 maximum M as a chain on pairs (S, M), whose image 2M - S is the discrete
 Pitman walk.  exact_distribution is the one forward-iteration engine: it
-returns the laws at steps 0..n of one run of a chain.  Inside it a row is
-integer weights over one row denominator, and a law is integer numerators
-over one common denominator per step, so a step needs only integer + and x
-and one gcd; each state's Fraction is built once, when its law is returned.
+returns the laws at steps 0..n of one run of a chain, pushed forward by an
+image map (the identity by default).  Inside it a row is integer weights over
+one row denominator, and a law is integer numerators over one common
+denominator per step, so a step needs only integer + and x and one gcd; the
+numerators are summed by image, and each image key's Fraction is built once,
+when its law is returned.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Callable, Dict, List, Tuple
 __all__ = [
     "QPow",
     "ExactKernel",
-    "ExactDistribution",
     "radial_kernel",
     "phi0_tree",
     "ground_state_kernel",
@@ -36,7 +37,7 @@ __all__ = [
     "graph_kernel",
     "exact_distribution",
     "pitman_walk_distribution",
-    "graph_distance_marginal",
+    "graph_distance",
     "distribution_to_strings",
 ]
 
@@ -146,19 +147,6 @@ class ExactKernel:
         return [(target, Fraction(w, d)) for target, w in row]
 
 
-class ExactDistribution(Dict[object, Fraction]):
-    """Finite-support exact law: mapping state -> rational mass."""
-
-    def marginal(self, fn: Callable[[object], object]) -> "ExactDistribution":
-        """Push-forward law of fn(state), summed as integers over the lcm of the masses' denominators."""
-        den = math.lcm(*(mass.denominator for mass in self.values()))
-        nums: Dict[object, int] = {}
-        for state, mass in self.items():
-            key = fn(state)
-            nums[key] = nums.get(key, 0) + mass.numerator * (den // mass.denominator)
-        return ExactDistribution((key, Fraction(num, den)) for key, num in nums.items())
-
-
 def radial_kernel(q: int) -> ExactKernel:
     """Distance-to-root walk of the simple random walk on the (q+1)-regular tree:
     R(0,1) = 1, R(n,n-1) = 1/(q+1), R(n,n+1) = q/(q+1)."""
@@ -249,23 +237,34 @@ def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
     return ExactKernel(transition)
 
 
-def exact_distribution(kernel: ExactKernel, start, n: int) -> List[ExactDistribution]:
-    """Laws of the chain at steps 0..n by exact forward iteration from a point mass.
+def exact_distribution(kernel: ExactKernel, start, n: int,
+                       image: Callable[[object], object] = lambda state: state) -> List[Dict[object, Fraction]]:
+    """Laws of image(X_k) at steps k = 0..n, X the chain run by exact forward iteration from start.
 
-    The laws are exposed as Fractions; the iteration carries each step's law
-    as integer numerators over one common denominator.  A step scales the
-    numerator of each live (positive-mass) state by lcm(live row
-    denominators) / its row's denominator, adds plain ints, and divides the
-    numerators and the denominator by their gcd.  Zero-mass targets stay as
-    keys and zero-mass states are never expanded.  Each state's row is
-    fetched (and checked) once per call.
+    The iteration carries each step's law of the chain as integer numerators
+    over one common denominator.  A step scales the numerator of each live
+    (positive-mass) state by lcm(live row denominators) / its row's
+    denominator, adds plain ints, and divides the numerators and the
+    denominator by their gcd.  Each returned law sums those numerators by
+    image(state), keys in order of first occurrence, and only then builds
+    one Fraction per key.  Zero-mass targets stay as keys (of the image too)
+    and zero-mass states are never expanded.  Each state's row is fetched
+    (and checked) once per call; _MAX_STATES bounds the chain's states.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+
+    def law(nums: Dict[object, int], den: int) -> Dict[object, Fraction]:
+        pushed: Dict[object, int] = {}
+        for state, num in nums.items():
+            key = image(state)
+            pushed[key] = pushed.get(key, 0) + num
+        return {key: Fraction(num, den) for key, num in pushed.items()}
+
     rows: Dict[object, Tuple[int, List[Tuple[object, int]]]] = {}
     nums: Dict[object, int] = {start: 1}
     den = 1
-    laws = [ExactDistribution({start: Fraction(1)})]
+    laws = [law(nums, den)]
     for _ in range(n):
         live = [(state, num) for state, num in nums.items() if num]
         for state, _ in live:
@@ -283,7 +282,7 @@ def exact_distribution(kernel: ExactKernel, start, n: int) -> List[ExactDistribu
         g = math.gcd(den * step, *nxt.values())
         den = den * step // g
         nums = {target: num // g for target, num in nxt.items()}
-        laws.append(ExactDistribution((target, Fraction(num, den)) for target, num in nums.items()))
+        laws.append(law(nums, den))
     return laws
 
 
@@ -294,28 +293,22 @@ def _walk_with_max(state: Tuple[int, int]):
     return [((s + 1, max(m, s + 1)), half), ((s - 1, m), half)]
 
 
-def pitman_walk_distribution(n: int) -> List[ExactDistribution]:
+def pitman_walk_distribution(n: int) -> List[Dict[int, Fraction]]:
     """Exact laws of 2 M_k - S_k at steps k = 0..n; S the simple symmetric walk, M its running max.
 
     The (S, M) chain pushed forward by 2M - S; each law coincides with the
     discrete Bessel(3) law started at 0 at the same step.
     """
-    laws = exact_distribution(ExactKernel(_walk_with_max), (0, 0), n)
-    return [law.marginal(lambda sm: 2 * sm[1] - sm[0]) for law in laws]
+    return exact_distribution(ExactKernel(_walk_with_max), (0, 0), n, image=lambda sm: 2 * sm[1] - sm[0])
 
 
-def _graph_distance(state: Tuple[int, int]) -> int:
-    """Graph distance from the origin vertex: a for a + b >= 0, else |b|."""
+def graph_distance(state: Tuple[int, int]) -> int:
+    """Distance max(x, -y) of the graph state (x, y) from the origin vertex: x if x + y >= 0, else -y."""
     x, y = state
-    return x if x + y >= 0 else -y
+    return max(x, -y)
 
 
-def graph_distance_marginal(dist: ExactDistribution) -> ExactDistribution:
-    """Push a graph-state law to the distance-from-origin law max(x, -y)."""
-    return dist.marginal(_graph_distance)
-
-
-def distribution_to_strings(dist: ExactDistribution) -> Dict[str, str]:
+def distribution_to_strings(dist: Dict[object, Fraction]) -> Dict[str, str]:
     """JSON-friendly exact encoding {state: "num/den"}."""
     def key(s):
         return str(s) if not isinstance(s, tuple) else ",".join(str(v) for v in s)

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
-from myproc import experiments
+from myproc import cli, experiments
 from myproc.cli import main
 from myproc.paths import ArcoshDomainError
 from myproc.series import ResonanceError, TruncationError
@@ -252,6 +254,72 @@ class TestDefaults:
         assert main(["run", "pitman-discrete", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["q"] == 24 and len(report["checks"]) == 1 + 25
+
+
+_SPECIAL_INTS = [0, -1, 2**64, 2**64 + 1, -2**64, 2**70]
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-320, 2.2e-308, 1e308, 1e-3, 0.3]
+_INTS = hst.sampled_from(_SPECIAL_INTS) | hst.integers(-10, 10**4) | hst.integers(-2**70, 2**70)
+_FLOATS = hst.sampled_from(_SPECIAL_FLOATS) | hst.floats()
+# relative names only: every directory a run makes stays under the test's working directory
+_NAMES = hst.text(alphabet="ab09_", max_size=5)
+_FLAG_VALUES = {int: _INTS.map(str) | hst.sampled_from(["0.5", "1e3", "0x10", "x", ""]),
+                float: _FLOATS.map(repr) | _INTS.map(str) | hst.sampled_from(["1_0", "x", ""])}
+_CONFIG_VALUES = (_INTS | _FLOATS | hst.integers(-2**70, 2**70).map(float)
+                  | hst.sampled_from([True, False, None, "5000", "ab", ""]))
+
+
+def _flag_sets():
+    """Up to three of the run flags other than --out, each with a value of its type or one argparse rejects."""
+    keys = [key for key, (_, kind, _) in cli._KEYS.items() if kind is not str]
+    return hst.lists(hst.sampled_from(keys), unique=True, max_size=3).flatmap(
+        lambda chosen: hst.fixed_dictionaries({key: _FLAG_VALUES[cli._KEYS[key][1]] for key in chosen}))
+
+
+def _config_objects():
+    """Up to three known config keys, any of them with a value of the wrong type, and at times an unknown key."""
+    known = hst.dictionaries(hst.sampled_from(list(cli._KEYS)), _CONFIG_VALUES, max_size=3)
+    unknown = hst.just({}) | hst.dictionaries(hst.sampled_from(["qq", "Seed", ""]), _CONFIG_VALUES, max_size=1)
+    return hst.builds(lambda a, b: {**a, **b}, known, unknown)
+
+
+_NAME = hst.sampled_from(sorted(EXPERIMENTS) + ["all"])
+_OUT = hst.none() | _NAMES.filter(bool) | hst.just("file")
+_PROPERTY = settings(max_examples=350, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestConfigLayerProperty:
+    """Every `myproc run` flag set and config file ends in exit 0, 1 or 2, never in a traceback.
+
+    The experiments are stubbed, so no experiment and no process pool runs whatever --workers says.
+    """
+
+    @staticmethod
+    def _exit_code(monkeypatch, tmp_path, argv, config, passed):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: ExperimentResult(
+            cfg.experiment, cfg.as_dict(), [Check("stub", passed, float(passed), "stub")]))
+        Path("file").write_text("")
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps(config))  # NaN and Infinity for non-finite floats
+            argv = [*argv, "--config=cfg.json"]
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            return exc.code
+
+    @_PROPERTY
+    @given(name=_NAME, flags=_flag_sets(), out=_OUT, passed=hst.booleans())
+    def test_flag_sets(self, monkeypatch, tmp_path, name, flags, out, passed):
+        # "=" keeps a value such as "-5" from reading as a flag
+        argv = ["run", name, *(f"--{key}={value}" for key, value in flags.items())]
+        argv += [] if out is None else [f"--out={out}"]
+        assert self._exit_code(monkeypatch, tmp_path, argv, None, passed) in (0, 1, 2)
+
+    @_PROPERTY
+    @given(name=_NAME, config=_config_objects(), out=_OUT, passed=hst.booleans())
+    def test_config_files(self, monkeypatch, tmp_path, name, config, out, passed):
+        argv = ["run", name] + ([] if out is None else [f"--out={out}"])
+        assert self._exit_code(monkeypatch, tmp_path, argv, config, passed) in (0, 1, 2)
 
 
 def _fake(name: str, passed: bool, ran: list):

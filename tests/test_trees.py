@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as hst
 
 from myproc import trees
 from myproc.trees import (
-    ExactDistribution,
     ExactKernel,
     QPow,
     bessel3_kernel,
     exact_distribution,
     distribution_to_strings,
-    graph_distance_marginal,
+    graph_distance,
     graph_kernel,
     ground_state_kernel,
     phi0_tree,
@@ -183,6 +182,8 @@ class TestExactDistribution:
         monkeypatch.setattr(trees, "_MAX_STATES", 10)
         with pytest.raises(RuntimeError):
             exact_distribution(graph_kernel(2), (0, 0), 12)
+        with pytest.raises(RuntimeError):  # the cap counts the chain's states, not the image's keys
+            exact_distribution(graph_kernel(2), (0, 0), 12, image=lambda state: 0)
 
     def test_each_row_fetched_once(self):
         kernel, calls = _counted(bessel3_kernel().transition)
@@ -233,6 +234,15 @@ _ORACLE_CHAINS = {
     "graph-3": (graph_kernel(3), (0, 0)),
     "graph-limit": (graph_kernel(limit=True), (0, 0)),
     "walk-with-max": (ExactKernel(trees._walk_with_max), (0, 0)),
+    # every state moves up surely and to -1 with probability 0
+    "zero-target": (ExactKernel(lambda n: [(-1, Fraction(0)), (n + 1, Fraction(1))]), 0),
+}
+
+_IMAGES = {
+    "distance": graph_distance,
+    "x": lambda state: state[0],
+    "pitman": lambda sm: 2 * sm[1] - sm[0],
+    "sign": lambda n: n < 0,  # one zero-mass key from step 1 on
 }
 
 
@@ -245,23 +255,23 @@ class TestOracleEquivalence:
         assert [list(law.items()) for law in laws] == [list(law.items()) for law in oracle]
         assert all(type(m) is Fraction for law in laws for m in law.values())
 
-    @staticmethod
-    def _fraction_marginal(law, fn):
-        out = {}
-        for state, mass in law.items():
-            out[fn(state)] = out.get(fn(state), Fraction(0)) + mass
-        return out
-
-    def test_marginal_matches_fraction_sum(self):
-        mixed = ExactDistribution({(2, 0): Fraction(1, 3), (0, -2): Fraction(1, 6), (2, 4): Fraction(1, 2)})
-        graph = exact_distribution(graph_kernel(3), (0, 0), 12)
-        for law, fn in [(mixed, lambda s: s[0]), (graph[7], trees._graph_distance), (graph[12], lambda s: s[1])]:
-            assert list(law.marginal(fn).items()) == list(self._fraction_marginal(law, fn).items())
-        assert list(mixed.marginal(lambda s: s[0]).items()) == [(2, Fraction(5, 6)), (0, Fraction(1, 6))]
-
-    def test_marginal_of_empty_law(self):
-        out = ExactDistribution().marginal(lambda s: s)
-        assert out == {} and isinstance(out, ExactDistribution)
+    @pytest.mark.parametrize("chain, image", [
+        ("graph-3", "distance"), ("graph-3", "x"), ("graph-2", "distance"), ("graph-2", "x"),
+        ("graph-limit", "distance"), ("graph-limit", "x"), ("walk-with-max", "pitman"), ("zero-target", "sign"),
+    ])
+    def test_push_forward_matches_fraction_sum(self, chain, image):
+        kernel, start = _ORACLE_CHAINS[chain]
+        fn = _IMAGES[image]
+        laws = exact_distribution(kernel, start, 20, image=fn)
+        oracle = []
+        for law in exact_distribution_fractions(kernel, start, 20):
+            pushed = {}
+            for state, mass in law.items():
+                pushed[fn(state)] = pushed.get(fn(state), Fraction(0)) + mass
+            oracle.append(pushed)
+        assert [list(law.items()) for law in laws] == [list(law.items()) for law in oracle]
+        assert all(type(m) is Fraction for law in laws for m in law.values())
+        assert list(exact_distribution(kernel, start, 0, image=fn)[0].items()) == [(fn(start), Fraction(1))]
 
 
 @pytest.fixture(scope="module")
@@ -299,23 +309,22 @@ class TestPitmanWalk:
 class TestSameLaw:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_distance_marginal_matches_ground_state(self, q):
-        graph = exact_distribution(graph_kernel(q), (0, 0), 20)
+        graph = exact_distribution(graph_kernel(q), (0, 0), 20, image=graph_distance)
         ground = exact_distribution(ground_state_kernel(q), 0, 20)
         assert len(graph) == len(ground) == 21
         for n, (g, r) in enumerate(zip(graph, ground)):
-            assert graph_distance_marginal(g) == r, (q, n)
+            assert g == r, (q, n)
 
     def test_x_marginal_differs_at_finite_q(self):
         # below-origin diagonal mass makes the raw x-marginal differ from the
         # distance law at finite q (they agree on the limit walk)
-        d = exact_distribution(graph_kernel(2), (0, 0), 1)[-1]
-        x_law = d.marginal(lambda s: s[0])
-        assert x_law != graph_distance_marginal(d)
+        x_law = exact_distribution(graph_kernel(2), (0, 0), 1, image=lambda s: s[0])[-1]
+        assert x_law != exact_distribution(graph_kernel(2), (0, 0), 1, image=graph_distance)[-1]
         assert x_law[-1] == Fraction(1, 4)
 
     def test_limit_x_marginal_is_pitman(self, pitman_laws):
-        d = exact_distribution(graph_kernel(limit=True), (0, 0), 14)[-1]
-        assert d.marginal(lambda s: s[0]) == pitman_laws[14]
+        x_law = exact_distribution(graph_kernel(limit=True), (0, 0), 14, image=lambda s: s[0])[-1]
+        assert x_law == pitman_laws[14]
 
     def test_limit_state_invariant(self):
         d = exact_distribution(graph_kernel(limit=True), (0, 0), 15)[-1]
@@ -345,8 +354,3 @@ class TestRatesAndSpectra:
                 term = QPow(p, 0, q) * QPow(Fraction(1), -m, q)
                 acc = term if acc is None else acc + term
             assert acc.normalized() == (rho * QPow(Fraction(1), -n, q)).normalized()
-
-    def test_marginal_helper(self):
-        d = ExactDistribution({(2, 0): Fraction(1, 2), (0, -2): Fraction(1, 2)})
-        m = d.marginal(lambda s: s[0])
-        assert m == {2: Fraction(1, 2), 0: Fraction(1, 2)}
