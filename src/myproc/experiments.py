@@ -29,21 +29,17 @@ from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k
 __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_experiment", "DEFAULTS"]
 
 
-# my-generator's Markov-property test: quantile bins of the present value,
-# each split at its median into two halves of at least _MARKOV_MIN_HALF paths
-_MARKOV_BINS = 15
-_MARKOV_MIN_HALF = 50
-
-# the Monte Carlo batches run their replicas in chunks whose (n, p, p) matrix
-# paths, one per replica and q value, stay near this many bytes, so memory
-# stays bounded at any p and seed count
+# the Monte Carlo batches run their replicas in chunks whose W-sized (n, p, p)
+# matrix paths, one per replica and q value, stay near this many bytes, so memory
+# stays bounded at any p and seed count; an engine call's temporaries are several
+# times that (about 15 MiB at supq-limit's defaults)
 _CHUNK_BYTES = 1 << 21
 
 # fewest paths whose statistics each path-sampling experiment can form: a
 # sample standard deviation needs two, the Markov test full bins
 _MIN_PATHS = {
     "my-convergence": 2,
-    "my-generator": _MARKOV_BINS * 2 * _MARKOV_MIN_HALF,
+    "my-generator": st._MARKOV_BINS * 2 * st._MARKOV_MIN_HALF,
     "conditional-law": 2,
 }
 
@@ -291,14 +287,14 @@ def _convergence_rows(seeds: list, dt: float, T: float, q: tuple) -> list:
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
     b = np.stack([pth.sample_bm(grid, base.child(0)) for base in bases])
-    lg = np.stack([pth.log_eta(row, grid.dt) for row in b])
+    lg = pth.log_eta(b, grid.dt)
     k0 = grid.index_of(_ERROR_FROM_T)
     # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
     # l = e^B; the seeds ride on the replica axis, and nested column groups give
     # q_large the transverse noise of q_small
     l = mx.triangular_from_increments(grid, np.diff(b)[..., None, None])
     sp = mx.simulate_su_solvable(q, [base.child(1) for base in bases], l)
-    _, d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
+    d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
     log_q = np.array([math.log(v) for v in q])[:, None]
     errs = np.max(np.abs(d[..., 0] - log_q - lg[:, None, k0:]), axis=-1)
     return [[seed] + e for seed, e in zip(seeds, errs.tolist())]
@@ -378,8 +374,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     # (functional, whether the Markov property holds): mu = 1, 2 and 3 at drift 0
     for j, should_pass in ((2, True), (0, True), (3, False)):
         log_lag, log_mid, _, log_end = log_z[j]
-        rep = st.markov_property_test(log_mid, log_end, log_mid - log_lag,
-                                      bins=_MARKOV_BINS, min_half=_MARKOV_MIN_HALF)
+        rep = st.markov_property_test(log_mid, log_end, log_mid - log_lag)
         ok = rep.passed == should_pass
         checks.append(Check(f"markov_mu{mus[j]:g}", ok, rep.statistic,
                             ("pass" if should_pass else "reject") + " at 1% (Bonferroni over bins)",
@@ -396,13 +391,9 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     b, (z,) = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
     samples, eta1 = np.concatenate([b, z]), z[0]
     meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": _CONDITIONAL_T}
-    for lam in (0.5, 1.0):
-        if lam == 0.5:
-            edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-            edges[0] -= 1.0
-            gs = st.indicator_bins(edges)
-        else:
-            gs = [st.gaussian_bump(c, 0.6).f for c in (0.8, 1.6, 3.0)]
+    edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    edges[0] -= 1.0
+    for lam, gs in ((0.5, st.indicator_bins(edges)), (1.0, [st.gaussian_bump(c, 0.6).f for c in (0.8, 1.6, 3.0)])):
         rep = st.conditional_law_test(samples, lam, gs)
         checks.append(Check(f"conditional_law_lam{lam}", rep.passed, rep.statistic,
                             "all test-function estimates within 3 SE", {**rep.details, **meta}))
@@ -420,16 +411,16 @@ def _supq_rows(seeds: list, dt: float, T: float, p: int, q: tuple, inner: int) -
     """Rows [seed, mean error over the inner replicas per (q, time, component)] of a run of supq-limit's seeds."""
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
-    ls = [mx.sample_triangular_bm(p, "complex", grid, r.child(10**6)) for r in bases]
+    l = mx.sample_triangular_bm(p, "complex", grid, [r.child(10**6) for r in bases])
     idx = [grid.n_steps // 2, grid.n_steps]
-    target = np.stack([mx.eta_matrix(l, indices=idx)[1] for l in ls])
+    target = mx.eta_matrix(l, indices=idx)
     # each seed's l is repeated over its inner replicas on the leading axis, and the
     # q values ride on the next; each q adds a column group with its own noise (48,
     # 150 and 600 columns at p = 2) to those of the smaller q, and summing the groups'
     # W and c couples the q values in law exactly as nested columns would
-    lpath = mx.TriangularPath(grid, np.repeat(np.stack([l.frames for l in ls]), inner, axis=0))
+    lpath = mx.TriangularPath(grid, np.repeat(l.frames, inner, axis=0))
     sp = mx.simulate_su_solvable(q, [r.child(rep) for r in bases for rep in range(inner)], lpath)
-    rad = mx.finite_q_radial(sp, idx)[1].reshape(len(seeds), inner, len(q), len(idx), p)
+    rad = mx.finite_q_radial(sp, idx).reshape(len(seeds), inner, len(q), len(idx), p)
     errs = np.abs(np.cosh(rad) / np.reshape(q, (-1, 1, 1)) - target[:, None, None]).mean(axis=1)
     return [[seed] + e.ravel().tolist() for seed, e in zip(seeds, errs)]
 
@@ -452,7 +443,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     inc = mx.triangular_increments(1, "real", grid, pth.RngStream(cfg.seed, 9))
     lpath = mx.triangular_from_increments(grid, inc)
     eta_scalar = pth.eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)[-1]
-    _, rad = mx.eta_matrix(lpath, indices=[grid.n_steps])
+    rad = mx.eta_matrix(lpath, indices=[grid.n_steps])
     rel = abs(rad[0, 0] - eta_scalar) / abs(eta_scalar)
     tol = 5.0 * math.sqrt(grid.dt)
     checks.append(Check("p1_reduction", rel <= tol, rel,
@@ -462,8 +453,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     def replica_mean(q, grid, field, rngs, reduce) -> float:
         # mean of reduce(path) over each replica's solvable-group path, with its own l from its stream's child 10**6
         def run(chunk):
-            l = mx.triangular_from_increments(grid, np.stack(
-                [mx.triangular_increments(cfg.p, field, grid, r.child(10**6)) for r in chunk]))
+            l = mx.sample_triangular_bm(cfg.p, field, grid, [r.child(10**6) for r in chunk])
             return reduce(mx.simulate_su_solvable(q, chunk, l))
         return float(np.mean(_chunk_map(run, rngs, _chunk_size(grid.n_steps, len(q), cfg.p), 1)))
 

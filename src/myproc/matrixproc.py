@@ -31,9 +31,11 @@ W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
 and W are sequential; the noise, the frame products and the c-increments run
-over the whole time axis at once.  A path's arrays own its layout: W and c
-always carry replica and q-value axes, and p, the field and the grid are read
-from the frames and their path, never passed beside them.
+over the whole time axis at once.  One layout runs through the Monte Carlo
+helpers: l paths are built and taken one per stream, stacked on a leading
+replica axis; W and c add a q-value axis; the radial read-outs return plain
+arrays with the same leading axes.  p, the field and the grid are read from
+the frames and their path, never passed beside them.
 """
 
 from __future__ import annotations
@@ -172,9 +174,10 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
     return TriangularPath(grid, frames)
 
 
-def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rng: RngStream) -> TriangularPath:
-    """Brownian motion on the lower-triangular group with positive diagonal."""
-    return triangular_from_increments(grid, triangular_increments(p, field, grid, rng))
+def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> TriangularPath:
+    """Brownian motion on the lower-triangular group with positive diagonal, one path per
+    stream: frames (len(rngs), n_steps + 1, p, p), path i bit for bit the lone draw from rngs[i]."""
+    return triangular_from_increments(grid, np.stack([triangular_increments(p, field, grid, r) for r in rngs]))
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
@@ -188,16 +191,14 @@ def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
 
 
 def eta_matrix(lpath: TriangularPath, indices: Sequence[int]):
-    """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each >= 1).
-
-    Returns (indices, radial) with radial of shape (..., len(indices), p), with the
-    leading replica axes of the frames and each row weakly decreasing.
+    """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each >= 1),
+    shape (..., len(indices), p): the leading replica axes of the frames, each row weakly decreasing.
     """
     J = integrated_ll_star(lpath)
     indices = np.asarray(list(indices), dtype=int)
     if np.any(indices < 1):
         raise ValueError("eta is defined from the first grid point on")
-    return indices, singular_values(np.linalg.solve(lpath.frames[..., indices, :, :], J[..., indices, :, :]))
+    return singular_values(np.linalg.solve(lpath.frames[..., indices, :, :], J[..., indices, :, :]))
 
 
 # --------------------------------------------------------------------------
@@ -267,9 +268,9 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
 def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: TriangularPath) -> SuSolvablePath:
     """Distinguished Brownian motion on the solvable group, reusing a given l trajectory.
 
-    p, the grid and the field are those of l, whose frames hold one path, or
-    one per replica (a leading axis).  rngs holds one stream per replica: the
-    leading axis of W and c.
+    p, the grid and the field are those of l, whose frames (len(rngs), n+1, p, p)
+    hold one path per replica; rngs holds the replicas' streams, and both index
+    the leading axis of W and c.  A caller that shares one l repeats it.
     q holds increasing values q_1 < q_2 < ... (the next axis) whose
     transverse columns are nested: q_j sums the column groups 1..j, of widths
     q_1 - p, q_2 - q_1, ..., each at least p and with its own noise, so every
@@ -291,10 +292,10 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     widths = np.diff(q, prepend=p)
     if np.any(widths < p):
         raise ValueError(f"need column groups q_1 - p, q_2 - q_1, ... of at least p = {p} columns, got {widths}")
-    if frames.ndim != 3 and frames.shape[0] != len(rngs):
-        raise ValueError("l must hold one path, or one per replica")
-    # time-first frames (n+1, replicas or 1, 1, p, p), broadcast over replicas and groups
-    L = np.moveaxis(frames.reshape((-1,) + frames.shape[-3:]), 1, 0)[:, :, None]
+    if frames.shape[:-3] != (len(rngs),):
+        raise ValueError(f"l must hold one path per stream, {len(rngs)}, got frames {frames.shape}")
+    # time-first frames (n+1, replicas, 1, p, p), broadcast over the column groups
+    L = np.moveaxis(frames, 1, 0)[:, :, None]
     lbar = 0.5 * (L[:-1] + L[1:])
     K = _transverse_noise(p, widths, cplx, n, dt, rngs)
     LK = lbar @ K
@@ -321,8 +322,8 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
 def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     """Radial part along the trajectory: cosh Rad = SingVal(l + l^{*-1} + c l^{*-1}) / 2.
 
-    Returns (indices, radial) at the grid indices given, radial of shape
-    (replicas, q values, len(indices), p) with rows in the closed Weyl chamber.
+    Returns the radial parts at the grid indices given, shape (replicas, q values,
+    len(indices), p), with rows in the closed Weyl chamber.
     Arguments below 1 - 1e-12 abort (integrator bug); round-off dips are clamped.
     """
     indices = np.asarray(list(indices), dtype=int)
@@ -333,5 +334,5 @@ def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     if np.any(low):
         step = indices[np.nonzero(low)[-2][0]]
         raise ArcoshDomainError(f"cosh argument {arg[low].min()} below 1 at step {step}")
-    return indices, np.arccosh(np.maximum(arg, 1.0))
+    return np.arccosh(np.maximum(arg, 1.0))
 

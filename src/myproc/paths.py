@@ -104,12 +104,12 @@ def sample_bm(grid: TimeGrid, rng: RngStream) -> np.ndarray:
 
 
 def log_eta(b: np.ndarray, dt: float) -> np.ndarray:
-    """log eta_t on the grid of step dt of the path b, by the cumulative trapezoid of
-    e^{2 B_s} ds accumulated in log space; the t = 0 entry is -inf (entrance boundary)."""
-    log_steps = math.log(dt / 2.0) + np.logaddexp(2.0 * b[:-1], 2.0 * b[1:])
-    out = np.empty(len(b))
-    out[0] = -np.inf
-    np.logaddexp.accumulate(log_steps, out=out[1:])
+    """log eta_t on the grid of step dt of each path of b (..., n_steps + 1), time last, by the
+    cumulative trapezoid of e^{2 B_s} ds in log space; the t = 0 entry is -inf (entrance boundary)."""
+    log_steps = math.log(dt / 2.0) + np.logaddexp(2.0 * b[..., :-1], 2.0 * b[..., 1:])
+    out = np.empty(b.shape)
+    out[..., 0] = -np.inf
+    np.logaddexp.accumulate(log_steps, axis=-1, out=out[..., 1:])
     return out - b
 
 

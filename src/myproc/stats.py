@@ -29,6 +29,11 @@ __all__ = [
 
 _Z_BOUND = 3.0  # |z| beyond this rejects, in the generator and conditional-law tests
 
+# the Markov-property test's quantile bins of the present value, each split at its
+# median into two halves of at least _MARKOV_MIN_HALF samples
+_MARKOV_BINS = 15
+_MARKOV_MIN_HALF = 50
+
 
 @dataclass
 class TestReport:
@@ -119,7 +124,7 @@ def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float)
 # --------------------------------------------------------------------------
 # Markov property
 
-def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 50) -> TestReport:
+def markov_property_test(mid, end, conditioner) -> TestReport:
     """Within quantile bins of the present value, split by an extra conditioning
     statistic and KS-compare the two futures at level 1%, Bonferroni across bins.
 
@@ -132,7 +137,7 @@ def markov_property_test(mid, end, conditioner, bins: int = 15, min_half: int = 
     even for processes that are Markov in their own filtration.
     """
     z_mid, z_end, cond = (np.asarray(x, dtype=float) for x in (mid, end, conditioner))
-    level = 0.01
+    level, bins, min_half = 0.01, _MARKOV_BINS, _MARKOV_MIN_HALF
     if not (z_mid.size == z_end.size == cond.size):
         raise ValueError("mid, end and conditioner must be aligned")
     qs = np.quantile(z_mid, np.linspace(0.0, 1.0, bins + 1))

@@ -149,9 +149,9 @@ class TestTriangularBrownian:
 
     def test_group_structure_bitwise(self):
         grid = TimeGrid(1.0, 200)
-        lp = sample_triangular_bm(3, "complex", grid, RNG.child(2))
+        lp = sample_triangular_bm(3, "complex", grid, [RNG.child(2)])
         upper = np.triu_indices(3, 1)
-        for frame in lp.frames:
+        for frame in lp.frames[0]:
             assert np.all(frame[upper] == 0.0)
             assert np.all(np.diagonal(frame).real > 0.0)
             assert np.all(np.diagonal(frame).imag == 0.0)
@@ -179,9 +179,21 @@ class TestTriangularBrownian:
 
     def test_reproducible(self):
         grid = TimeGrid(0.5, 100)
-        a = sample_triangular_bm(2, "real", grid, RNG.child(5)).frames
-        b = sample_triangular_bm(2, "real", grid, RNG.child(5)).frames
+        a = sample_triangular_bm(2, "real", grid, [RNG.child(5)]).frames
+        b = sample_triangular_bm(2, "real", grid, [RNG.child(5)]).frames
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stack_matches_lone_draws(self, field):
+        # one path per stream, each bit for bit the lone draw from its stream
+        grid = TimeGrid(1.0, 200)
+        rngs = [RNG.child(70 + i) for i in range(4)]
+        lp = sample_triangular_bm(3, field, grid, rngs)
+        assert lp.frames.shape == (4, 201, 3, 3)
+        for i, r in enumerate(rngs):
+            assert np.array_equal(lp.frames[i], sample_triangular_bm(3, field, grid, [r]).frames[0])
+            assert np.array_equal(lp.frames[i], triangular_from_increments(
+                grid, triangular_increments(3, field, grid, r)).frames)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_replica_axis_matches_single_paths(self, field):
@@ -262,14 +274,14 @@ class TestEngineMemory:
         # temporaries of the column engine stay blocked: no second full-size (n, p, q - p) array
         grid = TimeGrid(1.0, 1000)
         r = RngStream(7, 0)
-        lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
+        lsh = sample_triangular_bm(2, "complex", grid, [r.child(10**6)])
         tracemalloc.start()
         try:
             dbeta, dkappa = su_noise_increments(2, 800, "complex", grid, r)
             noise_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            b, c = su_solvable_from_increments(800, lsh.frames, dbeta, dkappa)
+            b, c = su_solvable_from_increments(800, lsh.frames[0], dbeta, dkappa)
             heun_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -296,7 +308,9 @@ class TestEngineMemory:
 
         monkeypatch.setattr(RngStream, "generator", lambda self: Counting(plain(self)))
         for p, field, qs in ((2, "complex", (50, 5000)), (1, "real", (100, 10_000))):
-            lsh = sample_triangular_bm(p, field, grid, RngStream(8, 0).child(10**6))
+            # one l shared by the four replicas, repeated on their axis
+            lsh = sample_triangular_bm(p, field, grid, [RngStream(8, 0).child(10**6)])
+            lsh = TriangularPath(grid, np.repeat(lsh.frames, 4, axis=0))
             cost = []
             for q in qs:
                 drawn.clear()
@@ -319,39 +333,39 @@ class TestEtaMatrix:
         inc = triangular_increments(1, "real", grid, RNG.child(6))
         lp = triangular_from_increments(grid, inc)
         scalar = eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)
-        _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
+        rad = eta_matrix(lp, range(1, grid.n_steps + 1))
         assert np.max(np.abs(rad[:, 0] - scalar[1:])) < 1e-12
 
     def test_replica_stack_matches_single_paths(self):
-        # stacked frames (replicas, n+1, p, p): the indices pick times of every replica
+        # stacked frames (replicas, n+1, p, p): the indices pick times of every replica,
+        # each replica's rows bit for bit those of its lone path
         grid = TimeGrid(1.0, 10)
-        paths = [sample_triangular_bm(2, "complex", grid, RNG.child(50 + i)) for i in range(3)]
-        _, rad = eta_matrix(TriangularPath(grid, np.stack([lp.frames for lp in paths])), [5, 10])
+        rngs = [RNG.child(50 + i) for i in range(3)]
+        rad = eta_matrix(sample_triangular_bm(2, "complex", grid, rngs), [5, 10])
         assert rad.shape == (3, 2, 2)
-        for i, lp in enumerate(paths):
-            assert _rel_err(rad[i], eta_matrix(lp, [5, 10])[1]) <= 1e-12
+        for i, r in enumerate(rngs):
+            assert np.array_equal(rad[i], eta_matrix(sample_triangular_bm(2, "complex", grid, [r]), [5, 10])[0])
 
     def test_small_time_slope(self):
         grid = TimeGrid(0.02, 20)
-        for i in range(5):
-            lp = sample_triangular_bm(2, "complex", grid, RNG.child(40 + i))
-            _, rad = eta_matrix(lp, indices=[1])
-            assert np.all(rad[0] > grid.dt * 0.8) and np.all(rad[0] < grid.dt * 1.2)
+        lp = sample_triangular_bm(2, "complex", grid, [RNG.child(40 + i) for i in range(5)])
+        rad = eta_matrix(lp, indices=[1])
+        assert np.all(rad > grid.dt * 0.8) and np.all(rad < grid.dt * 1.2)
 
     def test_rows_weakly_decreasing(self):
         grid = TimeGrid(1.0, 300)
-        lp = sample_triangular_bm(3, "complex", grid, RNG.child(7))
-        _, rad = eta_matrix(lp, range(1, grid.n_steps + 1))
-        assert np.all(rad[:, :-1] >= rad[:, 1:] - 1e-14)
+        lp = sample_triangular_bm(3, "complex", grid, [RNG.child(7)])
+        rad = eta_matrix(lp, range(1, grid.n_steps + 1))
+        assert np.all(rad[..., :-1] >= rad[..., 1:] - 1e-14)
 
     def test_shift_identity(self):
         # SingVal(J l^{*-1}) == SingVal(l^{-1} J) on trajectory frames
         grid = TimeGrid(1.0, 50)
-        lp = sample_triangular_bm(2, "complex", grid, RNG.child(8))
-        J = integrated_ll_star(lp)
+        lp = sample_triangular_bm(2, "complex", grid, [RNG.child(8)])
+        J, frames = integrated_ll_star(lp)[0], lp.frames[0]
         for k in (10, 30, 50):
-            a = singular_values(J[k] @ np.linalg.inv(lp.frames[k].conj().T))
-            b = singular_values(np.linalg.inv(lp.frames[k]) @ J[k])
+            a = singular_values(J[k] @ np.linalg.inv(frames[k].conj().T))
+            b = singular_values(np.linalg.inv(frames[k]) @ J[k])
             assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -376,10 +390,10 @@ def _fixed_noise(monkeypatch, K):
 class TestSuSolvable:
     def test_initial_state(self):
         grid = TimeGrid(0.5, 100)
-        lsh = sample_triangular_bm(2, "complex", grid, RNG.child(9))
+        lsh = sample_triangular_bm(2, "complex", grid, [RNG.child(9)])
         sp = simulate_su_solvable((30,), [RNG.child(10)], lsh)
         assert sp.W.shape == sp.c.shape == (1, 1, grid.n_steps + 1, 2, 2)
-        assert np.allclose(sp.l_path.frames[0], np.eye(2))
+        assert np.allclose(sp.l_path.frames[0, 0], np.eye(2))
         assert np.all(sp.W[..., 0, :, :] == 0.0) and np.all(sp.c[..., 0, :, :] == 0.0)
         assert sp.invariant_defect()[0, 0, 0] == 0.0
 
@@ -406,7 +420,7 @@ class TestSuSolvable:
         rs = np.random.default_rng(p)
         G, H = _normal(rs, (n, p, p), field), _normal(rs, (n, p, w - p), field)
         _fixed_noise(monkeypatch, np.concatenate([G, np.linalg.cholesky(H @ H.conj().swapaxes(1, 2))], axis=2))
-        lp = sample_triangular_bm(p, field, grid, RNG.child(20 + p))
+        lp = sample_triangular_bm(p, field, grid, [RNG.child(20 + p)])
         sp = simulate_su_solvable((q,), [RNG.child(30)], lp)
         dkappa = su_noise_increments(p, q, field, grid, RNG.child(30))[1]
         b = np.zeros((p, w), dtype=G.dtype)
@@ -414,7 +428,7 @@ class TestSuSolvable:
         for k in range(n):
             U = _rotation_to(b, np.linalg.cholesky(b @ b.conj().T)) if k else np.eye(w)
             dbeta = np.concatenate([G[k], H[k]], axis=1) @ U
-            b, c = su_heun_step(b, c, lp.frames[k], lp.frames[k + 1], dbeta, dkappa[k])
+            b, c = su_heun_step(b, c, lp.frames[0, k], lp.frames[0, k + 1], dbeta, dkappa[k])
             assert _rel_err(sp.W[0, 0, k + 1], b @ b.conj().T) <= 1e-12
             assert _rel_err(sp.c[0, 0, k + 1], c) <= 1e-12
 
@@ -439,9 +453,11 @@ class TestSuSolvable:
         # two-sample KS on every entry, Bonferroni at 1% overall
         n_rep, q = 800, 2 * p + 5
         grid = TimeGrid(0.5, 40)
-        lp = sample_triangular_bm(p, field, grid, RngStream(41, p))
+        # one l shared by every replica, repeated on their axis
+        lp = sample_triangular_bm(p, field, grid, [RngStream(41, p)])
+        lp = TriangularPath(grid, np.repeat(lp.frames, n_rep, axis=0))
         gram = simulate_su_solvable((q,), [RngStream(42, 10_000 * p + i) for i in range(n_rep)], lp)
-        cols = [su_solvable_from_increments(q, lp.frames, *su_noise_increments(
+        cols = [su_solvable_from_increments(q, lp.frames[0], *su_noise_increments(
             p, q, field, grid, RngStream(43, 10_000 * p + i))) for i in range(n_rep)]
         b_end = np.array([b[-1] for b, _ in cols])
         # the explicit runs in the engine's layout: W at the end time only, c on the grid
@@ -453,7 +469,7 @@ class TestSuSolvable:
             low = np.tril_indices(p, -1)
             parts = [np.diagonal(W_end, axis1=1, axis2=2).real, W_end[:, low[0], low[1]].real,
                      W_end[:, low[0], low[1]].imag if field == "complex" else np.empty((n_rep, 0)),
-                     np.cosh(finite_q_radial(path, [grid.n_steps])[1][:, 0, 0])]
+                     np.cosh(finite_q_radial(path, [grid.n_steps])[:, 0, 0])]
             samples.append(np.concatenate(parts, axis=1))
         pvalues = [ks_2samp(a, b).pvalue for a, b in zip(samples[0].T, samples[1].T)]
         assert min(pvalues) >= 0.01 / len(pvalues), pvalues
@@ -465,7 +481,7 @@ class TestSuSolvable:
             for i in range(6):
                 grid = TimeGrid(1.0, n_steps)
                 r = RngStream(900 + i, 0)
-                lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
+                lsh = sample_triangular_bm(2, "complex", grid, [r.child(10**6)])
                 sp = simulate_su_solvable((60,), [r], lsh)
                 scale = 1.0 + np.max(np.abs(sp.W[0, 0, -1]))
                 acc += sp.invariant_defect().max() / scale
@@ -475,10 +491,10 @@ class TestSuSolvable:
     def test_q_scaling_of_c(self):
         grid = TimeGrid(1.0, 500)
         r = RngStream(42, 0)
-        lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
+        lsh = sample_triangular_bm(2, "complex", grid, [r.child(10**6)])
         sp = simulate_su_solvable((800,), [r], lsh)
         J = integrated_ll_star(lsh)
-        ratio = np.real(np.trace(sp.c[0, 0, -1])) / (800 * np.real(np.trace(J[-1])))
+        ratio = np.real(np.trace(sp.c[0, 0, -1])) / (800 * np.real(np.trace(J[0, -1])))
         assert ratio == pytest.approx(2.0, abs=0.3)
 
     def test_nested_transverse_columns(self):
@@ -489,9 +505,9 @@ class TestSuSolvable:
         assert np.array_equal(db_small, db_large[:, :, : 20 - 2])
         assert np.array_equal(dk_small, dk_large)
         # the integrated paths agree to round-off (BLAS summation order differs by shape)
-        lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
-        small, _ = su_solvable_from_increments(20, lsh.frames, db_small, dk_small)
-        large, _ = su_solvable_from_increments(50, lsh.frames, db_large, dk_large)
+        frames = sample_triangular_bm(2, "complex", grid, [r.child(10**6)]).frames[0]
+        small, _ = su_solvable_from_increments(20, frames, db_small, dk_small)
+        large, _ = su_solvable_from_increments(50, frames, db_large, dk_large)
         assert np.max(np.abs(small[-1] - large[-1][:, : 20 - 2])) < 1e-12
 
     def test_nested_groups_extend_smaller_q(self):
@@ -500,7 +516,9 @@ class TestSuSolvable:
         grid = TimeGrid(0.5, 100)
         rngs = [RNG.child(16), RNG.child(17)]
         for p, field, qs in ((2, "complex", (20, 50, 90)), (1, "real", (100, 10_000))):
-            lsh = sample_triangular_bm(p, field, grid, RNG.child(15))
+            # one l shared by both replicas, repeated on their axis
+            lsh = sample_triangular_bm(p, field, grid, [RNG.child(15)])
+            lsh = TriangularPath(grid, np.repeat(lsh.frames, len(rngs), axis=0))
             lone = simulate_su_solvable(qs[:1], rngs, lsh)
             W, c = lone.W, lone.c
             for j in range(2, len(qs) + 1):
@@ -515,17 +533,24 @@ class TestSuSolvable:
         # replicas with their own l and nested q values: each slice is a lone call
         grid = TimeGrid(0.5, 60)
         rngs = [RNG.child(18), RNG.child(19)]
-        paths = [sample_triangular_bm(2, "complex", grid, r.child(10**6)) for r in rngs]
-        stacked = TriangularPath(grid, np.stack([lp.frames for lp in paths]))
+        stacked = sample_triangular_bm(2, "complex", grid, [r.child(10**6) for r in rngs])
         both = simulate_su_solvable((20, 50), rngs, stacked)
-        _, rad = finite_q_radial(both, [30, 60])
+        rad = finite_q_radial(both, [30, 60])
         assert rad.shape == (2, 2, 2, 2)
-        for i, (r, lp) in enumerate(zip(rngs, paths)):
-            one = simulate_su_solvable((20, 50), [r], lp)
+        for i, r in enumerate(rngs):
+            one = simulate_su_solvable((20, 50), [r], TriangularPath(grid, stacked.frames[i:i + 1]))
             assert _rel_err(both.W[i], one.W[0]) <= 1e-12 and _rel_err(both.c[i], one.c[0]) <= 1e-12
-            assert _rel_err(rad[i], finite_q_radial(one, [30, 60])[1][0]) <= 1e-12
-        with pytest.raises(ValueError):
-            simulate_su_solvable((20,), rngs * 2, stacked)
+            assert _rel_err(rad[i], finite_q_radial(one, [30, 60])[0]) <= 1e-12
+
+    def test_one_l_path_per_stream_required(self):
+        # frames with no replica axis, or another number of paths than streams, are refused
+        grid = TimeGrid(0.5, 20)
+        rngs = [RNG.child(18), RNG.child(19)]
+        stacked = sample_triangular_bm(2, "complex", grid, rngs)
+        for frames, streams in ((stacked.frames[0], rngs[:1]), (stacked.frames, rngs * 2),
+                                (stacked.frames, rngs[:1]), (stacked.frames[None], rngs)):
+            with pytest.raises(ValueError, match="one path per stream"):
+                simulate_su_solvable((20,), streams, TriangularPath(grid, frames))
 
     def test_shared_draw_matches_per_q_redraw(self):
         # the batched replicas and nested q values of _supq_rows give the errors
@@ -535,20 +560,40 @@ class TestSuSolvable:
         assert row_seed == seed
         grid = TimeGrid(T, round(T / dt))
         r = RngStream(seed, 0)
-        lsh = sample_triangular_bm(p, "complex", grid, r.child(10**6))
+        lsh = sample_triangular_bm(p, "complex", grid, [r.child(10**6)])
         idx = [grid.n_steps // 2, grid.n_steps]
-        _, target = eta_matrix(lsh, indices=idx)
+        target = eta_matrix(lsh, indices=idx)[0]
         ref = []
         for i, q in enumerate(q_list):
             acc = np.zeros((len(idx), p))
             for rep in range(inner):
                 sp = simulate_su_solvable(q_list, [r.child(rep)], lsh)
-                _, rad = finite_q_radial(sp, indices=idx)
+                rad = finite_q_radial(sp, indices=idx)
                 acc += np.abs(np.cosh(rad[0, i]) / q - target)
             ref.append(acc / inner)
         # one error per (q, time, component), in the order of the table's header
         ref = np.concatenate([e.ravel() for e in ref])
         assert np.max(np.abs(np.array(errs) - ref) / np.abs(ref)) <= 1e-12
+
+    def test_supq_targets_are_per_path_eta(self, monkeypatch):
+        # _supq_rows reads its seeds' targets with one eta_matrix call on the stack of
+        # their l paths; each seed's targets are bit for bit a lone call on its own path
+        seeds, dt, T, p = [5, 6, 7], 0.01, 0.2, 2
+        plain, calls = mx.eta_matrix, []
+
+        def recording(lpath, indices):
+            calls.append((lpath, list(indices), plain(lpath, indices)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(mx, "eta_matrix", recording)
+        _supq_rows(seeds, dt, T, p, (5, 12), 2)
+        [(lpath, idx, target)] = calls
+        grid = TimeGrid(T, round(T / dt))
+        assert idx == [grid.n_steps // 2, grid.n_steps] and target.shape == (len(seeds), 2, p)
+        for i, seed in enumerate(seeds):
+            lone = sample_triangular_bm(p, "complex", grid, [RngStream(seed, 0).child(10**6)])
+            assert np.array_equal(lpath.frames[i], lone.frames[0])
+            assert np.array_equal(target[i], plain(lone, idx)[0])
 
     def test_replica_chunks_change_no_result(self):
         # my-convergence and supq-limit put runs of seeds on the replica axis: a
@@ -562,13 +607,13 @@ class TestSuSolvable:
 
     def test_q_not_above_p_rejected(self):
         # a q value holds q - p transverse columns, so q = p has none
-        lsh = sample_triangular_bm(2, "complex", TimeGrid(1.0, 100), RNG.child(11))
+        lsh = sample_triangular_bm(2, "complex", TimeGrid(1.0, 100), [RNG.child(11)])
         with pytest.raises(ValueError):
             simulate_su_solvable((2,), [RNG.child(12)], lsh)
 
     def test_group_narrower_than_p_rejected(self):
         # every column group needs at least p columns, so that its Gram matrix has a Cholesky factor
-        lsh = sample_triangular_bm(3, "complex", TimeGrid(0.1, 10), RNG.child(11))
+        lsh = sample_triangular_bm(3, "complex", TimeGrid(0.1, 10), [RNG.child(11)])
         for q in ((5,), (6, 8), (6, 9, 11)):
             with pytest.raises(ValueError, match="of at least p = 3 columns"):
                 simulate_su_solvable(q, [RNG.child(12)], lsh)
@@ -578,20 +623,20 @@ class TestSuSolvable:
 class TestFiniteQRadial:
     def test_zero_at_origin(self):
         grid = TimeGrid(0.5, 100)
-        lsh = sample_triangular_bm(2, "complex", grid, RNG.child(13))
+        lsh = sample_triangular_bm(2, "complex", grid, [RNG.child(13)])
         sp = simulate_su_solvable((30,), [RNG.child(14)], lsh)
-        _, rad = finite_q_radial(sp, indices=[0])
+        rad = finite_q_radial(sp, indices=[0])
         assert rad.shape == (1, 1, 1, 2) and np.allclose(rad, 0.0)
 
     def test_flat_limit_toward_eta(self):
         grid = TimeGrid(1.0, 500)
         r = RngStream(4242, 0)
-        lsh = sample_triangular_bm(2, "complex", grid, r.child(10**6))
-        _, target = eta_matrix(lsh, indices=[500])
+        lsh = sample_triangular_bm(2, "complex", grid, [r.child(10**6)])
+        target = eta_matrix(lsh, indices=[500])[0]
         errs = []
         for q in (50, 800):
             sp = simulate_su_solvable((q,), [r.child(1)], lsh)
-            _, rad = finite_q_radial(sp, indices=[500])
+            rad = finite_q_radial(sp, indices=[500])
             errs.append(np.max(np.abs(np.cosh(rad[0, 0]) / q - target)))
         assert errs[1] < errs[0]
 
@@ -605,11 +650,11 @@ class TestFiniteQRadial:
         b = np.empty(n_rep)
         for i in range(n_rep):
             r = RngStream(31_000 + i, 0)
-            lsh = sample_triangular_bm(1, "real", grid, r.child(10**6))
+            lsh = sample_triangular_bm(1, "real", grid, [r.child(10**6)])
             sp = simulate_su_solvable((q,), [r], lsh)
-            _, rad = finite_q_radial(sp, indices=[grid.n_steps])
+            rad = finite_q_radial(sp, indices=[grid.n_steps])
             a[i] = rad[0, 0, 0, 0]
-            b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[:, 0, 0]), grid.dt, r.child(5))[-1]
+            b[i] = hyperbolic_radial_columns(q, np.log(lsh.frames[0, :, 0, 0]), grid.dt, r.child(5))[-1]
         rep = ks_two_sample(a, b, level=0.01)
         assert rep.passed, rep
 

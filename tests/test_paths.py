@@ -117,6 +117,14 @@ class TestEtaFunctional:
         assert le[0] == -np.inf
         assert np.allclose(le[1:], np.log(eta[1:]), atol=1e-12)
 
+    def test_log_eta_stack_matches_rows(self):
+        # time on the last axis; each path of a stack is bit for bit its lone call
+        b = np.stack([sample_bm(GRID, RNG.child(20 + i)) for i in range(6)])
+        for stack in (b, b.reshape(2, 3, -1)):
+            got = log_eta(stack, GRID.dt).reshape(b.shape)
+            for row, path in zip(got, b):
+                assert np.array_equal(row, log_eta(path, GRID.dt))
+
     def test_mean_at_t1(self):
         _, [[z]] = exp_functional_samples([1.0], 1e-3, 20_000, RNG.child(3))
         m = z.mean()
@@ -127,9 +135,8 @@ class TestEtaFunctional:
 def _radial(q: tuple, b: np.ndarray, rng: RngStream) -> np.ndarray:
     """Radial part on H^q driven by the GRID path b, one row per q value and a column per
     grid point: the SO(1,q) solvable-group engine with l = e^B."""
-    l = triangular_from_increments(GRID, np.diff(b)[:, None, None])
-    _, rad = finite_q_radial(simulate_su_solvable(q, [rng], l), range(GRID.n_steps + 1))
-    return rad[0, ..., 0]
+    l = triangular_from_increments(GRID, np.diff(b)[None, :, None, None])
+    return finite_q_radial(simulate_su_solvable(q, [rng], l), range(GRID.n_steps + 1))[0, ..., 0]
 
 
 class TestHyperbolicRadial:

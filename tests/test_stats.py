@@ -140,7 +140,7 @@ class TestMarkovPropertyTest:
 
     def test_sparse_bins_error(self):
         with pytest.raises(ValueError):
-            markov_property_test(np.arange(200.0), np.arange(200.0), np.arange(200.0), bins=10)
+            markov_property_test(np.arange(200.0), np.arange(200.0), np.arange(200.0))
 
     def test_determinism(self):
         mid, end, past = self._synthetic(3, 40_000, leak=0.1)

@@ -3,9 +3,11 @@
 ``perfbench/spans.py`` computes the work units of a traced call from the names
 of its bound arguments (``grid``, ``path``, ``indices``, ...).  A renamed or
 dropped parameter would make a traced run fail, or silently count no work, so
-each span with units makes one small real call here, through the tracer.
+each span with units makes one small real call here, through the tracer.  A
+renamed or dropped function would strand its span, which then reads zero.
 """
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -32,7 +34,7 @@ def _load_spans():
 def test_every_span_with_units_counts_work():
     spans = _load_spans()
     grid = TimeGrid(0.1, 10)
-    lp = sample_triangular_bm(2, "complex", grid, RngStream(1, 0))
+    lp = sample_triangular_bm(2, "complex", grid, [RngStream(1, 0)])
     calls = {
         "paths.exp_functional_samples": ([0.01], 1e-3, 4, RngStream(1, 1)),
         "paths.my_drift": (np.array([0.0, 1.0]),),
@@ -52,3 +54,18 @@ def test_every_span_with_units_counts_work():
         tracer.wrap(name, getattr(module, attr))(*calls[name])
         units = tracer.summary()["spans"][name]["units"]
         assert units and all(count > 0 for count in units.values()), (name, units)
+
+
+def test_every_per_layer_span_is_traced():
+    # a span of the per-layer table is <module>.<attribute chain>.<metric>; each one the
+    # program still has must resolve, and be among the tracer's wrapped targets
+    spans = _load_spans()
+    for module in spans.MODULES:
+        importlib.import_module(f"myproc.{module}")
+    traced = {name for name, *_ in spans._targets()}
+    named = {key.rsplit(".", 1)[0] for key in spans.per_layer_spec() if key.count(".") >= 2}
+    assert "paths.RngStream.generator" in named and "specialfn.gamma" in named
+    for name in sorted(named - _STALE):
+        module, *chain = name.split(".")
+        assert callable(functools.reduce(getattr, chain, importlib.import_module(f"myproc.{module}"))), name
+        assert name in traced, name
