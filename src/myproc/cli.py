@@ -24,7 +24,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, ExperimentResult, run_experiment
 from .paths import ArcoshDomainError
 from .series import ResonanceError, TruncationError
 
@@ -105,9 +105,9 @@ def _build_configs(args, names) -> list:
     return configs
 
 
-def _write_outputs(result, out_dir: Path) -> None:
-    (out_dir / "report.json").write_text(json.dumps(result.as_dict(), indent=2, default=str) + "\n")
-    for name, table in result.tables.items():
+def _write_outputs(report: dict, tables: dict, out_dir: Path) -> None:
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, default=str) + "\n")
+    for name, table in tables.items():
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table["header"])
@@ -136,8 +136,13 @@ def _cmd_run(args) -> int:
     summary = []
     for cfg, out_dir in zip(configs, out_dirs):
         t0 = time.perf_counter()
-        result = _run(cfg)
-        _write_outputs(result, out_dir)
+        try:
+            result = _run(cfg)
+        except NumericalFailure as exc:  # the report records the error; no checks, no tables
+            report = ExperimentResult(cfg.experiment, cfg.as_dict(), []).as_dict()
+            _write_outputs({**report, "passed": False, "error": str(exc)}, {}, out_dir)
+            raise
+        _write_outputs(result.as_dict(), result.tables, out_dir)
         _print_checks(result)
         print(f"report: {out_dir / 'report.json'}")
         summary.append((cfg.experiment, result.passed, time.perf_counter() - t0))

@@ -24,7 +24,7 @@ from . import paths as pth
 from . import series as se
 from . import stats as st
 from . import trees as tr
-from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k
+from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k, macdonald_ratio
 
 __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_experiment", "DEFAULTS"]
 
@@ -305,11 +305,10 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # exponential-functional mean: E[eta_t] = t e^{t/2}
     n_paths = cfg.n_paths
     eta1 = pth.exp_functional_samples([_ETA_MEAN_T], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0, 0]
-    mean = float(eta1.mean())
-    sem = float(eta1.std(ddof=1)) / math.sqrt(n_paths)
+    mean, sem = st._mean_se(eta1)
     target = _ETA_MEAN_T * math.exp(_ETA_MEAN_T / 2)
     zscore = (mean - target) / sem
-    checks.append(Check("eta_mean", abs(zscore) <= 3.0, zscore,
+    checks.append(Check("eta_mean", abs(zscore) <= st._Z_BOUND, zscore,
                         "|E[eta_1] - e^(1/2)| <= 3 SE",
                         {"seed": cfg.seed, "dt": cfg.dt, "n_paths": n_paths,
                          "mean": mean, "se": sem, "target": target}))
@@ -354,11 +353,11 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
                 "stream": stream, "mu": mus[j], "drift": drifts[j]}
 
     # generator of log eta at t = 1 with the Macdonald log-derivative drift
-    rep = st.generator_test(log_z[0, 1:3], lambda r: pth.my_drift(r, 0.0), bump, h)
+    rep = st.generator_test(log_z[0, 1], log_z[0, 2], pth.my_drift(log_z[0, 1], 0.0), bump, h)
     checks.append(Check("generator_log_eta", rep.passed, rep.statistic,
                         "|z| <= 3 against the Macdonald-drift generator", {**rep.details, **meta(0, t=t_mid)}))
     # drifted case: same code path with driver drift lam and the lam-indexed drift
-    rep = st.generator_test(log_z[1, 1:3], lambda r: pth.my_drift(r, lam), bump, h)
+    rep = st.generator_test(log_z[1, 1], log_z[1, 2], pth.my_drift(log_z[1, 1], lam), bump, h)
     checks.append(Check("generator_log_eta_drifted", rep.passed, rep.statistic,
                         f"|z| <= 3 with driver drift {lam} and the matching drift index",
                         {**rep.details, **meta(1, t=t_mid, driver_drift=lam)}))
@@ -366,7 +365,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     gen = pth.RngStream(cfg.seed, 3).generator()
     x0 = gen.normal(0.0, math.sqrt(0.5), cfg.n_paths)
     x1 = x0 * math.exp(-h) + math.sqrt((1.0 - math.exp(-2.0 * h)) / 2.0) * gen.standard_normal(cfg.n_paths)
-    rep = st.generator_test(np.stack([x0, x1]), lambda r: np.zeros_like(r), bump, h)
+    rep = st.generator_test(x0, x1, np.zeros_like(x0), bump, h)
     checks.append(Check("wrong_drift_rejects", not rep.passed, rep.statistic,
                         "|z| > 3 for the zero-drift hypothesis on OU data",
                         {**rep.details, "seed": cfg.seed, "stream": 3}))
@@ -389,12 +388,12 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     rows = []
     b, (z,) = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
-    samples, eta1 = np.concatenate([b, z]), z[0]
+    b1, eta1 = b[0], z[0]
     meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": _CONDITIONAL_T}
     edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     edges[0] -= 1.0
     for lam, gs in ((0.5, st.indicator_bins(edges)), (1.0, [st.gaussian_bump(c, 0.6).f for c in (0.8, 1.6, 3.0)])):
-        rep = st.conditional_law_test(samples, lam, gs)
+        rep = st.conditional_law_test(b1, eta1, macdonald_ratio(lam, 1.0 / eta1), lam, gs)
         checks.append(Check(f"conditional_law_lam{lam}", rep.passed, rep.statistic,
                             "all test-function estimates within 3 SE", {**rep.details, **meta}))
         for row in rep.details["per_function"]:

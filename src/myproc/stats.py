@@ -1,17 +1,20 @@
 """Statistical verification toolkit: the two-sample KS statistic and threshold,
 generator tests, a Markov-property test, and the conditional-law moment test.
 
-All tests take plain arrays, are deterministic functions of them and return
-a TestReport whose passed flag is a pure function of statistic vs threshold.
+All tests take plain arrays, the model's drift or conditional mean among them
+(aligned with the samples), are deterministic functions of them and return a
+TestReport whose passed flag is a pure function of statistic vs threshold.
 Callers add their samples' provenance to the report's details themselves.
-Aggregation over bins or test functions is Bonferroni.
+Only the Markov test splits its level (1% over its 15 bins, Bonferroni); the
+generator and conditional-law tests reject at |z| > 3 (0.27% two-sided) per
+test function, so k functions false-alarm together at most k x 0.27% (union bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -33,6 +36,11 @@ _Z_BOUND = 3.0  # |z| beyond this rejects, in the generator and conditional-law 
 # median into two halves of at least _MARKOV_MIN_HALF samples
 _MARKOV_BINS = 15
 _MARKOV_MIN_HALF = 50
+
+
+def _mean_se(x: np.ndarray):
+    """Sample mean of x and its standard error, the sample standard deviation over sqrt(n)."""
+    return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(x.size)
 
 
 @dataclass
@@ -100,24 +108,21 @@ def indicator_bins(edges: Sequence[float]):
     return [lambda x, a=a, b=b: ((x > a) & (x <= b)).astype(float) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def generator_test(samples, drift_fn: Callable, test_fn: TestFunction, h: float) -> TestReport:
+def generator_test(x_now, x_next, drift, test_fn: TestFunction, h: float) -> TestReport:
     """z-score of E[f(X_{t+h}) - f(X_t) - h (f''/2 + drift f')(X_t)].
 
     Under the diffusion with generator (1/2) d^2/dr^2 + drift d/dr the mean is
-    O(h^2), so |z| beyond 3 rejects the proposed drift.  samples holds the
-    paired values (X_t, X_{t+h}) as rows.
+    O(h^2), so |z| beyond 3 rejects the proposed drift.  x_now and x_next hold
+    the paired values X_t and X_{t+h}, and drift the model drift at each X_t.
     """
-    v = np.asarray(samples, dtype=float)
-    if v.ndim != 2 or v.shape[0] != 2:
-        raise ValueError("samples must contain two rows: X_t and X_{t+h}")
-    x_now, x_next = v[0], v[1]
-    lf = 0.5 * test_fn.d2(x_now) + np.asarray(drift_fn(x_now)) * test_fn.d1(x_now)
+    if not x_now.shape == x_next.shape == drift.shape:
+        raise ValueError("x_now, x_next and drift must be aligned")
+    lf = 0.5 * test_fn.d2(x_now) + drift * test_fn.d1(x_now)
     d = test_fn.f(x_next) - test_fn.f(x_now) - h * lf
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
+    mean, se = _mean_se(d)
+    if se == 0.0:
         raise ValueError("degenerate variance in the generator statistic")
-    se = sd / math.sqrt(d.size)
-    z = float(d.mean()) / se
+    z = mean / se
     return TestReport(z, _Z_BOUND, abs(z) <= _Z_BOUND, {"h": h, "n": int(d.size), "test_fn": test_fn.label})
 
 
@@ -170,40 +175,25 @@ def markov_property_test(mid, end, conditioner) -> TestReport:
 # --------------------------------------------------------------------------
 # conditional law
 
-def conditional_law_test(samples, lam: float, test_fns: Sequence[Callable], *,
-                         ratio_fn: Optional[Callable] = None) -> TestReport:
-    """Moment test of E[(e^{lam B_t} - K_lam(1/eta_t)/K_0(1/eta_t)) g_j(eta_t)] = 0.
+def conditional_law_test(b_t, eta_t, ratio, lam: float, test_fns: Sequence[Callable]) -> TestReport:
+    """Moment test of E[(e^{lam B_t} - ratio) g_j(eta_t)] = 0, where ratio holds the model's
+    E[e^{lam B_t} | eta_t] at each sample (K_lam(1/eta_t)/K_0(1/eta_t) for the Matsumoto-Yor law).
 
-    samples holds rows (B_t, eta_t).  Passes when every estimate is within
-    3 standard errors of zero.  ratio_fn overrides the Macdonald ratio
-    (used by calibration tests with synthetic conditional means).  A
-    heavy-tail warning is recorded when the empirical kurtosis of e^{lam B}
-    exceeds 500.
-    """
+    Passes when every estimate is within 3 standard errors of zero; a heavy-tail warning
+    is recorded when the empirical kurtosis of e^{lam B} exceeds 500."""
     if abs(lam) > 2.0:
         raise ValueError("|lam| <= 2 required to control the e^{lam B} tails")
-    v = np.asarray(samples, dtype=float)
-    if v.ndim != 2 or v.shape[0] != 2:
-        raise ValueError("samples must contain two rows: B_t and eta_t")
-    b_t, eta_t = v[0], v[1]
-    if ratio_fn is None:
-        from .specialfn import macdonald_ratio
-
-        def ratio_fn(e, lam=lam):
-            return macdonald_ratio(lam, 1.0 / np.asarray(e, dtype=float))
-
+    if not b_t.shape == eta_t.shape == ratio.shape:
+        raise ValueError("b_t, eta_t and ratio must be aligned")
     elb = np.exp(lam * b_t)
-    weight = elb - np.asarray(ratio_fn(eta_t))
+    weight = elb - ratio
     centered = elb - elb.mean()
     m2 = float(np.mean(centered**2))
     kurt = float(np.mean(centered**4) / m2**2) if m2 > 0 else 0.0
     worst = 0.0
     rows = []
     for j, g in enumerate(test_fns):
-        gv = np.asarray(g(eta_t), dtype=float)
-        prod = weight * gv
-        se = float(prod.std(ddof=1)) / math.sqrt(prod.size)
-        est = float(prod.mean())
+        est, se = _mean_se(weight * np.asarray(g(eta_t), dtype=float))
         zj = abs(est) / se if se > 0 else 0.0
         rows.append({"g": j, "estimate": est, "se": se, "z": zj})
         worst = max(worst, zj)

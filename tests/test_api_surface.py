@@ -34,3 +34,25 @@ def test_exported_names_are_used(module):
     exported = importlib.import_module(f"myproc.{module}").__all__
     unused = sorted(set(exported) - _referenced_names())
     assert not unused, f"myproc.{module} exports names only tests use: {unused}"
+
+
+def _internal_imports(module: str) -> set:
+    """(source module, name) for every package-internal ImportFrom of a module, lazy ones included."""
+    out = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "myproc" / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "myproc"):
+            source = (node.module or "").removeprefix("myproc").lstrip(".")
+            out.update((source or alias.name, alias.name) for alias in node.names)
+    return out
+
+
+def test_compute_module_layering():
+    # specialfn, stats and trees stand alone; each other compute module reads one below it
+    imports = {module: _internal_imports(module) for module in COMPUTE_MODULES}
+    assert {module: {source for source, _ in pairs} for module, pairs in imports.items()} == {
+        "paths": {"specialfn"}, "matrixproc": {"paths"}, "series": {"specialfn"},
+        "specialfn": set(), "stats": set(), "trees": set(),
+    }
+    private = {(module, source, name) for module, pairs in imports.items() for source, name in pairs
+               if name.startswith("_")}
+    assert private == {("paths", "specialfn", "_scaled_macdonald_integral")}

@@ -217,9 +217,17 @@ class TestNumericalFailure:
         assert main(["run", "toda-identity", "--out", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
         assert err == f"error: numerical failure in toda-identity: {type(error).__name__}: {error}\n"
-        assert out == "" and not (tmp_path / "report.json").exists()
+        # the failing run's report records the error; no tables are written
+        assert out == "" and [f.name for f in tmp_path.iterdir()] == ["report.json"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert list(report) == ["experiment", "config", "passed", "checks", "details", "error"]
+        assert report["experiment"] == "toda-identity" and report["config"]["out_dir"] == str(tmp_path)
+        assert (report["passed"], report["checks"], report["details"]) == (False, [], {})
+        assert report["error"] == err[len("error: "):-1]
+        monkeypatch.chdir(tmp_path)  # selftest writes nothing, not even under the default results/
         assert main(["selftest"]) == 3
         assert capsys.readouterr().err == err
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
 
     def test_other_errors_are_not_numerical_failures(self, monkeypatch, tmp_path):
         def run(cfg):
@@ -355,6 +363,20 @@ class TestRunAll:
         registry["toda-identity"] = _fake("toda-identity", True, ran)
         assert main(["run", "all", "--out", str(tmp_path), "--seed", "3"]) == 0
         assert [(cfg.experiment, cfg.seed) for cfg in ran] == [("conditional-law", 3), ("toda-identity", 3)]
+
+    def test_numerical_failure_stops_the_run(self, registry, tmp_path, capsys):
+        # conditional-law runs first in name order; its failure is reported and nothing after it runs
+        def fail(cfg):
+            raise OverflowError("math range error")
+        ran = []
+        registry["conditional-law"] = fail
+        registry["toda-identity"] = _fake("toda-identity", True, ran)
+        assert main(["run", "all", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure in conditional-law: OverflowError: math range error\n"
+        report = json.loads((tmp_path / "conditional-law" / "report.json").read_text())
+        assert report["error"] == err[len("error: "):-1] and report["passed"] is False
+        assert ran == [] and not (tmp_path / "toda-identity" / "report.json").exists()
 
     def test_flag_one_experiment_rejects_runs_nothing(self, registry, tmp_path, capsys):
         # my-convergence reads t = 0.1, so T = 0.05 is a usage error for it alone

@@ -63,15 +63,15 @@ class TestGeneratorTest:
         g = _gen(seed)
         x0 = g.standard_normal(n)  # X_1 ~ N(0, 1)
         x1 = x0 + math.sqrt(h) * g.standard_normal(n)
-        return np.stack([x0, x1])
+        return x0, x1
 
     def test_null_calibration(self):
         # standard BM against zero drift: |z| <= 3 in >= 97/100 runs
         bump = gaussian_bump(0.0, 1.0)
         rejects = 0
         for i in range(100):
-            rep = generator_test(self._bm_pairs(400 + i, 100_000, 1e-3),
-                                 lambda r: np.zeros_like(r), bump, 1e-3)
+            x0, x1 = self._bm_pairs(400 + i, 100_000, 1e-3)
+            rep = generator_test(x0, x1, np.zeros_like(x0), bump, 1e-3)
             rejects += not rep.passed
         assert rejects <= 3
 
@@ -84,7 +84,7 @@ class TestGeneratorTest:
             g = _gen(600 + i)
             x0 = g.normal(0.0, math.sqrt(0.5), 100_000)
             x1 = x0 * math.exp(-h) + math.sqrt((1 - math.exp(-2 * h)) / 2) * g.standard_normal(100_000)
-            rep = generator_test(np.stack([x0, x1]), lambda r: np.zeros_like(r), bump, h)
+            rep = generator_test(x0, x1, np.zeros_like(x0), bump, h)
             rejects += not rep.passed
         assert rejects >= 90
 
@@ -94,12 +94,18 @@ class TestGeneratorTest:
         g = _gen(9)
         x0 = g.normal(0.0, math.sqrt(0.5), 200_000)
         x1 = x0 * math.exp(-h) + math.sqrt((1 - math.exp(-2 * h)) / 2) * g.standard_normal(200_000)
-        rep = generator_test(np.stack([x0, x1]), lambda r: -r, bump, h)
+        rep = generator_test(x0, x1, -x0, bump, h)
         assert rep.passed, rep
 
     def test_degenerate_variance(self):
         with pytest.raises(ValueError):
-            generator_test(np.zeros((2, 50)), lambda r: r, gaussian_bump(0.0, 1.0), 1e-3)
+            generator_test(np.zeros(50), np.zeros(50), np.zeros(50), gaussian_bump(0.0, 1.0), 1e-3)
+
+    @pytest.mark.parametrize("sizes", [(50, 49, 50), (50, 50, 49), (49, 50, 50)])
+    def test_misaligned_inputs(self, sizes):
+        x_now, x_next, drift = (np.linspace(0.0, 1.0, n) for n in sizes)
+        with pytest.raises(ValueError, match="aligned"):
+            generator_test(x_now, x_next, drift, gaussian_bump(0.0, 1.0), 1e-3)
 
     def test_bump_derivatives(self):
         bump = gaussian_bump(0.3, 0.7)
@@ -165,8 +171,7 @@ class TestConditionalLawTest:
         g = _gen(5)
         b = g.standard_normal(5000)
         eta = np.exp(g.standard_normal(5000))
-        rep = conditional_law_test(np.stack([b, eta]), 0.0, [lambda e: np.ones_like(e)],
-                                   ratio_fn=lambda e: np.ones_like(e))
+        rep = conditional_law_test(b, eta, np.ones_like(eta), 0.0, [lambda e: np.ones_like(e)])
         assert rep.statistic == 0.0 and rep.passed
 
     def test_exact_conditional_mean_passes(self):
@@ -175,22 +180,27 @@ class TestConditionalLawTest:
         eta = g.standard_normal(100_000)
         b = eta + g.standard_normal(100_000)
         lam = 0.5
-        ratio = lambda e: np.exp(lam * e + 0.5 * lam * lam)
         fns = [lambda e: np.ones_like(e), lambda e: np.exp(-0.5 * e * e)]
-        rep = conditional_law_test(np.stack([b, eta]), lam, fns, ratio_fn=ratio)
+        rep = conditional_law_test(b, eta, np.exp(lam * eta + 0.5 * lam * lam), lam, fns)
         assert rep.passed, rep
 
     def test_wrong_conditional_mean_rejects(self):
         g = _gen(7)
         eta = g.standard_normal(100_000)
         b = eta + g.standard_normal(100_000)
-        rep = conditional_law_test(np.stack([b, eta]), 0.5, [lambda e: np.ones_like(e)],
-                                   ratio_fn=lambda e: np.exp(0.5 * e))  # misses the lam^2/2 factor
+        rep = conditional_law_test(b, eta, np.exp(0.5 * eta), 0.5,  # misses the lam^2/2 factor
+                                   [lambda e: np.ones_like(e)])
         assert not rep.passed
 
     def test_lambda_range_guard(self):
         with pytest.raises(ValueError):
-            conditional_law_test(np.zeros((2, 200)), 2.5, [lambda e: e])
+            conditional_law_test(np.zeros(200), np.zeros(200), np.zeros(200), 2.5, [lambda e: e])
+
+    @pytest.mark.parametrize("sizes", [(200, 199, 200), (200, 200, 199), (199, 200, 200)])
+    def test_misaligned_inputs(self, sizes):
+        b, eta, ratio = (np.ones(n) for n in sizes)
+        with pytest.raises(ValueError, match="aligned"):
+            conditional_law_test(b, eta, ratio, 0.5, [lambda e: e])
 
     def test_indicator_bins(self):
         fns = indicator_bins([0.0, 1.0, 2.0])
