@@ -17,7 +17,8 @@ the expansion breaks down when 2 lam is a nonzero integer (resonance).
 Combining the two branches +-lam with the c-function and a Gamma factor gives
 the product of the rank-one spherical function with the square root of the
 radial density, delta^{1/2} phi_lam; its flat limit (multiplicities to
-infinity, argument shifted by log m_alpha) is the Macdonald function.
+infinity, argument shifted by log m_alpha) is the Macdonald function.  It is
+entire and even in lam, and its lam-derivatives at 0 come from complex lam.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specialfn import Multiplicities, log_a_normalizer, log_c_function, macdonald_k
+from .specialfn import Multiplicities, log_a_normalizer, log_c_function, loggamma, macdonald_k, macdonald_k_dlambda
 
 __all__ = [
     "ResonanceError",
@@ -55,38 +56,37 @@ class TruncationError(RuntimeError):
     """Requested tolerance not reachable at the given truncation order."""
 
 
-def _check_resonance(lam: float) -> None:
-    nearest = round(2.0 * lam)
+def _check_resonance(lam) -> None:
+    nearest = round((2.0 * lam).real)
     if nearest != 0 and abs(2.0 * lam - nearest) < _RESONANCE_GUARD:
         raise ResonanceError(f"2*lam = {2 * lam} is within {_RESONANCE_GUARD} of a nonzero integer")
 
 
-def _potential_coeffs(mult: Multiplicities, k_max: int) -> np.ndarray:
+def _potential_coeffs(mult: Multiplicities, k_max: int) -> list:
     """Coefficients v_k of the CMS potential sum_k v_k e^{-2kr} (index 1..k_max)."""
     ma, m2 = mult.m_alpha, mult.m_2alpha
     c1 = 0.25 * ma * (ma + 2 * m2 - 2)
-    c2 = float(m2 * (m2 - 2))
-    k = np.arange(k_max + 1)
-    return 4.0 * k * c1 + np.where(k % 2 == 0, 2.0 * k * c2, 0.0)  # 1/sinh^2 2r feeds only even k
+    c2 = float(m2 * (m2 - 2))  # 1/sinh^2 2r feeds only even k
+    return [4.0 * k * c1 + (2.0 * k * c2 if k % 2 == 0 else 0.0) for k in range(k_max + 1)]
 
 
-def _series_coeffs(lam: float, N: int, v: np.ndarray) -> np.ndarray:
+def _series_coeffs(lam, N: int, v: list) -> np.ndarray:
     _check_resonance(lam)
     if N < 2 or N % 2:
         raise ValueError("N must be a positive even integer")
-    b = np.zeros(N + 1)
+    b = [0.0] * (N + 1)
     b[0] = 1.0
     for n in range(2, N + 1, 2):
         acc = 0.0
         for k in range(1, min(n // 2, len(v) - 1) + 1):
             acc += v[k] * b[n - 2 * k]
         b[n] = acc / (n * (n - 2.0 * lam))
-    return b
+    return np.array(b)
 
 
 def toda_series(lam: float, N: int) -> np.ndarray:
     """Coefficients b_0..b_N of the H_T eigenfunction: b_n = b_{n-2} / (n (n - 2 lam))."""
-    return _series_coeffs(lam, N, np.array([0.0, 1.0]))
+    return _series_coeffs(lam, N, [0.0, 1.0])
 
 
 def cms_series(lam: float, mult: Multiplicities, N: int) -> np.ndarray:
@@ -94,15 +94,15 @@ def cms_series(lam: float, mult: Multiplicities, N: int) -> np.ndarray:
     return _series_coeffs(lam, N, _potential_coeffs(mult, N // 2))
 
 
-def eval_series(lam: float, coeffs: np.ndarray, r: float, tol: float = 1e-12) -> float:
+def eval_series(lam, coeffs: np.ndarray, r: float, tol: float = 1e-12):
     """sum_{n <= N} b_n e^{(lam - n) r} of coeffs b_0..b_N, with a geometric tail estimate.
 
-    Raises TruncationError when the estimated tail beyond N exceeds tol
-    relative to the partial sum (increase N, or increase r).
+    A complex lam gives a complex value.  Raises TruncationError when the
+    estimated tail beyond N exceeds tol relative to the partial sum (increase N or r).
     """
     n = np.arange(len(coeffs))
     terms = coeffs * np.exp((lam - n) * r)
-    total = float(terms.sum())
+    total = terms.sum().item()
     t_last, t_prev = abs(terms[-1]), abs(terms[-3])
     if t_last > 0.0:
         ratio = t_last / t_prev if t_prev > 0.0 else 1.0
@@ -114,15 +114,13 @@ def eval_series(lam: float, coeffs: np.ndarray, r: float, tol: float = 1e-12) ->
     return total
 
 
-def _adaptive_value(lam: float, r: float, mult: Multiplicities) -> float:
+def _adaptive_value(lam, r: float, mult: Multiplicities):
     """CMS series value with N doubled from 16 until the last term is negligible and decaying."""
-    N = 16
-    while True:
+    for N in (16 << k for k in range(11)):  # up to N = 2^14
         try:
             return eval_series(lam, cms_series(lam, mult, N), r, tol=1e-13)
         except TruncationError:
-            N *= 2
-            if N > 1 << 14:
+            if N == 1 << 14:
                 raise
 
 
@@ -136,7 +134,7 @@ def log_delta_q(r: float, mult: Multiplicities) -> float:
     return mult.m_alpha * l1 + mult.m_2alpha * l2
 
 
-def rank1_spherical(lam: float, mult: Multiplicities, r: float, *, log_scale: float = 0.0) -> float:
+def rank1_spherical(lam, mult: Multiplicities, r: float, *, log_scale: float = 0.0):
     """The product delta_q^{1/2}(r) * phi_lam(r), optionally times e^{log_scale}.
 
     phi_lam is the rank-one spherical function normalized to 1 at the origin.
@@ -148,16 +146,17 @@ def rank1_spherical(lam: float, mult: Multiplicities, r: float, *, log_scale: fl
     Gamma factor G makes the combination match the normalization phi_lam(0)=1
     (checked against closed forms and an independent ODE solve in the tests).
     Pass log_scale (e.g. a log-normalizer) to keep huge-multiplicity values
-    inside double range.
+    inside double range.  lam may be complex; lam = 0 is a pole of Gamma (ValueError).
     """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero; use even_lambda_derivatives for lam=0 limits")
     _check_resonance(lam)
     total = 0.0
     for s in (1.0, -1.0):
         sl = s * lam
-        gamma_sign = 1.0 if sl > 0.0 or math.floor(sl) % 2 == 0 else -1.0
-        weight = gamma_sign * math.exp(math.lgamma(sl) + log_c_function(sl, mult) + log_scale)
+        if isinstance(sl, complex):
+            weight = np.exp(loggamma(sl) + log_c_function(sl, mult) + log_scale)
+        else:
+            gamma_sign = 1.0 if sl > 0.0 or math.floor(sl) % 2 == 0 else -1.0
+            weight = gamma_sign * math.exp(math.lgamma(sl) + log_c_function(sl, mult) + log_scale)
         total += weight * _adaptive_value(sl, r, mult)
     return total
 
@@ -169,34 +168,32 @@ def g_q_error(lam: float, r: float, mult: Multiplicities, a_variant: str = "squa
     return shifted - macdonald_k(lam, math.exp(-r))
 
 
-def even_lambda_derivatives(f, h: float, orders: Sequence[int]):
-    """Derivatives of an even analytic f at 0, orders even, via a node solve.
+def even_lambda_derivatives(f, orders: Sequence[int]):
+    """Derivatives at lam = 0 of an even entire f, real on the real axis, orders even.
 
-    Uses values f(h), ..., f(m h) and solves for the first m Taylor
-    coefficients in lam^2, m = max(orders) / 2 + 2 (one spare node).
+    The trapezoid rule for the Cauchy integral of g(w) = f(sqrt w) on |w| = 0.16
+    (|lam| = 0.4), 8 nodes, converges geometrically to g's Taylor coefficients
+    (Bornemann 2011, Found. Comput. Math.; Trefethen & Weideman 2014), and
+    f^(k)(0) = k! coef[k/2] 2.5^k.  By conjugate symmetry f is evaluated 5 times.
     """
     if any(o % 2 or o < 0 for o in orders):
         raise ValueError("orders must be even and nonnegative")
-    m = max(orders) // 2 + 2
-    ks = np.arange(1, m + 1, dtype=float)
-    A = np.vander(ks**2, m, increasing=True)
-    vals = np.array([f(k * h) for k in ks])
-    coef = np.linalg.solve(A, vals)
-    return [math.factorial(o) * coef[o // 2] / h**o for o in orders]
+    vals = [f(lam) for lam in 0.4 * np.exp(1j * np.pi * np.arange(5) / 8)]
+    coef = np.fft.fft(vals + [v.conjugate() for v in vals[3:0:-1]]).real / 8
+    return [math.factorial(o) * coef[o // 2] * 2.5**o for o in orders]
+
+
+def _flat_limit_derivatives(r: float, mult: Multiplicities, orders: Sequence[int]):
+    """Even lam-derivatives at 0 of a(q) (delta^{1/2} phi_lam)(r + log m_alpha)."""
+    la, rs = log_a_normalizer(mult, "squared"), r + math.log(mult.m_alpha)
+    return even_lambda_derivatives(lambda lam: rank1_spherical(lam, mult, rs, log_scale=la), orders)
 
 
 def g_q_even_derivative(order: int, r: float, mult: Multiplicities) -> float:
-    """d^order/dlam^order of g_q at lam = 0 by a stencil of step 5e-3 (orders even; odd orders vanish)."""
+    """d^order/dlam^order of g_q at lam = 0 (orders even; odd orders vanish)."""
     if order % 2:
         return 0.0
-    return even_lambda_derivatives(lambda la: g_q_error(la, r, mult), 5e-3, [order])[0]
-
-
-def _hoog_prefactor(p: int, q: int) -> float:
-    val = (-1.0) ** (p * (p - 1) // 2) * 2.0 ** (2 * p * (p - 1))
-    for j in range(1, p):
-        val *= (q - p + j) ** (p - j) * math.factorial(j)
-    return val
+    return _flat_limit_derivatives(r, mult, [order])[0] - macdonald_k_dlambda(order, math.exp(-r))
 
 
 def hoogenboom_det(lams: Sequence[float], q: int, r) -> float:
@@ -214,28 +211,27 @@ def hoogenboom_det(lams: Sequence[float], q: int, r) -> float:
         raise ValueError("need one spectral parameter per chamber coordinate")
     if q < p:
         raise ValueError("q must be >= p")
-    if any(a <= b for a, b in zip(rv, rv[1:])) and p > 1:
+    if any(a <= b for a, b in zip(rv, rv[1:])):
         raise ValueError("chamber coordinates must be strictly decreasing")
     if any(r_ <= 0.0 for r_ in rv):
         raise ValueError("chamber coordinates must be positive")
+    if any(abs(la - round(la)) < _RESONANCE_GUARD for la in lams):
+        raise ValueError("each lam_i must stay away from the integers")
     l2 = [la * la for la in lams]
-    for i in range(p):
-        if abs(lams[i] - round(lams[i])) < _RESONANCE_GUARD:
-            raise ValueError(f"lam_{i} too close to an integer")
-        for j in range(i + 1, p):
-            if abs(l2[i] - l2[j]) < 1e-12:
-                raise ValueError("lam_i^2 must be pairwise distinct")
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    if any(abs(l2[i] - l2[j]) < 1e-12 for i, j in pairs):
+        raise ValueError("lam_i^2 must be pairwise distinct")
     mult = Multiplicities(2 * (q - p), 1)
     mat = np.empty((p, p))
     for j, rj in enumerate(rv):
         half_log_delta = 0.5 * log_delta_q(rj, mult)
         for i, li in enumerate(lams):
             mat[i, j] = rank1_spherical(li, mult, rj, log_scale=-half_log_delta)
-    denom = 1.0
-    for i in range(p):
-        for j in range(i + 1, p):
-            denom *= (math.cosh(2 * rv[i]) - math.cosh(2 * rv[j])) * (l2[i] - l2[j])
-    return _hoog_prefactor(p, q) * np.linalg.det(mat) / denom
+    denom = math.prod((math.cosh(2 * rv[i]) - math.cosh(2 * rv[j])) * (l2[i] - l2[j]) for i, j in pairs)
+    prefactor = (-1.0) ** (p * (p - 1) // 2) * 2.0 ** (2 * p * (p - 1))
+    for j in range(1, p):
+        prefactor *= (q - p + j) ** (p - j) * math.factorial(j)
+    return prefactor * np.linalg.det(mat) / denom
 
 
 def finite_q_ktilde(r, q: int) -> float:
@@ -245,22 +241,9 @@ def finite_q_ktilde(r, q: int) -> float:
     a(q-p+1) (delta^{1/2} phi_lam)(r_i + log m_alpha) at lam = 0, with the
     SU(1, q-p+1) multiplicities.  As q grows, each entry converges to the
     corresponding lambda-derivative of K_lam(e^{-r_i}), so ratios of these
-    determinants converge to ratios of ktilde_det.
-
-    The stencil step is 5e-3 for p <= 2 and 2e-2 for higher ranks:
-    each branch of the two-sided combination grows like 1/lam near 0, and the
-    order-2(p-1) extraction amplifies that cancellation noise by h^{-2(p-1)}.
+    determinants converge to ratios of ktilde_det.  The derivatives come from
+    even_lambda_derivatives, which evaluates the entries at complex lam.
     """
-    rv = tuple(float(v) for v in r)
-    p = len(rv)
-    h = 5e-3 if p <= 2 else 2e-2
-    mult = Multiplicities(2 * (q - p), 1)
-    shift = math.log(mult.m_alpha)
-    la = log_a_normalizer(mult, "squared")
-    orders = [2 * j for j in range(p)]
-    mat = np.empty((p, p))
-    for i, ri in enumerate(rv):
-        mat[i, :] = even_lambda_derivatives(
-            lambda lam_: rank1_spherical(lam_, mult, ri + shift, log_scale=la), h, orders
-        )
-    return np.linalg.det(mat)
+    mult = Multiplicities(2 * (q - len(r)), 1)
+    orders = [2 * j for j in range(len(r))]
+    return np.linalg.det(np.array([_flat_limit_derivatives(float(ri), mult, orders) for ri in r]))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
-equation, characteristic-polynomial singular values, plain central finite
+equation and its Gauss hypergeometric solution (mpmath),
+characteristic-polynomial singular values, plain central finite
 differences, brute-force enumeration of the discrete Pitman law, the
 one-Fraction-per-transition forward iteration of an exact chain, the
 one-matrix, one-step, one-column forms of the solvable-group engine, the
@@ -16,6 +17,7 @@ batches in the tests is built on the library's KS statistic and threshold.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -331,3 +333,11 @@ def ks_two_sample(a, b, level: float = 0.01) -> TestReport:
     stat = ks_statistic(va, vb)
     thr = ks_threshold(va.size, vb.size, level)
     return TestReport(stat, thr, stat <= thr, {"level": level, "n_a": int(va.size), "n_b": int(vb.size)})
+
+
+def hypergeometric_spherical(lam, mult, r: float):
+    """phi_lam(r) = 2F1((rho + lam)/2, (rho - lam)/2; (m_a + m_2a + 1)/2; -sinh^2 r), rho = m_a/2 + m_2a,
+    at the current mpmath precision (lam may be an mpmath number)."""
+    rho = mpmath.mpf(mult.m_alpha) / 2 + mult.m_2alpha
+    c = mpmath.mpf(mult.m_alpha + mult.m_2alpha + 1) / 2
+    return mpmath.hyp2f1((rho + lam) / 2, (rho - lam) / 2, c, -mpmath.sinh(r) ** 2)

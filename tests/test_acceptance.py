@@ -114,13 +114,13 @@ _DIGESTS = {
     ("samelaw", "details"): "c705527148796f69c88d6fbd09f402152dc93409d3f5f7af84cbb61fb23d2cd1",
     ("conditional", "checks"): "f184c0cd6b61e57071d9b863d85a70ab3f2767357515d1751b09c93fbc6da4b9",
     ("conditional", "tables"): "99031eb1292f091d347a4eda3507510fe5b9e1ac260aaa98214078dc4a2835ab",
-    ("hoog", "checks"): "b21e164febf1a14bd3f2e920ce8caf05294a2b58e6385652695dbeb54e8f1d0d",
-    ("hoog", "tables"): "d9a747e9a26027408a11cb619f11c5e43f0e139c580c664975e1f76b248ecebd",
+    ("hoog", "checks"): "6c12b08a1f22c4152ffb6df9709749bf5aacdb2d0f50c66de5b1ac5c97213b5f",
+    ("hoog", "tables"): "2d3c8382126ed5b80742db7164816e3477c4a4fc6b3b85c2485c68f79052dd7d",
     ("convergence", "checks"): "1781bd7cbf34bf0fe2f92118cb9380e315dbb7f6c4bd884de32fd39373f1f9a2",
     ("convergence", "tables"): "0de3a4ee0dc6e987b7186f7d172cdb901f1f60b57bb496a75a08884788c45e98",
     ("generator", "checks"): "0a9e831a314d2ba28ed9a61a266143274331bfd50238f27c8485203a45f156f8",
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
-    ("spherical", "checks"): "21855cf4220f74fa85d6c39fa28e25960ebf66540cbcedb5c87a4d128a12447a",
+    ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",
     ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",
     ("supq", "checks"): "71394407b99ca5ebec1a3d74b3fff0e62c74a3cdc081a44ed8845fd0c39d1e11",
     ("supq", "tables"): "540f9eb482b903f9a341e3a826aa9f4a894bbe0b33038fbee415a8c0f3b86856",

@@ -1,11 +1,14 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from myproc.series import (
     ResonanceError,
     TruncationError,
+    _flat_limit_derivatives,
     _potential_coeffs,
     cms_series,
     even_lambda_derivatives,
@@ -18,9 +21,9 @@ from myproc.series import (
     rank1_spherical,
     toda_series,
 )
-from myproc.specialfn import Multiplicities, gamma, ktilde_det, log_c_function, macdonald_k
+from myproc.specialfn import Multiplicities, gamma, ktilde_det, log_a_normalizer, log_c_function, macdonald_k
 
-from oracles import ode_spherical_converged
+from oracles import hypergeometric_spherical, ode_spherical_converged
 
 
 def series_residual(lam, coeffs, mult, r):
@@ -165,8 +168,15 @@ class TestRankOneSpherical:
         assert gaps[2] <= 5e-3 * lead
 
     def test_lambda_zero_rejected(self):
+        # lam = 0 is a pole of Gamma in each branch
         with pytest.raises(ValueError):
             rank1_spherical(0.0, Multiplicities(4, 0), 1.0)
+
+    def test_complex_lambda_closed_form_so3(self):
+        m = Multiplicities(2, 0)
+        lam, r = 0.2 + 0.15j, 1.7
+        expected = 2.0 * cmath.sinh(lam * r) / lam
+        assert abs(rank1_spherical(lam, m, r) - expected) <= 1e-12 * abs(expected)
 
 
 class TestFlatLimit:
@@ -210,17 +220,23 @@ class TestFlatLimit:
 
 
 class TestEvenDerivatives:
-    def test_matches_known_k_derivatives(self):
-        from myproc.specialfn import macdonald_k_dlambda
+    @pytest.mark.parametrize("r", [1.0, 1.7, 2.5])
+    def test_so13_closed_forms(self, r):
+        # on SO(1,3), m = (2, 0): delta^{1/2} phi_lam(r) = 2 sinh(lam r) / lam, whose
+        # derivatives of order 0, 2, 4 at lam = 0 are 2r, 2r^3/3, 2r^5/5 (r >= 1 keeps
+        # the fourth derivative from being small against the round-off of the values)
+        got = even_lambda_derivatives(lambda lam: rank1_spherical(lam, Multiplicities(2, 0), r), [0, 2, 4])
+        assert got == pytest.approx([2 * r, 2 * r**3 / 3, 2 * r**5 / 5], rel=1e-10)
 
-        x = math.exp(-1.2)
-        f0, f2 = even_lambda_derivatives(lambda lam: macdonald_k(lam, x), 5e-3, [0, 2])
-        assert f0 == pytest.approx(macdonald_k(0.0, x), rel=1e-10)
-        assert f2 == pytest.approx(macdonald_k_dlambda(2, x), rel=1e-7)
+    def test_ground_state_so13(self):
+        # the order-0 term is phi_0 itself: r / sinh r on SO(1,3)
+        m, r = Multiplicities(2, 0), 1.3
+        (f0,) = even_lambda_derivatives(lambda lam: rank1_spherical(lam, m, r), [0])
+        assert f0 * math.exp(-0.5 * log_delta_q(r, m)) == pytest.approx(r / math.sinh(r), rel=1e-12)
 
     def test_odd_orders_rejected(self):
         with pytest.raises(ValueError):
-            even_lambda_derivatives(lambda x: x, 1e-2, [1])
+            even_lambda_derivatives(lambda x: x, [1])
 
 
 class TestHoogenboom:
@@ -264,11 +280,25 @@ class TestHoogenboom:
         val = finite_q_ktilde(r, 64) / finite_q_ktilde(r0, 64)
         assert val == pytest.approx(target, abs=5e-4)
 
-    def test_finite_q_ktilde_rank_three(self):
-        # fourth-order lambda entries (wider stencil step kicks in by default)
-        r, r0 = (2.2, 1.4, 0.6), (2.0, 1.2, 0.4)
+    @pytest.mark.parametrize("r,r0", [((1.5, 0.5), (2.0, 1.0)), ((2.5, 1.5, 0.5), (3.0, 2.0, 1.0))],
+                             ids=["p2", "p3"])
+    def test_finite_q_ktilde_converges_without_sign_change(self, r, r0):
+        # the ratio error keeps one sign and each x4 in q shrinks it at least 8x (it goes like q^-2)
         target = ktilde_det(r) / ktilde_det(r0)
-        errs = [abs(finite_q_ktilde(r, q) / finite_q_ktilde(r0, q) - target)
-                for q in (16, 64)]
-        assert errs[1] < errs[0]
-        assert errs[1] < 1e-3
+        errs = [finite_q_ktilde(r, q) / finite_q_ktilde(r0, q) - target for q in (16, 64, 256, 1024, 4096)]
+        assert all(e < 0 for e in errs) or all(e > 0 for e in errs)
+        assert all(abs(a) >= 8 * abs(b) for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("p,q", [(2, 16), (2, 64), (3, 64)])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 2.5])
+    def test_entries_against_hypergeometric_oracle(self, p, q, r):
+        # entry = d^k/dlam^k of a(q) delta^{1/2} phi_lam(r + log m_alpha) at 0; the shifted r
+        # keeps the oracle clear of the small-r cancellation of the two branches
+        mult = Multiplicities(2 * (q - p), 1)
+        rs = r + math.log(mult.m_alpha)
+        orders = [2 * j for j in range(p)]
+        scale = math.exp(0.5 * log_delta_q(rs, mult) + log_a_normalizer(mult))
+        with mpmath.workdps(40):
+            want = [float(mpmath.diff(lambda lam: hypergeometric_spherical(lam, mult, mpmath.mpf(rs)), 0, k)) * scale
+                    for k in orders]
+        assert _flat_limit_derivatives(r, mult, orders) == pytest.approx(want, rel=1e-10)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from myproc.specialfn import (
     ktilde_det,
     log_a_normalizer,
     log_c_function,
+    loggamma,
     macdonald_k,
     macdonald_k_dlambda,
     macdonald_ratio,
@@ -46,6 +48,22 @@ class TestGamma:
     def test_reflection_and_sign(self):
         assert gamma(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-12)
         assert gamma(-1.5) == pytest.approx(4.0 * SQRT_PI / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [0.25, 0.25j, 0.1 + 0.23j, -0.23 + 0.1j, -2.7 + 1.0j, 1.0 + 0.25j,
+                                   3.3 - 2.0j, 31.0 + 0.125j, 256.0 + 0.3j, 255.9 - 0.2j])
+    def test_complex_loggamma_against_mpmath(self, z):
+        # exp(loggamma) is Gamma: compare the difference modulo 2 pi i (reflection picks its own
+        # branch), to round-off of a log of that size
+        with mpmath.workdps(30):
+            ref = complex(mpmath.loggamma(z))
+        assert abs(cmath.exp(loggamma(z) - ref) - 1.0) <= 1e-15 * max(1.0, abs(ref))
+        if z.real >= 0.5:
+            assert abs(loggamma(z) - ref) <= 2e-15 * max(1.0, abs(ref))
+
+    def test_complex_loggamma_poles(self):
+        for z in (0j, -1 + 0j, -3 + 0j):
+            with pytest.raises(ValueError):
+                loggamma(z)
 
 
 class TestMacdonald:
