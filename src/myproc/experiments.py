@@ -31,8 +31,8 @@ __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_
 
 # the Monte Carlo batches run their replicas in chunks whose W-sized (n, p, p)
 # matrix paths, one per replica and q value, stay near this many bytes, so memory
-# stays bounded at any p and seed count; an engine call's temporaries are several
-# times that (about 15 MiB at supq-limit's defaults)
+# stays bounded at any p and seed count; an engine call's traced peak is several
+# times that (9.4 MiB at supq-limit's defaults, 13.7 MiB in its fixed checks)
 _CHUNK_BYTES = 1 << 21
 
 # fewest paths whose statistics each path-sampling experiment can form: a

@@ -30,12 +30,12 @@ rotation invariant, so the rule depends on b only through its Gram matrix
 W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
-and W are sequential; the noise, the frame products and the c-increments run
-over the whole time axis at once.  One layout runs through the Monte Carlo
-helpers: l paths are built and taken one per stream, stacked on a leading
-replica axis; W and c add a q-value axis; the radial read-outs return plain
-arrays with the same leading axes.  p, the field and the grid are read from
-the frames and their path, never passed beside them.
+and W are sequential.  The engine keeps its arrays entries first, (p, p | 2p,
+time, replicas, groups), so each product over the time axis is one _mul of a
+few long elementwise passes, not one BLAS call per tiny matrix.  Outside it,
+one l path per stream rides a leading replica axis; W and c (views) add a
+q-value axis; the radial read-outs return plain arrays with the same leading
+axes.  p, the field and the grid are read from the frames and their path.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ __all__ = [
 # small dense linear algebra
 
 def _mul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix product of each pair in two entries-first stacks (p, p, N)."""
-    return np.einsum("ikn,kjn->ijn", a, b, out=out)
+    """Matrix product of each pair in two entries-first stacks (p, m, ...), (m, r, ...), broadcast over the rest."""
+    return np.einsum("ik...,kj...->ij...", a, b, out=out)
 
 
 def expm_tri(L: np.ndarray) -> np.ndarray:
@@ -243,7 +243,7 @@ def _kappa_increments(p: int, cplx: bool, n: int, dt: float, rng: RngStream) -> 
 
 def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
                       rngs: Sequence[RngStream]) -> np.ndarray:
-    """Reduced column noise K = [G, A] of each replica and column group, shape (n, R, groups, p, 2p).
+    """Reduced column noise K = [G, A] of each replica and column group, entries first (p, 2p, n, R, groups).
 
     G is a p x p block of column noise; A is the Bartlett factor of the Wishart
     matrix S = A A* (width - p degrees of freedom) of the group's other columns.
@@ -251,18 +251,22 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
     """
     cols = np.arange(p)
     low = np.tril_indices(p, -1)
-    K = np.zeros((n, len(rngs), len(widths), p, 2 * p), dtype=complex if cplx else float)
+    K = np.zeros((p, 2 * p, n, len(rngs), len(widths)), dtype=complex if cplx else float)
     for i, rng in enumerate(rngs):
         gen = rng.generator()
         for g, width in enumerate(widths):
             nu = width - p
-            K[:, i, g, :, :p] = math.sqrt(2.0 * dt) * _normals(gen, (n, p, p), cplx)
-            A = K[:, i, g, :, p:]
-            A[:, low[0], low[1]] = _normals(gen, (n, low[0].size), cplx) * (low[1] < nu)
+            K[:, :p, :, i, g] = np.moveaxis(_normals(gen, (n, p, p), cplx), 0, -1)
+            K[low[0], p + low[1], :, i, g] = (_normals(gen, (n, low[0].size), cplx) * (low[1] < nu)).T
             dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)  # chi^2 degrees of freedom on the diagonal
-            A[:, cols, cols] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p)))
-            A *= math.sqrt(2.0 * dt)
+            K[cols, p + cols, :, i, g] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p))).T
+    K *= math.sqrt(2.0 * dt)
     return K
+
+
+def _kappa_vanishes(p: int, cplx: bool) -> bool:
+    """kappa is identically zero in the real field at p = 1: no entry above the diagonal, none on it."""
+    return p == 1 and not cplx
 
 
 def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: TriangularPath) -> SuSolvablePath:
@@ -294,29 +298,32 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         raise ValueError(f"need column groups q_1 - p, q_2 - q_1, ... of at least p = {p} columns, got {widths}")
     if frames.shape[:-3] != (len(rngs),):
         raise ValueError(f"l must hold one path per stream, {len(rngs)}, got frames {frames.shape}")
-    # time-first frames (n+1, replicas, 1, p, p), broadcast over the column groups
-    L = np.moveaxis(frames, 1, 0)[:, :, None]
-    lbar = 0.5 * (L[:-1] + L[1:])
+    L = np.ascontiguousarray(frames.transpose(2, 3, 1, 0))[..., None]  # broadcast over the groups
     K = _transverse_noise(p, widths, cplx, n, dt, rngs)
-    LK = lbar @ K
-    dc = 0.5 * LK @ _h(L[1:] @ K)  # lbar K K* l_{k+1}*
-    X = np.zeros((n + 1,) + LK.shape[1:-1] + (p,), dtype=LK.dtype)
+    LK, L1K = _mul(0.5 * (L[:, :, :-1] + L[:, :, 1:]), K), _mul(L[:, :, 1:], K)
+    del K
+    dc = _mul(LK, np.conj(L1K, out=L1K).swapaxes(0, 1))
+    dc *= 0.5  # 1/2 lbar K K* l_{k+1}*
+    del L1K
+    X = np.zeros((p, p, n + 1) + LK.shape[3:], dtype=LK.dtype)
     W = np.zeros_like(X)
-    for k in range(n):  # only the factor and W are sequential; Z overwrites lbar K in place
-        Z = LK[k]
-        Z[..., :p] += X[k]
-        np.matmul(Z, _h(Z), out=W[k + 1])
-        X[k + 1] = np.linalg.cholesky(W[k + 1])
-    dc += X[:-1] @ _h(LK[..., :p] - X[:-1])
-    del LK, X
-    dkappa = np.stack([_kappa_increments(p, cplx, n, dt, r.child(0)) for r in rngs], axis=1)[:, :, None]
-    np.cumsum(dc, axis=2, out=dc)
-    for lk in (L[:-1], L[1:]):
-        dc += 0.5 * lk @ dkappa @ _h(lk)
+    Xt, Wt = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (X, W))  # (n+1, replicas, groups, p, p) views
+    for k in range(n):  # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K
+        LK[:, :p, k] += X[:, :, k]
+        _mul(LK[:, :, k], LK[:, :, k].conj().swapaxes(0, 1), out=W[:, :, k + 1])
+        Xt[k + 1] = np.linalg.cholesky(Wt[k + 1])
+    lbar_g = np.subtract(LK[:, :p], X[:, :, :-1], out=LK[:, :p])
+    dc += _mul(X[:, :, :-1], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
+    del LK, lbar_g, X, Xt
+    np.cumsum(dc, axis=-1, out=dc)
+    if not _kappa_vanishes(p, cplx):
+        dkappa = np.stack([np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1) for r in rngs], -1)[..., None]
+        for lk in (L[:, :, :-1], L[:, :, 1:]):
+            dc += 0.5 * _mul(_mul(lk, dkappa), lk.conj().swapaxes(0, 1))
     c = np.zeros_like(W)
-    np.cumsum(dc, axis=0, out=c[1:])
-    np.cumsum(W, axis=2, out=W)
-    return SuSolvablePath(l, np.moveaxis(W, 0, 2), np.moveaxis(c, 0, 2))
+    np.cumsum(dc, axis=2, out=c[:, :, 1:])
+    np.cumsum(W, axis=-1, out=W)
+    return SuSolvablePath(l, W.transpose(3, 4, 2, 0, 1), c.transpose(3, 4, 2, 0, 1))
 
 
 def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):

@@ -57,9 +57,10 @@ class TruncationError(RuntimeError):
 
 
 def _check_resonance(lam) -> None:
-    nearest = round((2.0 * lam).real)
-    if nearest != 0 and abs(2.0 * lam - nearest) < _RESONANCE_GUARD:
-        raise ResonanceError(f"2*lam = {2 * lam} is within {_RESONANCE_GUARD} of a nonzero integer")
+    # the recurrence divides by n (n - 2 lam) with n even, so only the nonzero integers resonate
+    nearest = round(lam.real)
+    if nearest != 0 and abs(lam - nearest) < _RESONANCE_GUARD:
+        raise ResonanceError(f"lam = {lam} is within {_RESONANCE_GUARD} of a nonzero integer")
 
 
 def _potential_coeffs(mult: Multiplicities, k_max: int) -> list:
@@ -152,11 +153,9 @@ def rank1_spherical(lam, mult: Multiplicities, r: float, *, log_scale: float = 0
     total = 0.0
     for s in (1.0, -1.0):
         sl = s * lam
-        if isinstance(sl, complex):
-            weight = np.exp(loggamma(sl) + log_c_function(sl, mult) + log_scale)
-        else:
-            gamma_sign = 1.0 if sl > 0.0 or math.floor(sl) % 2 == 0 else -1.0
-            weight = gamma_sign * math.exp(math.lgamma(sl) + log_c_function(sl, mult) + log_scale)
+        log_w = loggamma(sl) + log_c_function(sl, mult) + log_scale
+        # at real lam the signs of the Gammas ride in the imaginary part, a multiple of pi
+        weight = np.exp(log_w) if isinstance(sl, complex) else math.exp(log_w.real) * math.cos(log_w.imag)
         total += weight * _adaptive_value(sl, r, mult)
     return total
 

@@ -46,8 +46,11 @@ _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.323
 
 
 def loggamma(z: complex) -> complex:
-    """A log of Gamma(z) at complex z, up to 2 pi i: Lanczos (g = 7, nine terms, relative
-    accuracy near 1e-15), reflected for Re z < 1/2; the poles raise ValueError."""
+    """A log of Gamma(z), up to 2 pi i; the poles raise ValueError.  At real z it is math.lgamma,
+    plus i pi where Gamma(z) < 0; at complex z, Lanczos (g = 7, nine terms, relative accuracy
+    near 1e-15), reflected for Re z < 1/2."""
+    if not isinstance(z, complex):
+        return math.lgamma(z) + (1j * math.pi if z < 0.0 and math.floor(z) % 2 else 0.0)
     if z.real < 0.5:  # sin(pi z) = (-1)^n sin(pi (z - n)) vanishes exactly at the poles
         n = round(z.real)
         return math.log(math.pi) - cmath.log(cmath.sin(math.pi * (z - n))) - 1j * math.pi * n - loggamma(1.0 - z)
@@ -162,16 +165,16 @@ def ktilde_det(r) -> float:
 def log_c_function(lam, mult: Multiplicities):
     """log of c(lam) = 2^{m_a/2 + m_2a - lam} G((m_a+m_2a+1)/2) / [G((m_a/2+1+lam)/2) G((m_a/2+m_2a+lam)/2)].
 
-    For real lam all Gamma arguments are positive in the intended domain, so
-    the log is real; a complex lam gives a complex log through loggamma.
+    Through loggamma, a real lam gives a real log where both Gamma arguments are
+    positive, and one whose imaginary part carries the sign of c (a multiple of
+    pi) where one is negative; a complex lam gives a complex log.
     """
     ma, m2 = mult.m_alpha, mult.m_2alpha
-    lg = loggamma if isinstance(lam, complex) else math.lgamma
     return (
         (0.5 * ma + m2 - lam) * math.log(2.0)
         + math.lgamma(0.5 * (ma + m2 + 1.0))
-        - lg(0.5 * (0.5 * ma + 1.0 + lam))
-        - lg(0.5 * (0.5 * ma + m2 + lam))
+        - loggamma(0.5 * (0.5 * ma + 1.0 + lam))
+        - loggamma(0.5 * (0.5 * ma + m2 + lam))
     )
 
 

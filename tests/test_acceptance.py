@@ -117,13 +117,13 @@ _DIGESTS = {
     ("hoog", "checks"): "6c12b08a1f22c4152ffb6df9709749bf5aacdb2d0f50c66de5b1ac5c97213b5f",
     ("hoog", "tables"): "2d3c8382126ed5b80742db7164816e3477c4a4fc6b3b85c2485c68f79052dd7d",
     ("convergence", "checks"): "1781bd7cbf34bf0fe2f92118cb9380e315dbb7f6c4bd884de32fd39373f1f9a2",
-    ("convergence", "tables"): "0de3a4ee0dc6e987b7186f7d172cdb901f1f60b57bb496a75a08884788c45e98",
+    ("convergence", "tables"): "35ba7fab706e54318bb7a43d6669f19b01daf59d44042267f8b7b46f8fdc23ec",
     ("generator", "checks"): "0a9e831a314d2ba28ed9a61a266143274331bfd50238f27c8485203a45f156f8",
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",
     ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",
-    ("supq", "checks"): "71394407b99ca5ebec1a3d74b3fff0e62c74a3cdc081a44ed8845fd0c39d1e11",
-    ("supq", "tables"): "540f9eb482b903f9a341e3a826aa9f4a894bbe0b33038fbee415a8c0f3b86856",
+    ("supq", "checks"): "d09d1928383a39b06890b990bc4be965d3a592d9b9d86a04ef586882e71df421",
+    ("supq", "tables"): "5faab4ce5d360e635584592b37fc5d013a74834ad3a157cf87cd1a3acc218239",
     ("toda", "checks"): "13dc4f13cd48249a4a4730366b7d1993bf9cbe990a794f117efbc0e0436e47c5",
     ("toda", "tables"): "485bbd53037816b0569e9cf9660b0da0b18eb857c122bbf2be53329f2d78beb6",
 }

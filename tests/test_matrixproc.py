@@ -120,6 +120,36 @@ class TestExpmTri:
         assert peak <= 4 * E.nbytes
 
 
+class TestMul:
+    """The entries-first product helper of the Gram engine and expm_tri."""
+
+    @staticmethod
+    def _matmul(a, b):
+        return np.moveaxis(np.moveaxis(a, (0, 1), (-2, -1)) @ np.moveaxis(b, (0, 1), (-2, -1)), (-2, -1), (0, 1))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_broadcast_trailing_axes_match_matmul(self, field):
+        # frames (p, p, n, replicas, 1) against noise (p, 2p, n, replicas, groups)
+        rs = np.random.default_rng(4)
+        a, b = _normal(rs, (2, 2, 60, 7, 1), field), _normal(rs, (2, 4, 60, 7, 3), field)
+        got, ref = mx._mul(a, b), self._matmul(a, b)
+        assert got.shape == ref.shape == (2, 4, 60, 7, 3)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matrix_independent_of_its_stack(self, field):
+        # each matrix's product has the same bits alone, in a slice, or in a broadcast stack
+        rs = np.random.default_rng(5)
+        a, b = _normal(rs, (3, 3, 101, 5, 1), field), _normal(rs, (3, 6, 101, 5, 4), field)
+        full = mx._mul(a, b)
+        assert np.array_equal(full, mx._mul(np.broadcast_to(a, (3, 3, 101, 5, 4)).copy(), b))
+        for part in (np.s_[:, :, 17:18, 2:3], np.s_[:, :, :64, 1:4], np.s_[:, :, 33:]):
+            alone = mx._mul(a[part].copy(), b[part].copy())
+            assert np.array_equal(alone, full[part])
+        for i, j, g in ((0, 0, 0), (50, 3, 2), (100, 4, 3)):
+            assert np.array_equal(mx._mul(a[:, :, i, j, 0], b[:, :, i, j, g]), full[:, :, i, j, g])
+
+
 class TestSingularValues:
     def test_identity(self):
         assert np.allclose(singular_values(np.eye(3)), 1.0)
@@ -288,6 +318,22 @@ class TestEngineMemory:
         assert noise_peak <= 1.3 * (dbeta.nbytes + dkappa.nbytes)
         assert heun_peak <= 1.3 * (b.nbytes + c.nbytes)
 
+    def test_gram_engine_peak_at_invariant_halving_shape(self):
+        # supq-limit's invariant_halving call (16 replicas, q = (100,), n = 2000, p = 2 complex):
+        # the peak holds the frames, K, lbar K and l_{k+1} K (each twice W's size), measured at
+        # 3.50 (W.nbytes + c.nbytes); one more full-size copy of K, LK, W or c exceeds 3.75
+        grid = TimeGrid(1.0, 2000)
+        rngs = [RngStream(5 + i, 11) for i in range(16)]
+        l = sample_triangular_bm(2, "complex", grid, [r.child(10**6) for r in rngs])
+        tracemalloc.start()
+        try:
+            sp = simulate_su_solvable((100,), rngs, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.W.shape == sp.c.shape == (16, 1, 2001, 2, 2)
+        assert peak <= 3.75 * (sp.W.nbytes + sp.c.nbytes)
+
     def test_gram_engine_cost_flat_in_q(self, monkeypatch):
         # the normals and Gamma variates drawn, and the traced memory peak, do not grow with q;
         # p = 1, real is the radial part on the hyperbolic space H^q
@@ -383,8 +429,9 @@ def _normal(rs, shape, field):
 
 
 def _fixed_noise(monkeypatch, K):
-    """Let the Gram engine run on the reduced noise K (n, p, 2p) of one replica and one group."""
-    monkeypatch.setattr(mx, "_transverse_noise", lambda *args: K[:, None, None])
+    """Let the Gram engine run on the reduced noise K (n, p, 2p) of one replica and one group,
+    handed over entries first as (p, 2p, n, 1, 1)."""
+    monkeypatch.setattr(mx, "_transverse_noise", lambda *args: np.moveaxis(K, 0, -1)[..., None, None])
 
 
 class TestSuSolvable:
@@ -437,7 +484,8 @@ class TestSuSolvable:
         # Bartlett factor has width - p chi columns
         p = 3
         K = mx._transverse_noise(p, np.array([3, 4, 9]), True, 50, 0.01, [RngStream(14, 0), RngStream(14, 1)])
-        assert K.shape == (50, 2, 3, p, 2 * p)
+        assert K.shape == (p, 2 * p, 50, 2, 3) and K.flags.c_contiguous  # entries first
+        K = np.moveaxis(K, (0, 1), (-2, -1))  # (n, replicas, groups, p, 2p)
         G, A = K[..., :p], K[..., p:]
         assert np.all(G != 0.0)
         assert np.all(A[:, :, 0] == 0.0)
@@ -604,6 +652,22 @@ class TestSuSolvable:
             together = rows(seeds, *args)
             assert [row[0] for row in together] == seeds
             assert together == [row for seed in seeds for row in rows([seed], *args)]
+
+    def test_p1_real_skips_zero_kappa(self, monkeypatch):
+        # kappa is identically zero in the real field at p = 1: the engine draws no kappa
+        # stream there, and its W and c are bit for bit those of the general kappa path
+        grid = TimeGrid(0.5, 200)
+        rngs = [RngStream(15, i) for i in range(3)]
+        l = sample_triangular_bm(1, "real", grid, [r.child(10**6) for r in rngs])
+        calls = []
+        plain = mx._kappa_increments
+        monkeypatch.setattr(mx, "_kappa_increments", lambda *args: calls.append(args) or plain(*args))
+        skipped = simulate_su_solvable((5, 40), rngs, l)
+        assert calls == []
+        monkeypatch.setattr(mx, "_kappa_vanishes", lambda p, cplx: False)
+        general = simulate_su_solvable((5, 40), rngs, l)
+        assert len(calls) == len(rngs)
+        assert np.array_equal(skipped.W, general.W) and np.array_equal(skipped.c, general.c)
 
     def test_q_not_above_p_rejected(self):
         # a q value holds q - p transverse columns, so q = p has none

@@ -51,9 +51,17 @@ class TestTodaSeries:
         assert np.all(toda_series(0.37, 12)[1::2] == 0.0)
 
     def test_resonance_rejected(self):
-        for lam in (0.5, 1.0, -1.5, 3.0):
+        # the recurrence divides by n (n - 2 lam), n even: only nonzero integer lam resonate
+        for lam in (1.0, -1.0, -2.0 + 1e-7, 3.0):
             with pytest.raises(ResonanceError):
                 toda_series(lam, 8)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+    def test_half_integer_lambda_two_branch_sum(self, r):
+        # lam = 1/2 does not resonate: the two-branch sum is K_{1/2}(x) = sqrt(pi / 2x) e^{-x}, x = e^{-r}
+        x = math.exp(-r)
+        lhs = sum(gamma(sl) * 2.0 ** (sl - 1.0) * eval_series(sl, toda_series(sl, 60), r) for sl in (0.5, -0.5))
+        assert lhs == pytest.approx(math.sqrt(math.pi / (2.0 * x)) * math.exp(-x), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, 0.2, -0.35])
     @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
@@ -156,6 +164,13 @@ class TestRankOneSpherical:
         phi = ode_spherical_converged(lam, mult, r)
         target = math.exp(0.5 * log_delta_q(r, mult)) * phi
         assert rank1_spherical(lam, mult, r) == pytest.approx(target, rel=1e-7)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 1.500002])
+    def test_closed_form_so3_negative_gamma_argument(self, lam):
+        # for lam in (1, 3) the -lam branch's c has Gamma((1 - lam) / 2) < 0 in its denominator;
+        # its sign must survive the log: delta^{1/2} phi_lam = 2 sinh(lam r) / lam at m = (2, 0)
+        r = 1.7
+        assert rank1_spherical(lam, Multiplicities(2, 0), r) == pytest.approx(2.0 * math.sinh(lam * r) / lam, rel=1e-12)
 
     def test_large_r_leading_asymptote(self):
         # value * e^{-lam r} -> Gamma(lam) c(lam) (leading series term, b_0 = 1);
