@@ -104,6 +104,8 @@ class ExperimentConfig:
             k = pth._grid_steps(t, self.dt)
             if k is None or k < 1:
                 raise ValueError(f"{self.experiment} reads t = {t}, which is not a whole number of dt = {self.dt} steps")
+            if k > np.iinfo(np.intp).max:
+                raise ValueError(f"{self.experiment} reads t = {t}, {k:.3g} steps of dt = {self.dt}, more than an array holds")
 
     def as_dict(self) -> Dict:
         return asdict(self)

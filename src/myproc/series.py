@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _RESONANCE_GUARD = 1e-6
+_CANCELLATION_GUARD = 1e-6  # least |sum| / (|branch+| + |branch-|) that rank1_spherical returns
 
 
 class ResonanceError(ValueError):
@@ -148,15 +149,20 @@ def rank1_spherical(lam, mult: Multiplicities, r: float, *, log_scale: float = 0
     (checked against closed forms and an independent ODE solve in the tests).
     Pass log_scale (e.g. a log-normalizer) to keep huge-multiplicity values
     inside double range.  lam may be complex; lam = 0 is a pole of Gamma (ValueError).
+    The branches cancel at small r and large multiplicities, leaving ~1e-15 / c relative accuracy,
+    c = |sum| / (|branch+| + |branch-|); below c = _CANCELLATION_GUARD it raises TruncationError.
     """
     _check_resonance(lam)
-    total = 0.0
+    total = size = 0.0
     for s in (1.0, -1.0):
         sl = s * lam
         log_w = loggamma(sl) + log_c_function(sl, mult) + log_scale
         # at real lam the signs of the Gammas ride in the imaginary part, a multiple of pi
         weight = np.exp(log_w) if isinstance(sl, complex) else math.exp(log_w.real) * math.cos(log_w.imag)
-        total += weight * _adaptive_value(sl, r, mult)
+        branch = weight * _adaptive_value(sl, r, mult)
+        total, size = total + branch, size + abs(branch)
+    if abs(total) < _CANCELLATION_GUARD * size:
+        raise TruncationError(f"the +-lam branches cancel to {abs(total) / size:.1e} of their size at r = {r}, {mult}")
     return total
 
 
@@ -203,6 +209,12 @@ def hoogenboom_det(lams: Sequence[float], q: int, r) -> float:
 
     with each rank-one factor evaluated through rank1_spherical / log_delta_q at
     the SU(1, q-p+1) multiplicities (2(q-p), 1), where p = len(r).
+
+    A(p,q) = 2^{3p(p-1)/2} prod_{j<p} (q-p+j)^{p-j} j! makes phi_lam(0) = 1: with n = q-p+1,
+    a factor is 2F1((n+lam)/2, (n-lam)/2; n; x) in x = -sinh^2 r, whose x^k coefficient has
+    leading term (-lam^2/4)^k / ((n)_k k!).  So as r -> 0 the determinant tends to
+    prod_{k<p} (-1/4)^k / ((n)_k k!) times the Vandermonde products in x and lam^2, and with
+    cosh 2r_i - cosh 2r_j = -2 (x_i - x_j) the quotient tends to 8^{-p(p-1)/2} / prod_{k<p} (n)_k k!.
     """
     rv = tuple(float(v) for v in r)
     p = len(rv)
@@ -227,9 +239,7 @@ def hoogenboom_det(lams: Sequence[float], q: int, r) -> float:
         for i, li in enumerate(lams):
             mat[i, j] = rank1_spherical(li, mult, rj, log_scale=-half_log_delta)
     denom = math.prod((math.cosh(2 * rv[i]) - math.cosh(2 * rv[j])) * (l2[i] - l2[j]) for i, j in pairs)
-    prefactor = (-1.0) ** (p * (p - 1) // 2) * 2.0 ** (2 * p * (p - 1))
-    for j in range(1, p):
-        prefactor *= (q - p + j) ** (p - j) * math.factorial(j)
+    prefactor = 2.0 ** (3 * len(pairs)) * math.prod((q - p + j) ** (p - j) * math.factorial(j) for j in range(1, p))
     return prefactor * np.linalg.det(mat) / denom
 
 

@@ -4,8 +4,8 @@ Everything in this module is exact: probabilities and laws are exposed as
 `fractions.Fraction` over arbitrary-precision integers, and the irrational
 sqrt(q) appearing in the spectral radius 2 sqrt(q)/(q+1) and in the ground
 state phi_0(n) = (1 + n (q-1)/(q+1)) q^{-n/2} is carried symbolically as a
-formal half-integer power of q (class QPow).  Every exposed transition
-probability asserts that the half powers cancelled.
+formal half-integer power of q (class QPow, products and quotients only).
+Every exposed transition probability asserts that the half powers cancelled.
 
 Kernels: R (radial simple walk on N), R0 (its ground-state transform),
 B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
@@ -47,52 +47,29 @@ _MAX_STATES = 10**6
 
 @dataclass(frozen=True)
 class QPow:
-    """coef * q^(half/2) with an exact rational coefficient.
+    """coef * q^(half/2) with an exact rational coefficient, under products and quotients.
 
-    Addition requires matching half-powers; rational() asserts the grading
-    vanished, which is how the sqrt(q) bookkeeping is enforced end to end.
+    rational() asserts the grading vanished, which is how the sqrt(q)
+    bookkeeping is enforced end to end.
     """
 
     coef: Fraction
     half: int
     q: int
 
-    def _check(self, other: "QPow") -> None:
+    def _check(self, other) -> None:
+        if not isinstance(other, QPow):
+            raise TypeError(f"QPow takes a QPow operand, not {type(other).__name__}")
         if self.q != other.q:
             raise ValueError("mixing different q")
 
-    @staticmethod
-    def _exact(other) -> Fraction:
-        if not isinstance(other, (int, Fraction)):
-            raise TypeError(f"QPow takes a QPow, int or Fraction operand, not {type(other).__name__}")
-        return Fraction(other)
-
-    def __mul__(self, other):
-        if isinstance(other, QPow):
-            self._check(other)
-            return QPow(self.coef * other.coef, self.half + other.half, self.q)
-        return QPow(self.coef * self._exact(other), self.half, self.q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, QPow):
-            self._check(other)
-            if other.coef == 0:
-                raise ZeroDivisionError
-            return QPow(self.coef / other.coef, self.half - other.half, self.q)
-        return QPow(self.coef / self._exact(other), self.half, self.q)
-
-    def __add__(self, other: "QPow") -> "QPow":
+    def __mul__(self, other: "QPow") -> "QPow":
         self._check(other)
-        a, b = self.normalized(), other.normalized()
-        if a.coef == 0:
-            return b
-        if b.coef == 0:
-            return a
-        if a.half != b.half:
-            raise ValueError(f"adding mismatched half-powers {a.half} != {b.half}")
-        return QPow(a.coef + b.coef, a.half, self.q)
+        return QPow(self.coef * other.coef, self.half + other.half, self.q)
+
+    def __truediv__(self, other: "QPow") -> "QPow":
+        self._check(other)
+        return QPow(self.coef / other.coef, self.half - other.half, self.q)
 
     def normalized(self) -> "QPow":
         """Canonical form: fold powers of q into the coefficient until half is 0 or 1."""

@@ -7,8 +7,10 @@ characteristic-polynomial singular values, plain central finite
 differences, brute-force enumeration of the discrete Pitman law, the
 one-Fraction-per-transition forward iteration of an exact chain, the
 one-matrix, one-step, one-column forms of the solvable-group engine, the
-explicit-column engine that simulates every transverse column of SU(p,q),
-the column-by-column left-point Ito form of the radial part on the
+explicit-column engine that simulates every transverse column of SU(p,q)
+(each column's noise drawn from its own stream in one plain loop, the
+reference whose Wishart reduction is the library's Gram engine), the
+column-by-column left-point Ito form of the radial part on the
 hyperbolic space H^q, and the one-functional, fresh-arrays-every-step loop
 of the exponential functional.  The two-sample KS test that compares sample
 batches in the tests is built on the library's KS statistic and threshold.
@@ -196,26 +198,8 @@ def su_heun_stepwise(q: int, frames, dbeta, dkappa):
     return b, c
 
 
-def su_beta_per_column(p: int, q: int, field: str, n: int, dt: float, rng) -> np.ndarray:
-    """Transverse increments dbeta drawn column by column, each from rng.child(column + 1)."""
-    s2 = math.sqrt(2.0 * dt)
-    dbeta = np.empty((n, p, q - p), dtype=complex if field == "complex" else float)
-    for j in range(q - p):
-        gen = rng.child(j + 1).generator()
-        col = gen.standard_normal((n, p))
-        if field == "complex":
-            dbeta[:, :, j] = s2 * (col + 1j * gen.standard_normal((n, p)))
-        else:
-            dbeta[:, :, j] = s2 * col
-    return dbeta
-
-
 # --------------------------------------------------------------------------
 # the explicit-column engine: every transverse column of beta is simulated
-
-# transverse columns per noise-drawing block and time steps per block of the
-# dbeta* temporaries; it bounds the size of temporary arrays only
-_BLOCK = 64
 
 
 def su_noise_increments(p: int, q: int, field: str, grid, rng):
@@ -228,22 +212,13 @@ def su_noise_increments(p: int, q: int, field: str, grid, rng):
     if q <= p:
         raise ValueError("need q > p")
     n, dt = grid.n_steps, grid.dt
-    w = q - p
     s2 = math.sqrt(2.0 * dt)
     cplx = field == "complex"
-    dbeta = np.empty((n, p, w), dtype=complex if cplx else float)
-    # a block of columns is drawn into contiguous buffers (real parts, then
-    # imaginary parts, per column) and scaled into dbeta in one pass
-    parts = (dbeta.real, dbeta.imag) if cplx else (dbeta,)
-    block = np.empty((len(parts), min(w, _BLOCK), n, p))
-    for j0 in range(0, w, _BLOCK):
-        width = min(_BLOCK, w - j0)
-        for jj in range(width):
-            gen = rng.child(j0 + jj + 1).generator()
-            for buf in block[:, jj]:
-                gen.standard_normal(out=buf)
-        for part, buf in zip(parts, block):
-            np.multiply(buf[:width].transpose(1, 2, 0), s2, out=part[:, :, j0:j0 + width])
+    dbeta = np.empty((n, p, q - p), dtype=complex if cplx else float)
+    for j in range(q - p):
+        gen = rng.child(j + 1).generator()
+        col = gen.standard_normal((n, p))
+        dbeta[:, :, j] = s2 * (col + 1j * gen.standard_normal((n, p))) if cplx else s2 * col
     gen = rng.child(0).generator()
     up = np.triu_indices(p, 1)
     if cplx:
@@ -275,12 +250,9 @@ def su_solvable_from_increments(q: int, frames, dbeta, dkappa):
     b[0] = 0.0
     np.matmul(0.5 * (frames[:-1] + frames[1:]), dbeta, out=b[1:])
     np.cumsum(b[1:], axis=0, out=b[1:])
+    dbs = dbeta.conj().transpose(0, 2, 1)
     dc = (0.5 * (frames[:-1] @ dkappa @ frames_h[:-1] + frames[1:] @ dkappa @ frames_h[1:])
-          ).astype(dtype, copy=False)
-    for k in range(0, n, _BLOCK):
-        blk = slice(k, k + _BLOCK)
-        dbs = dbeta[blk].conj().transpose(0, 2, 1)
-        dc[blk] += 0.5 * (b[:-1][blk] @ dbs @ frames_h[:-1][blk] + b[1:][blk] @ dbs @ frames_h[1:][blk])
+          + 0.5 * (b[:-1] @ dbs @ frames_h[:-1] + b[1:] @ dbs @ frames_h[1:]))
     c = np.empty((n + 1, p, p), dtype=dtype)
     c[0] = 0.0
     np.cumsum(dc, axis=0, out=c[1:])

@@ -198,6 +198,14 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("argv", [["supq-limit", "--T", "1e300"], ["my-convergence", "--T", "1e300"],
+                                      ["my-convergence", "--dt", "1e-300"]], ids=lambda a: "-".join(a))
+    def test_step_counts_no_array_holds_are_usage_errors(self, tmp_path, capsys, argv):
+        assert main(["run", *argv, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "steps of dt" in err and "array holds" in err
+        assert not (tmp_path / "a").exists()
+
     def test_provenance_on_every_check(self, tmp_path):
         out = tmp_path / "res"
         main(["run", "toda-identity", "--out", str(out)])

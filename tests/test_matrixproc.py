@@ -31,7 +31,6 @@ from oracles import (
     expm_tri_single,
     hyperbolic_radial_columns,
     ks_two_sample,
-    su_beta_per_column,
     su_heun_step,
     su_heun_stepwise,
     su_noise_increments,
@@ -282,14 +281,6 @@ class TestNoiseStreams:
         assert h.hexdigest() == self.DIGESTS[field]
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("p,q", [(1, 2), (2, 66), (3, 200)])
-    def test_beta_matches_per_column_draws(self, field, p, q):
-        grid = TimeGrid(0.5, 50)
-        dbeta, _ = su_noise_increments(p, q, field, grid, RngStream(12, 0))
-        ref = su_beta_per_column(p, q, field, grid.n_steps, grid.dt, RngStream(12, 0))
-        assert dbeta.dtype == ref.dtype and np.array_equal(dbeta, ref)
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_kappa_stream_unchanged(self, field, p):
         # the Gram engine draws dkappa from rng.child(0) exactly as the column engine does
@@ -300,24 +291,6 @@ class TestNoiseStreams:
 
 
 class TestEngineMemory:
-    def test_traced_peak_near_result_size(self):
-        # temporaries of the column engine stay blocked: no second full-size (n, p, q - p) array
-        grid = TimeGrid(1.0, 1000)
-        r = RngStream(7, 0)
-        lsh = sample_triangular_bm(2, "complex", grid, [r.child(10**6)])
-        tracemalloc.start()
-        try:
-            dbeta, dkappa = su_noise_increments(2, 800, "complex", grid, r)
-            noise_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            b, c = su_solvable_from_increments(800, lsh.frames[0], dbeta, dkappa)
-            heun_peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert noise_peak <= 1.3 * (dbeta.nbytes + dkappa.nbytes)
-        assert heun_peak <= 1.3 * (b.nbytes + c.nbytes)
-
     def test_gram_engine_peak_at_invariant_halving_shape(self):
         # supq-limit's invariant_halving call (16 replicas, q = (100,), n = 2000, p = 2 complex):
         # the peak holds the frames, K, lbar K and l_{k+1} K (each twice W's size), measured at

@@ -187,6 +187,20 @@ class TestRankOneSpherical:
         with pytest.raises(ValueError):
             rank1_spherical(0.0, Multiplicities(4, 0), 1.0)
 
+    def test_cancelling_branches_raise(self):
+        # at SU(1,19), r = 0.8 the two branches cancel to ~7e-15 of their size: the sum was 0.4766
+        # against the true 0.0523
+        with pytest.raises(TruncationError, match="cancel"):
+            rank1_spherical(0.45, Multiplicities(36, 1), 0.8)
+
+    def test_partial_cancellation_still_accurate(self):
+        # the branches cancel to ~7e-5 of their size, above the guard, and the sum keeps its digits
+        m, lam, r = Multiplicities(2, 1), 0.45, 0.02
+        with mpmath.workdps(30):
+            want = float(hypergeometric_spherical(lam, m, mpmath.mpf(r)))
+        got = rank1_spherical(lam, m, r, log_scale=-0.5 * log_delta_q(r, m))
+        assert got == pytest.approx(want, rel=1e-10)
+
     def test_complex_lambda_closed_form_so3(self):
         m = Multiplicities(2, 0)
         lam, r = 0.2 + 0.15j, 1.7
@@ -265,6 +279,14 @@ class TestHoogenboom:
         a = hoogenboom_det([0.21, 0.47], 6, [2.0, 1.0])
         b = hoogenboom_det([0.47, 0.21], 6, [2.0, 1.0])
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("p,q,r", [(2, 3, (0.16, 0.08)), (2, 4, (0.3, 0.15)), (3, 4, (0.24, 0.16, 0.08))])
+    def test_one_at_the_origin(self, p, q, r):
+        # phi_lam(0) = 1: the values at s r, s = 1, 3/4, 1/2, are a series in s^2 whose fitted
+        # quadratic is extrapolated to s = 0; smaller r loses the entries to the branches' cancellation
+        lams, scales = [0.3, 1.3, 2.3][:p], np.array([1.0, 0.75, 0.5])
+        values = [hoogenboom_det(lams, q, [s * x for x in r]) for s in scales]
+        assert np.polyval(np.polyfit(scales**2, values, 2), 0.0) == pytest.approx(1.0, abs=5e-3)
 
     def test_truncation_stability(self):
         # rank-one entries rebuilt from explicit truncations N and 2N agree to 1e-8

@@ -40,10 +40,6 @@ class TestQPow:
         b = QPow(Fraction(8), -1, 4)  # 8 q^{-1/2} = 2 q^{1/2}
         assert b.normalized() == QPow(Fraction(2), 1, 4)
 
-    def test_addition_requires_matching_grade(self):
-        with pytest.raises(ValueError):
-            _ = QPow(Fraction(1), 1, 4) + QPow(Fraction(1), 0, 4)
-
     def test_rational_extraction_guards(self):
         assert (QPow(Fraction(3), 1, 4) / QPow(Fraction(1), 1, 4)).rational() == 3
         with pytest.raises(ValueError):
@@ -65,10 +61,12 @@ class TestQPow:
 
     def test_float_operand_rejected(self):
         a = QPow(Fraction(1), 0, 4)
-        for op in (lambda: a * 0.1, lambda: 0.1 * a, lambda: a / 0.1):
-            with pytest.raises(TypeError, match="float"):
-                op()
-        assert (a * 3 / Fraction(1, 2)).coef == 6
+        for other in (0.1, 3, Fraction(1, 2)):
+            for op in (lambda: a * other, lambda: other * a, lambda: a / other):
+                with pytest.raises(TypeError, match=type(other).__name__):
+                    op()
+        with pytest.raises(ValueError, match="different q"):
+            _ = a * QPow(Fraction(1), 0, 5)
 
 
 class TestRadialKernel:
@@ -101,11 +99,9 @@ class TestGroundState:
         k = radial_kernel(q)
         rho = tree_spectral_radius(q)
         for n in range(31):
-            acc = None
-            for m, p in k.transition(n):
-                term = QPow(p, 0, q) * phi0_tree(m, q)
-                acc = term if acc is None else acc + term
-            assert acc.normalized() == (rho * phi0_tree(n, q)).normalized()
+            # each term over rho phi_0(n) is rational (its grading asserted) and the terms sum to 1
+            terms = [QPow(p, 0, q) * phi0_tree(m, q) / (rho * phi0_tree(n, q)) for m, p in k.transition(n)]
+            assert sum(term.rational() for term in terms) == 1
 
     def test_forced_first_step(self):
         assert ground_state_kernel(6).row(0) == [(1, Fraction(1))]
@@ -349,8 +345,6 @@ class TestRatesAndSpectra:
         k = ExactKernel(lambda n: [(n - 1, Fraction(1, q + 1)), (n + 1, Fraction(q, q + 1))])
         rho = tree_spectral_radius(q)
         for n in (-4, 0, 3):
-            acc = None
-            for m, p in k.transition(n):
-                term = QPow(p, 0, q) * QPow(Fraction(1), -m, q)
-                acc = term if acc is None else acc + term
-            assert acc.normalized() == (rho * QPow(Fraction(1), -n, q)).normalized()
+            terms = [QPow(p, 0, q) * QPow(Fraction(1), -m, q) / (rho * QPow(Fraction(1), -n, q))
+                     for m, p in k.transition(n)]
+            assert sum(term.rational() for term in terms) == 1
