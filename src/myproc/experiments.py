@@ -29,11 +29,11 @@ from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k, macdonald
 __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_experiment", "DEFAULTS"]
 
 
-# the Monte Carlo batches run their replicas in chunks whose W-sized (n, p, p)
-# matrix paths, one per replica and q value, stay near this many bytes, so memory
-# stays bounded at any p and seed count; an engine call's traced peak is several
-# times that (9.4 MiB at supq-limit's defaults, 13.7 MiB in its fixed checks)
-_CHUNK_BYTES = 1 << 21
+# the Monte Carlo batches run their replicas in chunks whose Gram-engine arrays (the
+# noise K, twice W's size, then W and c) stay near this many bytes, so memory stays
+# bounded at any p and seed count; an engine call's traced peak is 14.4 MiB at
+# supq-limit's defaults and 16.4 MiB in its fixed checks
+_CHUNK_BYTES = 12 << 20
 
 # fewest paths whose statistics each path-sampling experiment can form: a
 # sample standard deviation needs two, the Markov test full bins
@@ -162,9 +162,9 @@ def _chunk_map(fn, items: list, size: int, workers: int) -> list:
     return [x for run in runs for x in fn(run)]
 
 
-def _chunk_size(n_steps: int, n_q: int, p: int) -> int:
-    """Replicas per chunk: each holds n_q complex (n_steps, p, p) matrix paths, 16 bytes an entry."""
-    return max(1, _CHUNK_BYTES // (16 * n_steps * n_q * p * p))
+def _chunk_size(n_steps: int, n_q: int, p: int, field: str) -> int:
+    """Replicas per chunk: per q value K, W and c hold four (n_steps, p, p) paths, of 8-byte (real) or 16-byte entries."""
+    return max(1, _CHUNK_BYTES // (4 * n_steps * n_q * p * p * (16 if field == "complex" else 8)))
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     seeds = [cfg.seed + 100 + i for i in range(cfg.n_seeds)]
     # a seed's errors do not depend on its run of seeds
     rows = _chunk_map(partial(_convergence_rows, dt=cfg.dt, T=cfg.T, q=(q_small, q_large)), seeds,
-                      _chunk_size(round(cfg.T / cfg.dt), 2, 1), cfg.workers)
+                      _chunk_size(round(cfg.T / cfg.dt), 2, 1, "real"), cfg.workers)
     e2s, e4s = np.array(rows)[:, 1:].T
     frac = float(np.mean(e4s < e2s))
     med = float(np.median(e4s))
@@ -431,7 +431,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     q_list, inner = _SUPQ_Q, 8
     seeds = [cfg.seed + 500 + i for i in range(cfg.n_seeds)]
     rows = _chunk_map(partial(_supq_rows, dt=cfg.dt, T=cfg.T, p=cfg.p, q=q_list, inner=inner), seeds,
-                      max(1, _chunk_size(round(cfg.T / cfg.dt), len(q_list), cfg.p) // inner), cfg.workers)
+                      max(1, _chunk_size(round(cfg.T / cfg.dt), len(q_list), cfg.p, "complex") // inner), cfg.workers)
     # the verdict compares the time-mean errors componentwise
     means = np.array(rows)[:, 1:].reshape(len(rows), len(q_list), 2, cfg.p).mean(axis=2)
     frac = float(np.mean(np.all(means[:, :-1] > means[:, 1:], axis=(1, 2))))
@@ -456,7 +456,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
         def run(chunk):
             l = mx.sample_triangular_bm(cfg.p, field, grid, [r.child(10**6) for r in chunk])
             return reduce(mx.simulate_su_solvable(q, chunk, l))
-        return float(np.mean(_chunk_map(run, rngs, _chunk_size(grid.n_steps, len(q), cfg.p), 1)))
+        return float(np.mean(_chunk_map(run, rngs, _chunk_size(grid.n_steps, len(q), cfg.p, field), 1)))
 
     # invariant defect halves with dt (ratio of replica means)
     defects = {n_steps: replica_mean((100,), pth.TimeGrid(1.0, n_steps), "complex",

@@ -31,8 +31,9 @@ W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
 and W are sequential.  The engine keeps its arrays entries first, (p, p | 2p,
-time, replicas, groups), so each product over the time axis is one _mul of a
-few long elementwise passes, not one BLAS call per tiny matrix.  Outside it,
+time, replicas, groups), so a product over the time axis is a few long passes
+of _mul, not one BLAS call per tiny matrix; it holds K (twice W's size), W, c
+and l, with l_{k+1} K and the factors of one block of steps only.  Outside it,
 one l path per stream rides a leading replica axis; W and c (views) add a
 q-value axis; the radial read-outs return plain arrays with the same leading
 axes.  p, the field and the grid are read from the frames and their path.
@@ -269,6 +270,9 @@ def _kappa_vanishes(p: int, cplx: bool) -> bool:
     return p == 1 and not cplx
 
 
+_BLOCK = 100  # time steps per block of the Gram engine's step-local arrays (l_{k+1} K, the Cholesky factors)
+
+
 def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: TriangularPath) -> SuSolvablePath:
     """Distinguished Brownian motion on the solvable group, reusing a given l trajectory.
 
@@ -300,28 +304,36 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         raise ValueError(f"l must hold one path per stream, {len(rngs)}, got frames {frames.shape}")
     L = np.ascontiguousarray(frames.transpose(2, 3, 1, 0))[..., None]  # broadcast over the groups
     K = _transverse_noise(p, widths, cplx, n, dt, rngs)
-    LK, L1K = _mul(0.5 * (L[:, :, :-1] + L[:, :, 1:]), K), _mul(L[:, :, 1:], K)
-    del K
-    dc = _mul(LK, np.conj(L1K, out=L1K).swapaxes(0, 1))
-    dc *= 0.5  # 1/2 lbar K K* l_{k+1}*
-    del L1K
-    X = np.zeros((p, p, n + 1) + LK.shape[3:], dtype=LK.dtype)
-    W = np.zeros_like(X)
-    Xt, Wt = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (X, W))  # (n+1, replicas, groups, p, p) views
-    for k in range(n):  # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K
-        LK[:, :p, k] += X[:, :, k]
-        _mul(LK[:, :, k], LK[:, :, k].conj().swapaxes(0, 1), out=W[:, :, k + 1])
-        Xt[k + 1] = np.linalg.cholesky(Wt[k + 1])
-    lbar_g = np.subtract(LK[:, :p], X[:, :, :-1], out=LK[:, :p])
-    dc += _mul(X[:, :, :-1], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
-    del LK, lbar_g, X, Xt
-    np.cumsum(dc, axis=-1, out=dc)
+    W = np.zeros((p, p, n + 1) + K.shape[3:], dtype=K.dtype)
+    c = np.zeros_like(W)  # holds the increments until the last cumsum
+    X = np.zeros((p, p, _BLOCK + 1) + K.shape[3:], dtype=K.dtype)  # one block's Cholesky factors, X_0 = 0
+    Wt, Xt = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (W, X))  # (time, replicas, groups, p, p) views
+    L0, L1, c1 = L[:, :, :-1], L[:, :, 1:], c[:, :, 1:]  # at steps k and k + 1
+    blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
+    for s in blocks:
+        L1K = _mul(L1[:, :, s], K[:, :, s])
+        K[:, :, s] = _mul(0.5 * (L0[:, :, s] + L1[:, :, s]), K[:, :, s])  # lbar K
+        LK, dc = K[:, :, s], c1[:, :, s]
+        _mul(LK, np.conj(L1K, out=L1K).swapaxes(0, 1), out=dc)
+        dc *= 0.5  # 1/2 lbar K K* l_{k+1}*
+        del L1K
+        X[:, :, 0] = X[:, :, -1]  # every block but the last is full
+        for j in range(LK.shape[2]):  # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K
+            LK[:, :p, j] += X[:, :, j]
+            _mul(LK[:, :, j], LK[:, :, j].conj().swapaxes(0, 1), out=W[:, :, s.start + j + 1])
+            Xt[j + 1] = np.linalg.cholesky(Wt[s.start + j + 1])
+        lbar_g = np.subtract(LK[:, :p], X[:, :, :LK.shape[2]], out=LK[:, :p])
+        dc += _mul(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
+        np.cumsum(dc, axis=-1, out=dc)
+    del K, LK, lbar_g
     if not _kappa_vanishes(p, cplx):
-        dkappa = np.stack([np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1) for r in rngs], -1)[..., None]
-        for lk in (L[:, :, :-1], L[:, :, 1:]):
-            dc += 0.5 * _mul(_mul(lk, dkappa), lk.conj().swapaxes(0, 1))
-    c = np.zeros_like(W)
-    np.cumsum(dc, axis=2, out=c[:, :, 1:])
+        dkappa = np.empty(L0.shape, dtype=W.dtype)
+        for i, r in enumerate(rngs):
+            dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)
+        for s in blocks:
+            for lk in (L0[:, :, s], L1[:, :, s]):
+                c1[:, :, s] += 0.5 * _mul(_mul(lk, dkappa[:, :, s]), lk.conj().swapaxes(0, 1))
+    np.cumsum(c1, axis=2, out=c1)
     np.cumsum(W, axis=-1, out=W)
     return SuSolvablePath(l, W.transpose(3, 4, 2, 0, 1), c.transpose(3, 4, 2, 0, 1))
 

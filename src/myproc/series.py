@@ -50,7 +50,7 @@ _CANCELLATION_GUARD = 1e-6  # least |sum| / (|branch+| + |branch-|) that rank1_s
 
 
 class ResonanceError(ValueError):
-    """2*lam is (numerically) a nonzero integer; the expansion degenerates."""
+    """lam is (numerically) a nonzero integer; the expansion degenerates."""
 
 
 class TruncationError(RuntimeError):

@@ -8,6 +8,7 @@ from scipy.linalg import expm as scipy_expm
 
 from scipy.stats import ks_2samp
 
+from myproc import experiments as ex
 from myproc import matrixproc as mx
 from myproc.experiments import _convergence_rows, _supq_rows
 from myproc.matrixproc import (
@@ -290,22 +291,43 @@ class TestNoiseStreams:
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+class TestEngineBitsPinned:
+    # SHA-256 of W then c from simulate_su_solvable on TimeGrid(1.0, 257) (no block size divides
+    # 257), three replicas RngStream(24, i) with l from their child 10**6: the engine's arithmetic
+    DIGESTS = {
+        (1, "real", (5, 40)): "826f9144e18c47b5f1f911d76ac9daab9da91e196b6779186b0eaf02a1bb45b4",
+        (2, "complex", (5, 12, 30)): "7e080e2c66ab20583f64b2bfd66cd60b3953a1eb805c8b5c4afa7be671ffa930",
+        (3, "real", (7,)): "06443055969159c90e1f2d04eb788f22659ddd8ff78a3542a9e87d8d61fac405",
+    }
+
+    @pytest.mark.parametrize("p, field, q", list(DIGESTS))
+    def test_pinned_digest(self, p, field, q):
+        grid = TimeGrid(1.0, 257)
+        rngs = [RngStream(24, i) for i in range(3)]
+        sp = simulate_su_solvable(q, rngs, sample_triangular_bm(p, field, grid, [r.child(10**6) for r in rngs]))
+        digest = hashlib.sha256(sp.W.tobytes() + sp.c.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[p, field, q]
+
+
 class TestEngineMemory:
     def test_gram_engine_peak_at_invariant_halving_shape(self):
-        # supq-limit's invariant_halving call (16 replicas, q = (100,), n = 2000, p = 2 complex):
-        # the peak holds the frames, K, lbar K and l_{k+1} K (each twice W's size), measured at
-        # 3.50 (W.nbytes + c.nbytes); one more full-size copy of K, LK, W or c exceeds 3.75
-        grid = TimeGrid(1.0, 2000)
-        rngs = [RngStream(5 + i, 11) for i in range(16)]
-        l = sample_triangular_bm(2, "complex", grid, [r.child(10**6) for r in rngs])
-        tracemalloc.start()
-        try:
-            sp = simulate_su_solvable((100,), rngs, l)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sp.W.shape == sp.c.shape == (16, 1, 2001, 2, 2)
-        assert peak <= 3.75 * (sp.W.nbytes + sp.c.nbytes)
+        # supq-limit's invariant_halving call (16 replicas, q = (100,), n = 2000) and its monotone
+        # chunk (two seeds of 8 replicas, three groups, n = 1000), p = 2 complex: the peak holds K
+        # (twice W's size), W, c and the entries-first copy of l (W's size at one group, a third at
+        # three), plus one block's l_{k+1} K and lbar K; measured at 5.41 W and 4.92 W, so one more
+        # W-sized array exceeds either bound
+        for q, n, bound in (((100,), 2000, 6.0), ((50, 200, 800), 1000, 5.5)):
+            grid = TimeGrid(1.0, n)
+            rngs = [RngStream(5 + i, 11) for i in range(16)]
+            l = sample_triangular_bm(2, "complex", grid, [r.child(10**6) for r in rngs])
+            tracemalloc.start()
+            try:
+                sp = simulate_su_solvable(q, rngs, l)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sp.W.shape == sp.c.shape == (16, len(q), n + 1, 2, 2)
+            assert peak <= bound * sp.W.nbytes, q
 
     def test_gram_engine_cost_flat_in_q(self, monkeypatch):
         # the normals and Gamma variates drawn, and the traced memory peak, do not grow with q;
@@ -625,6 +647,22 @@ class TestSuSolvable:
             together = rows(seeds, *args)
             assert [row[0] for row in together] == seeds
             assert together == [row for seed in seeds for row in rows([seed], *args)]
+
+    def test_chunk_plan(self, monkeypatch):
+        # at the default p = 2 and dt = 1e-3 supq-limit's monotone phase runs at least two
+        # seeds (16 replicas) per engine call; a real-field path counts 8 bytes an entry, not 16
+        class Planned(Exception):
+            pass
+
+        def plan(fn, items, size, workers):
+            raise Planned(size)
+
+        monkeypatch.setattr(ex, "_chunk_map", plan)
+        with pytest.raises(Planned) as seeds_per_call:
+            ex.run_supq_limit(ex.ExperimentConfig("supq-limit", n_seeds=10))
+        assert seeds_per_call.value.args[0] >= 2
+        for n_q, p in ((1, 2), (3, 2), (2, 1)):
+            assert ex._chunk_size(1000, n_q, p, "real") // 2 == ex._chunk_size(1000, n_q, p, "complex")
 
     def test_p1_real_skips_zero_kappa(self, monkeypatch):
         # kappa is identically zero in the real field at p = 1: the engine draws no kappa
