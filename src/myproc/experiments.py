@@ -29,10 +29,10 @@ from .specialfn import Multiplicities, gamma, ktilde_det, macdonald_k, macdonald
 __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_experiment", "DEFAULTS"]
 
 
-# the Monte Carlo batches run their replicas in chunks whose Gram-engine arrays (the
-# noise K, twice W's size, then W and c) stay near this many bytes, so memory stays
-# bounded at any p and seed count; an engine call's traced peak is 14.4 MiB at
-# supq-limit's defaults and 16.4 MiB in its fixed checks
+# the Monte Carlo batches run their replicas in chunks whose counted arrays stay near
+# this many bytes, so memory stays bounded at any p and seed count; _chunk_size counts
+# per q value the Gram engine's noise K (twice W's size), W and c, and the temporaries
+# of a finite_q_radial read-out
 _CHUNK_BYTES = 12 << 20
 
 # fewest paths whose statistics each path-sampling experiment can form: a
@@ -162,9 +162,11 @@ def _chunk_map(fn, items: list, size: int, workers: int) -> list:
     return [x for run in runs for x in fn(run)]
 
 
-def _chunk_size(n_steps: int, n_q: int, p: int, field: str) -> int:
-    """Replicas per chunk: per q value K, W and c hold four (n_steps, p, p) paths, of 8-byte (real) or 16-byte entries."""
-    return max(1, _CHUNK_BYTES // (4 * n_steps * n_q * p * p * (16 if field == "complex" else 8)))
+def _chunk_size(n_steps: int, n_q: int, p: int, field: str, n_read: int = 0) -> int:
+    """Replicas per chunk: per q value K, W and c hold four (n_steps, p, p) paths, and a finite_q_radial
+    read-out at n_read indices allocates about eight (n_read, p, p) arrays (the gathered c, l and l*^-1,
+    their product and sums, the singular values and their arccosh); 8-byte (real) or 16-byte entries."""
+    return max(1, _CHUNK_BYTES // ((4 * n_steps + 8 * n_read) * n_q * p * p * (16 if field == "complex" else 8)))
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def run_tree_samelaw(cfg: ExperimentConfig) -> ExperimentResult:
         rate_rows.append([q, 4 * q, float(err[q]), float(err[4 * q]), ratio])
         checks.append(Check(f"kernel_rate_q{q}", 3.5 <= ratio <= 4.5, ratio,
                             "err(q)/err(4q) in [3.5, 4.5]", {"q": q}))
-    lim = tr.exact_distribution(tr.graph_kernel(limit=True), (0, 0), 16)[-1]
+    lim = tr.exact_distribution(tr.graph_kernel(), (0, 0), 16)[-1]
     inv_ok = all(x >= abs(y) and (x - y) % 2 == 0 for (x, y) in lim)
     checks.append(Check("limit_walk_state_invariant", inv_ok, float(inv_ok),
                         "x >= |y| and x = y (mod 2) on the limit walk support", {"n": 16}))
@@ -317,9 +319,10 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     # shared-noise convergence over seeds
     q_small, q_large = 100, 10_000
     seeds = [cfg.seed + 100 + i for i in range(cfg.n_seeds)]
-    # a seed's errors do not depend on its run of seeds
+    # a seed's errors do not depend on its run of seeds; the read-out spans at most the whole path
+    n_steps = round(cfg.T / cfg.dt)
     rows = _chunk_map(partial(_convergence_rows, dt=cfg.dt, T=cfg.T, q=(q_small, q_large)), seeds,
-                      _chunk_size(round(cfg.T / cfg.dt), 2, 1, "real"), cfg.workers)
+                      _chunk_size(n_steps, 2, 1, "real", n_steps), cfg.workers)
     e2s, e4s = np.array(rows)[:, 1:].T
     frac = float(np.mean(e4s < e2s))
     med = float(np.median(e4s))

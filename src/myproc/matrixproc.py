@@ -117,6 +117,15 @@ def _h(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _grid_indices(indices: Sequence[int], first: int, n_steps: int) -> np.ndarray:
+    """indices as an int array, each checked to lie in first..n_steps (numpy would wrap a negative one)."""
+    indices = np.asarray(list(indices), dtype=int)
+    off = indices[(indices < first) | (indices > n_steps)]
+    if off.size:
+        raise ValueError(f"grid index {off[0]} is off the valid range {first}..{n_steps}")
+    return indices
+
+
 def singular_values(n_matrix: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order, of one matrix or of each matrix in a stack."""
     return np.linalg.svd(np.asarray(n_matrix), compute_uv=False)
@@ -192,13 +201,11 @@ def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
 
 
 def eta_matrix(lpath: TriangularPath, indices: Sequence[int]):
-    """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each >= 1),
+    """Singular values of l_t^{-1} int_0^t l_s l_s* ds at the grid indices given (each in 1..n),
     shape (..., len(indices), p): the leading replica axes of the frames, each row weakly decreasing.
     """
+    indices = _grid_indices(indices, 1, lpath.grid.n_steps)
     J = integrated_ll_star(lpath)
-    indices = np.asarray(list(indices), dtype=int)
-    if np.any(indices < 1):
-        raise ValueError("eta is defined from the first grid point on")
     return singular_values(np.linalg.solve(lpath.frames[..., indices, :, :], J[..., indices, :, :]))
 
 
@@ -341,11 +348,11 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
 def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     """Radial part along the trajectory: cosh Rad = SingVal(l + l^{*-1} + c l^{*-1}) / 2.
 
-    Returns the radial parts at the grid indices given, shape (replicas, q values,
+    Returns the radial parts at the grid indices given (each in 0..n), shape (replicas, q values,
     len(indices), p), with rows in the closed Weyl chamber.
     Arguments below 1 - 1e-12 abort (integrator bug); round-off dips are clamped.
     """
-    indices = np.asarray(list(indices), dtype=int)
+    indices = _grid_indices(indices, 0, path.grid.n_steps)
     l = path.l_path.frames[..., None, indices, :, :]
     l_star_inv = np.linalg.inv(_h(l))
     arg = 0.5 * singular_values(l + l_star_inv + path.c[..., indices, :, :] @ l_star_inv)

@@ -63,7 +63,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0 or self.n_steps < 1:
+        if not 0.0 < self.horizon < math.inf or self.n_steps < 1:
             raise ValueError("need horizon > 0 and n_steps >= 1")
 
     @property

@@ -7,17 +7,17 @@ state phi_0(n) = (1 + n (q-1)/(q+1)) q^{-n/2} is carried symbolically as a
 formal half-integer power of q (class QPow, products and quotients only).
 Every exposed transition probability asserts that the half powers cancelled.
 
-Kernels: R (radial simple walk on N), R0 (its ground-state transform),
-B (discrete Bessel(3)), P_G / Q (the walk folded onto the planar graph and
-its flat limit), and the simple symmetric walk S carried with its running
-maximum M as a chain on pairs (S, M), whose image 2M - S is the discrete
-Pitman walk.  exact_distribution is the one forward-iteration engine: it
-returns the laws at steps 0..n of one run of a chain, pushed forward by an
-image map (the identity by default).  Inside it a row is integer weights over
-one row denominator, and a law is integer numerators over one common
-denominator per step, so a step needs only integer + and x and one gcd; the
-numerators are summed by image, and each image key's Fraction is built once,
-when its law is returned.
+Kernels: R (radial simple walk) and B (discrete Bessel(3)), both built as
+walks on N reflected at 0; R0, R's ground-state transform; P_G, the walk
+folded onto the planar graph, with rows in eps = 1/q and its flat limit Q
+at eps = 0; the walk S with its running maximum M, a chain on pairs (S, M)
+whose image 2M - S is the discrete Pitman walk.  exact_distribution is the
+one forward-iteration engine: it returns the laws at steps 0..n of one run
+of a chain, pushed forward by an image map (the identity by default).
+Inside it a row is integer weights over one row denominator, and a law is
+integer numerators over one common denominator per step, so a step needs
+only integer + and x and one gcd; the numerators are summed by image, and
+each image key's Fraction is built once, when its law is returned.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "QPow",
@@ -124,20 +124,21 @@ class ExactKernel:
         return [(target, Fraction(w, d)) for target, w in row]
 
 
+def _reflected_walk(down: Callable[[int], Fraction], up: Callable[[int], Fraction]) -> ExactKernel:
+    """Nearest-neighbour chain on N reflected at 0: 0 -> 1 surely, n -> n - 1, n + 1 with down(n), up(n)."""
+
+    def transition(n: int):
+        return [(1, Fraction(1))] if n == 0 else [(n - 1, down(n)), (n + 1, up(n))]
+
+    return ExactKernel(transition)
+
+
 def radial_kernel(q: int) -> ExactKernel:
     """Distance-to-root walk of the simple random walk on the (q+1)-regular tree:
     R(0,1) = 1, R(n,n-1) = 1/(q+1), R(n,n+1) = q/(q+1)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    back = Fraction(1, q + 1)
-    forward = Fraction(q, q + 1)
-
-    def transition(n: int):
-        if n == 0:
-            return [(1, Fraction(1))]
-        return [(n - 1, back), (n + 1, forward)]
-
-    return ExactKernel(transition)
+    return _reflected_walk(lambda n: Fraction(1, q + 1), lambda n: Fraction(q, q + 1))
 
 
 def phi0_tree(n: int, q: int) -> QPow:
@@ -174,26 +175,19 @@ def ground_state_kernel(q: int) -> ExactKernel:
 
 def bessel3_kernel() -> ExactKernel:
     """Discrete Bessel(3) chain: B(0,1)=1, B(n,n+1)=(n+2)/(2(n+1)), B(n,n-1)=n/(2(n+1))."""
-
-    def transition(n: int):
-        if n == 0:
-            return [(1, Fraction(1))]
-        return [(n - 1, Fraction(n, 2 * (n + 1))), (n + 1, Fraction(n + 2, 2 * (n + 1)))]
-
-    return ExactKernel(transition)
+    return _reflected_walk(lambda n: Fraction(n, 2 * (n + 1)), lambda n: Fraction(n + 2, 2 * (n + 1)))
 
 
-def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
+def graph_kernel(q: Optional[int] = None) -> ExactKernel:
     """Walk on the planar folding of the tree, states (x, y) with x >= y, x = y mod 2.
 
-    Diagonal states (k,k): down-diagonal 1/2q, up-diagonal 1/2, interior
-    (k+1, k-1) with (q-1)/2q.  Off-diagonal states move to
-    (x - eps, y + eps), eps = +-1, with probability 1/2 each.  With
-    limit=True the q -> infinity kernel is returned (down-diagonal move
-    forbidden): the discrete Pitman walk.
+    With eps = 1/q, (k,k) moves to (k-1,k-1), (k+1,k+1), (k+1,k-1) with eps/2, 1/2, (1-eps)/2,
+    and an off-diagonal (x, y) to (x -+ 1, y +- 1) with 1/2 each.  q = None is the flat limit
+    eps = 0, its zero-probability move dropped: the discrete Pitman walk.
     """
-    if not limit and q < 2:
-        raise ValueError("q must be >= 2 (or pass limit=True)")
+    if q is not None and q < 2:
+        raise ValueError("q must be >= 2 (or None for the limit)")
+    eps = Fraction(0) if q is None else Fraction(1, q)
     half = Fraction(1, 2)
 
     def transition(state: Tuple[int, int]):
@@ -201,14 +195,8 @@ def graph_kernel(q: int = 0, limit: bool = False) -> ExactKernel:
         if (x - y) % 2 or x < y:
             raise ValueError(f"not a graph state: {state}")
         if x == y:
-            k = x
-            if limit:
-                return [((k + 1, k + 1), half), ((k + 1, k - 1), half)]
-            return [
-                ((k - 1, k - 1), Fraction(1, 2 * q)),
-                ((k + 1, k + 1), half),
-                ((k + 1, k - 1), Fraction(q - 1, 2 * q)),
-            ]
+            moves = [((x - 1, y - 1), eps / 2), ((x + 1, y + 1), half), ((x + 1, y - 1), (1 - eps) / 2)]
+            return [(target, p) for target, p in moves if p]
         return [((x - 1, y + 1), half), ((x + 1, y - 1), half)]
 
     return ExactKernel(transition)

@@ -1,12 +1,15 @@
-"""Every exported name of the compute modules is used by the program itself.
+"""Every exported name of the compute modules, and every module-level function and
+class of the package, is used by the program itself.
 
 A name in the ``__all__`` of a compute module must be referenced somewhere in
-``src/myproc`` or ``scripts/`` other than where it is defined; code that only
-tests call belongs in ``tests/``.
+``src/myproc`` or ``scripts/`` other than where it is defined, and so must every
+module-level function and class, private ones included; code that only tests
+call belongs in ``tests/``.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,29 @@ def test_exported_names_are_used(module):
     exported = importlib.import_module(f"myproc.{module}").__all__
     unused = sorted(set(exported) - _referenced_names())
     assert not unused, f"myproc.{module} exports names only tests use: {unused}"
+
+
+def _name_counts(tree: ast.AST) -> Counter:
+    """How often each identifier is read, called or imported in tree."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_definition_is_referenced():
+    # a helper that a refactor leaves behind is referenced only inside its own body, if at all
+    modules = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "myproc").glob("*.py")}
+    package = sum((_name_counts(tree) for tree in modules.values()), Counter())
+    dead = sorted(f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and package[node.name] == _name_counts(node)[node.name])
+    assert not dead, f"module-level definitions the package never references: {dead}"
 
 
 def _internal_imports(module: str) -> set:

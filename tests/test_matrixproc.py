@@ -298,6 +298,7 @@ class TestEngineBitsPinned:
         (1, "real", (5, 40)): "826f9144e18c47b5f1f911d76ac9daab9da91e196b6779186b0eaf02a1bb45b4",
         (2, "complex", (5, 12, 30)): "7e080e2c66ab20583f64b2bfd66cd60b3953a1eb805c8b5c4afa7be671ffa930",
         (3, "real", (7,)): "06443055969159c90e1f2d04eb788f22659ddd8ff78a3542a9e87d8d61fac405",
+        (1, "complex", (4, 16)): "d7589e9c180d9002e800e693ea2590d43d7746fab3f9961012996de40a8e40e7",
     }
 
     @pytest.mark.parametrize("p, field, q", list(DIGESTS))
@@ -386,6 +387,13 @@ class TestEtaMatrix:
         assert rad.shape == (3, 2, 2)
         for i, r in enumerate(rngs):
             assert np.array_equal(rad[i], eta_matrix(sample_triangular_bm(2, "complex", grid, [r]), [5, 10])[0])
+
+    def test_indices_off_grid_rejected(self):
+        # numpy would wrap -1 to the last step and end past n in a bare IndexError
+        lp = sample_triangular_bm(2, "complex", TimeGrid(1.0, 10), [RNG.child(50)])
+        for idx in ([0], [-1], [5, 11]):
+            with pytest.raises(ValueError, match=r"off the valid range 1\.\.10"):
+                eta_matrix(lp, idx)
 
     def test_small_time_slope(self):
         grid = TimeGrid(0.02, 20)
@@ -661,6 +669,11 @@ class TestSuSolvable:
         with pytest.raises(Planned) as seeds_per_call:
             ex.run_supq_limit(ex.ExperimentConfig("supq-limit", n_seeds=10))
         assert seeds_per_call.value.args[0] >= 2
+        # my-convergence counts its finite_q_radial read-out: its 100 default seeds split into
+        # runs, and a run still holds the 10 seeds of a --seeds 10 call
+        with pytest.raises(Planned) as seeds_per_call:
+            ex.run_my_convergence(ex.ExperimentConfig("my-convergence", n_paths=2))
+        assert 10 <= seeds_per_call.value.args[0] < 100
         for n_q, p in ((1, 2), (3, 2), (2, 1)):
             assert ex._chunk_size(1000, n_q, p, "real") // 2 == ex._chunk_size(1000, n_q, p, "complex")
 
@@ -702,6 +715,14 @@ class TestFiniteQRadial:
         sp = simulate_su_solvable((30,), [RNG.child(14)], lsh)
         rad = finite_q_radial(sp, indices=[0])
         assert rad.shape == (1, 1, 1, 2) and np.allclose(rad, 0.0)
+
+    def test_indices_off_grid_rejected(self):
+        grid = TimeGrid(0.5, 20)
+        sp = simulate_su_solvable((30,), [RNG.child(14)], sample_triangular_bm(2, "complex", grid, [RNG.child(13)]))
+        for idx in ([-1], [0, 21]):
+            with pytest.raises(ValueError, match=r"off the valid range 0\.\.20"):
+                finite_q_radial(sp, idx)
+        assert finite_q_radial(sp, [0, 20]).shape == (1, 1, 2, 2)
 
     def test_flat_limit_toward_eta(self):
         grid = TimeGrid(1.0, 500)

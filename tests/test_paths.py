@@ -30,6 +30,10 @@ class TestGridAndStreams:
         assert GRID.index_of(0.1) == 100
         with pytest.raises(ValueError):
             GRID.index_of(0.10037)
+        # a nan or infinite horizon would give a nan or infinite dt
+        for horizon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="need horizon > 0"):
+                TimeGrid(horizon, 10)
 
     def test_stream_reproducible(self):
         a = RngStream(5, 9).generator().standard_normal(8)

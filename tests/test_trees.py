@@ -146,10 +146,16 @@ class TestGraphKernel:
         assert row[(1, -1)] == Fraction(1, 3)
 
     def test_limit_kernel(self):
-        row = dict(graph_kernel(limit=True).row((2, 2)))
+        row = dict(graph_kernel().row((2, 2)))
         assert row.get((1, 1), Fraction(0)) == 0
         assert row[(3, 3)] == Fraction(1, 2)
         assert row[(3, 1)] == Fraction(1, 2)
+
+    def test_q_below_two_rejected(self):
+        # q = None, not a sentinel q, is the flat limit
+        for q in (0, 1):
+            with pytest.raises(ValueError, match="q must be >= 2"):
+                graph_kernel(q)
 
     def test_interior_moves(self):
         row = dict(graph_kernel(5).row((4, 0)))
@@ -228,7 +234,7 @@ _ORACLE_CHAINS = {
     "bessel3": (bessel3_kernel(), 0),
     "graph-2": (graph_kernel(2), (0, 0)),
     "graph-3": (graph_kernel(3), (0, 0)),
-    "graph-limit": (graph_kernel(limit=True), (0, 0)),
+    "graph-limit": (graph_kernel(), (0, 0)),
     "walk-with-max": (ExactKernel(trees._walk_with_max), (0, 0)),
     # every state moves up surely and to -1 with probability 0
     "zero-target": (ExactKernel(lambda n: [(-1, Fraction(0)), (n + 1, Fraction(1))]), 0),
@@ -319,11 +325,11 @@ class TestSameLaw:
         assert x_law[-1] == Fraction(1, 4)
 
     def test_limit_x_marginal_is_pitman(self, pitman_laws):
-        x_law = exact_distribution(graph_kernel(limit=True), (0, 0), 14, image=lambda s: s[0])[-1]
+        x_law = exact_distribution(graph_kernel(), (0, 0), 14, image=lambda s: s[0])[-1]
         assert x_law == pitman_laws[14]
 
     def test_limit_state_invariant(self):
-        d = exact_distribution(graph_kernel(limit=True), (0, 0), 15)[-1]
+        d = exact_distribution(graph_kernel(), (0, 0), 15)[-1]
         assert all(x >= abs(y) and (x - y) % 2 == 0 for (x, y) in d)
 
 
