@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import partial
@@ -157,6 +156,7 @@ def _chunk_map(fn, items: list, size: int, workers: int) -> list:
     runs = [items[i:i + size] for i in range(0, len(items), size)]
     workers = min(workers, len(runs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return [x for out in ex.map(fn, runs) for x in out]
     return [x for run in runs for x in fn(run)]
@@ -344,25 +344,26 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
     h = cfg.dt
     bump = st.gaussian_bump(0.0, 1.0)
     lam = cfg.lam
-    # every path check reads a functional of one Brownian driver, drawn once
+    # every path check reads a functional (mu, drift) of one Brownian driver, drawn once, kept
+    # only up to the times its checks read: the drifted one at t and t + h
     stream = 2
     t_lag, t_mid, t_end = _GENERATOR_TIMES
-    functionals = [(2.0, 0.0), (2.0, lam), (1.0, 0.0), (3.0, 0.0)]
-    mus, drifts = zip(*functionals)
-    z = pth.exp_functional_samples([t_lag, t_mid, t_mid + h, t_end], cfg.dt, cfg.n_paths,
-                                   pth.RngStream(cfg.seed, stream), mu=mus, drift=drifts)[1]
-    log_z = np.log(z, out=z)  # every check reads log Z; (functional, time, path)
+    mus, drifts = (2.0, 2.0, 1.0, 3.0), (0.0, lam, 0.0, 0.0)
+    reads = {t_lag: (0, 2, 3), t_mid: (0, 1, 2, 3), t_mid + h: (0, 1), t_end: (0, 2, 3)}
+    z = pth.exp_functional_samples(reads, cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, stream),
+                                   mu=mus, drift=drifts)[1]
+    log_z = [np.log(zj, out=zj) for zj in z]  # every check reads log Z; per functional (time read, path)
 
     def meta(j, **extra):
         return {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, **extra,
                 "stream": stream, "mu": mus[j], "drift": drifts[j]}
 
     # generator of log eta at t = 1 with the Macdonald log-derivative drift
-    rep = st.generator_test(log_z[0, 1], log_z[0, 2], pth.my_drift(log_z[0, 1], 0.0), bump, h)
+    rep = st.generator_test(log_z[0][1], log_z[0][2], pth.my_drift(log_z[0][1], 0.0), bump, h)
     checks.append(Check("generator_log_eta", rep.passed, rep.statistic,
                         "|z| <= 3 against the Macdonald-drift generator", {**rep.details, **meta(0, t=t_mid)}))
     # drifted case: same code path with driver drift lam and the lam-indexed drift
-    rep = st.generator_test(log_z[1, 1], log_z[1, 2], pth.my_drift(log_z[1, 1], lam), bump, h)
+    rep = st.generator_test(log_z[1][0], log_z[1][1], pth.my_drift(log_z[1][0], lam), bump, h)
     checks.append(Check("generator_log_eta_drifted", rep.passed, rep.statistic,
                         f"|z| <= 3 with driver drift {lam} and the matching drift index",
                         {**rep.details, **meta(1, t=t_mid, driver_drift=lam)}))
@@ -375,10 +376,10 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
                         "|z| > 3 for the zero-drift hypothesis on OU data",
                         {**rep.details, "seed": cfg.seed, "stream": 3}))
     # Markov-property tests across the exponential-functional family
-    # (functional, whether the Markov property holds): mu = 1, 2 and 3 at drift 0
+    # (functional, whether the Markov property holds): mu = 1, 2 and 3 at drift 0; each reads log Z
+    # at t and at the end, conditioned on its increment since the lag
     for j, should_pass in ((2, True), (0, True), (3, False)):
-        log_lag, log_mid, _, log_end = log_z[j]
-        rep = st.markov_property_test(log_mid, log_end, log_mid - log_lag)
+        rep = st.markov_property_test(log_z[j][1], log_z[j][-1], log_z[j][1] - log_z[j][0])
         ok = rep.passed == should_pass
         checks.append(Check(f"markov_mu{mus[j]:g}", ok, rep.statistic,
                             ("pass" if should_pass else "reject") + " at 1% (Bonferroni over bins)",

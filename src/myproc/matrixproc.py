@@ -355,7 +355,9 @@ def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):
     indices = _grid_indices(indices, 0, path.grid.n_steps)
     l = path.l_path.frames[..., None, indices, :, :]
     l_star_inv = np.linalg.inv(_h(l))
-    arg = 0.5 * singular_values(l + l_star_inv + path.c[..., indices, :, :] @ l_star_inv)
+    total = path.c[..., indices, :, :] @ l_star_inv
+    total += np.add(l_star_inv, l, out=l_star_inv)  # in place, with the bits of l + l^{*-1} + c l^{*-1}
+    arg = 0.5 * singular_values(total)
     low = arg < 1.0 - 1e-12
     if np.any(low):
         step = indices[np.nonzero(low)[-2][0]]

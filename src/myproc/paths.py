@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -127,19 +126,16 @@ def eta_functional(b: np.ndarray, dt: float) -> np.ndarray:
 def my_drift(r, lam: float = 0.0):
     """d/dr log K_lam(e^{-r}) (scalar or array r).
 
-    Equals -e^{-r} K_lam'(e^{-r}) / K_lam(e^{-r}); both factors come from the
-    same quadrature with the common e^{-x} scale cancelled, so the ratio is
+    Equals -e^{-r} K_lam'(e^{-r}) / K_lam(e^{-r}); both factors come from one
+    node set with the common e^{-x} scale cancelled, so the ratio is
     stable over the whole line (repulsive wall ~ e^{-r} on the left, slow
     logarithmic decay on the right).
     """
     x = np.exp(-np.asarray(r, dtype=float))
-    num = _scaled_macdonald_integral(x, lam, dx_weight=1)
-    den = _scaled_macdonald_integral(x, lam)
-    return x * num / den
+    return x * _scaled_macdonald_integral(x, lam, dx_weight=1, per=(lam, 0))
 
 
-def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng: RngStream,
-                           mu=2.0, drift=0.0):
+def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.0, drift=0.0):
     """Joint samples of (B_t, Z_t) with Z_t = int_0^t e^{mu X_s - X_t} ds, X_t = B_t + drift t,
     at the given times, by the trapezoid rule on the grid k * dt.
 
@@ -148,53 +144,65 @@ def exp_functional_samples(times: Sequence[float], dt: float, n_paths: int, rng:
     equal-length sequences, one functional per (mu, drift) pair: all of them
     read one Brownian driver B, which draws one standard_normal(n_paths) per
     step from rng.generator(), so the noise drawn does not grow with their
-    number.  Streams over the time axis (memory O(n_paths) per functional).
+    number.  A step takes one exp per distinct mu, which a drift scales by
+    e^{mu drift t_k}, into each functional's running sum of e^{mu X} over steps
+    1..k; the trapezoid is built from it only at the read times, in place in Z.
+    Streams over the time axis (memory O(n_paths) per functional and per mu).
 
-    Returns the driver B, shape (len(times), n_paths), and Z with a leading
-    functional axis, shape (functionals, len(times), n_paths).
+    times is a sequence that every functional is read at, or a mapping from
+    each time to the indices of the functionals read there; a functional is
+    integrated up to the last time it is read.  Returns the driver B, shape
+    (len(times), n_paths), and Z: for a sequence with a leading functional
+    axis, shape (functionals, len(times), n_paths); for a mapping a list of
+    one (times read, n_paths) array per functional.
     """
     mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
                                       np.atleast_1d(np.asarray(drift, dtype=float)))
     if mus.ndim != 1 or mus.size == 0:
         raise ValueError("mu and drift must be scalars or equal-length sequences")
-    times = list(times)
-    steps = [_grid_steps(t, dt) for t in times]
-    for k, t in zip(steps, times):
-        if k is None:
-            raise ValueError(f"time {t} is not a multiple of dt")
+    keys = list(times)
+    reads = times if isinstance(times, dict) else dict.fromkeys(keys, range(mus.size))
+    if not all(0 <= j < mus.size for js in reads.values() for j in js):
+        raise ValueError(f"a time can only read functionals 0..{mus.size - 1}")
+    steps = [_grid_steps(t, dt) for t in keys]
+    if None in steps:
+        raise ValueError(f"time {keys[steps.index(None)]} is not a multiple of dt")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
+    # Z's rows, functional-major: (functional, time index) -> row; a functional runs to its last read
+    rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in reads[t]]
+    rows = {slot: r for r, slot in enumerate(rows)}
+    ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
     marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
-    sqrt_dt = math.sqrt(dt)
-    half_dt = 0.5 * dt
     b = np.zeros(n_paths)
-    integral = [np.zeros(n_paths) for _ in mus]
-    emu = [np.ones(n_paths) for _ in mus]
-    spare = np.empty(n_paths)  # the step's normals, then each e^{mu X} in turn
-    out_b = np.empty((len(times), n_paths))
-    out_z = np.empty((mus.size, len(times), n_paths))
+    spare = np.empty(n_paths)  # the step's normals, then a drifted e^{mu X}, then e^{-X_t} at a read
+    emu = {m: (np.empty(n_paths), max(e for e, mj in zip(ends, mus) if mj == m)) for m in mus.tolist()}
+    sums = [np.zeros(n_paths) for _ in mus]
+    out_b = np.empty((len(keys), n_paths))
+    out_z = np.empty((len(rows), n_paths))
     for k in range(1, steps[-1] + 1):
-        gen.standard_normal(out=spare)
-        spare *= sqrt_dt
-        b += spare
-        i = marks.get(k)
-        if i is not None:
+        b += np.multiply(gen.standard_normal(out=spare), math.sqrt(dt), out=spare)
+        if (i := marks.get(k)) is not None:
             out_b[i] = b
-        for j, (mu_j, drift_j) in enumerate(zip(mus, drifts)):
-            shift = drift_j * (k * dt)
-            x = np.add(b, shift, out=spare) if shift else b
-            emu_next = np.exp(np.multiply(x, mu_j, out=spare), out=spare)
-            # trapezoid step, in the storage of the e^{mu X} it retires
-            emu[j] += emu_next
-            emu[j] *= half_dt
-            integral[j] += emu[j]
-            spare, emu[j] = emu[j], emu_next
-            if i is not None:
-                z = np.add(b, shift, out=out_z[j, i]) if shift else b
-                z = np.exp(np.negative(z, out=out_z[j, i]), out=out_z[j, i])
-                z *= integral[j]
+        for m, (e, end) in emu.items():
+            if k <= end:
+                np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
+        for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
+            if k > ends[j]:
+                continue
+            shift = d * (k * dt)
+            e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
+            sums[j] += e
+            r = rows.get((j, i))
+            if r is not None:
+                # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
+                z = np.subtract(1.0, e, out=out_z[r])
+                z *= 0.5
+                z += sums[j]
+                z *= dt
+                z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
                 if not np.all(np.isfinite(z)):
                     raise OverflowError("exponential functional left double range; use shorter horizons")
-    return out_b, out_z
-
+    return out_b, (np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])
+                   if isinstance(times, dict) else out_z.reshape(mus.size, len(keys), n_paths))

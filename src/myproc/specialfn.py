@@ -12,7 +12,8 @@ becomes  int_0^inf cosh(lam*v) e^{-x cosh v} dv,  whose integrand decays
 doubly exponentially.  One fixed rule evaluates it: per point, a closed-form
 window [0, V(x)] and a 128-panel trapezoid sum, which converges
 geometrically in the panel count.  The same rule yields lambda-derivatives
-(weight v^n) and the x-derivative (weight cosh v).
+(weight v^n) and the x-derivative (weight cosh v); a ratio of two weights
+takes both from one node set, on the wider of their two windows.
 """
 
 from __future__ import annotations
@@ -82,41 +83,44 @@ class Multiplicities:
 # The integrand is analytic in a strip around the real v-axis and decays
 # doubly exponentially, so a fixed trapezoid rule converges geometrically in
 # the node count (Trefethen & Weideman, SIAM Review 2014); 128 panels reach
-# round-off over x in [1e-7, 900] for the orders used here.
+# round-off over x in [1e-7, 1100] for the orders used here.
 _PANELS = 128
 _CHUNK = 256  # points per block: keeps the (points, nodes) temporaries in cache
 
 
-def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: int = 0):
+def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: int = 0, per=None):
     """int_0^inf cosh(lam v) v^moment cosh(v)^dx_weight e^{-x (cosh v - 1)} dv, vectorized in x.
 
     Each point gets its own window [0, V(x)], V = arccosh(1 + (46 + 60 (1 + lam
     + moment + dx_weight)) / x), past which the integrand is negligible, and a
     trapezoid rule with _PANELS panels on it; a point's value therefore does
-    not depend on the other points of the call.  The result has the shape of
-    x, 0-d for a scalar.  The e^x scaling keeps the result representable for
-    arbitrarily large x; callers wanting the raw integral multiply by e^-x
-    themselves.
+    not depend on the other points of the call.  per = (lam', dx_weight') gives
+    the ratio to the integral of weight cosh(lam' v) cosh(v)^dx_weight', both on
+    one node set on the wider of their windows.  The result has the shape of x,
+    a numpy scalar for a scalar.  The e^x scaling keeps the result representable
+    for any x; callers wanting the raw integral multiply by e^-x themselves.
     """
-    lam = abs(float(lam))
+    weights = [(abs(float(lam)), moment, dx_weight)] + ([] if per is None else [(abs(float(per[0])), 0, per[1])])
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("x must be positive")
     flat = x.ravel()
     out = np.empty_like(flat)
-    tail = 46.0 + 60.0 * (1.0 + lam + moment + dx_weight)
+    tail = 46.0 + 60.0 * (1.0 + max(sum(w) for w in weights))
     for start in range(0, flat.size, _CHUNK):
         xs = flat[start : start + _CHUNK, None]
         h = np.arccosh(1.0 + tail / xs) / _PANELS
         v = h * np.arange(_PANELS + 1)
         c = np.cosh(v)
-        f = np.cosh(lam * v) * np.exp(-xs * (c - 1.0))
-        if moment:
-            f *= v**moment
-        if dx_weight:
-            f *= c**dx_weight
-        out[start : start + _CHUNK] = h[:, 0] * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
-    return out.reshape(x.shape)
+        g = np.exp(-xs * (c - 1.0))
+        sums = []
+        for w_lam, w_moment, w_dx in weights:
+            f = np.cosh(w_lam * v) * g if w_lam else g
+            f = f * v**w_moment if w_moment else f
+            f = f * c**w_dx if w_dx else f
+            sums.append(f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+        out[start : start + _CHUNK] = h[:, 0] * sums[0] if per is None else sums[0] / sums[1]
+    return out.reshape(x.shape)[()]
 
 
 def macdonald_k(lam: float, x):
@@ -145,7 +149,7 @@ def macdonald_k_dlambda(n: int, x):
 
 def macdonald_ratio(lam: float, x):
     """K_lam(x) / K_0(x), overflow/underflow-safe for any x > 0."""
-    return _scaled_macdonald_integral(x, lam) / _scaled_macdonald_integral(x, 0.0)
+    return _scaled_macdonald_integral(x, lam, per=(0.0, 0))
 
 
 def ktilde_det(r) -> float:

@@ -112,13 +112,13 @@ _DIGESTS = {
     ("samelaw", "kernel_rate"): "7cdd0552f1a1a2bb4bfe0848b00adbafdd6b773a5ea6df84ef9614b57e490337",
     ("samelaw", "radial_law"): "0cd3367bee0a9e730a6ed4dfa074eb16d5fb723c586f8ad3851f78bfe70962e2",
     ("samelaw", "details"): "c705527148796f69c88d6fbd09f402152dc93409d3f5f7af84cbb61fb23d2cd1",
-    ("conditional", "checks"): "f184c0cd6b61e57071d9b863d85a70ab3f2767357515d1751b09c93fbc6da4b9",
-    ("conditional", "tables"): "99031eb1292f091d347a4eda3507510fe5b9e1ac260aaa98214078dc4a2835ab",
+    ("conditional", "checks"): "9121083db71e38f5959bfae4cc0af6c5febac4f18e6d29f9cacb3c2aa127f434",
+    ("conditional", "tables"): "9cab4dc0606cca7bbb5c6039887c079e96580518c4bda9231fb804238e5be131",
     ("hoog", "checks"): "6c12b08a1f22c4152ffb6df9709749bf5aacdb2d0f50c66de5b1ac5c97213b5f",
     ("hoog", "tables"): "2d3c8382126ed5b80742db7164816e3477c4a4fc6b3b85c2485c68f79052dd7d",
     ("convergence", "checks"): "1781bd7cbf34bf0fe2f92118cb9380e315dbb7f6c4bd884de32fd39373f1f9a2",
     ("convergence", "tables"): "35ba7fab706e54318bb7a43d6669f19b01daf59d44042267f8b7b46f8fdc23ec",
-    ("generator", "checks"): "0a9e831a314d2ba28ed9a61a266143274331bfd50238f27c8485203a45f156f8",
+    ("generator", "checks"): "329b4b30f098031f50d17df4b20aa0b264b0f6b0c03c84bdb7474545dabd02ad",
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",
     ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",

@@ -1,10 +1,15 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
+import myproc
 from myproc import cli, experiments
 from myproc.cli import main
 from myproc.paths import ArcoshDomainError
@@ -33,6 +38,15 @@ class TestVerbs:
         assert lines[1:] == [f"[PASS] {r.name}: {c.name} = {c.value} ({c.threshold})"
                              for r in results for c in r.checks]
         assert len(lines) == 59
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported only where a run forks workers, so a launch does not load
+        # multiprocessing; checked in a fresh interpreter, whose modules this suite has not touched
+        code = ("import sys, myproc.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(myproc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_selftest_exits_1_on_a_failed_check(self, monkeypatch, capsys):
         monkeypatch.setitem(EXPERIMENTS, "toda-identity", _fake("toda-identity", False, []))
@@ -414,7 +428,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # _chunk_map imports it lazily
     return sizes
 
 

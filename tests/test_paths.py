@@ -279,19 +279,35 @@ class TestSharedDriver:
         assert np.max(np.abs(z1 / z_ref - 1.0)) <= 1e-12
         assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
 
+    def test_generator_family_matches_stepwise_oracle(self):
+        # my-generator's four functionals in one call, each read only at its own times; the
+        # drifted one stops at t = 0.5, and every functional matches its one-functional oracle
+        reads = {0.25: (0, 2, 3), 0.5: (0, 1, 2, 3), 0.501: (0, 1), 1.0: (0, 2, 3)}
+        b, z = exp_functional_samples(reads, 1e-3, 256, RNG.child(34), mu=self.MUS, drift=self.DRIFTS)
+        assert b.shape == (4, 256) and [zj.shape for zj in z] == [(4, 256), (2, 256), (3, 256), (3, 256)]
+        for j, (mu, drift) in enumerate(zip(self.MUS, self.DRIFTS)):
+            times = [t for t, js in reads.items() if j in js]
+            x_ref, z_ref = exp_functional_stepwise(times, 1e-3, 256, RNG.child(34), mu=mu, drift=drift)
+            assert np.max(np.abs(z[j] / z_ref - 1.0)) <= 1e-12
+        # the mapping reads the same rows as the sequence form, which keeps every (functional, time)
+        _, z_all = exp_functional_samples(list(reads), 1e-3, 256, RNG.child(34), mu=self.MUS, drift=self.DRIFTS)
+        assert np.array_equal(z[1], z_all[1, 1:3]) and np.array_equal(z[3], z_all[3, [0, 1, 3]])
+
     def test_scalar_driftless_stream_pinned(self):
-        # digest of the scalar drift-0 output, unchanged since the one-functional engine
+        # digest of the scalar drift-0 output, since the running-sum trapezoid
         b, z = exp_functional_samples(self.TIMES, 1e-3, 512, RngStream(20240809, 7))
         h = hashlib.sha256()
         h.update(b.tobytes())
         h.update(z.tobytes())
-        assert h.hexdigest() == "9f61e252e7e9993aeea662e67da6d0c38d6f399641e038053687783dc764a5cc"
+        assert h.hexdigest() == "534538f55bc37b9b60af948c47250c9f73dd7b63b0ed7f51bf2aaee768b57c78"
 
     def test_sequence_lengths_must_match(self):
         with pytest.raises(ValueError):
             exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[1.0, 2.0], drift=[0.0, 0.0, 0.5])
         with pytest.raises(ValueError):
             exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[])
+        with pytest.raises(ValueError):  # a mapping names a functional that is not there
+            exp_functional_samples({1.0: (0, 2)}, 1e-3, 4, RNG.child(33), mu=[1.0, 2.0])
 
     def test_noise_and_memory_flat_in_functionals(self, monkeypatch):
         # m functionals draw exactly n_steps * n_paths normals, and the traced peak is

@@ -141,7 +141,7 @@ class TestMacdonaldDerivatives:
         assert dx == pytest.approx(fd, rel=1e-8)
 
 
-ORACLE_XS = np.array([1e-7, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 900.0])
+ORACLE_XS = np.array([1e-7, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0, 900.0, 1100.0])
 
 
 class TestFixedRule:
