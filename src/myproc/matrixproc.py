@@ -101,7 +101,7 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
     T = np.empty_like(X)
     for k in range(12, 0, -1):
         _mul(A, X, out=T)
-        T /= k
+        T *= 1.0 / k  # a product: numpy's complex division by k multiplies by 1/k anyway
         T.reshape(p * p, -1)[:: p + 1] += 1
         X, T = T, X
     del A, T
