@@ -23,7 +23,9 @@ distinction cannot be misapplied):
 Integrators: l is advanced by the stepwise exponential l_{k+1} = l_k exp(dl),
 exact in the triangular group (positive diagonal and exact zeros above the
 diagonal); the exponentials of all n increments come from one call of the
-stacked expm_tri, and only the running product l_k exp(dl_k) is sequential.
+stacked expm_tri, and the running product l_k exp(dl_k) is a first-order
+linear recurrence per entry, solved for all steps at once by cumprod and
+cumsum (triangular_from_increments).
 The Stratonovich integrals for b and c use the trapezoid-in-noise (Heun)
 rule, which preserves c + c* = b b* up to O(dt).  The column noise is
 rotation invariant, so the rule depends on b only through its Gram matrix
@@ -171,16 +173,40 @@ def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) ->
 
 
 def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
-    """Stepwise-exponential solution of dl = l dlambda, in the dtype of the increments.
+    """Stepwise-exponential solution l_{k+1} = l_k S_k, S_k = exp(dlambda_k), in the dtype of the increments.
 
     increments (..., n, p, p) may carry leading replica axes; the frames keep them.
+    The product runs over all steps at once, not step by step.  The diagonal
+    of l_k is P_k = cumprod of the steps' diagonals, bit for bit the running
+    matrix product (which only adds exact zeros to it), so p = 1 is exactly
+    l_k = prod e^{dlambda}.  Column j below the diagonal then follows, from the
+    right, x_{k+1} = x_k S_k[j,j] + b_k with b_k = l_k[j+1:, j+1:] S_k[j+1:, j]
+    (columns already known), solved as x_k = P_k[j] sum_{t<k} b_t / P_{t+1}[j]:
+    one stacked matrix-vector product and one cumsum per column, written into
+    the frames in place.  A diagonal product or a column outside the normal
+    double range raises OverflowError.
     """
-    n = grid.n_steps
+    n, p = grid.n_steps, increments.shape[-1]
     steps = expm_tri(increments)
-    frames = np.empty(increments.shape[:-3] + (n + 1,) + increments.shape[-2:], dtype=increments.dtype)
-    frames[..., 0, :, :] = np.eye(increments.shape[-1])
-    for k in range(n):
-        np.matmul(frames[..., k, :, :], steps[..., k, :, :], out=frames[..., k + 1, :, :])
+    frames = np.zeros(increments.shape[:-3] + (n + 1, p, p), dtype=increments.dtype)
+    P = frames.reshape(frames.shape[:-2] + (p * p,))[..., :: p + 1]  # view of the diagonals, (..., n + 1, p)
+    P[..., 0, :] = 1.0
+    info = np.finfo(frames.real.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below
+        np.cumprod(steps.reshape(steps.shape[:-2] + (p * p,))[..., :: p + 1], axis=-2, out=P[..., 1:, :])
+        in_range = np.all((P.real >= info.tiny) & (P.real <= info.max))
+        for j in range(p - 2, -1, -1):
+            if not in_range:
+                break
+            w = np.matmul(frames[..., :-1, j + 1:, j + 1:], steps[..., j + 1:, j, None])[..., 0]
+            w /= P[..., 1:, j, None]
+            np.cumsum(w, axis=-2, out=w)
+            x = frames[..., 1:, j + 1:, j]
+            np.multiply(w, P[..., 1:, j, None], out=x)
+            in_range = np.all(np.isfinite(x))
+    if not in_range:
+        raise OverflowError("triangular path left double range (a diagonal product or a ratio "
+                            "l_k[i,i] / P_{t+1}[j]); use shorter horizons or smaller drifts")
     return TriangularPath(grid, frames)
 
 

@@ -122,8 +122,8 @@ _DIGESTS = {
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",
     ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",
-    ("supq", "checks"): "d09d1928383a39b06890b990bc4be965d3a592d9b9d86a04ef586882e71df421",
-    ("supq", "tables"): "5faab4ce5d360e635584592b37fc5d013a74834ad3a157cf87cd1a3acc218239",
+    ("supq", "checks"): "3807d85c4e52747b99415e5817c0d8f3cf838719c00c96fb9de693542298aefc",
+    ("supq", "tables"): "440d834fa8db1016a2fb171a6420229f978961e26b89cd4cb62796cda4ec1901",
     ("toda", "checks"): "13dc4f13cd48249a4a4730366b7d1993bf9cbe990a794f117efbc0e0436e47c5",
     ("toda", "tables"): "485bbd53037816b0569e9cf9660b0da0b18eb857c122bbf2be53329f2d78beb6",
 }

@@ -233,7 +233,42 @@ class TestTriangularBrownian:
         assert lp.frames.shape == (2, 2, 201, 3, 3)
         for i in range(4):
             single = triangular_from_increments(grid, inc[i]).frames
-            assert _rel_err(lp.frames.reshape(4, 201, 3, 3)[i], single) <= 1e-12
+            assert np.array_equal(lp.frames.reshape(4, 201, 3, 3)[i], single)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_long_drifted_path_matches_stepwise(self, field, p):
+        # the all-steps recurrence against the one-step-at-a-time product, with a deterministic
+        # diagonal part (0.3, -0.2, 0.1, -0.4) dt, over 5000 steps
+        grid = TimeGrid(1.0, 5000)
+        inc = triangular_increments(p, field, grid, RngStream(31, p))
+        inc[:, range(p), range(p)] += np.array([0.3, -0.2, 0.1, -0.4][:p]) * grid.dt
+        frames = triangular_from_increments(grid, inc).frames
+        assert _rel_err(frames, triangular_frames_stepwise(p, field, inc)) <= 1e-13
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_diagonal_is_cumprod_bitwise(self, field, p):
+        # p = 1 frames and every diagonal are exactly the running product of the steps' diagonals
+        grid = TimeGrid(1.0, 300)
+        inc = np.stack([triangular_increments(p, field, grid, RNG.child(80 + i)) for i in range(3)])
+        diag = np.diagonal(expm_tri(inc), axis1=-2, axis2=-1)
+        expected = np.concatenate([np.ones((3, 1, p), dtype=inc.dtype), np.cumprod(diag, axis=1)], axis=1)
+        frames = triangular_from_increments(grid, inc).frames
+        assert np.array_equal(np.diagonal(frames, axis1=-2, axis2=-1), expected)
+
+    def test_out_of_range_raises(self):
+        # lambda_11 = -400 t, lambda_22 = +400 t: l stays near e^400, finite step by step, but the
+        # ratios l_k[1,1] / P_{t+1}[0] ~ e^{800 t} leave double range, which must raise, not give inf
+        grid = TimeGrid(1.0, 200)
+        inc = triangular_increments(2, "real", grid, RNG.child(90))
+        inc[:, range(2), range(2)] += np.array([-400.0, 400.0]) * grid.dt
+        assert np.all(np.isfinite(triangular_frames_stepwise(2, "real", inc)))
+        with pytest.raises(OverflowError):
+            triangular_from_increments(grid, inc)
+        # a diagonal product beyond double range raises too, where the step-by-step product is inf
+        with pytest.raises(OverflowError):
+            triangular_from_increments(grid, inc[:, 1:, 1:] * 2.0)
 
 
 def _rel_err(a, ref):
@@ -296,8 +331,8 @@ class TestEngineBitsPinned:
     # 257), three replicas RngStream(24, i) with l from their child 10**6: the engine's arithmetic
     DIGESTS = {
         (1, "real", (5, 40)): "826f9144e18c47b5f1f911d76ac9daab9da91e196b6779186b0eaf02a1bb45b4",
-        (2, "complex", (5, 12, 30)): "7e080e2c66ab20583f64b2bfd66cd60b3953a1eb805c8b5c4afa7be671ffa930",
-        (3, "real", (7,)): "06443055969159c90e1f2d04eb788f22659ddd8ff78a3542a9e87d8d61fac405",
+        (2, "complex", (5, 12, 30)): "82a5e7a787a860fbcb6aaadb08a8e3fabcb0cc5594e390b287f1d1dc1410744f",
+        (3, "real", (7,)): "f41c7aedead9677c5925bc7f834466e79c3dbc72f8bfac290ebd7fe2ec1114fc",
         (1, "complex", (4, 16)): "d7589e9c180d9002e800e693ea2590d43d7746fab3f9961012996de40a8e40e7",
     }
 
