@@ -103,7 +103,7 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
     T = np.empty_like(X)
     for k in range(12, 0, -1):
         _mul(A, X, out=T)
-        T *= 1.0 / k  # a product: numpy's complex division by k multiplies by 1/k anyway
+        T *= 1.0 / k  # cheaper than T /= k, and the same bits for complex T (numpy divides by multiplying by 1/k)
         T.reshape(p * p, -1)[:: p + 1] += 1
         X, T = T, X
     del A, T
@@ -192,18 +192,16 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
     P = frames.reshape(frames.shape[:-2] + (p * p,))[..., :: p + 1]  # view of the diagonals, (..., n + 1, p)
     P[..., 0, :] = 1.0
     info = np.finfo(frames.real.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below
+    with np.errstate(all="ignore"):  # a value out of range raises below
         np.cumprod(steps.reshape(steps.shape[:-2] + (p * p,))[..., :: p + 1], axis=-2, out=P[..., 1:, :])
         in_range = np.all((P.real >= info.tiny) & (P.real <= info.max))
         for j in range(p - 2, -1, -1):
-            if not in_range:
-                break
             w = np.matmul(frames[..., :-1, j + 1:, j + 1:], steps[..., j + 1:, j, None])[..., 0]
             w /= P[..., 1:, j, None]
             np.cumsum(w, axis=-2, out=w)
             x = frames[..., 1:, j + 1:, j]
             np.multiply(w, P[..., 1:, j, None], out=x)
-            in_range = np.all(np.isfinite(x))
+            in_range &= np.all(np.isfinite(x))
     if not in_range:
         raise OverflowError("triangular path left double range (a diagonal product or a ratio "
                             "l_k[i,i] / P_{t+1}[j]); use shorter horizons or smaller drifts")
