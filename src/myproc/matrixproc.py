@@ -194,7 +194,7 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
     info = np.finfo(frames.real.dtype)
     with np.errstate(all="ignore"):  # a value out of range raises below
         np.cumprod(steps.reshape(steps.shape[:-2] + (p * p,))[..., :: p + 1], axis=-2, out=P[..., 1:, :])
-        in_range = np.all((P.real >= info.tiny) & (P.real <= info.max))
+        in_range = info.tiny <= P.real.min() and P.real.max() <= info.max  # False on nan
         for j in range(p - 2, -1, -1):
             w = np.matmul(frames[..., :-1, j + 1:, j + 1:], steps[..., j + 1:, j, None])[..., 0]
             w /= P[..., 1:, j, None]
