@@ -183,8 +183,8 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
     right, x_{k+1} = x_k S_k[j,j] + b_k with b_k = l_k[j+1:, j+1:] S_k[j+1:, j]
     (columns already known), solved as x_k = P_k[j] sum_{t<k} b_t / P_{t+1}[j]:
     one stacked matrix-vector product and one cumsum per column, written into
-    the frames in place.  A diagonal product or a column outside the normal
-    double range raises OverflowError.
+    the frames in place.  A diagonal product outside the normal double range,
+    or a column that overflows, raises OverflowError.
     """
     n, p = grid.n_steps, increments.shape[-1]
     steps = expm_tri(increments)
