@@ -35,11 +35,12 @@ __all__ = ["ExperimentConfig", "Check", "ExperimentResult", "EXPERIMENTS", "run_
 _CHUNK_BYTES = 12 << 20
 
 # fewest paths whose statistics each path-sampling experiment can form: a
-# sample standard deviation needs two, the Markov test full bins
+# sample standard deviation needs two, the Markov test full bins, and
+# conditional-law's five quantile bins of eta a path each
 _MIN_PATHS = {
     "my-convergence": 2,
     "my-generator": st._MARKOV_BINS * 2 * st._MARKOV_MIN_HALF,
-    "conditional-law": 2,
+    "conditional-law": 5,
 }
 
 # grid times that both the runs and ExperimentConfig's on-grid rule read: my-convergence's
@@ -308,7 +309,7 @@ def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     # exponential-functional mean: E[eta_t] = t e^{t/2}
     n_paths = cfg.n_paths
-    eta1 = pth.exp_functional_samples([_ETA_MEAN_T], cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0, 0]
+    eta1 = pth.exp_functional_samples({_ETA_MEAN_T: [0]}, cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0][0]
     mean, sem = st._mean_se(eta1)
     target = _ETA_MEAN_T * math.exp(_ETA_MEAN_T / 2)
     zscore = (mean - target) / sem
@@ -393,7 +394,7 @@ def run_my_generator(cfg: ExperimentConfig) -> ExperimentResult:
 def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     rows = []
-    b, (z,) = pth.exp_functional_samples([_CONDITIONAL_T], cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
+    b, (z,) = pth.exp_functional_samples({_CONDITIONAL_T: [0]}, cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 8))
     b1, eta1 = b[0], z[0]
     meta = {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths, "t": _CONDITIONAL_T}
     edges = np.quantile(eta1, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])

@@ -296,11 +296,6 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
     return K
 
 
-def _kappa_vanishes(p: int, cplx: bool) -> bool:
-    """kappa is identically zero in the real field at p = 1: no entry above the diagonal, none on it."""
-    return p == 1 and not cplx
-
-
 _BLOCK = 100  # time steps per block of the Gram engine's step-local arrays (l_{k+1} K, the Cholesky factors)
 
 
@@ -357,13 +352,12 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         dc += _mul(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
         np.cumsum(dc, axis=-1, out=dc)
     del K, LK, lbar_g
-    if not _kappa_vanishes(p, cplx):
-        dkappa = np.empty(L0.shape, dtype=W.dtype)
-        for i, r in enumerate(rngs):
-            dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)
-        for s in blocks:
-            for lk in (L0[:, :, s], L1[:, :, s]):
-                c1[:, :, s] += 0.5 * _mul(_mul(lk, dkappa[:, :, s]), lk.conj().swapaxes(0, 1))
+    dkappa = np.empty(L0.shape, dtype=W.dtype)
+    for i, r in enumerate(rngs):
+        dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)
+    for s in blocks:
+        for lk in (L0[:, :, s], L1[:, :, s]):
+            c1[:, :, s] += 0.5 * _mul(_mul(lk, dkappa[:, :, s]), lk.conj().swapaxes(0, 1))
     np.cumsum(c1, axis=2, out=c1)
     np.cumsum(W, axis=-1, out=W)
     return SuSolvablePath(l, W.transpose(3, 4, 2, 0, 1), c.transpose(3, 4, 2, 0, 1))

@@ -149,20 +149,17 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     1..k; the trapezoid is built from it only at the read times, in place in Z.
     Streams over the time axis (memory O(n_paths) per functional and per mu).
 
-    times is a sequence that every functional is read at, or a mapping from
-    each time to the indices of the functionals read there; a functional is
-    integrated up to the last time it is read.  Returns the driver B, shape
-    (len(times), n_paths), and Z: for a sequence with a leading functional
-    axis, shape (functionals, len(times), n_paths); for a mapping a list of
-    one (times read, n_paths) array per functional.
+    times maps each read time to the indices of the functionals read there; a
+    functional is integrated up to the last time it is read.  Returns the
+    driver B, shape (len(times), n_paths), and Z, a list of one
+    (times read, n_paths) array per functional.
     """
     mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
                                       np.atleast_1d(np.asarray(drift, dtype=float)))
     if mus.ndim != 1 or mus.size == 0:
         raise ValueError("mu and drift must be scalars or equal-length sequences")
     keys = list(times)
-    reads = times if isinstance(times, dict) else dict.fromkeys(keys, range(mus.size))
-    if not all(0 <= j < mus.size for js in reads.values() for j in js):
+    if not all(0 <= j < mus.size for js in times.values() for j in js):
         raise ValueError(f"a time can only read functionals 0..{mus.size - 1}")
     steps = [_grid_steps(t, dt) for t in keys]
     if None in steps:
@@ -170,7 +167,7 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
     # Z's rows, functional-major: (functional, time index) -> row; a functional runs to its last read
-    rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in reads[t]]
+    rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in times[t]]
     rows = {slot: r for r, slot in enumerate(rows)}
     ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
     marks = {k: i for i, k in enumerate(steps)}
@@ -204,5 +201,4 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
                 z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
                 if not np.all(np.isfinite(z)):
                     raise OverflowError("exponential functional left double range; use shorter horizons")
-    return out_b, (np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])
-                   if isinstance(times, dict) else out_z.reshape(mus.size, len(keys), n_paths))
+    return out_b, np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])

@@ -1,10 +1,10 @@
-"""Every exported name of the compute modules, and every module-level function and
-class of the package, is used by the program itself.
+"""Every exported name of the compute modules, and every module-level function,
+class and assigned name of the package, is used by the program itself.
 
 A name in the ``__all__`` of a compute module must be referenced somewhere in
 ``src/myproc`` or ``scripts/`` other than where it is defined, and so must every
-module-level function and class, private ones included; code that only tests
-call belongs in ``tests/``.
+module-level function, class and non-dunder assignment, private ones included;
+code that only tests call belongs in ``tests/``.
 """
 
 import ast
@@ -52,13 +52,26 @@ def _name_counts(tree: ast.AST) -> Counter:
     return names
 
 
+def _defined_names(node: ast.stmt) -> list:
+    """The module-level names a statement defines: a function, a class, or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and not n.id.startswith("__")]
+
+
 def test_every_definition_is_referenced():
-    # a helper that a refactor leaves behind is referenced only inside its own body, if at all
+    # a helper or constant that a refactor leaves behind is referenced only inside its own
+    # definition, if at all; dunders such as __all__ are read by Python itself
     modules = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "myproc").glob("*.py")}
     package = sum((_name_counts(tree) for tree in modules.values()), Counter())
-    dead = sorted(f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and package[node.name] == _name_counts(node)[node.name])
+    dead = sorted(f"{module}.{name}" for module, tree in modules.items() for node in tree.body
+                  for name in _defined_names(node) if package[name] == _name_counts(node)[name])
     assert not dead, f"module-level definitions the package never references: {dead}"
 
 

@@ -173,6 +173,19 @@ class TestRun:
         assert main(["run", "my-generator", "--paths", "50", "--out", str(tmp_path / "a")]) == 2
         assert "my-generator needs paths >= 1500, got 50" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
+        # conditional-law splits eta into five quantile bins; fewer paths leave a bin empty
+        assert main(["run", "conditional-law", "--paths", "4", "--out", str(tmp_path / "b")]) == 2
+        assert "conditional-law needs paths >= 5, got 4" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        with pytest.raises(ValueError, match="needs paths >= 5"):
+            ExperimentConfig("conditional-law", n_paths=4)
+
+    @pytest.mark.parametrize("n_paths", [5, 6, 7, 8])
+    def test_conditional_law_fewest_paths_fill_every_bin(self, n_paths):
+        # an empty bin has standard error 0 and would count as z = 0, a pass that saw no path
+        result = run_experiment(ExperimentConfig("conditional-law", n_paths=n_paths))
+        for check in result.checks:
+            assert all(row["se"] > 0 for row in check.provenance["per_function"]), check.name
 
     def test_times_off_the_grid_are_usage_errors(self, tmp_path, capsys):
         # my-convergence reads t = 0.1, t = 1.0 and T on the dt grid

@@ -324,6 +324,8 @@ class TestNoiseStreams:
         ref = su_noise_increments(p, p + 3, field, grid, RngStream(13, p))[1]
         got = mx._kappa_increments(p, field == "complex", grid.n_steps, grid.dt, RngStream(13, p).child(0))
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        # in the real field at p = 1 kappa has no entry above the diagonal and none on it
+        assert np.any(got) == (p > 1 or field == "complex")
 
 
 class TestEngineBitsPinned:
@@ -711,22 +713,6 @@ class TestSuSolvable:
         assert 10 <= seeds_per_call.value.args[0] < 100
         for n_q, p in ((1, 2), (3, 2), (2, 1)):
             assert ex._chunk_size(1000, n_q, p, "real") // 2 == ex._chunk_size(1000, n_q, p, "complex")
-
-    def test_p1_real_skips_zero_kappa(self, monkeypatch):
-        # kappa is identically zero in the real field at p = 1: the engine draws no kappa
-        # stream there, and its W and c are bit for bit those of the general kappa path
-        grid = TimeGrid(0.5, 200)
-        rngs = [RngStream(15, i) for i in range(3)]
-        l = sample_triangular_bm(1, "real", grid, [r.child(10**6) for r in rngs])
-        calls = []
-        plain = mx._kappa_increments
-        monkeypatch.setattr(mx, "_kappa_increments", lambda *args: calls.append(args) or plain(*args))
-        skipped = simulate_su_solvable((5, 40), rngs, l)
-        assert calls == []
-        monkeypatch.setattr(mx, "_kappa_vanishes", lambda p, cplx: False)
-        general = simulate_su_solvable((5, 40), rngs, l)
-        assert len(calls) == len(rngs)
-        assert np.array_equal(skipped.W, general.W) and np.array_equal(skipped.c, general.c)
 
     def test_q_not_above_p_rejected(self):
         # a q value holds q - p transverse columns, so q = p has none

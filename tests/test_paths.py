@@ -130,7 +130,7 @@ class TestEtaFunctional:
                 assert np.array_equal(row, log_eta(path, GRID.dt))
 
     def test_mean_at_t1(self):
-        _, [[z]] = exp_functional_samples([1.0], 1e-3, 20_000, RNG.child(3))
+        _, [[z]] = exp_functional_samples({1.0: [0]}, 1e-3, 20_000, RNG.child(3))
         m = z.mean()
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(m - math.exp(0.5)) <= 3.0 * se
@@ -208,7 +208,7 @@ class TestEulerDiffusion:
         # Euler with the Macdonald drift, started from log eta at t0, must match
         # the directly simulated log eta at t = 1 in law (two-sample KS at 1%)
         t0, n, dt = 0.01, 4000, 1e-3
-        _, (z,) = exp_functional_samples([t0, 1.0], dt, n, RNG.child(14))
+        _, (z,) = exp_functional_samples({t0: [0], 1.0: [0]}, dt, n, RNG.child(14))
         x = np.log(z[0])
         direct = np.log(z[1])
         nodes = np.linspace(x.min() - 6.0, x.max() + 8.0, 4001)
@@ -223,59 +223,63 @@ class TestEulerDiffusion:
 
 class TestBatchSamples:
     def test_reproducible(self):
-        a = exp_functional_samples([0.5, 1.0], 1e-3, 64, RNG.child(16))
-        b = exp_functional_samples([0.5, 1.0], 1e-3, 64, RNG.child(16))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = exp_functional_samples({0.5: [0], 1.0: [0]}, 1e-3, 64, RNG.child(16))
+        b = exp_functional_samples({0.5: [0], 1.0: [0]}, 1e-3, 64, RNG.child(16))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1][0], b[1][0])
 
     def test_off_grid_time_rejected(self):
         with pytest.raises(ValueError):
-            exp_functional_samples([0.50007], 1e-3, 16, RNG.child(17))
+            exp_functional_samples({0.50007: [0]}, 1e-3, 16, RNG.child(17))
 
     def test_colliding_times_rejected(self):
         # both times round to step 1000; the first row would never be written
         with pytest.raises(ValueError):
-            exp_functional_samples([1.0, 1.0 + 1e-11], 1e-3, 4, RngStream(1, 0))
+            exp_functional_samples({1.0: [0], 1.0 + 1e-11: [0]}, 1e-3, 4, RngStream(1, 0))
 
     def test_time_at_step_zero_rejected(self):
         # 1e-12 rounds to step 0, which no step writes
         with pytest.raises(ValueError):
-            exp_functional_samples([1e-12], 1e-3, 4, RngStream(1, 0))
+            exp_functional_samples({1e-12: [0]}, 1e-3, 4, RngStream(1, 0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_along_the_path_raises(self):
         # mu B_s leaves double range before t = 1 although the final B is moderate
         with pytest.raises(OverflowError):
-            exp_functional_samples([1.0], 1e-3, 1, RngStream(10, 0), mu=1000.0)
+            exp_functional_samples({1.0: [0]}, 1e-3, 1, RngStream(10, 0), mu=1000.0)
 
 
 class TestSharedDriver:
-    """Several functionals of one Brownian driver: exp_functional_samples with sequence mu, drift."""
+    """Several functionals of one Brownian driver: exp_functional_samples with sequence mu, drift,
+    each read at the times that its index is mapped from."""
 
     TIMES = [0.25, 0.5, 1.0]
     MUS = [2.0, 2.0, 1.0, 3.0]
     DRIFTS = [0.0, 0.5, 0.0, 0.0]
+    ALL = dict.fromkeys(TIMES, range(len(MUS)))  # every functional read at every time
+    ONE = dict.fromkeys(TIMES, [0])
 
     def test_shapes(self):
-        b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=self.MUS, drift=self.DRIFTS)
-        assert b.shape == (3, 16) and z.shape == (4, 3, 16)
-        for mu in ([2.0], 2.0):  # a scalar mu is one functional, and keeps the functional axis
-            b, z = exp_functional_samples(self.TIMES, 1e-3, 16, RNG.child(30), mu=mu)
-            assert b.shape == (3, 16) and z.shape == (1, 3, 16)
+        b, z = exp_functional_samples(self.ALL, 1e-3, 16, RNG.child(30), mu=self.MUS, drift=self.DRIFTS)
+        assert b.shape == (3, 16) and [zj.shape for zj in z] == [(3, 16)] * 4
+        for mu in ([2.0], 2.0):  # a scalar mu is one functional, and keeps the list of functionals
+            b, z = exp_functional_samples(self.ONE, 1e-3, 16, RNG.child(30), mu=mu)
+            assert b.shape == (3, 16) and [zj.shape for zj in z] == [(3, 16)]
 
     def test_driftless_functionals_equal_scalar_calls(self):
-        b, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=self.MUS, drift=self.DRIFTS)
+        b, z = exp_functional_samples(self.ALL, 1e-3, 256, RNG.child(31), mu=self.MUS, drift=self.DRIFTS)
         for j, (mu, drift) in enumerate(zip(self.MUS, self.DRIFTS)):
             if drift == 0.0:
-                b1, (z1,) = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(31), mu=mu)
+                b1, (z1,) = exp_functional_samples(self.ONE, 1e-3, 256, RNG.child(31), mu=mu)
                 assert np.array_equal(z[j], z1) and np.array_equal(b, b1)
 
     @pytest.mark.parametrize("mu, drift", [(2.0, 0.5), (1.0, -0.7), (3.0, 0.0)])
     def test_matches_stepwise_oracle(self, mu, drift):
         # the drifted functional reads B + drift t; the oracle accumulates the drift step by step
-        _, z = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=[2.0, mu], drift=[0.0, drift])
+        _, z = exp_functional_samples(dict.fromkeys(self.TIMES, (0, 1)), 1e-3, 256, RNG.child(32),
+                                      mu=[2.0, mu], drift=[0.0, drift])
         x_ref, z_ref = exp_functional_stepwise(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
         assert np.max(np.abs(z[1] / z_ref - 1.0)) <= 1e-12
-        b, (z1,) = exp_functional_samples(self.TIMES, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
+        b, (z1,) = exp_functional_samples(self.ONE, 1e-3, 256, RNG.child(32), mu=mu, drift=drift)
         assert np.max(np.abs(z1 / z_ref - 1.0)) <= 1e-12
         assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
 
@@ -289,13 +293,10 @@ class TestSharedDriver:
             times = [t for t, js in reads.items() if j in js]
             x_ref, z_ref = exp_functional_stepwise(times, 1e-3, 256, RNG.child(34), mu=mu, drift=drift)
             assert np.max(np.abs(z[j] / z_ref - 1.0)) <= 1e-12
-        # the mapping reads the same rows as the sequence form, which keeps every (functional, time)
-        _, z_all = exp_functional_samples(list(reads), 1e-3, 256, RNG.child(34), mu=self.MUS, drift=self.DRIFTS)
-        assert np.array_equal(z[1], z_all[1, 1:3]) and np.array_equal(z[3], z_all[3, [0, 1, 3]])
 
     def test_scalar_driftless_stream_pinned(self):
         # digest of the scalar drift-0 output, since the running-sum trapezoid
-        b, z = exp_functional_samples(self.TIMES, 1e-3, 512, RngStream(20240809, 7))
+        b, (z,) = exp_functional_samples(self.ONE, 1e-3, 512, RngStream(20240809, 7))
         h = hashlib.sha256()
         h.update(b.tobytes())
         h.update(z.tobytes())
@@ -303,9 +304,9 @@ class TestSharedDriver:
 
     def test_sequence_lengths_must_match(self):
         with pytest.raises(ValueError):
-            exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[1.0, 2.0], drift=[0.0, 0.0, 0.5])
+            exp_functional_samples({1.0: [0]}, 1e-3, 4, RNG.child(33), mu=[1.0, 2.0], drift=[0.0, 0.0, 0.5])
         with pytest.raises(ValueError):
-            exp_functional_samples([1.0], 1e-3, 4, RNG.child(33), mu=[])
+            exp_functional_samples({1.0: [0]}, 1e-3, 4, RNG.child(33), mu=[])
         with pytest.raises(ValueError):  # a mapping names a functional that is not there
             exp_functional_samples({1.0: (0, 2)}, 1e-3, 4, RNG.child(33), mu=[1.0, 2.0])
 
@@ -334,10 +335,10 @@ class TestSharedDriver:
             drawn.clear()
             tracemalloc.start()
             try:
-                b, z = exp_functional_samples(times, 1e-3, n_paths, RngStream(9, 0),
+                b, z = exp_functional_samples(dict.fromkeys(times, range(m)), 1e-3, n_paths, RngStream(9, 0),
                                               mu=np.linspace(1.0, 3.0, m), drift=np.resize([0.0, 0.5], m))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert sum(drawn) == steps * n_paths
-            assert peak <= b.nbytes + z.nbytes + (2 * m + 4) * row
+            assert peak <= b.nbytes + sum(zj.nbytes for zj in z) + (2 * m + 4) * row

@@ -158,8 +158,9 @@ class TestMarkovPropertyTest:
     def test_mu3_power(self):
         # the non-Markov exponential functional is rejected in >= 9/10 runs
         rejects = 0
+        reads = dict.fromkeys([0.9, 1.0, 1.5], [0])
         for i in range(10):
-            b, (z,) = exp_functional_samples([0.9, 1.0, 1.5], 1e-3, 100_000, RngStream(50 + i, 0), mu=3.0)
+            b, (z,) = exp_functional_samples(reads, 1e-3, 100_000, RngStream(50 + i, 0), mu=3.0)
             cond = np.log(z[1]) - np.log(z[0])
             rep = markov_property_test(np.log(z[1]), np.log(z[2]), cond)
             rejects += not rep.passed
