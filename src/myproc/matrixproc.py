@@ -32,13 +32,17 @@ rotation invariant, so the rule depends on b only through its Gram matrix
 W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
-and W are sequential.  The engine keeps its arrays entries first, (p, p | 2p,
-time, replicas, groups), so a product over the time axis is a few long passes
-of _mul, not one BLAS call per tiny matrix; it holds K (twice W's size), W, c
-and l, with l_{k+1} K and the factors of one block of steps only.  Outside it,
-one l path per stream rides a leading replica axis; W and c (views) add a
-q-value axis; the radial read-outs return plain arrays with the same leading
-axes.  p, the field and the grid are read from the frames and their path.
+and W are sequential, and a step runs just their two kernels: the einsum that
+forms W, and the LAPACK gufunc behind np.linalg.cholesky, which writes the
+factor in place; the errstate that turns a Gram matrix that is not positive
+definite into LinAlgError is entered once per block of steps, not once a
+step.  The engine keeps its arrays entries first, (p, p | 2p, time, replicas,
+groups), so a product over the time axis is a few long passes of _mul, not
+one BLAS call per tiny matrix; it holds K (twice W's size), W, c and l, with
+l_{k+1} K and the factors of one block of steps only.  Outside it, one l path
+per stream rides a leading replica axis; W and c (views) add a q-value axis;
+the radial read-outs return plain arrays with the same leading axes.  p, the
+field and the grid are read from the frames and their path.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # the gufunc np.linalg.cholesky wraps
 
 from .paths import ArcoshDomainError, RngStream, TimeGrid
 
@@ -299,6 +304,11 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
 _BLOCK = 100  # time steps per block of the Gram engine's step-local arrays (l_{k+1} K, the Cholesky factors)
 
 
+def _not_positive_definite(err, flag):
+    """np.errstate callback: the Cholesky gufunc flags a matrix that is not positive definite as invalid."""
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: TriangularPath) -> SuSolvablePath:
     """Distinguished Brownian motion on the solvable group, reusing a given l trajectory.
 
@@ -320,6 +330,9 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
 
         W_{k+1} = Z Z*,   c-increment = X_k (lbar G)* + 1/2 lbar K K* l_{k+1}*
                                         + 1/2 (l_k dkappa l_k* + l_{k+1} dkappa l_{k+1}*).
+
+    A non-finite entry of l raises ValueError, and a Gram matrix that is not
+    positive definite raises numpy's LinAlgError.
     """
     frames = l.frames
     p, n, dt, cplx = frames.shape[-1], l.grid.n_steps, l.grid.dt, np.iscomplexobj(frames)
@@ -328,6 +341,9 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         raise ValueError(f"need column groups q_1 - p, q_2 - q_1, ... of at least p = {p} columns, got {widths}")
     if frames.shape[:-3] != (len(rngs),):
         raise ValueError(f"l must hold one path per stream, {len(rngs)}, got frames {frames.shape}")
+    if not np.isfinite(frames).all():
+        i, k = np.argwhere(~np.isfinite(frames))[0][:2]
+        raise ValueError(f"l must be finite, got a non-finite entry in frame {k} of replica {i}")
     L = np.ascontiguousarray(frames.transpose(2, 3, 1, 0))[..., None]  # broadcast over the groups
     K = _transverse_noise(p, widths, cplx, n, dt, rngs)
     W = np.zeros((p, p, n + 1) + K.shape[3:], dtype=K.dtype)
@@ -335,6 +351,8 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     X = np.zeros((p, p, _BLOCK + 1) + K.shape[3:], dtype=K.dtype)  # one block's Cholesky factors, X_0 = 0
     Wt, Xt = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (W, X))  # (time, replicas, groups, p, p) views
     L0, L1, c1 = L[:, :, :-1], L[:, :, 1:], c[:, :, 1:]  # at steps k and k + 1
+    Xe = np.moveaxis(X, 2, 0)  # X time first, entries first: the step's X_k
+    signature = "D->D" if cplx else "d->d"
     blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
     for s in blocks:
         L1K = _mul(L1[:, :, s], K[:, :, s])
@@ -344,14 +362,20 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         dc *= 0.5  # 1/2 lbar K K* l_{k+1}*
         del L1K
         X[:, :, 0] = X[:, :, -1]  # every block but the last is full
-        for j in range(LK.shape[2]):  # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K
-            LK[:, :p, j] += X[:, :, j]
-            _mul(LK[:, :, j], LK[:, :, j].conj().swapaxes(0, 1), out=W[:, :, s.start + j + 1])
-            Xt[j + 1] = np.linalg.cholesky(Wt[s.start + j + 1])
+        # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K.  The time-first
+        # views (W_{k+1} entries first for _mul, matrices last for the factor) and np.linalg.cholesky's
+        # errstate are set up once per block, and the gufunc writes each factor into its slot of X
+        Z, We, Wm = np.moveaxis(LK, 2, 0), np.moveaxis(W[:, :, s.start + 1:s.stop + 1], 2, 0), Wt[s.start + 1:]
+        with np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            for j in range(len(Z)):
+                z = Z[j]
+                z[:, :p] += Xe[j]
+                _mul(z, z.conj().swapaxes(0, 1), out=We[j])
+                _cholesky_lo(Wm[j], out=Xt[j + 1], signature=signature)
         lbar_g = np.subtract(LK[:, :p], X[:, :, :LK.shape[2]], out=LK[:, :p])
         dc += _mul(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
         np.cumsum(dc, axis=-1, out=dc)
-    del K, LK, lbar_g
+    del K, LK, lbar_g, Z, z  # every view of K goes with it, before dkappa is allocated
     dkappa = np.empty(L0.shape, dtype=W.dtype)
     for i, r in enumerate(rngs):
         dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)

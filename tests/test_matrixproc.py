@@ -349,8 +349,9 @@ class TestEngineBitsPinned:
 
 class TestEngineMemory:
     def test_gram_engine_peak_at_invariant_halving_shape(self):
-        # supq-limit's invariant_halving call (16 replicas, q = (100,), n = 2000) and its monotone
-        # chunk (two seeds of 8 replicas, three groups, n = 1000), p = 2 complex: the peak holds K
+        # the shapes of supq-limit's invariant_halving chunk (q = (100,), n = 2000; it holds 24
+        # replicas, here 16, and the bounds are in units of W's size) and of its monotone chunk (two
+        # seeds of 8 replicas, three groups, n = 1000), p = 2 complex: the peak holds K
         # (twice W's size), W, c and the entries-first copy of l (W's size at one group, a third at
         # three), plus one block's l_{k+1} K and lbar K; measured at 5.41 W and 4.92 W, so one more
         # W-sized array exceeds either bound
@@ -727,6 +728,38 @@ class TestSuSolvable:
             with pytest.raises(ValueError, match="of at least p = 3 columns"):
                 simulate_su_solvable(q, [RNG.child(12)], lsh)
         assert simulate_su_solvable((6, 9, 12), [RNG.child(12)], lsh).W.shape == (1, 3, 11, 3, 3)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_singular_gram_raises_linalgerror(self, field, monkeypatch):
+        # zero column noise makes W_1 = Z Z* = 0, which has no Cholesky factor: numpy's LinAlgError,
+        # as np.linalg.cholesky raises it, and the caller's floating-point error state is restored
+        # after the raise as after a normal return
+        grid = TimeGrid(0.2, 250)
+        lsh = sample_triangular_bm(2, field, grid, [RNG.child(40)])
+        zero = np.zeros((2, 4, grid.n_steps, 1, 1), dtype=complex if field == "complex" else float)
+        for state in ({}, {"divide": "raise", "under": "warn", "invalid": "ignore"}):
+            with np.errstate(**state):
+                caller = np.geterr()
+                with monkeypatch.context() as m:
+                    m.setattr(mx, "_transverse_noise", lambda *args: zero)
+                    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                        simulate_su_solvable((5,), [RNG.child(41)], lsh)
+                assert np.geterr() == caller
+                sp = simulate_su_solvable((5,), [RNG.child(41)], lsh)
+                assert np.geterr() == caller and np.all(np.isfinite(sp.c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("p, field", [(1, "real"), (2, "complex"), (3, "real")])
+    def test_non_finite_l_rejected(self, p, field, bad):
+        # a nan or inf in any frame of l, the first, a middle or the last, is refused up front;
+        # the engine would otherwise return W and c that are not finite at the last step
+        grid = TimeGrid(0.5, 250)
+        lsh = sample_triangular_bm(p, field, grid, [RNG.child(42), RNG.child(43)])
+        for k in (0, 120, 250):
+            frames = lsh.frames.copy()
+            frames[1, k, p - 1, 0] = bad
+            with pytest.raises(ValueError, match=f"frame {k} of replica 1"):
+                simulate_su_solvable((3 * p,), [RNG.child(44), RNG.child(45)], TriangularPath(grid, frames))
 
 
 class TestFiniteQRadial:
