@@ -25,7 +25,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from .experiments import EXPERIMENTS, ExperimentConfig, ExperimentResult, run_experiment
-from .paths import ArcoshDomainError
+from .matrixproc import ArcoshDomainError
 from .series import ResonanceError, TruncationError
 
 # config-file key and flag name -> (ExperimentConfig field, type, flag help)
@@ -121,10 +121,6 @@ def _print_checks(result) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
-        print("known experiments: all, " + ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
-        return 2
     # every config is built, every output directory made, and every usage error raised, before anything runs
     configs = _build_configs(args, sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment])
     out_dirs = [Path(cfg.out_dir) if cfg.out_dir else Path("results") / cfg.experiment for cfg in configs]

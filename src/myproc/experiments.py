@@ -78,6 +78,8 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}")
         for key, value in {"q": 0, "n_seeds": 100, **DEFAULTS.get(self.experiment, {})}.items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
@@ -535,8 +537,4 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    try:
-        fn = EXPERIMENTS[cfg.experiment]
-    except KeyError:
-        raise KeyError(f"unknown experiment {cfg.experiment!r}; known: {sorted(EXPERIMENTS)}") from None
-    return fn(cfg)
+    return EXPERIMENTS[cfg.experiment](cfg)

@@ -54,9 +54,10 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo  # the gufunc np.linalg.cholesky wraps
 
-from .paths import ArcoshDomainError, RngStream, TimeGrid
+from .paths import RngStream, TimeGrid
 
 __all__ = [
+    "ArcoshDomainError",
     "TriangularPath",
     "SuSolvablePath",
     "expm_tri",
@@ -125,11 +126,13 @@ def _h(a: np.ndarray) -> np.ndarray:
 
 
 def _grid_indices(indices: Sequence[int], first: int, n_steps: int) -> np.ndarray:
-    """indices as an int array, each checked to lie in first..n_steps (numpy would wrap a negative one)."""
-    indices = np.asarray(list(indices), dtype=int)
-    off = indices[(indices < first) | (indices > n_steps)]
+    """indices as an int array, each checked to be whole and in first..n_steps (a cast would truncate a
+    fractional index, and numpy would wrap a negative one)."""
+    given = np.asarray(list(indices))
+    indices = given.astype(int)
+    off = given[(indices != given) | (indices < first) | (indices > n_steps)]
     if off.size:
-        raise ValueError(f"grid index {off[0]} is off the valid range {first}..{n_steps}")
+        raise ValueError(f"grid index {off[0]} is not whole, or is off the valid range {first}..{n_steps}")
     return indices
 
 
@@ -352,7 +355,6 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     Wt, Xt = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (W, X))  # (time, replicas, groups, p, p) views
     L0, L1, c1 = L[:, :, :-1], L[:, :, 1:], c[:, :, 1:]  # at steps k and k + 1
     Xe = np.moveaxis(X, 2, 0)  # X time first, entries first: the step's X_k
-    signature = "D->D" if cplx else "d->d"
     blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
     for s in blocks:
         L1K = _mul(L1[:, :, s], K[:, :, s])
@@ -371,7 +373,7 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
                 z = Z[j]
                 z[:, :p] += Xe[j]
                 _mul(z, z.conj().swapaxes(0, 1), out=We[j])
-                _cholesky_lo(Wm[j], out=Xt[j + 1], signature=signature)
+                _cholesky_lo(Wm[j], out=Xt[j + 1])
         lbar_g = np.subtract(LK[:, :p], X[:, :, :LK.shape[2]], out=LK[:, :p])
         dc += _mul(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
         np.cumsum(dc, axis=-1, out=dc)
@@ -385,6 +387,10 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     np.cumsum(c1, axis=2, out=c1)
     np.cumsum(W, axis=-1, out=W)
     return SuSolvablePath(l, W.transpose(3, 4, 2, 0, 1), c.transpose(3, 4, 2, 0, 1))
+
+
+class ArcoshDomainError(RuntimeError):
+    """arcosh argument below 1 by more than round-off: integrator bug."""
 
 
 def finite_q_radial(path: SuSolvablePath, indices: Sequence[int]):

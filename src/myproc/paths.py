@@ -21,7 +21,6 @@ from .specialfn import _scaled_macdonald_integral
 __all__ = [
     "TimeGrid",
     "RngStream",
-    "ArcoshDomainError",
     "sample_bm",
     "eta_functional",
     "log_eta",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-
-class ArcoshDomainError(RuntimeError):
-    """arcosh argument below 1 by more than round-off: integrator bug."""
 
 
 def _splitmix64(x: int) -> int:

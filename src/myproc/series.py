@@ -195,9 +195,7 @@ def _flat_limit_derivatives(r: float, mult: Multiplicities, orders: Sequence[int
 
 
 def g_q_even_derivative(order: int, r: float, mult: Multiplicities) -> float:
-    """d^order/dlam^order of g_q at lam = 0 (orders even; odd orders vanish)."""
-    if order % 2:
-        return 0.0
+    """d^order/dlam^order of g_q at lam = 0; order must be even (an odd one raises ValueError)."""
     return _flat_limit_derivatives(r, mult, [order])[0] - macdonald_k_dlambda(order, math.exp(-r))
 
 

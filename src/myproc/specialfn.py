@@ -137,14 +137,11 @@ def macdonald_k_dlambda(n: int, x):
     """n-th derivative of lam -> K_lam(x) at lam = 0.
 
     Differentiating under the integral sign gives int_0^inf v^n e^{-x cosh v} dv
-    for even n; odd derivatives vanish since K is even in lam.
+    for even n.  K is even in lam, so odd derivatives vanish, and an odd n raises ValueError.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("derivative order must be a nonnegative integer")
-    scale = np.exp(-np.asarray(x, dtype=float))
-    if n % 2 == 1:
-        return 0.0 * scale
-    return scale * _scaled_macdonald_integral(x, 0.0, moment=int(n))
+    if n < 0 or n != int(n) or n % 2:
+        raise ValueError("derivative order must be an even nonnegative integer")
+    return np.exp(-np.asarray(x, dtype=float)) * _scaled_macdonald_integral(x, 0.0, moment=int(n))
 
 
 def macdonald_ratio(lam: float, x):

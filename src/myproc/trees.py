@@ -49,8 +49,8 @@ _MAX_STATES = 10**6
 class QPow:
     """coef * q^(half/2) with an exact rational coefficient, under products and quotients.
 
-    rational() asserts the grading vanished, which is how the sqrt(q)
-    bookkeeping is enforced end to end.
+    rational() is the exact value, and raises unless half is even (every sqrt(q)
+    cancelled), which is how the sqrt(q) bookkeeping is enforced end to end.
     """
 
     coef: Fraction
@@ -71,25 +71,11 @@ class QPow:
         self._check(other)
         return QPow(self.coef / other.coef, self.half - other.half, self.q)
 
-    def normalized(self) -> "QPow":
-        """Canonical form: fold powers of q into the coefficient until half is 0 or 1."""
-        coef, half = self.coef, self.half
-        if coef == 0:
-            return QPow(Fraction(0), 0, self.q)
-        while half >= 2:
-            coef *= self.q
-            half -= 2
-        while half < 0:
-            coef /= self.q
-            half += 2
-        return QPow(coef, half, self.q)
-
     def rational(self) -> Fraction:
-        """Exact rational value; raises if a stray sqrt(q) survives."""
-        n = self.normalized()
-        if n.half != 0 and n.coef != 0:
-            raise ValueError(f"residual q^(1/2) power {n.half} did not cancel")
-        return n.coef
+        """Exact rational value coef * q^(half/2); raises if a stray sqrt(q) survives (half odd, coef not 0)."""
+        if self.half % 2 and self.coef != 0:
+            raise ValueError(f"residual power q^({self.half}/2) did not cancel")
+        return self.coef * Fraction(self.q) ** (self.half // 2)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as hst
 import myproc
 from myproc import cli, experiments
 from myproc.cli import main
-from myproc.paths import ArcoshDomainError
+from myproc.matrixproc import ArcoshDomainError
 from myproc.series import ResonanceError, TruncationError
 from myproc.experiments import EXPERIMENTS, Check, ExperimentConfig, ExperimentResult, run_experiment
 
@@ -20,7 +20,7 @@ from myproc.experiments import EXPERIMENTS, Check, ExperimentConfig, ExperimentR
 class TestVerbs:
     def test_unknown_experiment_is_usage_error(self, capsys):
         assert main(["run", "no-such-thing"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "unknown experiment 'no-such-thing'" in capsys.readouterr().err
 
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -38,6 +38,13 @@ class TestVerbs:
         assert lines[1:] == [f"[PASS] {r.name}: {c.name} = {c.value} ({c.threshold})"
                              for r in results for c in r.checks]
         assert len(lines) == 59
+
+    def test_module_entry_point(self):
+        # python -m myproc runs __main__.py, which no in-process test reaches
+        env = {**os.environ, "PYTHONPATH": str(Path(myproc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-m", "myproc", "list-experiments"], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0 and out.stdout.split() == sorted(EXPERIMENTS) and len(EXPERIMENTS) == 9
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # the pool is imported only where a run forks workers, so a launch does not load
@@ -282,6 +289,12 @@ class TestDefaults:
         result = run_experiment(ExperimentConfig("pitman-discrete"))
         assert result.passed and result.config["q"] == 24
         assert [c.name for c in result.checks][-1] == "pitman_equals_bessel3_n24"
+
+    def test_python_call_rejects_an_unknown_experiment(self):
+        # rejected when the config is built, as every other bad field is, naming the known experiments
+        with pytest.raises(ValueError, match="unknown experiment 'no-such-thing'; known: conditional-law, ") as info:
+            ExperimentConfig("no-such-thing")
+        assert all(name in str(info.value) for name in EXPERIMENTS)
 
     @pytest.mark.parametrize("experiment, field, value", [
         ("supq-limit", "n_seeds", 0), ("my-convergence", "workers", 0), ("conditional-law", "n_paths", 0),

@@ -433,6 +433,13 @@ class TestEtaMatrix:
             with pytest.raises(ValueError, match=r"off the valid range 1\.\.10"):
                 eta_matrix(lp, idx)
 
+    def test_fractional_index_rejected(self):
+        # a cast to int would read 1.5 as step 1
+        lp = sample_triangular_bm(2, "complex", TimeGrid(1.0, 10), [RNG.child(50)])
+        with pytest.raises(ValueError, match=r"grid index 1\.5 is not whole"):
+            eta_matrix(lp, [1.5])
+        assert np.array_equal(eta_matrix(lp, [1.0, 10.0]), eta_matrix(lp, [1, 10]))
+
     def test_small_time_slope(self):
         grid = TimeGrid(0.02, 20)
         lp = sample_triangular_bm(2, "complex", grid, [RNG.child(40 + i) for i in range(5)])
@@ -777,6 +784,14 @@ class TestFiniteQRadial:
             with pytest.raises(ValueError, match=r"off the valid range 0\.\.20"):
                 finite_q_radial(sp, idx)
         assert finite_q_radial(sp, [0, 20]).shape == (1, 1, 2, 2)
+
+    def test_fractional_index_rejected(self):
+        # a cast to int would read 2.9 as step 2
+        grid = TimeGrid(0.5, 20)
+        sp = simulate_su_solvable((30,), [RNG.child(14)], sample_triangular_bm(2, "complex", grid, [RNG.child(13)]))
+        with pytest.raises(ValueError, match=r"grid index 2\.9 is not whole"):
+            finite_q_radial(sp, [0, 2.9])
+        assert np.array_equal(finite_q_radial(sp, [2.0]), finite_q_radial(sp, [2]))
 
     def test_flat_limit_toward_eta(self):
         grid = TimeGrid(1.0, 500)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as hst
 from scipy.special import kve
 
 from myproc.paths import my_drift
+from myproc.series import g_q_even_derivative
 from myproc.specialfn import (
     Multiplicities,
     gamma,
@@ -116,9 +117,13 @@ class TestMacdonaldDerivatives:
     def test_zeroth_derivative(self):
         assert macdonald_k_dlambda(0, 1.5) == pytest.approx(macdonald_k(0.0, 1.5), rel=1e-13)
 
-    def test_odd_derivatives_vanish(self):
-        assert macdonald_k_dlambda(1, 1.5) == 0.0
-        assert macdonald_k_dlambda(3, 0.7) == 0.0
+    def test_odd_orders_rejected(self):
+        # K is even in lam; an odd order is a caller's error, as in series.even_lambda_derivatives
+        for order, x in ((1, 1.5), (3, 0.7)):
+            with pytest.raises(ValueError, match="even"):
+                macdonald_k_dlambda(order, x)
+        with pytest.raises(ValueError, match="even"):
+            g_q_even_derivative(1, 1.0, Multiplicities(2, 0))
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])

@@ -34,11 +34,15 @@ def _counted(transition):
 
 
 class TestQPow:
-    def test_normalization_canonical(self):
-        a = QPow(Fraction(3), 2, 4)   # 3 q = 12
-        assert a.normalized() == QPow(Fraction(12), 0, 4)
-        b = QPow(Fraction(8), -1, 4)  # 8 q^{-1/2} = 2 q^{1/2}
-        assert b.normalized() == QPow(Fraction(2), 1, 4)
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(-6, 6), hst.fractions(min_value=-5, max_value=5), hst.integers(2, 9))
+    def test_rational_is_the_exact_value(self, half, coef, q):
+        x = QPow(coef, half, q)
+        if half % 2 == 0:  # q^(half/2) as an integer power or its reciprocal
+            assert x.rational() == (coef * q ** (half // 2) if half >= 0 else coef / q ** (-half // 2))
+        elif coef != 0:
+            with pytest.raises(ValueError, match="did not cancel"):
+                x.rational()
 
     def test_rational_extraction_guards(self):
         assert (QPow(Fraction(3), 1, 4) / QPow(Fraction(1), 1, 4)).rational() == 3
@@ -54,8 +58,7 @@ class TestQPow:
         assert prod.half == h1 + h2 and prod.coef == c1 * c2
 
         def squared_value(x):  # (coef q^(half/2))^2, exact
-            n = x.normalized()
-            return n.coef**2 * Fraction(9) ** n.half
+            return x.coef**2 * Fraction(9) ** x.half
 
         assert squared_value(prod) == squared_value(a) * squared_value(b)
 
@@ -91,8 +94,8 @@ class TestRadialKernel:
 class TestGroundState:
     def test_phi0_values(self):
         assert phi0_tree(0, 5).rational() == 1
-        v = phi0_tree(2, 4).normalized()
-        assert v == QPow(Fraction(11, 20), 0, 4)  # (1 + 2*3/5) / 4
+        v = phi0_tree(2, 4).rational()
+        assert v == Fraction(11, 20)  # (1 + 2*3/5) / 4
 
     def test_eigenfunction_identity_exact(self):
         q = 4
