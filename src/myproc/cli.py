@@ -24,18 +24,18 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .experiments import EXPERIMENTS, ExperimentConfig, ExperimentResult, run_experiment
+from .experiments import DEFAULTS, EXPERIMENTS, MODEL_FIELDS, ExperimentConfig, ExperimentResult, run_experiment
 from .matrixproc import ArcoshDomainError
 from .series import ResonanceError, TruncationError
 
 # config-file key and flag name -> (ExperimentConfig field, type, flag help)
 _KEYS = {
-    "q": ("q", int, "dimension parameter where applicable"),
-    "p": ("p", int, "rank (matrix experiments)"),
+    "q": ("q", int, "walk horizon"),
+    "p": ("p", int, "matrix rank"),
     "T": ("T", float, "time horizon"),
     "dt": ("dt", float, "time step"),
     "paths": ("n_paths", int, "Monte Carlo path count"),
-    "lambda": ("lam", float, "spectral parameter"),
+    "lambda": ("lam", float, "driver drift and drift index"),
     "seed": ("seed", int, "base seed"),
     "seeds": ("n_seeds", int, "number of outer seeds"),
     "workers": ("workers", int, "worker processes for seed batches"),
@@ -88,18 +88,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_configs(args, names) -> list:
-    """One config per experiment name; under `run all`, out is the parent of each experiment's directory."""
+    """One config per experiment name; under `run all`, each gets the model fields it reads and out <out>/<name>."""
     values = _load_config_file(args.config) if args.config else {}
-    for key in _KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
+    values.update({key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None})
+    fields = {_KEYS[key][0]: value for key, value in values.items()}
+    every = args.experiment == "all"
     configs = []
     for name in names:
-        own = dict(values)
-        if "out" in own and args.experiment == "all":
-            own["out"] = str(Path(own["out"]) / name)
+        own = {f: value for f, value in fields.items() if not every or f in DEFAULTS[name] or f not in MODEL_FIELDS}
+        if "out_dir" in own and every:
+            own["out_dir"] = str(Path(own["out_dir"]) / name)
         try:
-            configs.append(ExperimentConfig(name, **{_KEYS[key][0]: value for key, value in own.items()}))
+            configs.append(ExperimentConfig(name, **own))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     return configs
@@ -176,8 +176,9 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a named experiment, or all of them")
     run_p.add_argument("experiment", help="experiment name (see list-experiments), or all")
-    for key, (_, kind, text) in _KEYS.items():
-        run_p.add_argument(f"--{key}", type=kind, default=None, help=text)
+    for key, (field, kind, text) in _KEYS.items():
+        readers = ", ".join(f"{name} {own[field]}" for name, own in sorted(DEFAULTS.items()) if field in own)
+        run_p.add_argument(f"--{key}", type=kind, default=None, help=f"{text} ({readers or 'every experiment'})")
     run_p.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
     run_p.set_defaults(fn=_cmd_run)
 

@@ -54,11 +54,16 @@ _CONDITIONAL_T = 1.0
 _SUPQ_Q = (50, 200, 800)
 
 
-# per-experiment defaults of the fields left as None, resolved when the config is built
+# the model fields each experiment reads, with its defaults; the rest stay None, and all take seed, workers, out_dir
 DEFAULTS = {
     "pitman-discrete": {"q": 24},
-    "supq-limit": {"n_seeds": 50},
+    "tree-samelaw": {}, "toda-identity": {}, "spherical-limit": {}, "hoogenboom-det": {},
+    "my-convergence": {"T": 1.0, "dt": 1e-3, "n_paths": 100_000, "n_seeds": 100},
+    "my-generator": {"dt": 1e-3, "n_paths": 100_000, "lam": 0.5},
+    "conditional-law": {"dt": 1e-3, "n_paths": 100_000},
+    "supq-limit": {"p": 2, "T": 1.0, "dt": 1e-3, "n_seeds": 50},
 }
+MODEL_FIELDS = ("q", "p", "T", "dt", "n_paths", "lam", "n_seeds")
 
 
 @dataclass
@@ -66,43 +71,46 @@ class ExperimentConfig:
     """Seeded configuration.  The CLI's value checks live here, so a Python caller gets them too (ValueError)."""
 
     experiment: str
-    q: Optional[int] = None        # pitman-discrete's horizon (24); the other experiments fix their own q (0)
-    p: int = 2
-    T: float = 1.0
-    dt: float = 1e-3
-    n_paths: int = 100_000
-    lam: float = 0.5
+    q: Optional[int] = None
+    p: Optional[int] = None
+    T: Optional[float] = None
+    dt: Optional[float] = None
+    n_paths: Optional[int] = None
+    lam: Optional[float] = None
     seed: int = 20240801
-    n_seeds: Optional[int] = None  # outer seeds: 50 for supq-limit, else 100
+    n_seeds: Optional[int] = None
     workers: int = 1
     out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}")
-        for key, value in {"q": 0, "n_seeds": 100, **DEFAULTS.get(self.experiment, {})}.items():
+        own = DEFAULTS[self.experiment]
+        unread = [key for key in MODEL_FIELDS if key not in own and getattr(self, key) is not None]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+        for key, value in own.items():
             if getattr(self, key) is None:
                 setattr(self, key, value)
         # named as the flags are; these come before the grid rule, which divides by dt
         for key, value in (("T", self.T), ("dt", self.dt), ("paths", self.n_paths), ("seeds", self.n_seeds),
                            ("workers", self.workers), ("p", self.p)):
-            if not value > 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{key} must be positive, got {value}")
-        if self.q < 0:
+        if self.q is not None and self.q < 0:
             raise ValueError(f"q must be non-negative, got {self.q}")
-        if not math.isfinite(self.lam):
+        if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
-        least = _MIN_PATHS.get(self.experiment, 1)
-        if self.n_paths < least:
-            raise ValueError(f"{self.experiment} needs paths >= {least}, got {self.n_paths}")
+        if self.n_paths is not None and self.n_paths < _MIN_PATHS[self.experiment]:
+            raise ValueError(f"{self.experiment} needs paths >= {_MIN_PATHS[self.experiment]}, got {self.n_paths}")
         if self.experiment == "my-convergence" and not self.T >= _ERROR_FROM_T:
             raise ValueError(f"my-convergence measures its error from t = {_ERROR_FROM_T} on, got T = {self.T}")
         if self.experiment == "supq-limit" and self.p > _SUPQ_Q[0] // 2:
             raise ValueError(f"supq-limit needs p <= {_SUPQ_Q[0] // 2}, half its smallest q, got p = {self.p}")
         # the times each path experiment reads off its dt grid
-        marks = {"my-convergence": (_ERROR_FROM_T, _ETA_MEAN_T, self.T), "my-generator": _GENERATOR_TIMES,
-                 "conditional-law": (_CONDITIONAL_T,), "supq-limit": (self.T, self.T / 2)}
-        for t in marks.get(self.experiment, ()):
+        marks = {"my-convergence": lambda: (_ERROR_FROM_T, _ETA_MEAN_T, self.T), "my-generator": lambda: _GENERATOR_TIMES,
+                 "conditional-law": lambda: (_CONDITIONAL_T,), "supq-limit": lambda: (self.T, self.T / 2)}
+        for t in marks.get(self.experiment, tuple)():
             k = pth._grid_steps(t, self.dt)
             if k is None or k < 1:
                 raise ValueError(f"{self.experiment} reads t = {t}, which is not a whole number of dt = {self.dt} steps")
@@ -310,14 +318,13 @@ def _convergence_rows(seeds: list, dt: float, T: float, q: tuple) -> list:
 def run_my_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     # exponential-functional mean: E[eta_t] = t e^{t/2}
-    n_paths = cfg.n_paths
-    eta1 = pth.exp_functional_samples({_ETA_MEAN_T: [0]}, cfg.dt, n_paths, pth.RngStream(cfg.seed, 1))[1][0][0]
+    eta1 = pth.exp_functional_samples({_ETA_MEAN_T: [0]}, cfg.dt, cfg.n_paths, pth.RngStream(cfg.seed, 1))[1][0][0]
     mean, sem = st._mean_se(eta1)
     target = _ETA_MEAN_T * math.exp(_ETA_MEAN_T / 2)
     zscore = (mean - target) / sem
     checks.append(Check("eta_mean", abs(zscore) <= st._Z_BOUND, zscore,
                         "|E[eta_1] - e^(1/2)| <= 3 SE",
-                        {"seed": cfg.seed, "dt": cfg.dt, "n_paths": n_paths,
+                        {"seed": cfg.seed, "dt": cfg.dt, "n_paths": cfg.n_paths,
                          "mean": mean, "se": sem, "target": target}))
     # shared-noise convergence over seeds
     q_small, q_large = 100, 10_000

@@ -110,12 +110,12 @@ def log_eta(b: np.ndarray, dt: float) -> np.ndarray:
 def eta_functional(b: np.ndarray, dt: float) -> np.ndarray:
     """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds on the grid of step dt of the path b; eta_0 = 0.
 
-    The log-space integral never overflows; a driving path beyond +-700
-    raises, because eta itself would not be representable.
+    The integral is taken in log space; an eta beyond double range raises OverflowError.
     """
-    if np.max(np.abs(b)) > 700.0:
-        raise OverflowError("driving path exceeds +-700; eta would not be representable")
-    return np.exp(log_eta(b, dt))
+    eta = np.exp(log_eta(b, dt))
+    if not np.isfinite(eta).all():
+        raise OverflowError("eta left double range")
+    return eta
 
 
 def my_drift(r, lam: float = 0.0):

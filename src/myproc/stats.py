@@ -179,8 +179,8 @@ def conditional_law_test(b_t, eta_t, ratio, lam: float, test_fns: Sequence[Calla
     """Moment test of E[(e^{lam B_t} - ratio) g_j(eta_t)] = 0, where ratio holds the model's
     E[e^{lam B_t} | eta_t] at each sample (K_lam(1/eta_t)/K_0(1/eta_t) for the Matsumoto-Yor law).
 
-    Passes when every estimate is within 3 standard errors of zero; a heavy-tail warning
-    is recorded when the empirical kurtosis of e^{lam B} exceeds 500."""
+    Passes when every estimate is within 3 SE of zero; a zero SE raises ValueError unless every weight
+    e^{lam B_t} - ratio is zero.  A heavy-tail warning is recorded when the kurtosis of e^{lam B} exceeds 500."""
     if abs(lam) > 2.0:
         raise ValueError("|lam| <= 2 required to control the e^{lam B} tails")
     if not b_t.shape == eta_t.shape == ratio.shape:
@@ -194,6 +194,8 @@ def conditional_law_test(b_t, eta_t, ratio, lam: float, test_fns: Sequence[Calla
     rows = []
     for j, g in enumerate(test_fns):
         est, se = _mean_se(weight * np.asarray(g(eta_t), dtype=float))
+        if se == 0.0 and weight.any():  # e.g. a test function with no mass on the samples
+            raise ValueError(f"degenerate variance in the conditional-law statistic of test function {j}")
         zj = abs(est) / se if se > 0 else 0.0
         rows.append({"g": j, "estimate": est, "se": se, "z": zj})
         worst = max(worst, zj)

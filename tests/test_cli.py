@@ -1,4 +1,6 @@
+import ast
 import concurrent.futures
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +16,10 @@ from myproc import cli, experiments
 from myproc.cli import main
 from myproc.matrixproc import ArcoshDomainError
 from myproc.series import ResonanceError, TruncationError
-from myproc.experiments import EXPERIMENTS, Check, ExperimentConfig, ExperimentResult, run_experiment
+from myproc.experiments import (DEFAULTS, EXPERIMENTS, MODEL_FIELDS, Check, ExperimentConfig, ExperimentResult,
+                                run_experiment)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class TestVerbs:
@@ -118,7 +123,10 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment, argv, config, message", [
         ("my-generator", ["--lambda", "nan", "--paths", "1500"], None, "lam must be finite, got nan"),
-        ("toda-identity", ["--lambda", "inf"], None, "lam must be finite, got inf"),
+        ("my-generator", ["--lambda", "inf"], None, "lam must be finite, got inf"),
+        ("toda-identity", ["--q", "7", "--lambda", "9", "--paths", "5"], None,
+         "toda-identity does not read q, n_paths, lam"),
+        ("conditional-law", ["--lambda", "0.9"], None, "conditional-law does not read lam"),
         ("toda-identity", [], {"paths": 1999.9}, "config key 'paths' has invalid value 1999.9"),
         ("toda-identity", [], {"seeds": True}, "config key 'seeds' has invalid value True"),
         ("toda-identity", [], {"paths": float("inf")}, "config key 'paths' has invalid value inf"),
@@ -128,12 +136,13 @@ class TestRun:
         ("toda-identity", ["--out", "{tmp}/file"], None, "cannot create output directory {tmp}/file: File exists"),
         ("all", ["--out", "{tmp}/file"], None,
          "cannot create output directory {tmp}/file/conditional-law: Not a directory"),
-    ], ids=["lambda-nan", "lambda-inf", "config-fractional-paths", "config-bool-seeds", "config-infinite-paths",
-            "out-null", "out-list", "paths-string", "out-names-a-file", "run-all-out-names-a-file"])
+    ], ids=["lambda-nan", "lambda-inf", "unread-fields", "unread-lambda", "config-fractional-paths",
+            "config-bool-seeds", "config-infinite-paths", "out-null", "out-list", "paths-string", "out-names-a-file",
+            "run-all-out-names-a-file"])
     def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
-        # a non-finite lambda, a config value its key's type would change or cannot hold (a null or a
-        # list `out` would become a directory name, a string `paths` a number), or an
-        # --out that names a file (the later --out wins); each fails before any experiment runs
+        # a non-finite lambda, a field the experiment does not read, a config value its key's type would
+        # change or cannot hold (a null or a list `out` would become a directory name, a string `paths` a
+        # number), or an --out that names a file (the later --out wins); each fails before any experiment runs
         (tmp_path / "file").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if config is not None:
@@ -166,7 +175,7 @@ class TestRun:
         assert main(["run", "pitman-discrete", "--q", "-1", "--out", str(tmp_path / "a")]) == 2
         assert main(["run", "supq-limit", "--p", "0", "--out", str(tmp_path / "b")]) == 2
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"q": -3, "p": 1}))
+        cfg.write_text(json.dumps({"q": -3}))
         assert main(["run", "pitman-discrete", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
         # supq-limit's smallest q is 50, and its first column group holds 50 - p >= p columns
         assert main(["run", "supq-limit", "--p", "26", "--out", str(tmp_path / "d")]) == 2
@@ -285,7 +294,7 @@ class TestDefaults:
         assert ExperimentConfig("pitman-discrete", q=0).q == 0
         assert ExperimentConfig("supq-limit").as_dict()["n_seeds"] == 50
         assert ExperimentConfig("supq-limit", p=25).p == 25  # the largest p whose column groups are p wide
-        assert (ExperimentConfig("toda-identity").q, ExperimentConfig("my-convergence").n_seeds) == (0, 100)
+        assert (ExperimentConfig("toda-identity").q, ExperimentConfig("my-convergence").n_seeds) == (None, 100)
         result = run_experiment(ExperimentConfig("pitman-discrete"))
         assert result.passed and result.config["q"] == 24
         assert [c.name for c in result.checks][-1] == "pitman_equals_bessel3_n24"
@@ -299,7 +308,7 @@ class TestDefaults:
     @pytest.mark.parametrize("experiment, field, value", [
         ("supq-limit", "n_seeds", 0), ("my-convergence", "workers", 0), ("conditional-law", "n_paths", 0),
         ("conditional-law", "dt", 0.0), ("supq-limit", "p", 0), ("pitman-discrete", "q", -1),
-        ("my-generator", "lam", float("nan")), ("toda-identity", "lam", float("inf")),
+        ("my-generator", "lam", float("nan")), ("my-generator", "lam", float("inf")),
     ])
     def test_python_call_applies_the_cli_checks(self, experiment, field, value):
         with pytest.raises(ValueError, match=" must be "):
@@ -310,6 +319,69 @@ class TestDefaults:
         assert main(["run", "pitman-discrete", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["q"] == 24 and len(report["checks"]) == 1 + 25
+
+
+def _stub_run(ran: list):
+    """A run_experiment that records its config and returns a report with no checks."""
+    return lambda cfg: ran.append(cfg) or ExperimentResult(cfg.experiment, cfg.as_dict(), [])
+
+
+class TestFieldTable:
+    """DEFAULTS lists the model fields each experiment reads, with its defaults; it takes no other."""
+
+    def test_table_lists_the_fields_each_run_reads(self):
+        # the cfg.<field> reads of each run_* function, its nested functions included
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        runs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(DEFAULTS) == set(EXPERIMENTS) and set(MODEL_FIELDS) == set().union(*DEFAULTS.values())
+        for name, run in EXPERIMENTS.items():
+            reads = {node.attr for node in ast.walk(runs[run.__name__])
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+            assert reads - {"as_dict", "seed", "workers", "out_dir"} == set(DEFAULTS[name]), name
+
+    def test_defaults_fill_the_fields_read_and_leave_the_rest_none(self):
+        for name, own in DEFAULTS.items():
+            cfg = ExperimentConfig(name)
+            assert {f: getattr(cfg, f) for f in MODEL_FIELDS} == {f: own.get(f) for f in MODEL_FIELDS}, name
+
+    def test_a_field_the_experiment_does_not_read_is_rejected(self):
+        unread = [(name, f) for name in EXPERIMENTS for f in MODEL_FIELDS if f not in DEFAULTS[name]]
+        assert len(unread) == 9 * 7 - 14
+        for name, f in unread:
+            with pytest.raises(ValueError, match=f"^{name} does not read {f}$"):
+                ExperimentConfig(name, **{f: 1})
+
+    def test_run_all_hands_each_experiment_its_own_fields(self, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", _stub_run(ran))
+        # my-generator's Markov test needs 1500 paths; the runs are stubbed, so 7 paths may reach every config
+        monkeypatch.setattr(experiments, "_MIN_PATHS", dict.fromkeys(experiments._MIN_PATHS, 1))
+        argv = ["run", "all", "--paths", "7", "--lambda", "0.7", "--q", "3", "--p", "3", "--seed", "5"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        given = {"n_paths": 7, "lam": 0.7, "q": 3, "p": 3}
+        assert [cfg.experiment for cfg in ran] == sorted(EXPERIMENTS)
+        for cfg in ran:
+            own = DEFAULTS[cfg.experiment]
+            expected = {f: given.get(f, own[f]) if f in own else None for f in MODEL_FIELDS}
+            assert {f: getattr(cfg, f) for f in MODEL_FIELDS} == expected, cfg.experiment
+            assert (cfg.seed, cfg.workers, cfg.out_dir) == (5, 1, str(tmp_path / cfg.experiment))
+            report = json.loads((tmp_path / cfg.experiment / "report.json").read_text())
+            assert report["config"] == cfg.as_dict()  # an unread field echoes null
+
+    def test_every_benchmark_argv_builds_its_configs(self, monkeypatch, tmp_path):
+        # the benchmark gives every experiment --workers, --seed and --out, and checks that its report echoes them
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        monkeypatch.setattr(cli, "run_experiment", _stub_run([]))
+        for _why, runs in workloads.WORKLOADS.values():
+            for experiment, flags in runs:
+                out = tmp_path / experiment
+                argv = workloads.experiment_argv(experiment, flags, workloads.DEFAULT_WORKLOAD_SEED, str(out))
+                assert main(argv) == 0, argv
+                config = json.loads((out / "report.json").read_text())["config"]
+                assert (config["seed"], config["workers"], config["out_dir"]) == (
+                    workloads.DEFAULT_WORKLOAD_SEED, 1, str(out))
 
 
 _SPECIAL_INTS = [0, -1, 2**64, 2**64 + 1, -2**64, 2**70]

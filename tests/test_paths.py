@@ -114,6 +114,15 @@ class TestEtaFunctional:
         with pytest.raises(OverflowError):
             eta_functional(b, GRID.dt)
 
+    def test_overflow_is_read_off_eta_not_the_path(self):
+        # a path inside +-700 whose eta leaves double range raises, not returns inf
+        with pytest.raises(OverflowError, match="eta left double range"):
+            eta_functional(np.array([0.0, 700.0, 700.0, -700.0]), 1.0)
+        # a path beyond -700 whose eta stays in range returns it: log eta = log(1/2) + 701, then 0
+        eta = eta_functional(np.array([0.0, -701.0, 0.0]), 1.0)
+        assert eta[0] == 0.0 and np.isfinite(eta).all()
+        assert np.allclose(np.log(eta[1:]), [math.log(0.5) + 701.0, 0.0], rtol=0.0, atol=1e-12)
+
     def test_log_eta_consistent(self):
         b = sample_bm(GRID, RNG.child(2))
         le = log_eta(b, GRID.dt)

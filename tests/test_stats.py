@@ -193,6 +193,16 @@ class TestConditionalLawTest:
                                    [lambda e: np.ones_like(e)])
         assert not rep.passed
 
+    @pytest.mark.parametrize("ratio, lam, fns", [
+        (np.ones(50), 0.5, indicator_bins([100.0, 200.0])),  # no eta in (100, 200]: the function has no mass
+        (np.full(50, 0.5), 0.0, [np.ones_like]),  # every weight is 1 - 0.5: a constant product
+    ], ids=["no-mass", "constant-weight"])
+    def test_zero_standard_error_raises(self, ratio, lam, fns):
+        # a zero standard error would count as z = 0, a pass that tested nothing
+        x = _gen(8).standard_normal(50)
+        with pytest.raises(ValueError, match="degenerate variance"):
+            conditional_law_test(x, np.abs(x) + 0.1, ratio, lam, fns)
+
     def test_lambda_range_guard(self):
         with pytest.raises(ValueError):
             conditional_law_test(np.zeros(200), np.zeros(200), np.zeros(200), 2.5, [lambda e: e])
