@@ -24,23 +24,9 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .experiments import DEFAULTS, EXPERIMENTS, MODEL_FIELDS, ExperimentConfig, ExperimentResult, run_experiment
+from .experiments import DEFAULTS, EXPERIMENTS, FIELDS, MODEL_FIELDS, ExperimentConfig, ExperimentResult, run_experiment
 from .matrixproc import ArcoshDomainError
 from .series import ResonanceError, TruncationError
-
-# config-file key and flag name -> (ExperimentConfig field, type, flag help)
-_KEYS = {
-    "q": ("q", int, "walk horizon"),
-    "p": ("p", int, "matrix rank"),
-    "T": ("T", float, "time horizon"),
-    "dt": ("dt", float, "time step"),
-    "paths": ("n_paths", int, "Monte Carlo path count"),
-    "lambda": ("lam", float, "driver drift and drift index"),
-    "seed": ("seed", int, "base seed"),
-    "seeds": ("n_seeds", int, "number of outer seeds"),
-    "workers": ("workers", int, "worker processes for seed batches"),
-    "out": ("out_dir", str, "output directory"),
-}
 
 # the experiments whose checks are exact identities; selftest runs them at their defaults
 _EXACT = ("pitman-discrete", "tree-samelaw", "toda-identity", "spherical-limit", "hoogenboom-det")
@@ -72,26 +58,21 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"cannot parse config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(raw) - set(_KEYS)
-    if unknown:
+    keys = {flag: key for key, (flag, *_) in FIELDS.items()}
+    if unknown := set(raw) - set(keys):
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, value in raw.items():
+    for flag, value in raw.items():  # the type test; ExperimentConfig applies the rules
         try:
-            out[key] = _KEYS[key][1](value)
-            valid = not isinstance(value, bool) and out[key] == value
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise UsageError(f"config key {key!r} has invalid value {value!r}")
-    return out
+            ExperimentConfig.typed(keys[flag], value)
+        except ValueError:
+            raise UsageError(f"config key {flag!r} has invalid value {value!r}") from None
+    return {keys[flag]: value for flag, value in raw.items()}
 
 
 def _build_configs(args, names) -> list:
     """One config per experiment name; under `run all`, each gets the model fields it reads and out <out>/<name>."""
-    values = _load_config_file(args.config) if args.config else {}
-    values.update({key: getattr(args, key) for key in _KEYS if getattr(args, key) is not None})
-    fields = {_KEYS[key][0]: value for key, value in values.items()}
+    fields = _load_config_file(args.config) if args.config else {}
+    fields.update({key: getattr(args, key) for key in FIELDS if getattr(args, key) is not None})
     every = args.experiment == "all"
     configs = []
     for name in names:
@@ -176,9 +157,10 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a named experiment, or all of them")
     run_p.add_argument("experiment", help="experiment name (see list-experiments), or all")
-    for key, (field, kind, text) in _KEYS.items():
-        readers = ", ".join(f"{name} {own[field]}" for name, own in sorted(DEFAULTS.items()) if field in own)
-        run_p.add_argument(f"--{key}", type=kind, default=None, help=f"{text} ({readers or 'every experiment'})")
+    for key, (flag, kind, _, text) in FIELDS.items():
+        readers = ", ".join(f"{name} {own[key]}" for name, own in sorted(DEFAULTS.items()) if key in own)
+        run_p.add_argument(f"--{flag}", type=kind, dest=key, metavar=flag.upper(),
+                           help=f"{text} ({readers or 'every experiment'})")
     run_p.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
     run_p.set_defaults(fn=_cmd_run)
 

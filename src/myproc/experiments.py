@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import partial
@@ -64,11 +65,25 @@ DEFAULTS = {
     "supq-limit": {"p": 2, "T": 1.0, "dt": 1e-3, "n_seeds": 50},
 }
 MODEL_FIELDS = ("q", "p", "T", "dt", "n_paths", "lam", "n_seeds")
+# each config field but experiment: its flag (also its config-file key), type, value rule and flag help
+FIELDS = {
+    "q": ("q", int, "non-negative", "walk horizon"),
+    "p": ("p", int, "positive", "matrix rank"),
+    "T": ("T", float, "positive", "time horizon"),
+    "dt": ("dt", float, "positive", "time step"),
+    "n_paths": ("paths", int, "positive", "Monte Carlo path count"),
+    "lam": ("lambda", float, "finite", "driver drift and drift index"),
+    "seed": ("seed", int, None, "base seed"),
+    "n_seeds": ("seeds", int, "positive", "number of outer seeds"),
+    "workers": ("workers", int, "positive", "worker processes for seed batches"),
+    "out_dir": ("out", str, None, "output directory"),
+}
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "finite": math.isfinite}
 
 
 @dataclass
 class ExperimentConfig:
-    """Seeded configuration.  The CLI's value checks live here, so a Python caller gets them too (ValueError)."""
+    """Seeded configuration, checked here against FIELDS and DEFAULTS: a Python caller gets the CLI's checks."""
 
     experiment: str
     q: Optional[int] = None
@@ -82,25 +97,28 @@ class ExperimentConfig:
     workers: int = 1
     out_dir: Optional[str] = None
 
+    @staticmethod
+    def typed(key: str, value):
+        """value as key's FIELDS type, which must hold it unchanged (no bool; 2.0 is 2; NaN is left to the rule)."""
+        flag, kind = FIELDS[key][:2]
+        with suppress(TypeError, ValueError, OverflowError):
+            if not isinstance(value, bool) and ((out := kind(value)) == value or out != out and value != value):
+                return out
+        raise ValueError(f"{flag} must be of type {kind.__name__}, got {value!r}")
+
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; known: {', '.join(sorted(EXPERIMENTS))}")
         own = DEFAULTS[self.experiment]
-        unread = [key for key in MODEL_FIELDS if key not in own and getattr(self, key) is not None]
+        unread = [FIELDS[key][0] for key in MODEL_FIELDS if key not in own and getattr(self, key) is not None]
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
-        for key, value in own.items():
-            if getattr(self, key) is None:
-                setattr(self, key, value)
-        # named as the flags are; these come before the grid rule, which divides by dt
-        for key, value in (("T", self.T), ("dt", self.dt), ("paths", self.n_paths), ("seeds", self.n_seeds),
-                           ("workers", self.workers), ("p", self.p)):
-            if value is not None and not value > 0:
-                raise ValueError(f"{key} must be positive, got {value}")
-        if self.q is not None and self.q < 0:
-            raise ValueError(f"q must be non-negative, got {self.q}")
-        if self.lam is not None and not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
+        # the type, then the rule; these come before the grid rule, which divides by dt
+        for key, (flag, _, rule, _) in FIELDS.items():
+            value = own.get(key) if getattr(self, key) is None else self.typed(key, getattr(self, key))
+            if rule and value is not None and not _RULES[rule](value):
+                raise ValueError(f"{flag} must be {rule}, got {value}")
+            setattr(self, key, value)
         if self.n_paths is not None and self.n_paths < _MIN_PATHS[self.experiment]:
             raise ValueError(f"{self.experiment} needs paths >= {_MIN_PATHS[self.experiment]}, got {self.n_paths}")
         if self.experiment == "my-convergence" and not self.T >= _ERROR_FROM_T:

@@ -112,7 +112,8 @@ def eta_functional(b: np.ndarray, dt: float) -> np.ndarray:
 
     The integral is taken in log space; an eta beyond double range raises OverflowError.
     """
-    eta = np.exp(log_eta(b, dt))
+    with np.errstate(over="ignore"):  # a non-finite eta raises below
+        eta = np.exp(log_eta(b, dt))
     if not np.isfinite(eta).all():
         raise OverflowError("eta left double range")
     return eta
@@ -173,27 +174,28 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     sums = [np.zeros(n_paths) for _ in mus]
     out_b = np.empty((len(keys), n_paths))
     out_z = np.empty((len(rows), n_paths))
-    for k in range(1, steps[-1] + 1):
-        b += np.multiply(gen.standard_normal(out=spare), math.sqrt(dt), out=spare)
-        if (i := marks.get(k)) is not None:
-            out_b[i] = b
-        for m, (e, end) in emu.items():
-            if k <= end:
-                np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
-        for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
-            if k > ends[j]:
-                continue
-            shift = d * (k * dt)
-            e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
-            sums[j] += e
-            r = rows.get((j, i))
-            if r is not None:
-                # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
-                z = np.subtract(1.0, e, out=out_z[r])
-                z *= 0.5
-                z += sums[j]
-                z *= dt
-                z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
-                if not np.all(np.isfinite(z)):
-                    raise OverflowError("exponential functional left double range; use shorter horizons")
+    with np.errstate(over="ignore"):  # a Z that leaves double range raises below
+        for k in range(1, steps[-1] + 1):
+            b += np.multiply(gen.standard_normal(out=spare), math.sqrt(dt), out=spare)
+            if (i := marks.get(k)) is not None:
+                out_b[i] = b
+            for m, (e, end) in emu.items():
+                if k <= end:
+                    np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
+            for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
+                if k > ends[j]:
+                    continue
+                shift = d * (k * dt)
+                e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
+                sums[j] += e
+                r = rows.get((j, i))
+                if r is not None:
+                    # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
+                    z = np.subtract(1.0, e, out=out_z[r])
+                    z *= 0.5
+                    z += sums[j]
+                    z *= dt
+                    z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
+                    if not np.all(np.isfinite(z)):
+                        raise OverflowError("exponential functional left double range; use shorter horizons")
     return out_b, np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])

@@ -97,11 +97,13 @@ def cms_series(lam: float, mult: Multiplicities, N: int) -> np.ndarray:
 
 
 def eval_series(lam, coeffs: np.ndarray, r: float, tol: float = 1e-12):
-    """sum_{n <= N} b_n e^{(lam - n) r} of coeffs b_0..b_N, with a geometric tail estimate.
+    """sum_{n <= N} b_n e^{(lam - n) r} of coeffs b_0..b_N, N >= 2, with a geometric tail estimate.
 
     A complex lam gives a complex value.  Raises TruncationError when the
     estimated tail beyond N exceeds tol relative to the partial sum (increase N or r).
     """
+    if len(coeffs) < 3:
+        raise ValueError(f"coeffs must hold b_0..b_N with N >= 2, got {len(coeffs)} coefficients")
     n = np.arange(len(coeffs))
     terms = coeffs * np.exp((lam - n) * r)
     total = terms.sum().item()

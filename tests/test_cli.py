@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import dataclasses
 import importlib.util
 import json
 import os
@@ -16,10 +17,37 @@ from myproc import cli, experiments
 from myproc.cli import main
 from myproc.matrixproc import ArcoshDomainError
 from myproc.series import ResonanceError, TruncationError
-from myproc.experiments import (DEFAULTS, EXPERIMENTS, MODEL_FIELDS, Check, ExperimentConfig, ExperimentResult,
-                                run_experiment)
+from myproc.experiments import (DEFAULTS, EXPERIMENTS, FIELDS, MODEL_FIELDS, Check, ExperimentConfig,
+                                ExperimentResult, run_experiment)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# `myproc run --help` at 80 columns: each flag's help and readers come from experiments.FIELDS and DEFAULTS
+_RUN_HELP = """\
+usage: myproc run [-h] [--q Q] [--p P] [--T T] [--dt DT] [--paths PATHS]
+                  [--lambda LAMBDA] [--seed SEED] [--seeds SEEDS]
+                  [--workers WORKERS] [--out OUT] [--config CONFIG]
+                  experiment
+
+positional arguments:
+  experiment         experiment name (see list-experiments), or all
+
+options:
+  -h, --help         show this help message and exit
+  --q Q              walk horizon (pitman-discrete 24)
+  --p P              matrix rank (supq-limit 2)
+  --T T              time horizon (my-convergence 1.0, supq-limit 1.0)
+  --dt DT            time step (conditional-law 0.001, my-convergence 0.001,
+                     my-generator 0.001, supq-limit 0.001)
+  --paths PATHS      Monte Carlo path count (conditional-law 100000, my-
+                     convergence 100000, my-generator 100000)
+  --lambda LAMBDA    driver drift and drift index (my-generator 0.5)
+  --seed SEED        base seed (every experiment)
+  --seeds SEEDS      number of outer seeds (my-convergence 100, supq-limit 50)
+  --workers WORKERS  worker processes for seed batches (every experiment)
+  --out OUT          output directory (every experiment)
+  --config CONFIG    JSON config file (flags win)
+"""
 
 
 class TestVerbs:
@@ -43,6 +71,12 @@ class TestVerbs:
         assert lines[1:] == [f"[PASS] {r.name}: {c.name} = {c.value} ({c.threshold})"
                              for r in results for c in r.checks]
         assert len(lines) == 59
+
+    def test_run_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == 0 and capsys.readouterr().out == _RUN_HELP
 
     def test_module_entry_point(self):
         # python -m myproc runs __main__.py, which no in-process test reaches
@@ -122,27 +156,30 @@ class TestRun:
         assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, argv, config, message", [
-        ("my-generator", ["--lambda", "nan", "--paths", "1500"], None, "lam must be finite, got nan"),
-        ("my-generator", ["--lambda", "inf"], None, "lam must be finite, got inf"),
+        ("my-generator", ["--lambda", "nan", "--paths", "1500"], None, "lambda must be finite, got nan"),
+        ("my-generator", ["--lambda", "inf"], None, "lambda must be finite, got inf"),
         ("toda-identity", ["--q", "7", "--lambda", "9", "--paths", "5"], None,
-         "toda-identity does not read q, n_paths, lam"),
-        ("conditional-law", ["--lambda", "0.9"], None, "conditional-law does not read lam"),
+         "toda-identity does not read q, paths, lambda"),
+        ("conditional-law", ["--lambda", "0.9"], None, "conditional-law does not read lambda"),
         ("toda-identity", [], {"paths": 1999.9}, "config key 'paths' has invalid value 1999.9"),
         ("toda-identity", [], {"seeds": True}, "config key 'seeds' has invalid value True"),
         ("toda-identity", [], {"paths": float("inf")}, "config key 'paths' has invalid value inf"),
         ("toda-identity", [], {"out": None}, "config key 'out' has invalid value None"),
         ("toda-identity", [], {"out": ["x"]}, "config key 'out' has invalid value ['x']"),
         ("toda-identity", [], {"paths": "5000"}, "config key 'paths' has invalid value '5000'"),
+        ("my-generator", [], {"lambda": float("nan")}, "lambda must be finite, got nan"),
+        ("my-convergence", [], {"T": float("nan")}, "T must be positive, got nan"),
         ("toda-identity", ["--out", "{tmp}/file"], None, "cannot create output directory {tmp}/file: File exists"),
         ("all", ["--out", "{tmp}/file"], None,
          "cannot create output directory {tmp}/file/conditional-law: Not a directory"),
     ], ids=["lambda-nan", "lambda-inf", "unread-fields", "unread-lambda", "config-fractional-paths",
-            "config-bool-seeds", "config-infinite-paths", "out-null", "out-list", "paths-string", "out-names-a-file",
-            "run-all-out-names-a-file"])
+            "config-bool-seeds", "config-infinite-paths", "out-null", "out-list", "paths-string", "config-nan-lambda",
+            "config-nan-T", "out-names-a-file", "run-all-out-names-a-file"])
     def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
         # a non-finite lambda, a field the experiment does not read, a config value its key's type would
         # change or cannot hold (a null or a list `out` would become a directory name, a string `paths` a
-        # number), or an --out that names a file (the later --out wins); each fails before any experiment runs
+        # number), a config NaN that its key's rule rejects as the flag's rule does, or an --out that names
+        # a file (the later --out wins); each fails before any experiment runs
         (tmp_path / "file").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if config is not None:
@@ -314,6 +351,29 @@ class TestDefaults:
         with pytest.raises(ValueError, match=" must be "):
             ExperimentConfig(experiment, **{field: value})
 
+    @pytest.mark.parametrize("experiment, field, value, message", [
+        ("pitman-discrete", "q", True, "q must be of type int, got True"),
+        ("pitman-discrete", "q", 2.5, "q must be of type int, got 2.5"),
+        ("toda-identity", "seed", 1.5, "seed must be of type int, got 1.5"),
+        ("toda-identity", "workers", 2.5, "workers must be of type int, got 2.5"),
+        ("my-convergence", "n_seeds", 2.5, "seeds must be of type int, got 2.5"),
+        ("supq-limit", "p", 1.5, "p must be of type int, got 1.5"),
+        ("toda-identity", "out_dir", 5, "out must be of type str, got 5"),
+        ("my-generator", "lam", "0.5", "lambda must be of type float, got '0.5'"),
+        ("conditional-law", "n_paths", 0, "paths must be positive, got 0"),
+        ("my-generator", "lam", float("nan"), "lambda must be finite, got nan"),
+    ])
+    def test_python_call_errors_name_the_flag(self, experiment, field, value, message):
+        # the config-file type rule and the flag rules, from FIELDS, with the flag the CLI user types
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(experiment, **{field: value})
+        assert str(info.value) == message
+
+    def test_python_call_reads_a_value_its_type_holds(self):
+        # an integral float is its int, and an int is its float, as in a config file
+        cfg = ExperimentConfig("my-convergence", n_paths=2000.0, T=1)
+        assert (cfg.n_paths, cfg.T) == (2000, 1.0) and type(cfg.n_paths) is int and type(cfg.T) is float
+
     def test_report_echoes_the_default(self, tmp_path):
         out = tmp_path / "res"
         assert main(["run", "pitman-discrete", "--out", str(out)]) == 0
@@ -327,7 +387,13 @@ def _stub_run(ran: list):
 
 
 class TestFieldTable:
-    """DEFAULTS lists the model fields each experiment reads, with its defaults; it takes no other."""
+    """DEFAULTS lists the model fields each experiment reads, with its defaults; it takes no other.
+    FIELDS gives every config field its flag, type, rule and help."""
+
+    def test_fields_table_covers_the_config(self):
+        assert list(FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+        flags = [flag for flag, *_ in FIELDS.values()]
+        assert len(set(flags)) == len(flags) and {FIELDS[f][2] for f in FIELDS} <= {None, *experiments._RULES}
 
     def test_table_lists_the_fields_each_run_reads(self):
         # the cfg.<field> reads of each run_* function, its nested functions included
@@ -348,7 +414,7 @@ class TestFieldTable:
         unread = [(name, f) for name in EXPERIMENTS for f in MODEL_FIELDS if f not in DEFAULTS[name]]
         assert len(unread) == 9 * 7 - 14
         for name, f in unread:
-            with pytest.raises(ValueError, match=f"^{name} does not read {f}$"):
+            with pytest.raises(ValueError, match=f"^{name} does not read {FIELDS[f][0]}$"):
                 ExperimentConfig(name, **{f: 1})
 
     def test_run_all_hands_each_experiment_its_own_fields(self, monkeypatch, tmp_path):
@@ -398,14 +464,14 @@ _CONFIG_VALUES = (_INTS | _FLOATS | hst.integers(-2**70, 2**70).map(float)
 
 def _flag_sets():
     """Up to three of the run flags other than --out, each with a value of its type or one argparse rejects."""
-    keys = [key for key, (_, kind, _) in cli._KEYS.items() if kind is not str]
-    return hst.lists(hst.sampled_from(keys), unique=True, max_size=3).flatmap(
-        lambda chosen: hst.fixed_dictionaries({key: _FLAG_VALUES[cli._KEYS[key][1]] for key in chosen}))
+    kinds = {flag: kind for flag, kind, _, _ in FIELDS.values() if kind is not str}
+    return hst.lists(hst.sampled_from(list(kinds)), unique=True, max_size=3).flatmap(
+        lambda chosen: hst.fixed_dictionaries({flag: _FLAG_VALUES[kinds[flag]] for flag in chosen}))
 
 
 def _config_objects():
     """Up to three known config keys, any of them with a value of the wrong type, and at times an unknown key."""
-    known = hst.dictionaries(hst.sampled_from(list(cli._KEYS)), _CONFIG_VALUES, max_size=3)
+    known = hst.dictionaries(hst.sampled_from([flag for flag, *_ in FIELDS.values()]), _CONFIG_VALUES, max_size=3)
     unknown = hst.just({}) | hst.dictionaries(hst.sampled_from(["qq", "Seed", ""]), _CONFIG_VALUES, max_size=1)
     return hst.builds(lambda a, b: {**a, **b}, known, unknown)
 

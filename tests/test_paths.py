@@ -250,7 +250,6 @@ class TestBatchSamples:
         with pytest.raises(ValueError):
             exp_functional_samples({1e-12: [0]}, 1e-3, 4, RngStream(1, 0))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_along_the_path_raises(self):
         # mu B_s leaves double range before t = 1 although the final B is moderate
         with pytest.raises(OverflowError):

@@ -119,6 +119,12 @@ class TestEvalSeries:
         with pytest.raises(TruncationError):
             eval_series(0.2, cms_series(0.2, Multiplicities(40, 1), 8), 0.3)
 
+    @pytest.mark.parametrize("coeffs", [[], [1.0], [1.0, 0.5]], ids=["N-none", "N0", "N1"])
+    def test_fewer_than_three_coefficients_rejected(self, coeffs):
+        # the tail estimate reads b_N and b_{N-2}; _series_coeffs builds N >= 2
+        with pytest.raises(ValueError, match=rf"^coeffs must hold b_0..b_N with N >= 2, got {len(coeffs)} coefficients$"):
+            eval_series(0.3, np.array(coeffs), 2.0)
+
 
 class TestDeltaQ:
     def test_vanishes_at_origin(self):
