@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import suppress
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional
@@ -113,9 +113,12 @@ class ExperimentConfig:
         unread = [FIELDS[key][0] for key in MODEL_FIELDS if key not in own and getattr(self, key) is not None]
         if unread:
             raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
-        # the type, then the rule; these come before the grid rule, which divides by dt
+        # the type, then the rule; these come before the grid rule, which divides by dt.  None is "not
+        # given" only where the field's default is None: seed and workers have a value, so None fails its type
+        optional = {f.name for f in fields(self) if f.default is None}
         for key, (flag, _, rule, _) in FIELDS.items():
-            value = own.get(key) if getattr(self, key) is None else self.typed(key, getattr(self, key))
+            given = getattr(self, key)
+            value = own.get(key) if given is None and key in optional else self.typed(key, given)
             if rule and value is not None and not _RULES[rule](value):
                 raise ValueError(f"{flag} must be {rule}, got {value}")
             setattr(self, key, value)

@@ -33,12 +33,15 @@ W = b b*, a Wishart process (Bru 1991): each column group carries W and its
 Cholesky factor instead of its columns, and a step costs O(p^3) at any
 q, with the law of the column scheme on the grid.  Only the Cholesky factor
 and W are sequential, and a step runs just their two kernels: the einsum that
-forms W, and the LAPACK gufunc behind np.linalg.cholesky, which writes the
-factor in place; the errstate that turns a Gram matrix that is not positive
-definite into LinAlgError is entered once per block of steps, not once a
-step.  The engine keeps its arrays entries first, (p, p | 2p, time, replicas,
-groups), so a product over the time axis is a few long passes of _mul, not
-one BLAS call per tiny matrix; it holds K (twice W's size), W, c and l, with
+forms W = Z Z* (over the few dozen matrices of a step, one einsum call beats
+the per-k passes below), and the LAPACK gufunc behind np.linalg.cholesky,
+which writes the factor in place; the errstate that turns a Gram matrix that
+is not positive definite into LinAlgError is entered once per block of
+steps, not once a step.  The engine keeps its arrays entries first, (p, p |
+2p, time, replicas, groups), so a product over the time axis is one long
+elementwise pass per inner index k over the entries it reaches (_mul_nz,
+which skips the structural zeros of l and of the Cholesky factors), not one
+BLAS call per tiny matrix; it holds K (twice W's size), W, c and l, with
 l_{k+1} K and the factors of one block of steps only.  Outside it, one l path
 per stream rides a leading replica axis; W and c (views) add a q-value axis;
 the radial read-outs return plain arrays with the same leading axes.  p, the
@@ -75,9 +78,37 @@ __all__ = [
 # --------------------------------------------------------------------------
 # small dense linear algebra
 
-def _mul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Matrix product of each pair in two entries-first stacks (p, m, ...), (m, r, ...), broadcast over the rest."""
-    return np.einsum("ik...,kj...->ij...", a, b, out=out)
+def _mul_nz(a: np.ndarray, b: np.ndarray, structure: str, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Matrix product of each pair in two entries-first stacks (p, m, ...), (m, r, ...), broadcast over the
+    rest (the same number of axes in both), taken over the structural nonzeros only.
+
+    structure names the shape of a, then of b: "L" square lower triangular, "F" full, or (b only) "U"
+    square upper triangular.  Each output entry is a running sum of the elementwise products
+    a[i, k] b[k, j], in increasing k and over the k where both factors are structurally nonzero: the pass
+    for k multiplies column k of a into row k of b over the block of entries they reach, setting the
+    entries it reaches first and adding into the others.  An entry no k reaches (above the diagonal of a
+    lower x lower product) is exact 0.0.  A real sum has the bits of the einsum "ik...,kj...->ij...",
+    which adds the same products in the same order and exact zeros besides (but a sum that is exactly
+    zero may carry the sign of its first product).  A complex sum may differ from it at round-off, even
+    of one term: numpy's complex multiply may fuse a multiply and an add that the einsum rounds apart.
+    """
+    p, m, r = a.shape[0], a.shape[1], b.shape[1]
+    if out is None:
+        out = np.empty((p, r) + np.broadcast_shapes(a.shape[2:], b.shape[2:]), dtype=np.result_type(a, b))
+    for k in range(m):
+        i0 = k if structure[0] == "L" else 0  # column k of a reaches rows i0..p-1
+        ak, bk = a[i0:, k, None], b[None, k]
+        if structure[1] == "L":  # row k of b reaches columns 0..k, and column k first
+            out[:i0, k] = 0.0
+            np.multiply(ak, bk[:, k:k + 1], out=out[i0:, k:k + 1])
+            if k:
+                out[i0:, :k] += ak * bk[:, :k]
+        elif k == 0:  # row 0 of b reaches every column, so every entry first
+            np.multiply(ak, bk, out=out)
+        else:
+            j0 = k if structure[1] == "U" else 0
+            out[i0:, j0:] += ak * bk[:, j0:]
+    return out
 
 
 def expm_tri(L: np.ndarray) -> np.ndarray:
@@ -86,38 +117,41 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
 
     Each matrix gets its own scale s, so that its scaled max-entry norm times
     p is at most 1/4, and then the same degree-13 Taylor polynomial, by Horner
-    (truncation below 0.25^14 / 14! ~ 4e-20); its squarings are masked per
-    matrix.  The work runs on an entries-first copy (p, p, N) of the stack,
-    where each product is a few long elementwise passes over N matrices, and
-    no matrix's result depends on the other matrices of its stack.  Every
-    operation is a product of lower-triangular matrices, so entries above the
-    diagonal remain exactly 0.0 and the diagonal stays positive for real
-    diagonal input.
+    (truncation below 0.25^14 / 14! ~ 4e-20), and s squarings.  The work runs
+    on an entries-first copy (p, p, N) of the stack, ordered by decreasing s
+    so that each squaring is a leading slice; each product is a few long
+    elementwise passes over the N matrices (_mul_nz), and no matrix's result
+    depends on the other matrices of its stack.  Every operation is a product
+    of lower-triangular matrices, so entries above the diagonal are exactly
+    0.0 and the diagonal stays positive for real diagonal input.
     """
     L = np.asarray(L)
     p = L.shape[-1]
     stack = L.reshape((-1, p, p))
     norm = np.max(np.abs(stack), axis=(-2, -1)) * p
     s = np.ceil(np.log2(np.maximum(norm, 0.25) / 0.25)).astype(int)
-    # scale into a new array: the transposed view of a one-matrix stack is the caller's own memory
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
     A = np.empty((p, p, len(stack)), dtype=np.result_type(L, 1.0))
-    np.divide(np.moveaxis(stack, 0, -1), 2.0**s, out=A)
+    np.divide(np.moveaxis(stack[order], 0, -1), 2.0**s, out=A)
     # Horner from the top, X <- I + A X / k for k = 13, ..., 1; the strided
     # view [::p+1] of the (p*p, N) entries is the diagonal, so adding I copies nothing
     X = A / 13
     X.reshape(p * p, -1)[:: p + 1] += 1
     T = np.empty_like(X)
     for k in range(12, 0, -1):
-        _mul(A, X, out=T)
+        _mul_nz(A, X, "LL", out=T)
         T *= 1.0 / k  # cheaper than T /= k, and the same bits for complex T (numpy divides by multiplying by 1/k)
         T.reshape(p * p, -1)[:: p + 1] += 1
         X, T = T, X
-    del A, T
-    for i in range(int(s.max(initial=0))):
-        sq = np.flatnonzero(s > i)
-        Y = X[..., sq]
-        X[..., sq] = _mul(Y, Y)
-    return np.ascontiguousarray(np.moveaxis(X, -1, 0)).reshape(L.shape)
+    del A
+    for i in range(s[0] if len(s) else 0):
+        Y = X[..., :np.count_nonzero(s > i)]  # the matrices with s > i lead the stack
+        Y[...] = _mul_nz(Y, Y, "LL", out=T[..., :Y.shape[-1]])
+    del T
+    E = np.empty(stack.shape, dtype=X.dtype)
+    E[order] = np.moveaxis(X, -1, 0)
+    return E.reshape(L.shape)
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -357,25 +391,27 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
     Xe = np.moveaxis(X, 2, 0)  # X time first, entries first: the step's X_k
     blocks = [slice(k, k + _BLOCK) for k in range(0, n, _BLOCK)]
     for s in blocks:
-        L1K = _mul(L1[:, :, s], K[:, :, s])
-        K[:, :, s] = _mul(0.5 * (L0[:, :, s] + L1[:, :, s]), K[:, :, s])  # lbar K
         LK, dc = K[:, :, s], c1[:, :, s]
-        _mul(LK, np.conj(L1K, out=L1K).swapaxes(0, 1), out=dc)
+        L1K = _mul_nz(L1[:, :, s], LK, "LF")
+        lbar = np.add(L0[:, :, s], L1[:, :, s], out=dc[..., :1])  # in dc, free until the product below overwrites it
+        lbar *= 0.5
+        LK[...] = _mul_nz(lbar, LK, "LF")  # lbar K
+        _mul_nz(LK, np.conj(L1K, out=L1K).swapaxes(0, 1), "FF", out=dc)
         dc *= 0.5  # 1/2 lbar K K* l_{k+1}*
         del L1K
         X[:, :, 0] = X[:, :, -1]  # every block but the last is full
         # only the factor and W are sequential; Z = [X_k, 0] + lbar K overwrites lbar K.  The time-first
-        # views (W_{k+1} entries first for _mul, matrices last for the factor) and np.linalg.cholesky's
+        # views (W_{k+1} entries first for the einsum, matrices last for the factor) and np.linalg.cholesky's
         # errstate are set up once per block, and the gufunc writes each factor into its slot of X
         Z, We, Wm = np.moveaxis(LK, 2, 0), np.moveaxis(W[:, :, s.start + 1:s.stop + 1], 2, 0), Wt[s.start + 1:]
         with np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"):
             for j in range(len(Z)):
                 z = Z[j]
                 z[:, :p] += Xe[j]
-                _mul(z, z.conj().swapaxes(0, 1), out=We[j])
+                np.einsum("ik...,kj...->ij...", z, z.conj().swapaxes(0, 1), out=We[j])
                 _cholesky_lo(Wm[j], out=Xt[j + 1])
         lbar_g = np.subtract(LK[:, :p], X[:, :, :LK.shape[2]], out=LK[:, :p])
-        dc += _mul(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1))
+        dc += _mul_nz(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1), "LF")
         np.cumsum(dc, axis=-1, out=dc)
     del K, LK, lbar_g, Z, z  # every view of K goes with it, before dkappa is allocated
     dkappa = np.empty(L0.shape, dtype=W.dtype)
@@ -383,7 +419,7 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)
     for s in blocks:
         for lk in (L0[:, :, s], L1[:, :, s]):
-            c1[:, :, s] += 0.5 * _mul(_mul(lk, dkappa[:, :, s]), lk.conj().swapaxes(0, 1))
+            c1[:, :, s] += 0.5 * _mul_nz(_mul_nz(lk, dkappa[:, :, s], "LF"), lk.conj().swapaxes(0, 1), "FU")
     np.cumsum(c1, axis=2, out=c1)
     np.cumsum(W, axis=-1, out=W)
     return SuSolvablePath(l, W.transpose(3, 4, 2, 0, 1), c.transpose(3, 4, 2, 0, 1))

@@ -122,8 +122,8 @@ _DIGESTS = {
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",
     ("spherical", "tables"): "0db434ad9857daca1cfad14cb1ed4cdcc0c308cb2ddc7baada4b24adb5108e92",
-    ("supq", "checks"): "3807d85c4e52747b99415e5817c0d8f3cf838719c00c96fb9de693542298aefc",
-    ("supq", "tables"): "440d834fa8db1016a2fb171a6420229f978961e26b89cd4cb62796cda4ec1901",
+    ("supq", "checks"): "581b515ea5046e79b4078a28fd4d50bd5f808b4099b3bb97e87d97e887c96c5e",
+    ("supq", "tables"): "45e3cb35c3946027b7f6e406596dd57f91b027dc38f8804f89dd2cea0f4c7185",
     ("toda", "checks"): "13dc4f13cd48249a4a4730366b7d1993bf9cbe990a794f117efbc0e0436e47c5",
     ("toda", "tables"): "485bbd53037816b0569e9cf9660b0da0b18eb857c122bbf2be53329f2d78beb6",
 }

@@ -356,6 +356,8 @@ class TestDefaults:
         ("pitman-discrete", "q", 2.5, "q must be of type int, got 2.5"),
         ("toda-identity", "seed", 1.5, "seed must be of type int, got 1.5"),
         ("toda-identity", "workers", 2.5, "workers must be of type int, got 2.5"),
+        ("conditional-law", "seed", None, "seed must be of type int, got None"),
+        ("my-convergence", "workers", None, "workers must be of type int, got None"),
         ("my-convergence", "n_seeds", 2.5, "seeds must be of type int, got 2.5"),
         ("supq-limit", "p", 1.5, "p must be of type int, got 1.5"),
         ("toda-identity", "out_dir", 5, "out must be of type str, got 5"),

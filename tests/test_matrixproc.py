@@ -53,6 +53,17 @@ class TestExpmTri:
         L[np.diag_indices(4)] = L[np.diag_indices(4)].real
         assert np.max(np.abs(expm_tri(L) - scipy_expm(L))) < 1e-12
 
+    @pytest.mark.parametrize("p", [8, 25])
+    def test_against_scipy_complex_large_p(self, p):
+        # largest entries from 0.1 to 20: from two squarings to eleven in one stack
+        rng = np.random.default_rng(p)
+        L = np.tril(rng.normal(size=(6, p, p)) + 1j * rng.normal(size=(6, p, p)), -1) / p
+        L[:, range(p), range(p)] = rng.normal(size=(6, p))
+        L *= np.geomspace(0.1, 20.0, 6)[:, None, None] / np.max(np.abs(L), axis=(-2, -1), keepdims=True)
+        for M, E in zip(L, expm_tri(L)):
+            ref = scipy_expm(M)
+            assert np.max(np.abs(E - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_structure_exact(self):
         L = np.tril(np.random.default_rng(2).normal(size=(4, 4))) * 3.0
         E = expm_tri(L)
@@ -61,25 +72,27 @@ class TestExpmTri:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_stack_matches_single(self, field):
-        # norms from about 0.01 to a few hundred: small ones take no squaring, large ones several
-        rng = np.random.default_rng(5)
-        scales = np.geomspace(0.01, 40.0, 24)
-        L = np.tril(rng.normal(size=(24, 3, 3)))
-        if field == "complex":
-            L = L + 1j * np.tril(rng.normal(size=(24, 3, 3)), -1)
-        L = (L * scales[:, None, None]).reshape(4, 6, 3, 3)
-        norms = np.max(np.abs(L), axis=(-2, -1)) * 3
-        assert np.any(norms < 0.25) and np.any(norms > 0.25 * 2**5)
-        E = expm_tri(L)
-        assert E.shape == L.shape
-        for idx in np.ndindex(L.shape[:2]):
-            ref = expm_tri_single(L[idx])
-            assert np.max(np.abs(E[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
-            # a matrix's exponential does not depend on the rest of its stack
-            assert np.array_equal(E[idx], expm_tri(L[idx]))
-        assert np.all(E[..., 0, 1:] == 0.0) and np.all(E[..., 1, 2] == 0.0)
-        diag = np.diagonal(E, axis1=-2, axis2=-1)
-        assert np.all(diag.real > 0.0) and np.all(diag.imag == 0.0)
+        # norms from about 0.01 to a few hundred: small ones take no squaring, large ones several,
+        # so the stack's order by squarings differs from its own
+        for p in (3, 8):
+            rng = np.random.default_rng(5)
+            scales = np.geomspace(0.01, 40.0, 24)
+            L = np.tril(rng.normal(size=(24, p, p)))
+            if field == "complex":
+                L = L + 1j * np.tril(rng.normal(size=(24, p, p)), -1)
+            L = (L * scales[:, None, None]).reshape(4, 6, p, p)
+            norms = np.max(np.abs(L), axis=(-2, -1)) * p
+            assert np.any(norms < 0.25) and np.any(norms > 0.25 * 2**5)
+            E = expm_tri(L)
+            assert E.shape == L.shape
+            for idx in np.ndindex(L.shape[:2]):
+                ref = expm_tri_single(L[idx])
+                assert np.max(np.abs(E[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+                # a matrix's exponential has the same bits alone as in its stack
+                assert E[idx].tobytes() == expm_tri(L[idx]).tobytes()
+            assert np.all(E[(...,) + np.triu_indices(p, 1)] == 0.0)
+            diag = np.diagonal(E, axis1=-2, axis2=-1)
+            assert np.all(diag.real > 0.0) and np.all(diag.imag == 0.0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_closed_form_2x2(self, field):
@@ -121,18 +134,50 @@ class TestExpmTri:
 
 
 class TestMul:
-    """The entries-first product helper of the Gram engine and expm_tri."""
+    """The entries-first product of the Gram engine and expm_tri, over structural nonzeros (_mul_nz)."""
 
     @staticmethod
     def _matmul(a, b):
         return np.moveaxis(np.moveaxis(a, (0, 1), (-2, -1)) @ np.moveaxis(b, (0, 1), (-2, -1)), (-2, -1), (0, 1))
 
+    @staticmethod
+    def _operands(rs, structure, p, field, rest):
+        """Entries-first (p, m, *rest), (m, r, *rest) with the shapes structure names: L lower, U upper, F full."""
+        m = 2 * p if structure == "FF" else p
+        r = 2 * p if structure == "LF" else p
+        a, b = _normal(rs, (p, m) + rest, field), _normal(rs, (m, r) + rest, field)
+        keep = {"L": np.tril, "U": np.triu, "F": np.ones_like}
+        for x, shape in zip((a, b), structure):
+            x *= keep[shape](np.ones(x.shape[:2]))[(...,) + (None,) * len(rest)]
+        return a, b
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    @pytest.mark.parametrize("structure", ["LL", "LF", "FF", "FU"])
+    def test_against_einsum(self, structure, p, field):
+        # real sums have the einsum's bits, complex ones agree at round-off; a lower x lower product
+        # is exact 0.0 above the diagonal, and a result written into a given array is the same
+        rs = np.random.default_rng(10 * p + len(field))
+        a, b = self._operands(rs, structure, p, field, (40, 3))
+        got, ref = mx._mul_nz(a, b, structure), np.einsum("ik...,kj...->ij...", a, b)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        if field == "real":
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert _rel_err(got, ref) <= 1e-15
+        if structure == "LL":
+            above = got[np.triu_indices(p, 1)]
+            assert np.all(above == 0.0) and not np.any(np.signbit(above.view(float)))
+        out = np.full_like(ref, np.nan)
+        assert mx._mul_nz(a, b, structure, out=out) is out and out.tobytes() == got.tobytes()
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_broadcast_trailing_axes_match_matmul(self, field):
         # frames (p, p, n, replicas, 1) against noise (p, 2p, n, replicas, groups)
         rs = np.random.default_rng(4)
-        a, b = _normal(rs, (2, 2, 60, 7, 1), field), _normal(rs, (2, 4, 60, 7, 3), field)
-        got, ref = mx._mul(a, b), self._matmul(a, b)
+        a, b = self._operands(rs, "LF", 2, field, (60, 7, 3))
+        a = np.ascontiguousarray(a[..., :1])
+        got, ref = mx._mul_nz(a, b, "LF"), self._matmul(a, b)
         assert got.shape == ref.shape == (2, 4, 60, 7, 3)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -140,14 +185,15 @@ class TestMul:
     def test_matrix_independent_of_its_stack(self, field):
         # each matrix's product has the same bits alone, in a slice, or in a broadcast stack
         rs = np.random.default_rng(5)
-        a, b = _normal(rs, (3, 3, 101, 5, 1), field), _normal(rs, (3, 6, 101, 5, 4), field)
-        full = mx._mul(a, b)
-        assert np.array_equal(full, mx._mul(np.broadcast_to(a, (3, 3, 101, 5, 4)).copy(), b))
+        a, b = self._operands(rs, "LF", 3, field, (101, 5, 4))
+        a = np.ascontiguousarray(a[..., :1])
+        full = mx._mul_nz(a, b, "LF")
+        assert np.array_equal(full, mx._mul_nz(np.broadcast_to(a, (3, 3, 101, 5, 4)).copy(), b, "LF"))
         for part in (np.s_[:, :, 17:18, 2:3], np.s_[:, :, :64, 1:4], np.s_[:, :, 33:]):
-            alone = mx._mul(a[part].copy(), b[part].copy())
+            alone = mx._mul_nz(a[part].copy(), b[part].copy(), "LF")
             assert np.array_equal(alone, full[part])
         for i, j, g in ((0, 0, 0), (50, 3, 2), (100, 4, 3)):
-            assert np.array_equal(mx._mul(a[:, :, i, j, 0], b[:, :, i, j, g]), full[:, :, i, j, g])
+            assert np.array_equal(mx._mul_nz(a[:, :, i, j, 0], b[:, :, i, j, g], "LF"), full[:, :, i, j, g])
 
 
 class TestSingularValues:
@@ -333,9 +379,9 @@ class TestEngineBitsPinned:
     # 257), three replicas RngStream(24, i) with l from their child 10**6: the engine's arithmetic
     DIGESTS = {
         (1, "real", (5, 40)): "826f9144e18c47b5f1f911d76ac9daab9da91e196b6779186b0eaf02a1bb45b4",
-        (2, "complex", (5, 12, 30)): "82a5e7a787a860fbcb6aaadb08a8e3fabcb0cc5594e390b287f1d1dc1410744f",
+        (2, "complex", (5, 12, 30)): "a7e4d6feeb86c0f4a36b03c68fe6747d0bed990c0db29de9b4894159153de0e8",
         (3, "real", (7,)): "f41c7aedead9677c5925bc7f834466e79c3dbc72f8bfac290ebd7fe2ec1114fc",
-        (1, "complex", (4, 16)): "d7589e9c180d9002e800e693ea2590d43d7746fab3f9961012996de40a8e40e7",
+        (1, "complex", (4, 16)): "0ed821b825360fa0308cd737cc2785f3880461b1f5bca30423d628191d5638c5",
     }
 
     @pytest.mark.parametrize("p, field, q", list(DIGESTS))
