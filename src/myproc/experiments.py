@@ -73,12 +73,14 @@ FIELDS = {
     "dt": ("dt", float, "positive", "time step"),
     "n_paths": ("paths", int, "positive", "Monte Carlo path count"),
     "lam": ("lambda", float, "finite", "driver drift and drift index"),
-    "seed": ("seed", int, None, "base seed"),
+    "seed": ("seed", int, "in [0, 2^63)", "base seed"),
     "n_seeds": ("seeds", int, "positive", "number of outer seeds"),
     "workers": ("workers", int, "positive", "worker processes for seed batches"),
     "out_dir": ("out", str, None, "output directory"),
 }
-_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "finite": math.isfinite}
+# a seed below 2^63 keeps each derived seed (at most seed + 7015, or seed + 500 + n_seeds) a 64-bit Philox key
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "finite": math.isfinite,
+          "in [0, 2^63)": lambda v: 0 <= v < 2**63}
 
 
 @dataclass
@@ -443,32 +445,32 @@ def run_conditional_law(cfg: ExperimentConfig) -> ExperimentResult:
 # supq-limit: matrix flat limits, the p=1 reduction, the structural invariant,
 # and the real-vs-complex scaling-constant ratio
 
-def _supq_rows(seeds: list, dt: float, T: float, p: int, q: tuple, inner: int) -> list:
-    """Rows [seed, mean error over the inner replicas per (q, time, component)] of a run of supq-limit's seeds."""
+def _supq_errors(items: list, dt: float, T: float, p: int, q: tuple) -> list:
+    """Errors |cosh Rad / q - eta| per (q, time, component) of a run of supq-limit's (seed, replica) items."""
     grid = pth.TimeGrid(T, round(T / dt))
-    bases = [pth.RngStream(seed, 0) for seed in seeds]
-    l = mx.sample_triangular_bm(p, "complex", grid, [r.child(10**6) for r in bases])
+    seeds = list(dict.fromkeys(seed for seed, _ in items))
+    which = [seeds.index(seed) for seed, _ in items]
+    # a run draws each seed's l once, from its child 10**6, and copies it to the seed's replicas on the leading
+    # axis; the q values ride on the next, each adding a column group with its own noise (48, 150 and 600 columns
+    # at p = 2) to those of the smaller q, so that summed W and c couple the q values in law as nested columns would
+    l = mx.sample_triangular_bm(p, "complex", grid, [pth.RngStream(seed, 0).child(10**6) for seed in seeds])
     idx = [grid.n_steps // 2, grid.n_steps]
-    target = mx.eta_matrix(l, indices=idx)
-    # each seed's l is repeated over its inner replicas on the leading axis, and the
-    # q values ride on the next; each q adds a column group with its own noise (48,
-    # 150 and 600 columns at p = 2) to those of the smaller q, and summing the groups'
-    # W and c couples the q values in law exactly as nested columns would
-    lpath = mx.TriangularPath(grid, np.repeat(l.frames, inner, axis=0))
-    sp = mx.simulate_su_solvable(q, [r.child(rep) for r in bases for rep in range(inner)], lpath)
-    rad = mx.finite_q_radial(sp, idx).reshape(len(seeds), inner, len(q), len(idx), p)
-    errs = np.abs(np.cosh(rad) / np.reshape(q, (-1, 1, 1)) - target[:, None, None]).mean(axis=1)
-    return [[seed] + e.ravel().tolist() for seed, e in zip(seeds, errs)]
+    target = mx.eta_matrix(l, indices=idx)[which]
+    sp = mx.simulate_su_solvable(q, [pth.RngStream(seed, 0).child(rep) for seed, rep in items],
+                                 mx.TriangularPath(grid, l.frames[which]))
+    return list(np.abs(np.cosh(mx.finite_q_radial(sp, idx)) / np.reshape(q, (-1, 1, 1)) - target[:, None]))
 
 
 def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     q_list, inner = _SUPQ_Q, 8
     seeds = [cfg.seed + 500 + i for i in range(cfg.n_seeds)]
-    rows = _chunk_map(partial(_supq_rows, dt=cfg.dt, T=cfg.T, p=cfg.p, q=q_list, inner=inner), seeds,
-                      max(1, _chunk_size(round(cfg.T / cfg.dt), len(q_list), cfg.p, "complex") // inner), cfg.workers)
+    errs = _chunk_map(partial(_supq_errors, dt=cfg.dt, T=cfg.T, p=cfg.p, q=q_list),
+                      [(seed, rep) for seed in seeds for rep in range(inner)],
+                      _chunk_size(round(cfg.T / cfg.dt), len(q_list), cfg.p, "complex"), cfg.workers)
+    errs = np.reshape(errs, (cfg.n_seeds, inner, -1)).mean(axis=1)  # a seed's error: the mean over its replicas
     # the verdict compares the time-mean errors componentwise
-    means = np.array(rows)[:, 1:].reshape(len(rows), len(q_list), 2, cfg.p).mean(axis=2)
+    means = errs.reshape(cfg.n_seeds, len(q_list), 2, cfg.p).mean(axis=2)
     frac = float(np.mean(np.all(means[:, :-1] > means[:, 1:], axis=(1, 2))))
     checks.append(Check("cosh_radial_monotone", frac >= 0.9, frac,
                         f"componentwise error decreasing over q={q_list} on >= 90% of {cfg.n_seeds} seeds "
@@ -515,7 +517,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("supq-limit", cfg.as_dict(), checks,
                             {"monotone_errors": _table(
                                 ["seed"] + [f"err_q{q}_t{t}_c{c}" for q in q_list for t in ("mid", "end") for c in range(cfg.p)],
-                                rows)})
+                                [[seed] + e.tolist() for seed, e in zip(seeds, errs)])})
 
 
 # --------------------------------------------------------------------------

@@ -73,16 +73,20 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: identical (seed, stream_id) reproduce bit-for-bit."""
+    """Counter-based random stream: identical (seed, stream_id) reproduce bit-for-bit; seed is a 64-bit key."""
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         # Philox(key=...) alone seeds from OS entropy before the key replaces it;
         # a fixed seed skips that read, and the key and a zero counter then set the stream
         bitgen = np.random.Philox(0)
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id & _MASK64], dtype=np.uint64)
         bitgen.state = {**bitgen.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
         return np.random.Generator(bitgen)
 

@@ -9,15 +9,16 @@ Every exposed transition probability asserts that the half powers cancelled.
 
 Kernels: R (radial simple walk) and B (discrete Bessel(3)), both built as
 walks on N reflected at 0; R0, R's ground-state transform; P_G, the walk
-folded onto the planar graph, with rows in eps = 1/q and its flat limit Q
-at eps = 0; the walk S with its running maximum M, a chain on pairs (S, M)
-whose image 2M - S is the discrete Pitman walk.  exact_distribution is the
-one forward-iteration engine: it returns the laws at steps 0..n of one run
-of a chain, pushed forward by an image map (the identity by default).
-Inside it a row is integer weights over one row denominator, and a law is
-integer numerators over one common denominator per step, so a step needs
-only integer + and x and one gcd; the numerators are summed by image, and
-each image key's Fraction is built once, when its law is returned.
+folded onto the planar graph, with rows in eps = 1/q, and its flat limit Q
+at eps = 0: the chain on pairs (S, M) of the simple walk and its running max
+in the coordinates (2M - S, S), whose distance 2M - S is the discrete Pitman
+walk.  exact_distribution is the one forward-iteration engine: it returns
+the laws at steps 0..n of one run of a chain, pushed forward by an image map
+(the identity by default).  Inside it a row is integer weights over one row
+denominator, and a law is integer numerators over one common denominator per
+step, so a step needs only integer + and x and one gcd; the numerators are
+summed by image, and each image key's Fraction is built once, when its law
+is returned.
 """
 
 from __future__ import annotations
@@ -237,20 +238,13 @@ def exact_distribution(kernel: ExactKernel, start, n: int,
     return laws
 
 
-def _walk_with_max(state: Tuple[int, int]):
-    """Simple symmetric walk S carried with its running maximum M: pairs (S, M)."""
-    s, m = state
-    half = Fraction(1, 2)
-    return [((s + 1, max(m, s + 1)), half), ((s - 1, m), half)]
-
-
 def pitman_walk_distribution(n: int) -> List[Dict[int, Fraction]]:
     """Exact laws of 2 M_k - S_k at steps k = 0..n; S the simple symmetric walk, M its running max.
 
-    The (S, M) chain pushed forward by 2M - S; each law coincides with the
-    discrete Bessel(3) law started at 0 at the same step.
+    The flat-limit folded walk from (0, 0) is the (S, M) chain in the coordinates (x, y) = (2M - S, S),
+    and its distance is x = 2M - S on its support x >= |y|; each law is the Bessel(3) law from 0.
     """
-    return exact_distribution(ExactKernel(_walk_with_max), (0, 0), n, image=lambda sm: 2 * sm[1] - sm[0])
+    return exact_distribution(graph_kernel(), (0, 0), n, image=graph_distance)
 
 
 def graph_distance(state: Tuple[int, int]) -> int:

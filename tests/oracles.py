@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: raw-integral
 quadrature via scipy, an RK4 shooting solver for the radial eigenfunction
 equation and its Gauss hypergeometric solution (mpmath),
 characteristic-polynomial singular values, plain central finite
-differences, brute-force enumeration of the discrete Pitman law, the
+differences, brute-force enumeration of the discrete Pitman law and the
+chain on pairs (S, M) of the simple walk and its running maximum, the
 one-Fraction-per-transition forward iteration of an exact chain, the
 one-matrix, one-step, one-column forms of the solvable-group engine, the
 explicit-column engine that simulates every transverse column of SU(p,q)
@@ -112,6 +113,13 @@ def pitman_walk_enumeration(n: int) -> dict:
         key = 2 * m - s
         out[key] = out.get(key, Fraction(0)) + weight
     return out
+
+
+def walk_with_max(state):
+    """Row of the simple symmetric walk S carried with its running maximum M, at the pair (S, M)."""
+    s, m = state
+    half = Fraction(1, 2)
+    return [((s + 1, max(m, s + 1)), half), ((s - 1, m), half)]
 
 
 def exact_distribution_fractions(kernel, start, n: int) -> list:

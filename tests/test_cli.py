@@ -172,14 +172,19 @@ class TestRun:
         ("toda-identity", ["--out", "{tmp}/file"], None, "cannot create output directory {tmp}/file: File exists"),
         ("all", ["--out", "{tmp}/file"], None,
          "cannot create output directory {tmp}/file/conditional-law: Not a directory"),
+        ("conditional-law", ["--seed=-1"], None, "seed must be in [0, 2^63), got -1"),
+        ("conditional-law", ["--seed", str(2**64 - 1)], None, f"seed must be in [0, 2^63), got {2**64 - 1}"),
+        ("supq-limit", [], {"seed": 2**63}, f"seed must be in [0, 2^63), got {2**63}"),
     ], ids=["lambda-nan", "lambda-inf", "unread-fields", "unread-lambda", "config-fractional-paths",
             "config-bool-seeds", "config-infinite-paths", "out-null", "out-list", "paths-string", "config-nan-lambda",
-            "config-nan-T", "out-names-a-file", "run-all-out-names-a-file"])
+            "config-nan-T", "out-names-a-file", "run-all-out-names-a-file", "seed-negative", "seed-aliases-minus-one",
+            "config-seed-2-63"])
     def test_values_a_run_would_alter_are_usage_errors(self, tmp_path, capsys, experiment, argv, config, message):
         # a non-finite lambda, a field the experiment does not read, a config value its key's type would
         # change or cannot hold (a null or a list `out` would become a directory name, a string `paths` a
-        # number), a config NaN that its key's rule rejects as the flag's rule does, or an --out that names
-        # a file (the later --out wins); each fails before any experiment runs
+        # number), a config NaN that its key's rule rejects as the flag's rule does, an --out that names
+        # a file (the later --out wins), or a seed outside [0, 2^63) (the random streams key on 64 bits,
+        # so 2^64 - 1 would repeat -1's draws); each fails before any experiment runs
         (tmp_path / "file").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if config is not None:
@@ -364,6 +369,8 @@ class TestDefaults:
         ("my-generator", "lam", "0.5", "lambda must be of type float, got '0.5'"),
         ("conditional-law", "n_paths", 0, "paths must be positive, got 0"),
         ("my-generator", "lam", float("nan"), "lambda must be finite, got nan"),
+        ("toda-identity", "seed", -1, "seed must be in [0, 2^63), got -1"),
+        ("my-convergence", "seed", 2**63, f"seed must be in [0, 2^63), got {2**63}"),
     ])
     def test_python_call_errors_name_the_flag(self, experiment, field, value, message):
         # the config-file type rule and the flag rules, from FIELDS, with the flag the CLI user types

@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 
 from myproc import experiments as ex
 from myproc import matrixproc as mx
-from myproc.experiments import _convergence_rows, _supq_rows
+from myproc.experiments import _convergence_rows, _supq_errors
 from myproc.matrixproc import (
     SuSolvablePath,
     TriangularPath,
@@ -695,31 +695,26 @@ class TestSuSolvable:
                 simulate_su_solvable((20,), streams, TriangularPath(grid, frames))
 
     def test_shared_draw_matches_per_q_redraw(self):
-        # the batched replicas and nested q values of _supq_rows give the errors
+        # the batched replicas and nested q values of _supq_errors give the errors
         # of one simulate_su_solvable call per replica
         seed, dt, T, p, q_list, inner = 5, 0.01, 0.3, 2, (5, 12, 30), 3
-        [[row_seed, *errs]] = _supq_rows([seed], dt, T, p, q_list, inner)
-        assert row_seed == seed
+        errs = _supq_errors([(seed, rep) for rep in range(inner)], dt, T, p, q_list)
         grid = TimeGrid(T, round(T / dt))
         r = RngStream(seed, 0)
         lsh = sample_triangular_bm(p, "complex", grid, [r.child(10**6)])
         idx = [grid.n_steps // 2, grid.n_steps]
         target = eta_matrix(lsh, indices=idx)[0]
-        ref = []
-        for i, q in enumerate(q_list):
-            acc = np.zeros((len(idx), p))
-            for rep in range(inner):
-                sp = simulate_su_solvable(q_list, [r.child(rep)], lsh)
-                rad = finite_q_radial(sp, indices=idx)
-                acc += np.abs(np.cosh(rad[0, i]) / q - target)
-            ref.append(acc / inner)
-        # one error per (q, time, component), in the order of the table's header
-        ref = np.concatenate([e.ravel() for e in ref])
-        assert np.max(np.abs(np.array(errs) - ref) / np.abs(ref)) <= 1e-12
+        assert len(errs) == inner
+        for rep, err in enumerate(errs):
+            rad = finite_q_radial(simulate_su_solvable(q_list, [r.child(rep)], lsh), indices=idx)[0]
+            # one error per (q, time, component)
+            ref = np.abs(np.cosh(rad) / np.reshape(q_list, (-1, 1, 1)) - target)
+            assert err.shape == ref.shape and np.max(np.abs(err - ref) / np.abs(ref)) <= 1e-12
 
     def test_supq_targets_are_per_path_eta(self, monkeypatch):
-        # _supq_rows reads its seeds' targets with one eta_matrix call on the stack of
-        # their l paths; each seed's targets are bit for bit a lone call on its own path
+        # _supq_errors reads its seeds' targets with one eta_matrix call on the stack of
+        # their l paths, one per seed however many replicas it has in the run; each seed's
+        # targets are bit for bit a lone call on its own path
         seeds, dt, T, p = [5, 6, 7], 0.01, 0.2, 2
         plain, calls = mx.eta_matrix, []
 
@@ -728,7 +723,7 @@ class TestSuSolvable:
             return calls[-1][-1]
 
         monkeypatch.setattr(mx, "eta_matrix", recording)
-        _supq_rows(seeds, dt, T, p, (5, 12), 2)
+        _supq_errors([(seed, rep) for seed in seeds for rep in range(2)], dt, T, p, (5, 12))
         [(lpath, idx, target)] = calls
         grid = TimeGrid(T, round(T / dt))
         assert idx == [grid.n_steps // 2, grid.n_steps] and target.shape == (len(seeds), 2, p)
@@ -738,30 +733,44 @@ class TestSuSolvable:
             assert np.array_equal(target[i], plain(lone, idx)[0])
 
     def test_replica_chunks_change_no_result(self):
-        # my-convergence and supq-limit put runs of seeds on the replica axis: a
-        # seed's row is exactly the same alone as in a run with other seeds
+        # my-convergence puts runs of seeds on the replica axis, supq-limit runs of (seed, replica)
+        # items: a seed's row, and an item's errors, are exactly the same alone as in a run with
+        # others, also where a run holds only some of a seed's replicas
         seeds = [6, 7, 8]
-        for rows, args in ((_convergence_rows, (0.01, 0.2, (100, 10_000))),
-                           (_supq_rows, (0.01, 0.2, 2, (50, 200, 800), 8)), (_supq_rows, (0.01, 0.2, 3, (9, 15, 40), 3))):
-            together = rows(seeds, *args)
-            assert [row[0] for row in together] == seeds
-            assert together == [row for seed in seeds for row in rows([seed], *args)]
+        args = (0.01, 0.2, (100, 10_000))
+        together = _convergence_rows(seeds, *args)
+        assert [row[0] for row in together] == seeds
+        assert together == [row for seed in seeds for row in _convergence_rows([seed], *args)]
+        for args, inner, size in (((0.01, 0.2, 2, (50, 200, 800)), 8, 5), ((0.01, 0.2, 3, (9, 15, 40)), 3, 2),
+                                  ((0.01, 0.2, 4, (9, 15, 40)), 8, 4)):
+            items = [(seed, rep) for seed in seeds for rep in range(inner)]
+            together = np.array(_supq_errors(items, *args))
+            for runs in ([items[i:i + size] for i in range(0, len(items), size)], [[item] for item in items]):
+                assert np.array_equal(np.array([e for run in runs for e in _supq_errors(run, *args)]), together)
 
     def test_chunk_plan(self, monkeypatch):
-        # at the default p = 2 and dt = 1e-3 supq-limit's monotone phase runs at least two
-        # seeds (16 replicas) per engine call; a real-field path counts 8 bytes an entry, not 16
+        # supq-limit's monotone phase counts its runs in replicas: at the default p = 2 and dt = 1e-3
+        # an engine call runs 16 (two seeds), at p = 4 the 4 of _chunk_size, half a seed's 8
         class Planned(Exception):
             pass
+
+        def first_call(q, rngs, l):
+            raise Planned(len(rngs))
+
+        monkeypatch.setattr(mx, "simulate_su_solvable", first_call)
+        assert ex._chunk_size(1000, 3, 4, "complex") == 4
+        for p, replicas in ((2, 16), (4, 4)):
+            with pytest.raises(Planned) as per_call:
+                ex.run_supq_limit(ex.ExperimentConfig("supq-limit", p=p, n_seeds=10))
+            assert per_call.value.args[0] == replicas
 
         def plan(fn, items, size, workers):
             raise Planned(size)
 
         monkeypatch.setattr(ex, "_chunk_map", plan)
-        with pytest.raises(Planned) as seeds_per_call:
-            ex.run_supq_limit(ex.ExperimentConfig("supq-limit", n_seeds=10))
-        assert seeds_per_call.value.args[0] >= 2
         # my-convergence counts its finite_q_radial read-out: its 100 default seeds split into
-        # runs, and a run still holds the 10 seeds of a --seeds 10 call
+        # runs, and a run still holds the 10 seeds of a --seeds 10 call; a real-field path
+        # counts 8 bytes an entry, not 16
         with pytest.raises(Planned) as seeds_per_call:
             ex.run_my_convergence(ex.ExperimentConfig("my-convergence", n_paths=2))
         assert 10 <= seeds_per_call.value.args[0] < 100

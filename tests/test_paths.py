@@ -60,6 +60,14 @@ class TestGridAndStreams:
             np.random.SeedSequence()  # the patch reaches numpy's entropy source
         assert np.array_equal(RngStream(5, 9).generator().standard_normal(8), ref)
 
+    def test_seed_outside_64_bits_rejected(self):
+        # Philox keys on 64 bits: -1 and 2^64 + 1 would repeat the draws of 2^64 - 1 and 1
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+                RngStream(seed, 0)
+        top = RngStream(2**64 - 1, 0).generator().standard_normal(4)
+        assert not np.array_equal(top, RngStream(0, 0).generator().standard_normal(4))
+
     def test_children_distinct_and_stable(self):
         base = RngStream(7, 3)
         assert base.child(0) == base.child(0)

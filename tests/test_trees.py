@@ -19,7 +19,7 @@ from myproc.trees import (
     tree_spectral_radius,
 )
 
-from oracles import exact_distribution_fractions, pitman_walk_enumeration
+from oracles import exact_distribution_fractions, pitman_walk_enumeration, walk_with_max
 
 
 def _counted(transition):
@@ -169,6 +169,16 @@ class TestGraphKernel:
         with pytest.raises(ValueError):
             graph_kernel(3).row((1, 0))
 
+    def test_limit_is_walk_with_max(self):
+        # the flat-limit row at (2M - S, S) is the (S, M) chain's row under (S, M) -> (2M - S, S), in order
+        def fold(sm):
+            return 2 * sm[1] - sm[0], sm[0]
+
+        limit, chain = graph_kernel(), ExactKernel(walk_with_max)
+        for m in range(31):
+            for s in range(-30, m + 1):
+                assert limit.row(fold((s, m))) == [(fold(t), p) for t, p in chain.row((s, m))], (s, m)
+
 
 class TestExactDistribution:
     def test_point_mass_at_zero_steps(self):
@@ -238,7 +248,7 @@ _ORACLE_CHAINS = {
     "graph-2": (graph_kernel(2), (0, 0)),
     "graph-3": (graph_kernel(3), (0, 0)),
     "graph-limit": (graph_kernel(), (0, 0)),
-    "walk-with-max": (ExactKernel(trees._walk_with_max), (0, 0)),
+    "walk-with-max": (ExactKernel(walk_with_max), (0, 0)),
     # every state moves up surely and to -1 with probability 0
     "zero-target": (ExactKernel(lambda n: [(-1, Fraction(0)), (n + 1, Fraction(1))]), 0),
 }
@@ -287,7 +297,7 @@ def bessel3_laws():
 
 @pytest.fixture(scope="module")
 def pitman_laws():
-    """Laws of 2M - S at steps 0..24, from one run of the (S, M) chain."""
+    """Laws of 2M - S at steps 0..24, from one run of the flat-limit folded walk."""
     return pitman_walk_distribution(24)
 
 
@@ -305,6 +315,11 @@ class TestPitmanWalk:
     @pytest.mark.parametrize("n", range(0, 25))
     def test_equals_bessel3_law(self, pitman_laws, bessel3_laws, n):
         assert pitman_laws[n] == bessel3_laws[n]
+
+    def test_walk_with_max_chain(self, pitman_laws):
+        # the (S, M) chain pushed forward by 2M - S gives the same laws, key order included
+        laws = exact_distribution(ExactKernel(walk_with_max), (0, 0), 24, image=lambda sm: 2 * sm[1] - sm[0])
+        assert [list(law.items()) for law in laws] == [list(law.items()) for law in pitman_laws]
 
     def test_string_encoding(self):
         enc = distribution_to_strings(pitman_walk_distribution(2)[-1])
