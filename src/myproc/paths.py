@@ -6,12 +6,16 @@ p = 1, real case of matrixproc's solvable-group engine.
 
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
-state.
+state.  exp_functional_samples draws its normals on one helper thread per
+call, a step ahead of the arithmetic, into two alternating buffers; the
+helper alone draws from the call's generator, in step order, so the streams
+are those of a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,11 @@ def _grid_steps(t: float, dt: float) -> int | None:
         return None
     k = round(steps)
     return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,7 @@ def sample_bm(grid: TimeGrid, rng: RngStream) -> np.ndarray:
 def log_eta(b: np.ndarray, dt: float) -> np.ndarray:
     """log eta_t on the grid of step dt of each path of b (..., n_steps + 1), time last, by the
     cumulative trapezoid of e^{2 B_s} ds in log space; the t = 0 entry is -inf (entrance boundary)."""
+    _check_dt(dt)
     log_steps = math.log(dt / 2.0) + np.logaddexp(2.0 * b[..., :-1], 2.0 * b[..., 1:])
     out = np.empty(b.shape)
     out[..., 0] = -np.inf
@@ -149,15 +159,27 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     1..k; the trapezoid is built from it only at the read times, in place in Z.
     Streams over the time axis (memory O(n_paths) per functional and per mu).
 
+    The normals are drawn on a helper thread, one step ahead: while step k is
+    integrated from one of two n_paths buffers, step k + 1 is drawn into the
+    other, so the draw (which releases the GIL) runs beside the arithmetic.
+    Step k's buffer then serves as the step's scratch until the step ends.
+    The helper is the only user of the generator and draws the steps in
+    order, so the streams are those of a serial loop, bit for bit; it is
+    joined on every exit, and an error it raises is raised here.
+
     times maps each read time to the indices of the functionals read there; a
     functional is integrated up to the last time it is read.  Returns the
     driver B, shape (len(times), n_paths), and Z, a list of one
     (times read, n_paths) array per functional.
     """
+    _check_dt(dt)
     mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
                                       np.atleast_1d(np.asarray(drift, dtype=float)))
     if mus.ndim != 1 or mus.size == 0:
         raise ValueError("mu and drift must be scalars or equal-length sequences")
+    for name, values in (("mu", mus), ("drift", drifts)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"every {name} must be finite, got {values.tolist()}")
     keys = list(times)
     if not all(0 <= j < mus.size for js in times.values() for j in js):
         raise ValueError(f"a time can only read functionals 0..{mus.size - 1}")
@@ -173,33 +195,63 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
     b = np.zeros(n_paths)
-    spare = np.empty(n_paths)  # the step's normals, then a drifted e^{mu X}, then e^{-X_t} at a read
+    # step k's normals in normals[k % 2], then that step's drifted e^{mu X} and e^{-X_t} at a read
+    normals = (np.empty(n_paths), np.empty(n_paths))
     emu = {m: (np.empty(n_paths), max(e for e, mj in zip(ends, mus) if mj == m)) for m in mus.tolist()}
     sums = [np.zeros(n_paths) for _ in mus]
     out_b = np.empty((len(keys), n_paths))
     out_z = np.empty((len(rows), n_paths))
-    with np.errstate(over="ignore"):  # a Z that leaves double range raises below
-        for k in range(1, steps[-1] + 1):
-            b += np.multiply(gen.standard_normal(out=spare), math.sqrt(dt), out=spare)
-            if (i := marks.get(k)) is not None:
-                out_b[i] = b
-            for m, (e, end) in emu.items():
-                if k <= end:
-                    np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
-            for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
-                if k > ends[j]:
-                    continue
-                shift = d * (k * dt)
-                e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
-                sums[j] += e
-                r = rows.get((j, i))
-                if r is not None:
-                    # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
-                    z = np.subtract(1.0, e, out=out_z[r])
-                    z *= 0.5
-                    z += sums[j]
-                    z *= dt
-                    z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
-                    if not np.all(np.isfinite(z)):
-                        raise OverflowError("exponential functional left double range; use shorter horizons")
+    drawn, free = threading.Semaphore(0), threading.Semaphore(2)  # buffers filled / free to fill
+    done = threading.Event()
+    failed = []
+
+    def draw():
+        try:
+            for k in range(1, steps[-1] + 1):
+                free.acquire()
+                if done.is_set():
+                    return
+                gen.standard_normal(out=normals[k % 2])
+                drawn.release()
+        except BaseException as exc:  # raised by the main thread when it next takes a step
+            failed.append(exc)
+            drawn.release()
+
+    # daemon, so that a join cut short by a second interrupt does not hold up the exit
+    helper = threading.Thread(target=draw, name="exp_functional_samples normals", daemon=True)
+    helper.start()
+    try:
+        with np.errstate(over="ignore"):  # a Z that leaves double range raises below
+            for k in range(1, steps[-1] + 1):
+                drawn.acquire()
+                if failed:
+                    raise failed[0]
+                spare = normals[k % 2]
+                b += np.multiply(spare, math.sqrt(dt), out=spare)
+                if (i := marks.get(k)) is not None:
+                    out_b[i] = b
+                for m, (e, end) in emu.items():
+                    if k <= end:
+                        np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
+                for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
+                    if k > ends[j]:
+                        continue
+                    shift = d * (k * dt)
+                    e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
+                    sums[j] += e
+                    r = rows.get((j, i))
+                    if r is not None:
+                        # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
+                        z = np.subtract(1.0, e, out=out_z[r])
+                        z *= 0.5
+                        z += sums[j]
+                        z *= dt
+                        z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
+                        if not np.all(np.isfinite(z)):
+                            raise OverflowError("exponential functional left double range; use shorter horizons")
+                free.release()
+    finally:
+        done.set()
+        free.release()  # wakes a helper that waits for a buffer, so that it sees done and returns
+        helper.join()
     return out_b, np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])

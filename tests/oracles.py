@@ -12,9 +12,11 @@ explicit-column engine that simulates every transverse column of SU(p,q)
 (each column's noise drawn from its own stream in one plain loop, the
 reference whose Wishart reduction is the library's Gram engine), the
 column-by-column left-point Ito form of the radial part on the
-hyperbolic space H^q, and the one-functional, fresh-arrays-every-step loop
-of the exponential functional.  The two-sample KS test that compares sample
-batches in the tests is built on the library's KS statistic and threshold.
+hyperbolic space H^q, the one-functional, fresh-arrays-every-step loop
+of the exponential functional, and the serial form of the library's
+shared-driver sampler, which draws each step's normals on the calling
+thread.  The two-sample KS test that compares sample batches in the tests
+is built on the library's KS statistic and threshold.
 """
 
 import math
@@ -303,6 +305,47 @@ def exp_functional_stepwise(times, dt: float, n_paths: int, rng, mu: float = 2.0
             out_x[marks[k]] = x
             out_z[marks[k]] = integral * np.exp(-x)
     return out_x, out_z
+
+
+def exp_functional_serial(times, dt: float, n_paths: int, rng, mu=2.0, drift=0.0):
+    """exp_functional_samples with each step's normals drawn on the calling thread, right before
+    the step: the same read map, arithmetic and output, in one loop and one scratch buffer."""
+    mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
+                                      np.atleast_1d(np.asarray(drift, dtype=float)))
+    keys = list(times)
+    steps = [round(t / dt) for t in keys]
+    rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in times[t]]
+    rows = {slot: r for r, slot in enumerate(rows)}
+    ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
+    marks = {k: i for i, k in enumerate(steps)}
+    gen = rng.generator()
+    b = np.zeros(n_paths)
+    spare = np.empty(n_paths)
+    emu = {m: (np.empty(n_paths), max(e for e, mj in zip(ends, mus) if mj == m)) for m in mus.tolist()}
+    sums = [np.zeros(n_paths) for _ in mus]
+    out_b = np.empty((len(keys), n_paths))
+    out_z = np.empty((len(rows), n_paths))
+    for k in range(1, steps[-1] + 1):
+        b += np.multiply(gen.standard_normal(out=spare), math.sqrt(dt), out=spare)
+        if (i := marks.get(k)) is not None:
+            out_b[i] = b
+        for m, (e, end) in emu.items():
+            if k <= end:
+                np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
+        for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
+            if k > ends[j]:
+                continue
+            shift = d * (k * dt)
+            e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
+            sums[j] += e
+            r = rows.get((j, i))
+            if r is not None:
+                z = np.subtract(1.0, e, out=out_z[r])
+                z *= 0.5
+                z += sums[j]
+                z *= dt
+                z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
+    return out_b, np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])
 
 
 def ks_two_sample(a, b, level: float = 0.01) -> TestReport:

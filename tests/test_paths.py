@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,7 @@ from myproc.paths import (
 from myproc.experiments import _convergence_rows
 from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
 from myproc.specialfn import macdonald_k
-from oracles import exp_functional_stepwise, ks_two_sample
+from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample
 
 GRID = TimeGrid(1.0, 1000)
 GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
@@ -90,6 +93,12 @@ class TestBrownian:
 
 
 class TestEtaFunctional:
+    @pytest.mark.parametrize("fn", [log_eta, eta_functional])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_dt_rejected(self, fn, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            fn(np.zeros(3), dt)
+
     def test_zero_path_gives_t(self):
         assert np.allclose(eta_functional(np.zeros(1001), GRID.dt), GRID_TIMES, atol=1e-12)
 
@@ -259,9 +268,29 @@ class TestBatchSamples:
             exp_functional_samples({1e-12: [0]}, 1e-3, 4, RngStream(1, 0))
 
     def test_overflow_along_the_path_raises(self):
-        # mu B_s leaves double range before t = 1 although the final B is moderate
+        # mu B_s leaves double range before t = 1 although the final B is moderate; the helper
+        # thread, then a step ahead and waiting for a free buffer, ends with the call
+        before = threading.active_count()
         with pytest.raises(OverflowError):
             exp_functional_samples({1.0: [0]}, 1e-3, 1, RngStream(10, 0), mu=1000.0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"dt": 0.0}, "dt must be finite and > 0"),
+        ({"dt": -1e-3}, "dt must be finite and > 0"),
+        ({"dt": math.nan}, "dt must be finite and > 0"),
+        ({"dt": math.inf}, "dt must be finite and > 0"),
+        ({"mu": math.nan}, "every mu must be finite"),
+        ({"mu": [2.0, math.inf]}, "every mu must be finite"),
+        ({"drift": math.nan}, "every drift must be finite"),
+        ({"mu": [2.0, 1.0], "drift": [0.0, -math.inf]}, "every drift must be finite"),
+    ], ids=["dt=0", "dt<0", "dt=nan", "dt=inf", "mu=nan", "mu=inf", "drift=nan", "drift=-inf"])
+    def test_bad_arguments_rejected_before_any_draw(self, monkeypatch, kwargs, message):
+        # no generator is built, so nothing is drawn and no helper thread starts
+        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("a stream was drawn from"))
+        args = {"dt": 1e-3, "mu": 2.0, "drift": 0.0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            exp_functional_samples({1.0: [0]}, args.pop("dt"), 4, RngStream(1, 0), **args)
 
 
 class TestSharedDriver:
@@ -358,3 +387,105 @@ class TestSharedDriver:
                 tracemalloc.stop()
             assert sum(drawn) == steps * n_paths
             assert peak <= b.nbytes + sum(zj.nbytes for zj in z) + (2 * m + 4) * row
+
+
+class TestHelperThread:
+    """exp_functional_samples draws each step's normals on a helper thread, a step ahead of the
+    arithmetic: its output is the serial loop's bit for bit, and the thread ends with the call."""
+
+    MUS, DRIFTS = (2.0, 2.0, 1.0, 3.0), (0.0, 0.5, 0.0, 0.0)
+    # my-generator's read map at dt = 1e-3: the drifted functional 1 ends at 1.001
+    READS = {0.9: (0, 2, 3), 1.0: (0, 1, 2, 3), 1.001: (0, 1), 1.5: (0, 2, 3)}
+
+    @pytest.mark.parametrize("reads, mu, drift, n_paths", [
+        (READS, MUS, DRIFTS, 256),
+        ({1e-3: [0], 2e-3: [0], 0.5: [0], 0.501: [0]}, 2.0, 0.0, 64),  # reads at consecutive steps
+        ({1.0: [0]}, 1.0, -0.7, 256),  # a single functional
+        (READS, MUS, DRIFTS, 1),
+        (READS, MUS, DRIFTS, 20_000),
+    ])
+    def test_equals_serial_loop(self, reads, mu, drift, n_paths):
+        before = threading.active_count()
+        b, z = exp_functional_samples(reads, 1e-3, n_paths, RngStream(20240801, 2), mu=mu, drift=drift)
+        assert threading.active_count() == before
+        b_ref, z_ref = exp_functional_serial(reads, 1e-3, n_paths, RngStream(20240801, 2), mu=mu, drift=drift)
+        assert np.array_equal(b, b_ref)
+        assert len(z) == len(z_ref) and all(np.array_equal(zj, zr) for zj, zr in zip(z, z_ref))
+
+    def test_helper_ends_before_the_call_raises(self, monkeypatch):
+        # e^{mu B} overflows at step 1 (B_1 > 0) and the read at step 2 raises (B_2 < 0, so no
+        # inf - inf) while the helper still draws step 3 (a draw after the second takes 0.2 s):
+        # the call returns only once the helper has finished that draw and ended
+        plain = RngStream.generator
+
+        class Slow:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws > 2:
+                    time.sleep(0.2)
+                return self.gen.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Slow(plain(self)))
+        before = threading.active_count()
+        with pytest.raises(OverflowError):
+            exp_functional_samples({2e-3: [0], 1.0: [0]}, 1e-3, 1, RngStream(8, 0), mu=1e6)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # four callers and their four helpers, more threads than a small host has CPUs, with a
+        # thread switch every microsecond: a buffer read before its draw ends, or drawn into
+        # while its step still reads it, breaks the equality with the serial loop
+        reads, mu, drift = {0.1: [0], 0.2: [0, 1]}, [2.0, 1.0], [0.0, 0.5]
+        got = {}
+
+        def call(i):
+            got[i] = exp_functional_samples(reads, 1e-3, 8, RngStream(5, i), mu=mu, drift=drift)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers) and sorted(got) == [0, 1, 2, 3]
+        for i, (b, z) in got.items():
+            b_ref, z_ref = exp_functional_serial(reads, 1e-3, 8, RngStream(5, i), mu=mu, drift=drift)
+            assert np.array_equal(b, b_ref) and all(np.array_equal(zj, zr) for zj, zr in zip(z, z_ref))
+
+    def test_generator_family_pinned(self):
+        # digest of the four-functional output, taken from the serial loop before the helper thread
+        b, z = exp_functional_samples(self.READS, 1e-3, 512, RngStream(20240801, 2), mu=self.MUS, drift=self.DRIFTS)
+        h = hashlib.sha256(b.tobytes())
+        for zj in z:
+            h.update(zj.tobytes())
+        assert h.hexdigest() == "3338baf3e7b1826d982ffe88549dda3cba17958514094753e832afa0d6f9449b"
+
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing_draw", [1, 3, 1000])
+    def test_draw_error_reaches_the_caller(self, monkeypatch, error, failing_draw):
+        # the first, a middle and the last draw fail on the helper thread; the call raises the
+        # same exception type instead of waiting for a step that never comes
+        plain = RngStream.generator
+
+        class Failing:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == failing_draw:
+                    raise error("draw failed")
+                return self.gen.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Failing(plain(self)))
+        before = threading.active_count()
+        with pytest.raises(error, match="draw failed"):
+            exp_functional_samples({0.5: [0], 1.0: [0]}, 1e-3, 16, RngStream(1, 0))
+        assert threading.active_count() == before
