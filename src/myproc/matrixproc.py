@@ -20,6 +20,14 @@ distinction cannot be misapplied):
   * kappa (p x p skew-Hermitian): diagonal -2i W (complex; zero in the real
     case); above-diagonal entries as for lambda, mirrored by kappa* = -kappa.
 
+Each replica's stream draws, in order: for lambda the diagonal, then the
+entries below it; for the columns, group by group, G, the entries below A's
+diagonal, then its chi^2 variates; for kappa (the stream's child(0)) the
+entries above the diagonal, then the diagonal.  Complex normals draw all real
+parts before the imaginary ones.  Each block lands in the replica's slot of a
+float buffer with a leading replica axis, and one vectorised assignment over
+all replicas writes it into the engine's array.
+
 Integrators: l is advanced by the stepwise exponential l_{k+1} = l_k exp(dl),
 exact in the triangular group (positive diagonal and exact zeros above the
 diagonal); the exponentials of all n increments come from one call of the
@@ -191,27 +199,33 @@ class TriangularPath:
             raise ValueError("frames shape mismatch")
 
 
-def _normals(gen: np.random.Generator, shape: tuple, cplx: bool) -> np.ndarray:
-    """Standard normals x, or x + iy: all real parts are drawn before the imaginary ones."""
-    z = gen.standard_normal((2,) + shape if cplx else shape)
-    return z[0] + 1j * z[1] if cplx else z
+def _replica_normals(gens: Sequence[np.random.Generator], shape: tuple, cplx: bool = False) -> np.ndarray:
+    """Standard normals of each generator in turn, stacked on a leading replica axis (len(gens), *shape):
+    x, or x + iy.  A generator fills its slot of one float buffer with one draw, all its real parts
+    before its imaginary ones."""
+    z = np.empty((len(gens),) + (2,) * cplx + shape)
+    for gen, slot in zip(gens, z):
+        gen.standard_normal(out=slot)
+    return z[:, 0] + 1j * z[:, 1] if cplx else z
+
+
+def _lambda_increments(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> np.ndarray:
+    """Increments of the triangular driver lambda over each step, one path per stream, (len(rngs), n, p, p)."""
+    if field not in ("real", "complex"):
+        raise ValueError("field must be 'real' or 'complex'")
+    gens = [r.generator() for r in rngs]
+    n, dt = grid.n_steps, grid.dt
+    out = np.zeros((len(rngs), n, p, p), dtype=float if field == "real" else complex)
+    idx = np.diag_indices(p)
+    out[:, :, idx[0], idx[1]] = math.sqrt(dt) * _replica_normals(gens, (n, p))
+    low = np.tril_indices(p, -1)
+    out[:, :, low[0], low[1]] = math.sqrt(2.0 * dt) * _replica_normals(gens, (n, low[0].size), field == "complex")
+    return out
 
 
 def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) -> np.ndarray:
     """Increments of the triangular driver lambda over each step, shape (n, p, p)."""
-    if field not in ("real", "complex"):
-        raise ValueError("field must be 'real' or 'complex'")
-    gen = rng.generator()
-    n, dt = grid.n_steps, grid.dt
-    dtype = float if field == "real" else complex
-    out = np.zeros((n, p, p), dtype=dtype)
-    sd = math.sqrt(dt)
-    idx = np.diag_indices(p)
-    out[:, idx[0], idx[1]] = sd * gen.standard_normal((n, p))
-    low = np.tril_indices(p, -1)
-    if low[0].size:
-        out[:, low[0], low[1]] = math.sqrt(2.0 * dt) * _normals(gen, (n, low[0].size), field == "complex")
-    return out
+    return _lambda_increments(p, field, grid, [rng])[0]
 
 
 def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
@@ -253,7 +267,7 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
 def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> TriangularPath:
     """Brownian motion on the lower-triangular group with positive diagonal, one path per
     stream: frames (len(rngs), n_steps + 1, p, p), path i bit for bit the lone draw from rngs[i]."""
-    return triangular_from_increments(grid, np.stack([triangular_increments(p, field, grid, r) for r in rngs]))
+    return triangular_from_increments(grid, _lambda_increments(p, field, grid, rngs))
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:
@@ -300,18 +314,17 @@ class SuSolvablePath:
         return np.max(np.abs(self.c + _h(self.c) - self.W), axis=(-2, -1))
 
 
-def _kappa_increments(p: int, cplx: bool, n: int, dt: float, rng: RngStream) -> np.ndarray:
-    """Increments of kappa over each step, shape (n, p, p), from the table in the module docstring."""
-    gen = rng.generator()
-    s2 = math.sqrt(2.0 * dt)
-    dkappa = np.zeros((n, p, p), dtype=complex if cplx else float)
+def _kappa_increments(p: int, cplx: bool, n: int, dt: float, rngs: Sequence[RngStream]) -> np.ndarray:
+    """Increments of kappa over each step, one replica per stream, entries first (p, p, n, len(rngs)), from
+    the table in the module docstring."""
+    gens = [r.generator() for r in rngs]
+    dkappa = np.zeros((p, p, n, len(rngs)), dtype=complex if cplx else float)
     up = np.triu_indices(p, 1)
-    z = s2 * _normals(gen, (n, up[0].size), cplx)
-    dkappa[:, up[0], up[1]] = z
-    dkappa[:, up[1], up[0]] = -np.conj(z)
+    z = (math.sqrt(2.0 * dt) * _replica_normals(gens, (n, up[0].size), cplx)).T
+    dkappa[up] = z
+    dkappa[up[::-1]] = -np.conj(z)
     if cplx:
-        di = np.diag_indices(p)
-        dkappa[:, di[0], di[1]] = -2j * math.sqrt(dt) * gen.standard_normal((n, p))
+        dkappa[np.diag_indices(p)] = (-2j * math.sqrt(dt) * _replica_normals(gens, (n, p))).T
     return dkappa
 
 
@@ -321,19 +334,26 @@ def _transverse_noise(p: int, widths: np.ndarray, cplx: bool, n: int, dt: float,
 
     G is a p x p block of column noise; A is the Bartlett factor of the Wishart
     matrix S = A A* (width - p degrees of freedom) of the group's other columns.
-    Replica i draws every group, in order, from rngs[i].
+    Replica i draws every group, in order, from rngs[i], and one assignment per
+    block writes all replicas' draws into K.
     """
+    gens = [r.generator() for r in rngs]
     cols = np.arange(p)
     low = np.tril_indices(p, -1)
     K = np.zeros((p, 2 * p, n, len(rngs), len(widths)), dtype=complex if cplx else float)
-    for i, rng in enumerate(rngs):
-        gen = rng.generator()
-        for g, width in enumerate(widths):
-            nu = width - p
-            K[:, :p, :, i, g] = np.moveaxis(_normals(gen, (n, p, p), cplx), 0, -1)
-            K[low[0], p + low[1], :, i, g] = (_normals(gen, (n, low[0].size), cplx) * (low[1] < nu)).T
-            dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)  # chi^2 degrees of freedom on the diagonal
-            K[cols, p + cols, :, i, g] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p))).T
+    chi2 = np.empty((len(rngs), n, p))
+    for g, width in enumerate(widths):
+        nu = width - p
+        # G's real parts, then (complex field) imaginary ones, written part by part: no complex copy of G
+        G = _replica_normals(gens, (1 + cplx, n, p, p))
+        for part, x in zip((K.real, K.imag) if cplx else (K,), G.swapaxes(0, 1)):
+            part[:, :p, :, :, g] = x.transpose(2, 3, 1, 0)
+        del G  # before the next group's buffer
+        K[low[0], p + low[1], :, :, g] = (_replica_normals(gens, (n, low[0].size), cplx) * (low[1] < nu)).T
+        dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)  # chi^2 degrees of freedom on the diagonal
+        for gen, slot in zip(gens, chi2):
+            gen.standard_gamma(dof / 2.0, out=slot)
+        K[cols, p + cols, :, :, g] = np.sqrt(2.0 * chi2).T
     K *= math.sqrt(2.0 * dt)
     return K
 
@@ -414,9 +434,7 @@ def simulate_su_solvable(q: Sequence[int], rngs: Sequence[RngStream], l: Triangu
         dc += _mul_nz(X[:, :, :LK.shape[2]], np.conj(lbar_g, out=lbar_g).swapaxes(0, 1), "LF")
         np.cumsum(dc, axis=-1, out=dc)
     del K, LK, lbar_g, Z, z  # every view of K goes with it, before dkappa is allocated
-    dkappa = np.empty(L0.shape, dtype=W.dtype)
-    for i, r in enumerate(rngs):
-        dkappa[:, :, :, i, 0] = np.moveaxis(_kappa_increments(p, cplx, n, dt, r.child(0)), 0, -1)
+    dkappa = _kappa_increments(p, cplx, n, dt, [r.child(0) for r in rngs])[..., None]
     for s in blocks:
         for lk in (L0[:, :, s], L1[:, :, s]):
             c1[:, :, s] += 0.5 * _mul_nz(_mul_nz(lk, dkappa[:, :, s], "LF"), lk.conj().swapaxes(0, 1), "FU")

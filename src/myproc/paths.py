@@ -221,7 +221,8 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     helper = threading.Thread(target=draw, name="exp_functional_samples normals", daemon=True)
     helper.start()
     try:
-        with np.errstate(over="ignore"):  # a Z that leaves double range raises below
+        # a Z that leaves double range raises below, also as the nan of (1 - inf) / 2 + inf on a read step
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, steps[-1] + 1):
                 drawn.acquire()
                 if failed:

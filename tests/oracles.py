@@ -11,12 +11,14 @@ one-matrix, one-step, one-column forms of the solvable-group engine, the
 explicit-column engine that simulates every transverse column of SU(p,q)
 (each column's noise drawn from its own stream in one plain loop, the
 reference whose Wishart reduction is the library's Gram engine), the
-column-by-column left-point Ito form of the radial part on the
-hyperbolic space H^q, the one-functional, fresh-arrays-every-step loop
-of the exponential functional, and the serial form of the library's
-shared-driver sampler, which draws each step's normals on the calling
-thread.  The two-sample KS test that compares sample batches in the tests
-is built on the library's KS statistic and threshold.
+Gram engine's noise (lambda, kappa and the reduced column noise) drawn
+and stored one replica at a time, the column-by-column left-point Ito
+form of the radial part on the hyperbolic space H^q, the one-functional,
+fresh-arrays-every-step loop of the exponential functional, and the
+serial form of the library's shared-driver sampler, which draws each
+step's normals on the calling thread.  The two-sample KS test that
+compares sample batches in the tests is built on the library's KS
+statistic and threshold.
 """
 
 import math
@@ -267,6 +269,66 @@ def su_solvable_from_increments(q: int, frames, dbeta, dkappa):
     c[0] = 0.0
     np.cumsum(dc, axis=0, out=c[1:])
     return b, c
+
+
+# --------------------------------------------------------------------------
+# the Gram engine's noise, one replica at a time
+
+
+def _lone_normals(gen, shape: tuple, cplx: bool) -> np.ndarray:
+    """Standard normals x, or x + iy: all real parts are drawn before the imaginary ones."""
+    z = gen.standard_normal((2,) + shape if cplx else shape)
+    return z[0] + 1j * z[1] if cplx else z
+
+
+def triangular_increments_lone(p: int, field: str, grid, rng) -> np.ndarray:
+    """Increments of lambda from one stream, (n, p, p): the diagonal's normals, then those below it."""
+    gen = rng.generator()
+    n, dt = grid.n_steps, grid.dt
+    out = np.zeros((n, p, p), dtype=float if field == "real" else complex)
+    idx = np.diag_indices(p)
+    out[:, idx[0], idx[1]] = math.sqrt(dt) * gen.standard_normal((n, p))
+    low = np.tril_indices(p, -1)
+    if low[0].size:
+        out[:, low[0], low[1]] = math.sqrt(2.0 * dt) * _lone_normals(gen, (n, low[0].size), field == "complex")
+    return out
+
+
+def kappa_increments_per_replica(p: int, cplx: bool, n: int, dt: float, rngs) -> np.ndarray:
+    """Increments of kappa, entries first (p, p, n, len(rngs)), each replica drawn and stored in turn:
+    its normals above the diagonal, then (complex field only) the diagonal's."""
+    dkappa = np.empty((p, p, n, len(rngs)), dtype=complex if cplx else float)
+    up = np.triu_indices(p, 1)
+    for i, rng in enumerate(rngs):
+        gen = rng.generator()
+        one = np.zeros((n, p, p), dtype=dkappa.dtype)
+        z = math.sqrt(2.0 * dt) * _lone_normals(gen, (n, up[0].size), cplx)
+        one[:, up[0], up[1]] = z
+        one[:, up[1], up[0]] = -np.conj(z)
+        if cplx:
+            di = np.diag_indices(p)
+            one[:, di[0], di[1]] = -2j * math.sqrt(dt) * gen.standard_normal((n, p))
+        dkappa[:, :, :, i] = np.moveaxis(one, 0, -1)
+    return dkappa
+
+
+def transverse_noise_per_replica(p: int, widths, cplx: bool, n: int, dt: float, rngs) -> np.ndarray:
+    """Reduced column noise K = [G, A], entries first (p, 2p, n, len(rngs), groups), each replica and
+    column group drawn and stored in turn: G's normals, those below the Bartlett factor's diagonal
+    (masked to the group's width - p columns), then its chi^2 variates."""
+    cols = np.arange(p)
+    low = np.tril_indices(p, -1)
+    K = np.zeros((p, 2 * p, n, len(rngs), len(widths)), dtype=complex if cplx else float)
+    for i, rng in enumerate(rngs):
+        gen = rng.generator()
+        for g, width in enumerate(widths):
+            nu = width - p
+            K[:, :p, :, i, g] = np.moveaxis(_lone_normals(gen, (n, p, p), cplx), 0, -1)
+            K[low[0], p + low[1], :, i, g] = (_lone_normals(gen, (n, low[0].size), cplx) * (low[1] < nu)).T
+            dof = np.maximum((2 if cplx else 1) * (nu - cols), 0)
+            K[cols, p + cols, :, i, g] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p))).T
+    K *= math.sqrt(2.0 * dt)
+    return K
 
 
 def hyperbolic_radial_columns(q: int, b, dt: float, rng) -> np.ndarray:

@@ -31,12 +31,15 @@ from oracles import (
     expm_tri_2x2,
     expm_tri_single,
     hyperbolic_radial_columns,
+    kappa_increments_per_replica,
     ks_two_sample,
     su_heun_step,
     su_heun_stepwise,
     su_noise_increments,
     su_solvable_from_increments,
+    transverse_noise_per_replica,
     triangular_frames_stepwise,
+    triangular_increments_lone,
 )
 
 RNG = RngStream(77, 0)
@@ -368,10 +371,38 @@ class TestNoiseStreams:
         # the Gram engine draws dkappa from rng.child(0) exactly as the column engine does
         grid = TimeGrid(0.5, 50)
         ref = su_noise_increments(p, p + 3, field, grid, RngStream(13, p))[1]
-        got = mx._kappa_increments(p, field == "complex", grid.n_steps, grid.dt, RngStream(13, p).child(0))
+        got = np.moveaxis(mx._kappa_increments(p, field == "complex", grid.n_steps, grid.dt,
+                                               [RngStream(13, p).child(0)])[..., 0], -1, 0)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         # in the real field at p = 1 kappa has no entry above the diagonal and none on it
         assert np.any(got) == (p > 1 or field == "complex")
+
+    @pytest.mark.parametrize("n_rep", [1, 3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_buffered_draw_matches_per_replica(self, p, field, n_rep):
+        # the stacked draws of lambda, kappa and K, bit for bit (signed zeros too) the
+        # one-replica-at-a-time references of tests/oracles.py, K and kappa C-contiguous and entries
+        # first; K at one column group and at three, the first of width exactly p, so that its
+        # Bartlett factor is zero
+        n, dt, cplx = 40, 0.0125, field == "complex"
+        rngs = [RngStream(17, 10 * p + i) for i in range(n_rep)]
+
+        def same_bits(a, ref):
+            return a.dtype == ref.dtype and a.shape == ref.shape and a.tobytes() == ref.tobytes()
+
+        for widths in ([p + 5], [p, p + 1, 2 * p + 3]):
+            K = mx._transverse_noise(p, np.array(widths), cplx, n, dt, rngs)
+            assert K.flags.c_contiguous and K.shape == (p, 2 * p, n, n_rep, len(widths))
+            assert same_bits(K, transverse_noise_per_replica(p, widths, cplx, n, dt, rngs))
+        assert not np.any(K[:, p:, :, :, 0]) and np.all(K[:, :p, :, :, 0] != 0.0)
+        dkappa = mx._kappa_increments(p, cplx, n, dt, rngs)
+        assert dkappa.flags.c_contiguous and dkappa.shape == (p, p, n, n_rep)
+        assert same_bits(dkappa, kappa_increments_per_replica(p, cplx, n, dt, rngs))
+        assert np.any(dkappa) == (p > 1 or cplx)  # the real field's kappa at p = 1 has no entry
+        grid = TimeGrid(n * dt, n)
+        inc = mx._lambda_increments(p, field, grid, rngs)
+        assert same_bits(inc, np.stack([triangular_increments_lone(p, field, grid, r) for r in rngs]))
 
 
 class TestEngineBitsPinned:

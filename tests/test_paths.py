@@ -275,6 +275,12 @@ class TestBatchSamples:
             exp_functional_samples({1.0: [0]}, 1e-3, 1, RngStream(10, 0), mu=1000.0)
         assert threading.active_count() == before
 
+    def test_overflow_on_a_read_step_raises_overflow_error(self):
+        # e^{mu X} first overflows on the step read at t = 1e-3, where the trapezoid forms
+        # (1 - inf) / 2 + inf = nan: OverflowError, not numpy's "invalid value" RuntimeWarning
+        with pytest.raises(OverflowError, match="left double range"):
+            exp_functional_samples({1e-3: [0], 1.0: [0]}, 1e-3, 64, RngStream(10, 0), mu=[1e6])
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"dt": 0.0}, "dt must be finite and > 0"),
         ({"dt": -1e-3}, "dt must be finite and > 0"),
