@@ -154,10 +154,10 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     equal-length sequences, one functional per (mu, drift) pair: all of them
     read one Brownian driver B, which draws one standard_normal(n_paths) per
     step from rng.generator(), so the noise drawn does not grow with their
-    number.  A step takes one exp per distinct mu, which a drift scales by
-    e^{mu drift t_k}, into each functional's running sum of e^{mu X} over steps
-    1..k; the trapezoid is built from it only at the read times, in place in Z.
-    Streams over the time axis (memory O(n_paths) per functional and per mu).
+    number.  A step takes one exp per functional into one scratch buffer, e^{mu B_k}
+    scaled by e^{mu drift t_k}, and adds it to the functional's running sum of
+    e^{mu X} over steps 1..k; the trapezoid is built from it only at the read
+    times, in place in Z.  Streams over the time axis (memory O(n_paths) per functional).
 
     The normals are drawn on a helper thread, one step ahead: while step k is
     integrated from one of two n_paths buffers, step k + 1 is drawn into the
@@ -167,8 +167,8 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     order, so the streams are those of a serial loop, bit for bit; it is
     joined on every exit, and an error it raises is raised here.
 
-    times maps each read time to the indices of the functionals read there; a
-    functional is integrated up to the last time it is read.  Returns the
+    times maps each read time to the indices of the functionals read there;
+    every functional is integrated to the last read time.  Returns the
     driver B, shape (len(times), n_paths), and Z, a list of one
     (times read, n_paths) array per functional.
     """
@@ -188,16 +188,14 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
         raise ValueError(f"time {keys[steps.index(None)]} is not a multiple of dt")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
-    # Z's rows, functional-major: (functional, time index) -> row; a functional runs to its last read
+    # Z's rows, functional-major: (functional, time index) -> row
     rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in times[t]]
     rows = {slot: r for r, slot in enumerate(rows)}
-    ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
     marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
     b = np.zeros(n_paths)
-    # step k's normals in normals[k % 2], then that step's drifted e^{mu X} and e^{-X_t} at a read
+    # step k's normals in normals[k % 2], then that step's scratch: each e^{mu X}, and e^{-X_t} at a read
     normals = (np.empty(n_paths), np.empty(n_paths))
-    emu = {m: (np.empty(n_paths), max(e for e, mj in zip(ends, mus) if mj == m)) for m in mus.tolist()}
     sums = [np.zeros(n_paths) for _ in mus]
     out_b = np.empty((len(keys), n_paths))
     out_z = np.empty((len(rows), n_paths))
@@ -231,14 +229,10 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
                 b += np.multiply(spare, math.sqrt(dt), out=spare)
                 if (i := marks.get(k)) is not None:
                     out_b[i] = b
-                for m, (e, end) in emu.items():
-                    if k <= end:
-                        np.exp(b if m == 1.0 else np.multiply(b, m, out=e), out=e)
                 for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
-                    if k > ends[j]:
-                        continue
                     shift = d * (k * dt)
-                    e = np.multiply(emu[m][0], math.exp(m * shift), out=spare) if shift else emu[m][0]
+                    e = np.exp(np.multiply(b, m, out=spare), out=spare)
+                    e *= math.exp(m * shift)  # exactly 1.0 at zero drift
                     sums[j] += e
                     r = rows.get((j, i))
                     if r is not None:

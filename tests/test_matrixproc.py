@@ -12,6 +12,7 @@ from myproc import experiments as ex
 from myproc import matrixproc as mx
 from myproc.experiments import _convergence_rows, _supq_errors
 from myproc.matrixproc import (
+    ArcoshDomainError,
     SuSolvablePath,
     TriangularPath,
     eta_matrix,
@@ -878,6 +879,17 @@ class TestFiniteQRadial:
         with pytest.raises(ValueError, match=r"grid index 2\.9 is not whole"):
             finite_q_radial(sp, [0, 2.9])
         assert np.array_equal(finite_q_radial(sp, [2.0]), finite_q_radial(sp, [2]))
+
+    @pytest.mark.xfail(strict=True, raises=ArcoshDomainError,
+                       reason="ROADMAP item 13: at q = 3 the Heun read-out cosh B + e^{-B} c/2 dips below 1 "
+                              "on about 1% of paths; the projected read-out cosh B + e^{-B} W/4 cannot")
+    def test_p1_real_q3_read_out_in_domain(self):
+        # valid input at p = 1, real field, q = 3: every radial part exists and is finite
+        grid = TimeGrid(1.0, 1000)
+        rngs = [RngStream(2027, i) for i in range(1000)]
+        lsh = sample_triangular_bm(1, "real", grid, [r.child(10**6) for r in rngs])
+        rad = finite_q_radial(simulate_su_solvable((3,), rngs, lsh), range(grid.n_steps + 1))
+        assert np.isfinite(rad).all()
 
     def test_flat_limit_toward_eta(self):
         grid = TimeGrid(1.0, 500)

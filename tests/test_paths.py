@@ -335,8 +335,9 @@ class TestSharedDriver:
         assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
 
     def test_generator_family_matches_stepwise_oracle(self):
-        # my-generator's four functionals in one call, each read only at its own times; the
-        # drifted one stops at t = 0.5, and every functional matches its one-functional oracle
+        # my-generator's four functionals in one call, each read only at its own times (the
+        # drifted one at t = 0.5 and 0.501, though every functional is integrated to t = 1),
+        # and every functional matches its one-functional oracle
         reads = {0.25: (0, 2, 3), 0.5: (0, 1, 2, 3), 0.501: (0, 1), 1.0: (0, 2, 3)}
         b, z = exp_functional_samples(reads, 1e-3, 256, RNG.child(34), mu=self.MUS, drift=self.DRIFTS)
         assert b.shape == (4, 256) and [zj.shape for zj in z] == [(4, 256), (2, 256), (3, 256), (3, 256)]
@@ -362,8 +363,9 @@ class TestSharedDriver:
             exp_functional_samples({1.0: (0, 2)}, 1e-3, 4, RNG.child(33), mu=[1.0, 2.0])
 
     def test_noise_and_memory_flat_in_functionals(self, monkeypatch):
-        # m functionals draw exactly n_steps * n_paths normals, and the traced peak is
-        # the result plus O(m) arrays of n_paths: no per-step or per-time state
+        # m functionals draw exactly n_steps * n_paths normals, and the traced peak is the result
+        # plus one running sum per functional and a few shared arrays of n_paths (B and the two
+        # normal buffers, the current one the step's scratch): no per-step or per-time state
         n_paths, steps = 20_000, 200
         times = [0.05, 0.1, 0.2]
         drawn = []
@@ -392,7 +394,7 @@ class TestSharedDriver:
             finally:
                 tracemalloc.stop()
             assert sum(drawn) == steps * n_paths
-            assert peak <= b.nbytes + sum(zj.nbytes for zj in z) + (2 * m + 4) * row
+            assert peak <= b.nbytes + sum(zj.nbytes for zj in z) + (m + 5) * row
 
 
 class TestHelperThread:
@@ -400,7 +402,7 @@ class TestHelperThread:
     arithmetic: its output is the serial loop's bit for bit, and the thread ends with the call."""
 
     MUS, DRIFTS = (2.0, 2.0, 1.0, 3.0), (0.0, 0.5, 0.0, 0.0)
-    # my-generator's read map at dt = 1e-3: the drifted functional 1 ends at 1.001
+    # my-generator's read map at dt = 1e-3: the drifted functional 1 is read last at 1.001
     READS = {0.9: (0, 2, 3), 1.0: (0, 1, 2, 3), 1.001: (0, 1), 1.5: (0, 2, 3)}
 
     @pytest.mark.parametrize("reads, mu, drift, n_paths", [
