@@ -167,8 +167,8 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     order, so the streams are those of a serial loop, bit for bit; it is
     joined on every exit, and an error it raises is raised here.
 
-    times maps each read time to the indices of the functionals read there;
-    every functional is integrated to the last read time.  Returns the
+    times maps each read time to the indices of the functionals read there; a
+    functional is integrated up to the last time it is read.  Returns the
     driver B, shape (len(times), n_paths), and Z, a list of one
     (times read, n_paths) array per functional.
     """
@@ -188,9 +188,10 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
         raise ValueError(f"time {keys[steps.index(None)]} is not a multiple of dt")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
-    # Z's rows, functional-major: (functional, time index) -> row
+    # Z's rows, functional-major: (functional, time index) -> row; a functional runs to its last read
     rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in times[t]]
     rows = {slot: r for r, slot in enumerate(rows)}
+    ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
     marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
     b = np.zeros(n_paths)
@@ -230,6 +231,8 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
                 if (i := marks.get(k)) is not None:
                     out_b[i] = b
                 for j, (m, d) in enumerate(zip(mus.tolist(), drifts.tolist())):
+                    if k > ends[j]:
+                        continue
                     shift = d * (k * dt)
                     e = np.exp(np.multiply(b, m, out=spare), out=spare)
                     e *= math.exp(m * shift)  # exactly 1.0 at zero drift

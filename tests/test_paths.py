@@ -281,6 +281,16 @@ class TestBatchSamples:
         with pytest.raises(OverflowError, match="left double range"):
             exp_functional_samples({1e-3: [0], 1.0: [0]}, 1e-3, 64, RngStream(10, 0), mu=[1e6])
 
+    def test_drifted_functional_stops_at_its_last_read(self):
+        # e^{mu drift t} leaves double range past t = 709 / 600 ~ 1.18, after functional 1's
+        # last read at 0.5 but before functional 0's at 1.5: no error, and functional 1 is
+        # the one it would be alone
+        b, z = exp_functional_samples({0.5: (0, 1), 1.5: (0,)}, 1e-3, 8, RngStream(1, 0),
+                                      mu=[2.0, 2.0], drift=[0.0, 300.0])
+        assert [zj.shape for zj in z] == [(2, 8), (1, 8)] and all(np.isfinite(zj).all() for zj in z)
+        b1, z1 = exp_functional_samples({0.5: (0,)}, 1e-3, 8, RngStream(1, 0), mu=2.0, drift=300.0)
+        assert np.array_equal(b[:1], b1) and np.array_equal(z[1], z1[0])
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"dt": 0.0}, "dt must be finite and > 0"),
         ({"dt": -1e-3}, "dt must be finite and > 0"),
@@ -335,9 +345,8 @@ class TestSharedDriver:
         assert np.max(np.abs(b + drift * np.array(self.TIMES)[:, None] - x_ref)) <= 1e-12
 
     def test_generator_family_matches_stepwise_oracle(self):
-        # my-generator's four functionals in one call, each read only at its own times (the
-        # drifted one at t = 0.5 and 0.501, though every functional is integrated to t = 1),
-        # and every functional matches its one-functional oracle
+        # my-generator's four functionals in one call, each read only at its own times; the
+        # drifted one stops at t = 0.501, and every functional matches its one-functional oracle
         reads = {0.25: (0, 2, 3), 0.5: (0, 1, 2, 3), 0.501: (0, 1), 1.0: (0, 2, 3)}
         b, z = exp_functional_samples(reads, 1e-3, 256, RNG.child(34), mu=self.MUS, drift=self.DRIFTS)
         assert b.shape == (4, 256) and [zj.shape for zj in z] == [(4, 256), (2, 256), (3, 256), (3, 256)]
@@ -402,7 +411,7 @@ class TestHelperThread:
     arithmetic: its output is the serial loop's bit for bit, and the thread ends with the call."""
 
     MUS, DRIFTS = (2.0, 2.0, 1.0, 3.0), (0.0, 0.5, 0.0, 0.0)
-    # my-generator's read map at dt = 1e-3: the drifted functional 1 is read last at 1.001
+    # my-generator's read map at dt = 1e-3: the drifted functional 1 ends at 1.001
     READS = {0.9: (0, 2, 3), 1.0: (0, 1, 2, 3), 1.001: (0, 1), 1.5: (0, 2, 3)}
 
     @pytest.mark.parametrize("reads, mu, drift, n_paths", [
