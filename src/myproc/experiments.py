@@ -478,7 +478,7 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
                         {"seed": cfg.seed, "dt": cfg.dt, "q_list": list(q_list), "inner_replicas": inner}))
     # p = 1 reduction at fine dt: matrix functional vs scalar functional, same noise
     grid = pth.TimeGrid(1.0, 10_000)
-    inc = mx.triangular_increments(1, "real", grid, pth.RngStream(cfg.seed, 9))
+    inc = mx.triangular_increments(1, "real", grid, [pth.RngStream(cfg.seed, 9)])[0]
     lpath = mx.triangular_from_increments(grid, inc)
     eta_scalar = pth.eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)[-1]
     rad = mx.eta_matrix(lpath, indices=[grid.n_steps])

@@ -126,22 +126,20 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
     Each matrix gets its own scale s, so that its scaled max-entry norm times
     p is at most 1/4, and then the same degree-13 Taylor polynomial, by Horner
     (truncation below 0.25^14 / 14! ~ 4e-20), and s squarings.  The work runs
-    on an entries-first copy (p, p, N) of the stack, ordered by decreasing s
-    so that each squaring is a leading slice; each product is a few long
-    elementwise passes over the N matrices (_mul_nz), and no matrix's result
-    depends on the other matrices of its stack.  Every operation is a product
-    of lower-triangular matrices, so entries above the diagonal are exactly
-    0.0 and the diagonal stays positive for real diagonal input.
+    on an entries-first copy (p, p, N) of the stack, and squaring i takes the
+    matrices with s > i by mask; each product is a few long elementwise passes
+    over the N matrices (_mul_nz), and no matrix's result depends on the other
+    matrices of its stack.  Every operation is a product of lower-triangular
+    matrices, so entries above the diagonal are exactly 0.0 and the diagonal
+    stays positive for real diagonal input.
     """
     L = np.asarray(L)
     p = L.shape[-1]
     stack = L.reshape((-1, p, p))
     norm = np.max(np.abs(stack), axis=(-2, -1)) * p
     s = np.ceil(np.log2(np.maximum(norm, 0.25) / 0.25)).astype(int)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
     A = np.empty((p, p, len(stack)), dtype=np.result_type(L, 1.0))
-    np.divide(np.moveaxis(stack[order], 0, -1), 2.0**s, out=A)
+    np.divide(np.moveaxis(stack, 0, -1), 2.0**s, out=A)
     # Horner from the top, X <- I + A X / k for k = 13, ..., 1; the strided
     # view [::p+1] of the (p*p, N) entries is the diagonal, so adding I copies nothing
     X = A / 13
@@ -152,14 +150,12 @@ def expm_tri(L: np.ndarray) -> np.ndarray:
         T *= 1.0 / k  # cheaper than T /= k, and the same bits for complex T (numpy divides by multiplying by 1/k)
         T.reshape(p * p, -1)[:: p + 1] += 1
         X, T = T, X
-    del A
-    for i in range(s[0] if len(s) else 0):
-        Y = X[..., :np.count_nonzero(s > i)]  # the matrices with s > i lead the stack
-        Y[...] = _mul_nz(Y, Y, "LL", out=T[..., :Y.shape[-1]])
-    del T
-    E = np.empty(stack.shape, dtype=X.dtype)
-    E[order] = np.moveaxis(X, -1, 0)
-    return E.reshape(L.shape)
+    del A, T
+    for i in range(s.max(initial=0)):
+        Y = X[..., s > i]
+        X[..., s > i] = _mul_nz(Y, Y, "LL")
+    # C-contiguous: returning the strided view of X raised supq-limit's peak RSS by 1 MiB
+    return np.ascontiguousarray(np.moveaxis(X, -1, 0)).reshape(L.shape)
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -209,7 +205,7 @@ def _replica_normals(gens: Sequence[np.random.Generator], shape: tuple, cplx: bo
     return z[:, 0] + 1j * z[:, 1] if cplx else z
 
 
-def _lambda_increments(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> np.ndarray:
+def triangular_increments(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> np.ndarray:
     """Increments of the triangular driver lambda over each step, one path per stream, (len(rngs), n, p, p)."""
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
@@ -221,11 +217,6 @@ def _lambda_increments(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStr
     low = np.tril_indices(p, -1)
     out[:, :, low[0], low[1]] = math.sqrt(2.0 * dt) * _replica_normals(gens, (n, low[0].size), field == "complex")
     return out
-
-
-def triangular_increments(p: int, field: str, grid: TimeGrid, rng: RngStream) -> np.ndarray:
-    """Increments of the triangular driver lambda over each step, shape (n, p, p)."""
-    return _lambda_increments(p, field, grid, [rng])[0]
 
 
 def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> TriangularPath:
@@ -267,7 +258,7 @@ def triangular_from_increments(grid: TimeGrid, increments: np.ndarray) -> Triang
 def sample_triangular_bm(p: int, field: str, grid: TimeGrid, rngs: Sequence[RngStream]) -> TriangularPath:
     """Brownian motion on the lower-triangular group with positive diagonal, one path per
     stream: frames (len(rngs), n_steps + 1, p, p), path i bit for bit the lone draw from rngs[i]."""
-    return triangular_from_increments(grid, _lambda_increments(p, field, grid, rngs))
+    return triangular_from_increments(grid, triangular_increments(p, field, grid, rngs))
 
 
 def integrated_ll_star(lpath: TriangularPath) -> np.ndarray:

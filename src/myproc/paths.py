@@ -7,14 +7,15 @@ p = 1, real case of matrixproc's solvable-group engine.
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
 state.  exp_functional_samples draws its normals on one helper thread per
-call, a step ahead of the arithmetic, into two alternating buffers; the
-helper alone draws from the call's generator, in step order, so the streams
-are those of a serial loop.
+call, a step ahead of the arithmetic, into two buffers that pass between the
+threads through two queues; the helper alone draws from the call's
+generator, in step order, so the streams are those of a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -159,13 +160,13 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     e^{mu X} over steps 1..k; the trapezoid is built from it only at the read
     times, in place in Z.  Streams over the time axis (memory O(n_paths) per functional).
 
-    The normals are drawn on a helper thread, one step ahead: while step k is
-    integrated from one of two n_paths buffers, step k + 1 is drawn into the
-    other, so the draw (which releases the GIL) runs beside the arithmetic.
-    Step k's buffer then serves as the step's scratch until the step ends.
-    The helper is the only user of the generator and draws the steps in
-    order, so the streams are those of a serial loop, bit for bit; it is
-    joined on every exit, and an error it raises is raised here.
+    The normals are drawn on a helper thread, one step ahead, into two n_paths
+    buffers that change hands through two queues: the helper takes a free one,
+    fills it and queues it as drawn; step k takes the next drawn one, uses it as
+    its scratch and frees it at its end, so step k + 1 is drawn (the draw releases
+    the GIL) while step k is integrated.  The helper alone uses the generator, in
+    step order, so the streams are a serial loop's bit for bit; it is joined on
+    every exit, and an error it raises (queued in place of a buffer) is raised here.
 
     times maps each read time to the indices of the functionals read there; a
     functional is integrated up to the last time it is read.  Returns the
@@ -188,33 +189,29 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
         raise ValueError(f"time {keys[steps.index(None)]} is not a multiple of dt")
     if not steps or steps[0] < 1 or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"times must fall on strictly increasing grid steps k >= 1, got {steps}")
-    # Z's rows, functional-major: (functional, time index) -> row; a functional runs to its last read
-    rows = [(j, i) for j in range(mus.size) for i, t in enumerate(keys) if j in times[t]]
-    rows = {slot: r for r, slot in enumerate(rows)}
-    ends = [max([steps[i] for f, i in rows if f == j], default=0) for j in range(mus.size)]
+    # reads[j]: the time indices that read functional j, each to its own row of out_z[j]; j runs to its last read
+    reads = [[i for i, t in enumerate(keys) if j in times[t]] for j in range(mus.size)]
+    rows = {(j, i): r for j, js in enumerate(reads) for r, i in enumerate(js)}
+    ends = [steps[js[-1]] if js else 0 for js in reads]
     marks = {k: i for i, k in enumerate(steps)}
     gen = rng.generator()
     b = np.zeros(n_paths)
-    # step k's normals in normals[k % 2], then that step's scratch: each e^{mu X}, and e^{-X_t} at a read
-    normals = (np.empty(n_paths), np.empty(n_paths))
     sums = [np.zeros(n_paths) for _ in mus]
     out_b = np.empty((len(keys), n_paths))
-    out_z = np.empty((len(rows), n_paths))
-    drawn, free = threading.Semaphore(0), threading.Semaphore(2)  # buffers filled / free to fill
-    done = threading.Event()
-    failed = []
+    out_z = [np.empty((len(js), n_paths)) for js in reads]
+    # two buffers: a step's normals, then that step's scratch (each e^{mu X}, and e^{-X_t} at a read)
+    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty(n_paths))
 
     def draw():
         try:
-            for k in range(1, steps[-1] + 1):
-                free.acquire()
-                if done.is_set():
+            for _ in range(steps[-1]):
+                if (spare := free.get()) is None:
                     return
-                gen.standard_normal(out=normals[k % 2])
-                drawn.release()
+                drawn.put(gen.standard_normal(out=spare))  # returns spare, now filled
         except BaseException as exc:  # raised by the main thread when it next takes a step
-            failed.append(exc)
-            drawn.release()
+            drawn.put(exc)
 
     # daemon, so that a join cut short by a second interrupt does not hold up the exit
     helper = threading.Thread(target=draw, name="exp_functional_samples normals", daemon=True)
@@ -223,10 +220,9 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
         # a Z that leaves double range raises below, also as the nan of (1 - inf) / 2 + inf on a read step
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, steps[-1] + 1):
-                drawn.acquire()
-                if failed:
-                    raise failed[0]
-                spare = normals[k % 2]
+                spare = drawn.get()
+                if isinstance(spare, BaseException):
+                    raise spare
                 b += np.multiply(spare, math.sqrt(dt), out=spare)
                 if (i := marks.get(k)) is not None:
                     out_b[i] = b
@@ -240,16 +236,15 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
                     r = rows.get((j, i))
                     if r is not None:
                         # dt (1/2 + e_1 + ... + e_{k-1} + e_k / 2) = dt (sum + (1 - e_k) / 2), then times e^{-X_t}
-                        z = np.subtract(1.0, e, out=out_z[r])
+                        z = np.subtract(1.0, e, out=out_z[j][r])
                         z *= 0.5
                         z += sums[j]
                         z *= dt
                         z *= np.exp(np.subtract(-shift, b, out=spare), out=spare)
                         if not np.all(np.isfinite(z)):
                             raise OverflowError("exponential functional left double range; use shorter horizons")
-                free.release()
+                free.put(spare)
     finally:
-        done.set()
-        free.release()  # wakes a helper that waits for a buffer, so that it sees done and returns
+        free.put(None)  # a helper still waiting for a buffer gets None and returns
         helper.join()
-    return out_b, np.split(out_z, np.cumsum(np.bincount([j for j, _ in rows], minlength=mus.size))[:-1])
+    return out_b, out_z

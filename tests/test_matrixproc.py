@@ -127,7 +127,7 @@ class TestExpmTri:
         # the temporaries of a supq-limit-sized stack of step increments stay
         # within a few copies of the output
         grid = TimeGrid(2.0, 2000)
-        L = np.stack([triangular_increments(2, "complex", grid, RngStream(8, i)) for i in range(48)])
+        L = triangular_increments(2, "complex", grid, [RngStream(8, i) for i in range(48)])
         tracemalloc.start()
         try:
             E = expm_tri(L)
@@ -222,7 +222,7 @@ class TestSingularValues:
 class TestTriangularBrownian:
     def test_p1_is_scalar_exponential(self):
         grid = TimeGrid(1.0, 500)
-        inc = triangular_increments(1, "real", grid, RNG.child(1))
+        inc = triangular_increments(1, "real", grid, [RNG.child(1)])[0]
         lp = triangular_from_increments(grid, inc)
         lam = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
         assert np.max(np.abs(lp.frames[:, 0, 0] - np.exp(lam))) < 1e-12
@@ -238,7 +238,7 @@ class TestTriangularBrownian:
 
     def test_determinant_identity(self):
         grid = TimeGrid(1.0, 400)
-        inc = triangular_increments(2, "complex", grid, RNG.child(3))
+        inc = triangular_increments(2, "complex", grid, [RNG.child(3)])[0]
         lp = triangular_from_increments(grid, inc)
         expected = math.exp(float(inc[:, 0, 0].real.sum() + inc[:, 1, 1].real.sum()))
         assert np.linalg.det(lp.frames[-1]) == pytest.approx(expected, rel=1e-12)
@@ -247,7 +247,7 @@ class TestTriangularBrownian:
         # dl = l dlambda gives l_21 = e^{lam_11(t)} int_0^t e^{lam_22 - lam_11} dlam_21
         # (Stratonovich; evaluated with the trapezoid-in-noise rule on the same increments)
         grid = TimeGrid(1.0, 10_000)
-        inc = triangular_increments(2, "real", grid, RNG.child(4))
+        inc = triangular_increments(2, "real", grid, [RNG.child(4)])[0]
         lp = triangular_from_increments(grid, inc)
         l1 = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
         l2 = np.concatenate([[0.0], np.cumsum(inc[:, 1, 1])])
@@ -273,12 +273,12 @@ class TestTriangularBrownian:
         for i, r in enumerate(rngs):
             assert np.array_equal(lp.frames[i], sample_triangular_bm(3, field, grid, [r]).frames[0])
             assert np.array_equal(lp.frames[i], triangular_from_increments(
-                grid, triangular_increments(3, field, grid, r)).frames)
+                grid, triangular_increments(3, field, grid, [r])[0]).frames)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_replica_axis_matches_single_paths(self, field):
         grid = TimeGrid(1.0, 200)
-        inc = np.stack([triangular_increments(3, field, grid, RNG.child(60 + i)) for i in range(4)])
+        inc = triangular_increments(3, field, grid, [RNG.child(60 + i) for i in range(4)])
         lp = triangular_from_increments(grid, inc.reshape(2, 2, 200, 3, 3))
         assert lp.frames.shape == (2, 2, 201, 3, 3)
         for i in range(4):
@@ -291,7 +291,7 @@ class TestTriangularBrownian:
         # the all-steps recurrence against the one-step-at-a-time product, with a deterministic
         # diagonal part (0.3, -0.2, 0.1, -0.4) dt, over 5000 steps
         grid = TimeGrid(1.0, 5000)
-        inc = triangular_increments(p, field, grid, RngStream(31, p))
+        inc = triangular_increments(p, field, grid, [RngStream(31, p)])[0]
         inc[:, range(p), range(p)] += np.array([0.3, -0.2, 0.1, -0.4][:p]) * grid.dt
         frames = triangular_from_increments(grid, inc).frames
         assert _rel_err(frames, triangular_frames_stepwise(p, field, inc)) <= 1e-13
@@ -301,7 +301,7 @@ class TestTriangularBrownian:
     def test_diagonal_is_cumprod_bitwise(self, field, p):
         # p = 1 frames and every diagonal are exactly the running product of the steps' diagonals
         grid = TimeGrid(1.0, 300)
-        inc = np.stack([triangular_increments(p, field, grid, RNG.child(80 + i)) for i in range(3)])
+        inc = triangular_increments(p, field, grid, [RNG.child(80 + i) for i in range(3)])
         diag = np.diagonal(expm_tri(inc), axis1=-2, axis2=-1)
         expected = np.concatenate([np.ones((3, 1, p), dtype=inc.dtype), np.cumprod(diag, axis=1)], axis=1)
         frames = triangular_from_increments(grid, inc).frames
@@ -311,7 +311,7 @@ class TestTriangularBrownian:
         # lambda_11 = -400 t, lambda_22 = +400 t: l stays near e^400, finite step by step, but the
         # ratios l_k[1,1] / P_{t+1}[0] ~ e^{800 t} leave double range, which must raise, not give inf
         grid = TimeGrid(1.0, 200)
-        inc = triangular_increments(2, "real", grid, RNG.child(90))
+        inc = triangular_increments(2, "real", grid, [RNG.child(90)])[0]
         inc[:, range(2), range(2)] += np.array([-400.0, 400.0]) * grid.dt
         assert np.all(np.isfinite(triangular_frames_stepwise(2, "real", inc)))
         with pytest.raises(OverflowError):
@@ -334,7 +334,7 @@ class TestEngineAgainstStepwise:
     def test_frames_and_heun(self, field, p, drift):
         grid = TimeGrid(1.0, 300)
         r = RngStream(123, 10 * p + drift)
-        inc = triangular_increments(p, field, grid, r.child(10**6))
+        inc = triangular_increments(p, field, grid, [r.child(10**6)])[0]
         if drift:  # increments with a deterministic diagonal part (0.3, -0.2, 0.1) dt
             inc[:, range(p), range(p)] += np.array([0.3, -0.2, 0.1][:p]) * grid.dt
         lp = triangular_from_increments(grid, inc)
@@ -361,7 +361,7 @@ class TestNoiseStreams:
         grid = TimeGrid(0.5, 100)
         h = hashlib.sha256()
         for p in (1, 2, 3):
-            h.update(triangular_increments(p, field, grid, RngStream(11, p)).tobytes())
+            h.update(triangular_increments(p, field, grid, [RngStream(11, p)])[0].tobytes())
             for a in su_noise_increments(p, p + 70, field, grid, RngStream(11, p)):
                 h.update(a.tobytes())
         assert h.hexdigest() == self.DIGESTS[field]
@@ -402,7 +402,7 @@ class TestNoiseStreams:
         assert same_bits(dkappa, kappa_increments_per_replica(p, cplx, n, dt, rngs))
         assert np.any(dkappa) == (p > 1 or cplx)  # the real field's kappa at p = 1 has no entry
         grid = TimeGrid(n * dt, n)
-        inc = mx._lambda_increments(p, field, grid, rngs)
+        inc = triangular_increments(p, field, grid, rngs)
         assert same_bits(inc, np.stack([triangular_increments_lone(p, field, grid, r) for r in rngs]))
 
 
@@ -488,7 +488,7 @@ class TestEngineMemory:
 class TestEtaMatrix:
     def test_p1_reduces_to_scalar_eta(self):
         grid = TimeGrid(1.0, 2000)
-        inc = triangular_increments(1, "real", grid, RNG.child(6))
+        inc = triangular_increments(1, "real", grid, [RNG.child(6)])[0]
         lp = triangular_from_increments(grid, inc)
         scalar = eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)
         rad = eta_matrix(lp, range(1, grid.n_steps + 1))

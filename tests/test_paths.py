@@ -451,6 +451,14 @@ class TestHelperThread:
             exp_functional_samples({2e-3: [0], 1.0: [0]}, 1e-3, 1, RngStream(8, 0), mu=1e6)
         assert threading.active_count() == before
 
+    def test_raise_while_the_helper_waits_for_a_buffer(self):
+        # the read at step 1 overflows (B_1 > 0 at mu = 1e6) before the step frees its buffer, so
+        # the helper draws into the two buffers and then can only end on the None the call queues
+        before = threading.active_count()
+        with pytest.raises(OverflowError):
+            exp_functional_samples({1e-3: [0], 1.0: [0]}, 1e-3, 1, RngStream(1, 0), mu=1e6)
+        assert threading.active_count() == before
+
     def test_concurrent_calls_under_fast_switching(self):
         # four callers and their four helpers, more threads than a small host has CPUs, with a
         # thread switch every microsecond: a buffer read before its draw ends, or drawn into

@@ -38,7 +38,8 @@ def test_every_span_with_units_counts_work():
     calls = {
         "paths.exp_functional_samples": ({0.01: [0]}, 1e-3, 4, RngStream(1, 1)),
         "paths.my_drift": (np.array([0.0, 1.0]),),
-        "matrixproc.triangular_from_increments": (grid, triangular_increments(2, "complex", grid, RngStream(1, 2))),
+        "matrixproc.triangular_from_increments":
+            (grid, triangular_increments(2, "complex", grid, [RngStream(1, 2)])[0]),
         "matrixproc.finite_q_radial": (simulate_su_solvable((5,), [RngStream(1, 3)], lp), [5, 10]),
         "matrixproc.eta_matrix": (lp, [5, 10]),
         "specialfn.macdonald_ratio": (0.5, np.array([1.0, 2.0])),
