@@ -28,8 +28,8 @@ from .experiments import DEFAULTS, EXPERIMENTS, FIELDS, MODEL_FIELDS, Experiment
 from .matrixproc import ArcoshDomainError
 from .series import ResonanceError, TruncationError
 
-# the experiments whose checks are exact identities; selftest runs them at their defaults
-_EXACT = ("pitman-discrete", "tree-samelaw", "toda-identity", "spherical-limit", "hoogenboom-det")
+# the experiments with no time step are the exact ones, whose checks are identities; selftest runs them at their defaults
+_EXACT = tuple(name for name, own in DEFAULTS.items() if "dt" not in own)
 
 # the errors of a computation that broke down, as opposed to a check that failed (exit 3)
 _NUMERICAL = (ArcoshDomainError, TruncationError, ResonanceError, OverflowError, LinAlgError)

@@ -324,17 +324,14 @@ def _convergence_rows(seeds: list, dt: float, T: float, q: tuple) -> list:
     """Rows [seed, err(q_small), err(q_large)] of a run of my-convergence's seeds."""
     grid = pth.TimeGrid(T, round(T / dt))
     bases = [pth.RngStream(seed, 0) for seed in seeds]
-    b = np.stack([pth.sample_bm(grid, base.child(0)) for base in bases])
-    lg = pth.log_eta(b, grid.dt)
-    k0 = grid.index_of(_ERROR_FROM_T)
     # the radial part on H^q is the SO(1,q) case of the solvable-group engine, with
-    # l = e^B; the seeds ride on the replica axis, and nested column groups give
-    # q_large the transverse noise of q_small
-    l = mx.triangular_from_increments(grid, np.diff(b)[..., None, None])
-    sp = mx.simulate_su_solvable(q, [base.child(1) for base in bases], l)
-    d = mx.finite_q_radial(sp, range(k0, grid.n_steps + 1))
+    # l = e^B and eta read off l as in supq-limit; the seeds ride on the replica axis,
+    # and nested column groups give q_large the transverse noise of q_small
+    l = mx.sample_triangular_bm(1, "real", grid, [base.child(0) for base in bases])
+    k = range(grid.index_of(_ERROR_FROM_T), grid.n_steps + 1)
+    d = mx.finite_q_radial(mx.simulate_su_solvable(q, [base.child(1) for base in bases], l), k)
     log_q = np.array([math.log(v) for v in q])[:, None]
-    errs = np.max(np.abs(d[..., 0] - log_q - lg[:, None, k0:]), axis=-1)
+    errs = np.max(np.abs(d[..., 0] - log_q - np.log(mx.eta_matrix(l, k))[:, None, :, 0]), axis=-1)
     return [[seed] + e for seed, e in zip(seeds, errs.tolist())]
 
 

@@ -1,8 +1,8 @@
-"""Scalar path engine: Brownian paths, the exponential functional
-eta_t = int_0^t e^{2 B_s - B_t} ds and its sample streams, and the limiting
-diffusion's log-derivative drift; a scalar path is a plain (n_steps + 1,)
-array on a TimeGrid.  The radial part on the hyperbolic space H^q is the
-p = 1, real case of matrixproc's solvable-group engine.
+"""Scalar path engine: the time grid and random streams, the exponential
+functional eta_t = int_0^t e^{2 B_s - B_t} ds of a path B, a plain (n_steps + 1,)
+array on a TimeGrid, with its sample streams, and the limiting diffusion's
+log-derivative drift.  Brownian paths, the radial part on H^q and its flat-limit
+target eta come from the p = 1, real case of matrixproc's solvable-group engine.
 
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
@@ -26,7 +26,6 @@ from .specialfn import _scaled_macdonald_integral
 __all__ = [
     "TimeGrid",
     "RngStream",
-    "sample_bm",
     "eta_functional",
     "log_eta",
     "my_drift",
@@ -103,12 +102,6 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Derived stream; distinct indices give statistically independent streams."""
         return RngStream(self.seed, _splitmix64(self.stream_id ^ _splitmix64(index + 1)))
-
-
-def sample_bm(grid: TimeGrid, rng: RngStream) -> np.ndarray:
-    """Standard Brownian path from 0 on the grid, shape (n_steps + 1,)."""
-    increments = math.sqrt(grid.dt) * rng.generator().standard_normal(grid.n_steps)
-    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 def log_eta(b: np.ndarray, dt: float) -> np.ndarray:

@@ -13,10 +13,11 @@ explicit-column engine that simulates every transverse column of SU(p,q)
 reference whose Wishart reduction is the library's Gram engine), the
 Gram engine's noise (lambda, kappa and the reduced column noise) drawn
 and stored one replica at a time, the column-by-column left-point Ito
-form of the radial part on the hyperbolic space H^q, the one-functional,
-fresh-arrays-every-step loop of the exponential functional, and the
-serial form of the library's shared-driver sampler, which draws each
-step's normals on the calling thread.  The two-sample KS test that
+form of the radial part on the hyperbolic space H^q and the scalar
+Brownian path that drives it (one draw of all the steps' normals, summed),
+the one-functional, fresh-arrays-every-step loop of the exponential
+functional, and the serial form of the library's shared-driver sampler,
+which draws each step's normals on the calling thread.  The two-sample KS test that
 compares sample batches in the tests is built on the library's KS
 statistic and threshold.
 """
@@ -329,6 +330,13 @@ def transverse_noise_per_replica(p: int, widths, cplx: bool, n: int, dt: float, 
             K[cols, p + cols, :, i, g] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p))).T
     K *= math.sqrt(2.0 * dt)
     return K
+
+
+def sample_bm(grid, rng) -> np.ndarray:
+    """Standard Brownian path from 0 on the grid, shape (n_steps + 1,): one standard_normal(n_steps)
+    from rng.generator(), scaled by sqrt(dt) and summed."""
+    increments = math.sqrt(grid.dt) * rng.generator().standard_normal(grid.n_steps)
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 def hyperbolic_radial_columns(q: int, b, dt: float, rng) -> np.ndarray:

@@ -116,8 +116,8 @@ _DIGESTS = {
     ("conditional", "tables"): "9cab4dc0606cca7bbb5c6039887c079e96580518c4bda9231fb804238e5be131",
     ("hoog", "checks"): "6c12b08a1f22c4152ffb6df9709749bf5aacdb2d0f50c66de5b1ac5c97213b5f",
     ("hoog", "tables"): "2d3c8382126ed5b80742db7164816e3477c4a4fc6b3b85c2485c68f79052dd7d",
-    ("convergence", "checks"): "1781bd7cbf34bf0fe2f92118cb9380e315dbb7f6c4bd884de32fd39373f1f9a2",
-    ("convergence", "tables"): "35ba7fab706e54318bb7a43d6669f19b01daf59d44042267f8b7b46f8fdc23ec",
+    ("convergence", "checks"): "16811c1974fca5bfd322856d8bce3b19daf874fb7ae968a2f1356c42c7daabe1",
+    ("convergence", "tables"): "bedbdc959dc2ae703958b8fb11feead419665680c8bd9c1b5ef9385dcf1ced33",
     ("generator", "checks"): "329b4b30f098031f50d17df4b20aa0b264b0f6b0c03c84bdb7474545dabd02ad",
     ("generator", "tables"): "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
     ("spherical", "checks"): "fa070395a0e4b7c14bdfbbf34f7873ccad13b17fd999c8c19b6903c576fd912b",

@@ -414,6 +414,10 @@ class TestFieldTable:
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
             assert reads - {"as_dict", "seed", "workers", "out_dir"} == set(DEFAULTS[name]), name
 
+    def test_min_paths_covers_the_experiments_that_read_paths(self):
+        # ExperimentConfig looks up _MIN_PATHS for every experiment that reads n_paths
+        assert set(experiments._MIN_PATHS) == {name for name, own in DEFAULTS.items() if "n_paths" in own}
+
     def test_defaults_fill_the_fields_read_and_leave_the_rest_none(self):
         for name, own in DEFAULTS.items():
             cfg = ExperimentConfig(name)

@@ -15,12 +15,17 @@ from myproc.paths import (
     exp_functional_samples,
     log_eta,
     my_drift,
-    sample_bm,
 )
 from myproc.experiments import _convergence_rows
-from myproc.matrixproc import finite_q_radial, simulate_su_solvable, triangular_from_increments
+from myproc.matrixproc import (
+    finite_q_radial,
+    sample_triangular_bm,
+    simulate_su_solvable,
+    triangular_from_increments,
+    triangular_increments,
+)
 from myproc.specialfn import macdonald_k
-from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample
+from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample, sample_bm
 
 GRID = TimeGrid(1.0, 1000)
 GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
@@ -78,18 +83,27 @@ class TestGridAndStreams:
 
 
 class TestBrownian:
+    """The Brownian driver B of the flat limits: the p = 1 real triangular driver, l = e^B."""
+
     def test_same_stream_same_path(self):
-        assert np.array_equal(sample_bm(GRID, RNG), sample_bm(GRID, RNG))
+        paths = [sample_triangular_bm(1, "real", GRID, [RNG]).frames for _ in range(2)]
+        assert np.array_equal(*paths)
+
+    def test_increments_sum_to_the_scalar_path(self):
+        # the driver's steps draw the normals of one standard_normal(n_steps), as the scalar oracle does
+        increments = triangular_increments(1, "real", GRID, [RNG])[0, :, 0, 0]
+        assert np.array_equal(np.cumsum(increments), sample_bm(GRID, RNG)[1:])
 
     def test_terminal_variance(self):
         grid = TimeGrid(1.0, 8)
-        finals = np.array([sample_bm(grid, RNG.child(i))[-1] for i in range(10_000)])
+        l = sample_triangular_bm(1, "real", grid, [RNG.child(i) for i in range(10_000)])
+        finals = np.log(l.frames[:, -1, 0, 0])
         var = finals.var(ddof=1)
         se = var * math.sqrt(2.0 / (len(finals) - 1))
         assert abs(var - 1.0) <= 5.0 * se
 
     def test_starts_at_zero(self):
-        assert sample_bm(GRID, RNG)[0] == 0.0
+        assert sample_triangular_bm(1, "real", GRID, [RNG]).frames[0, 0, 0, 0] == 1.0  # l_0 = e^{B_0}
 
 
 class TestEtaFunctional:
@@ -192,7 +206,7 @@ class TestHyperbolicRadial:
         # a given version and seed give byte-identical my-convergence seed errors
         [(_, e_small, e_large)] = _convergence_rows([3], 0.01, 0.2, (100, 10_000))
         assert hashlib.sha256(np.array([e_small, e_large]).tobytes()).hexdigest() == (
-            "5c19d5b07f1e679a791f70ab730c88bbc32949603ff2ea9099d2e15aa61f0052")
+            "8feb2191642fb54d27943503a26e6fd4efb8f355c0116ab7e01c86082caae253")
 
     def test_q_validation(self):
         b = sample_bm(GRID, RNG.child(8))

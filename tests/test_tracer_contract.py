@@ -21,7 +21,8 @@ from myproc.trees import bessel3_kernel
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # spans whose functions the program no longer has; the benchmark still names them
-_STALE = {"paths.hyperbolic_radial", "matrixproc.su_noise_increments", "matrixproc.su_solvable_from_increments"}
+_STALE = {"paths.hyperbolic_radial", "paths.sample_bm", "matrixproc.su_noise_increments",
+          "matrixproc.su_solvable_from_increments"}
 
 
 def _load_spans():
