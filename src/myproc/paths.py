@@ -14,6 +14,7 @@ generator, in step order, so the streams are those of a serial loop.
 
 from __future__ import annotations
 
+import functools
 import math
 import queue
 import threading
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_seed_sequence = functools.cache(lambda: np.random.SeedSequence(0))  # numpy.random loads on first use, not at import
 
 
 def _splitmix64(x: int) -> int:
@@ -92,9 +94,8 @@ class RngStream:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def generator(self) -> np.random.Generator:
-        # Philox(key=...) alone seeds from OS entropy before the key replaces it;
-        # a fixed seed skips that read, and the key and a zero counter then set the stream
-        bitgen = np.random.Philox(0)
+        # one fixed seed sequence spares Philox(key=...)'s OS-entropy read; the key and a zero counter set the stream
+        bitgen = np.random.Philox(_seed_sequence())
         key = np.array([self.seed, self.stream_id & _MASK64], dtype=np.uint64)
         bitgen.state = {**bitgen.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
         return np.random.Generator(bitgen)

@@ -13,13 +13,16 @@ doubly exponentially.  One fixed rule evaluates it: per point, a closed-form
 window [0, V(x)] and a 128-panel trapezoid sum, which converges
 geometrically in the panel count.  The same rule yields lambda-derivatives
 (weight v^n) and the x-derivative (weight cosh v); a ratio of two weights
-takes both from one node set, on the wider of their two windows.
+takes both from one node set, on the wider of their two windows.  Every other
+block of 256 points of a call runs on one helper thread, with one thread's bits.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,7 @@ class Multiplicities:
 # the node count (Trefethen & Weideman, SIAM Review 2014); 128 panels reach
 # round-off over x in [1e-7, 1100] for the orders used here.
 _PANELS = 128
-_CHUNK = 256  # points per block: keeps the (points, nodes) temporaries in cache
+_CHUNK = 256  # points per block, the caller's and one helper thread's in turn: keeps the block buffers in cache
 
 
 def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: int = 0, per=None):
@@ -107,19 +110,40 @@ def _scaled_macdonald_integral(x, lam: float = 0.0, moment: int = 0, dx_weight: 
     flat = x.ravel()
     out = np.empty_like(flat)
     tail = 46.0 + 60.0 * (1.0 + max(sum(w) for w in weights))
-    for start in range(0, flat.size, _CHUNK):
-        xs = flat[start : start + _CHUNK, None]
-        h = np.arccosh(1.0 + tail / xs) / _PANELS
-        v = h * np.arange(_PANELS + 1)
-        c = np.cosh(v)
-        g = np.exp(-xs * (c - 1.0))
-        sums = []
-        for w_lam, w_moment, w_dx in weights:
-            f = np.cosh(w_lam * v) * g if w_lam else g
-            f = f * v**w_moment if w_moment else f
-            f = f * c**w_dx if w_dx else f
-            sums.append(f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
-        out[start : start + _CHUNK] = h[:, 0] * sums[0] if per is None else sums[0] / sums[1]
+    v_free = len({w[0] for w in weights} - {0.0}) == 1 and not moment  # v unread once cosh(lam v) g is formed
+    failed = {}
+
+    def share(first: int) -> None:  # blocks first, first + 2, ..., in this thread's own buffers
+        try:
+            bufs = np.empty((5 + len(weights), min(flat.size, _CHUNK), _PANELS + 1))
+            for start in range(first * _CHUNK, flat.size, 2 * _CHUNK):
+                xs = flat[start : start + _CHUNK, None]
+                v, c, g, p, f, *scaled = bufs[:, : len(xs)]
+                h = np.arccosh(1.0 + tail / xs) / _PANELS
+                np.cosh(np.multiply(h, np.arange(_PANELS + 1), out=v), out=c)
+                base = {0.0: np.exp(np.multiply(np.subtract(c, 1.0, out=g), -xs, out=g), out=g)}
+                sums = []
+                for (w_lam, w_moment, w_dx), s in zip(weights, [v, v] if v_free else scaled):
+                    if w_lam not in base:  # cosh(lam v) g once for each distinct lam
+                        base[w_lam] = np.multiply(np.cosh(np.multiply(w_lam, v, out=s), out=s), g, out=s)
+                    f_w = base[w_lam]
+                    for k, y in ((w_moment, v), (w_dx, c)):
+                        f_w = np.multiply(f_w, y if k == 1 else np.power(y, k, out=p), out=f) if k else f_w  # y**1 is y
+                    sums.append(f_w.sum(axis=1) - 0.5 * (f_w[:, 0] + f_w[:, -1]))
+                out[start : start + _CHUNK] = h[:, 0] * sums[0] if per is None else sums[0] / sums[1]
+        except BaseException as exc:  # raised by the caller once both threads are done, its own first
+            failed[first] = exc
+
+    if flat.size > _CHUNK:  # in a copy of the caller's context, so numpy's errstate reaches the helper's blocks
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(share, 1), name="macdonald blocks")
+        thread.start()
+    try:
+        share(0)
+    finally:
+        if flat.size > _CHUNK:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
     return out.reshape(x.shape)[()]
 
 

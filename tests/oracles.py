@@ -16,8 +16,10 @@ and stored one replica at a time, the column-by-column left-point Ito
 form of the radial part on the hyperbolic space H^q and the scalar
 Brownian path that drives it (one draw of all the steps' normals, summed),
 the one-functional, fresh-arrays-every-step loop of the exponential
-functional, and the serial form of the library's shared-driver sampler,
-which draws each step's normals on the calling thread.  The two-sample KS test that
+functional, the serial form of the library's shared-driver sampler,
+which draws each step's normals on the calling thread, the Macdonald rule
+in one loop over its point blocks on the calling thread, and the random
+stream built from a fresh Philox per call.  The two-sample KS test that
 compares sample batches in the tests is built on the library's KS
 statistic and threshold.
 """
@@ -37,6 +39,32 @@ def macdonald_raw_integral(lam: float, x: float) -> float:
     val, _ = integrate.quad(lambda t: math.exp(-t - x * x / (4.0 * t)) * t ** (-1.0 - lam),
                             0.0, np.inf, limit=400)
     return 0.5 * (x / 2.0) ** lam * val
+
+
+def scaled_macdonald_integral_serial(x, lam: float = 0.0, moment: int = 0, dx_weight: int = 0, per=None):
+    """The library's Macdonald rule (specialfn._scaled_macdonald_integral) in one loop over its
+    blocks of 256 points on the calling thread, each block in fresh temporaries."""
+    weights = [(abs(float(lam)), moment, dx_weight)] + ([] if per is None else [(abs(float(per[0])), 0, per[1])])
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("x must be positive")
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    tail = 46.0 + 60.0 * (1.0 + max(sum(w) for w in weights))
+    for start in range(0, flat.size, 256):
+        xs = flat[start : start + 256, None]
+        h = np.arccosh(1.0 + tail / xs) / 128
+        v = h * np.arange(129)
+        c = np.cosh(v)
+        g = np.exp(-xs * (c - 1.0))
+        sums = []
+        for w_lam, w_moment, w_dx in weights:
+            f = np.cosh(w_lam * v) * g if w_lam else g
+            f = f * v**w_moment if w_moment else f
+            f = f * c**w_dx if w_dx else f
+            sums.append(f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+        out[start : start + 256] = h[:, 0] * sums[0] if per is None else sums[0] / sums[1]
+    return out.reshape(x.shape)[()]
 
 
 def ode_spherical(lam: float, mult, r_end: float, h: float = 5e-4) -> float:
@@ -330,6 +358,15 @@ def transverse_noise_per_replica(p: int, widths, cplx: bool, n: int, dt: float, 
             K[cols, p + cols, :, i, g] = np.sqrt(2.0 * gen.gamma(dof / 2.0, 1.0, (n, p))).T
     K *= math.sqrt(2.0 * dt)
     return K
+
+
+def philox_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """RngStream(seed, stream_id).generator() built from a fresh Philox(0) per call, whose key and
+    zero counter then replace the state its seed gave."""
+    bitgen = np.random.Philox(0)
+    key = np.array([seed, stream_id & ((1 << 64) - 1)], dtype=np.uint64)
+    bitgen.state = {**bitgen.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
+    return np.random.Generator(bitgen)
 
 
 def sample_bm(grid, rng) -> np.ndarray:

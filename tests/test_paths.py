@@ -25,7 +25,7 @@ from myproc.matrixproc import (
     triangular_increments,
 )
 from myproc.specialfn import macdonald_k
-from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample, sample_bm
+from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample, philox_generator, sample_bm
 
 GRID = TimeGrid(1.0, 1000)
 GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
@@ -67,6 +67,17 @@ class TestGridAndStreams:
         with pytest.raises(AssertionError):
             np.random.SeedSequence()  # the patch reaches numpy's entropy source
         assert np.array_equal(RngStream(5, 9).generator().standard_normal(8), ref)
+
+    def test_stream_equals_a_philox_built_per_call(self):
+        # the generator starts from one cached seed sequence; its state and draws are those of
+        # a Philox(0) built per call, up to the largest seed and a child id near 2^64
+        top = RngStream(2**63 - 1, 5).child(300)
+        assert top.stream_id > 2**64 - 2**52
+        for rng in (RngStream(0, 0), RngStream(5, 9), RngStream(20240801, 2), RngStream(2**63 - 1, 0),
+                    RngStream(2**64 - 1, 1), top):
+            gen, ref = rng.generator(), philox_generator(rng.seed, rng.stream_id)
+            assert str(gen.bit_generator.state) == str(ref.bit_generator.state)
+            assert np.array_equal(gen.standard_normal(1000), ref.standard_normal(1000))
 
     def test_seed_outside_64_bits_rejected(self):
         # Philox keys on 64 bits: -1 and 2^64 + 1 would repeat the draws of 2^64 - 1 and 1

@@ -1,5 +1,7 @@
 import cmath
 import math
+import threading
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as hst
 from scipy.special import kve
 
 from myproc.paths import my_drift
+from myproc import specialfn
 from myproc.series import g_q_even_derivative
 from myproc.specialfn import (
     Multiplicities,
@@ -21,7 +24,7 @@ from myproc.specialfn import (
     macdonald_ratio,
 )
 
-from oracles import central_even_derivative, macdonald_raw_integral
+from oracles import central_even_derivative, macdonald_raw_integral, scaled_macdonald_integral_serial
 
 SQRT_PI = 1.7724538509055160273
 
@@ -185,6 +188,85 @@ class TestFixedRule:
             assert ratio[i, j] == macdonald_ratio(1.0, x)
             assert drift[i, j] == my_drift(float(rs[i, j]), 0.5)
             assert k2[i, j] == macdonald_k_dlambda(2, x)
+
+
+def _serial_drift(x, lam):
+    """my_drift(-log x, lam) on the single-thread rule."""
+    y = np.exp(np.log(x))  # the point my_drift recovers from r = -log x
+    return y * scaled_macdonald_integral_serial(y, lam, dx_weight=1, per=(lam, 0))
+
+
+# each case: the library function of x, and the same on the single-thread rule
+SPLIT_CASES = {
+    "macdonald_ratio": (lambda x: macdonald_ratio(0.5, x),
+                        lambda x: scaled_macdonald_integral_serial(x, 0.5, per=(0.0, 0))),
+    "my_drift(lam=0)": (lambda x: my_drift(-np.log(x)), lambda x: _serial_drift(x, 0.0)),
+    "my_drift(lam=0.5)": (lambda x: my_drift(-np.log(x), 0.5), lambda x: _serial_drift(x, 0.5)),
+    "macdonald_k": (lambda x: macdonald_k(0.7, x), lambda x: np.exp(-x) * scaled_macdonald_integral_serial(x, 0.7)),
+    "macdonald_k_dlambda(2)": (lambda x: macdonald_k_dlambda(2, x),
+                               lambda x: np.exp(-x) * scaled_macdonald_integral_serial(x, moment=2)),
+}
+SPLIT_XS = np.exp(np.random.default_rng(40).uniform(math.log(1e-7), math.log(900.0), 100_000))
+
+
+class TestSplitQuadrature:
+    """A call of more than one block of 256 points runs its odd blocks on one helper thread: the
+    values are the single-thread rule's bit for bit, the caller's errstate and every error of the
+    helper's blocks reach the caller, and no thread outlives the call."""
+
+    # one point (no thread), one block short, full and one past it, three blocks, and my-generator's size
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 100_000])
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_equals_single_thread_rule(self, case, n):
+        library, serial = SPLIT_CASES[case]
+        before = threading.active_count()
+        got = library(SPLIT_XS[:n])
+        assert threading.active_count() == before
+        assert np.array_equal(got, serial(SPLIT_XS[:n]))
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(specialfn, "threading", SimpleNamespace(Thread=no_thread))
+        macdonald_ratio(0.5, SPLIT_XS[:256])
+        with pytest.raises(AssertionError, match="thread started"):
+            macdonald_ratio(0.5, SPLIT_XS[:257])
+
+    @staticmethod
+    def _overflow_in_helper_block() -> np.ndarray:
+        # 1 / 1e-310 overflows in the window of point 300, in block 1 of three: the helper's
+        x = np.ones(513)
+        x[300] = 1e-310
+        return x
+
+    def test_callers_errstate_reaches_the_helper(self):
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            macdonald_ratio(0.5, self._overflow_in_helper_block())
+        assert threading.active_count() == before
+
+    def test_helper_warning_reaches_the_caller(self):
+        # the suite turns RuntimeWarning into an error, so the helper's overflow warning raises
+        before = threading.active_count()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            macdonald_ratio(0.5, self._overflow_in_helper_block())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyboardInterrupt])
+    def test_helper_error_reaches_the_caller(self, monkeypatch, error):
+        caller, plain = threading.get_ident(), np.arccosh
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise error("helper block failed")
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(specialfn.np, "arccosh", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="helper block failed"):
+            my_drift(-np.log(SPLIT_XS[:1000]), 0.5)
+        assert threading.active_count() == before
 
 
 class TestKtildeDet:
