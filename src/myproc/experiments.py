@@ -473,16 +473,20 @@ def run_supq_limit(cfg: ExperimentConfig) -> ExperimentResult:
                         f"componentwise error decreasing over q={q_list} on >= 90% of {cfg.n_seeds} seeds "
                         f"(per-seed error = mean over {inner} transverse-noise replicas, shared l)",
                         {"seed": cfg.seed, "dt": cfg.dt, "q_list": list(q_list), "inner_replicas": inner}))
-    # p = 1 reduction at fine dt: matrix functional vs scalar functional, same noise
+    # p = 1 reduction at fine dt: matrix functional vs numpy's trapezoid of the scalar path, same noise
     grid = pth.TimeGrid(1.0, 10_000)
     inc = mx.triangular_increments(1, "real", grid, [pth.RngStream(cfg.seed, 9)])[0]
     lpath = mx.triangular_from_increments(grid, inc)
-    eta_scalar = pth.eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)[-1]
+    b = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
+    eta_scalar = math.exp(-b[-1]) * np.trapezoid(np.exp(2.0 * b), dx=grid.dt)
     rad = mx.eta_matrix(lpath, indices=[grid.n_steps])
     rel = abs(rad[0, 0] - eta_scalar) / abs(eta_scalar)
     tol = 5.0 * math.sqrt(grid.dt)
     checks.append(Check("p1_reduction", rel <= tol, rel,
                         f"relative gap <= 5 sqrt(dt) = {tol:.3g}",
+                        {"seed": cfg.seed, "dt": grid.dt}))
+    # both sides take the trapezoid of e^{2B} on one grid, so only round-off separates them
+    checks.append(Check("p1_reduction_roundoff", rel <= 1e-12, rel, "relative gap <= 1e-12 (round-off)",
                         {"seed": cfg.seed, "dt": grid.dt}))
 
     def replica_mean(q, grid, field, rngs, reduce) -> float:

@@ -1,8 +1,9 @@
-"""Scalar path engine: the time grid and random streams, the exponential
-functional eta_t = int_0^t e^{2 B_s - B_t} ds of a path B, a plain (n_steps + 1,)
-array on a TimeGrid, with its sample streams, and the limiting diffusion's
-log-derivative drift.  Brownian paths, the radial part on H^q and its flat-limit
-target eta come from the p = 1, real case of matrixproc's solvable-group engine.
+"""Scalar path engine: the time grid and random streams, sample streams of the
+exponential functionals Z_t = int_0^t e^{mu X_s - X_t} ds of X_t = B_t + drift t
+(eta_t = int_0^t e^{2 B_s - B_t} ds at mu = 2, drift 0), and the limiting
+diffusion's log-derivative drift.  Brownian paths, the radial part on H^q and its
+flat-limit target eta (eta_matrix) come from the p = 1, real case of matrixproc's
+solvable-group engine.
 
 Randomness is counter-based (Philox keyed by (seed, stream_id)), so replicas
 are bit-reproducible and independent streams can be derived without shared
@@ -27,8 +28,6 @@ from .specialfn import _scaled_macdonald_integral
 __all__ = [
     "TimeGrid",
     "RngStream",
-    "eta_functional",
-    "log_eta",
     "my_drift",
     "exp_functional_samples",
 ]
@@ -53,11 +52,6 @@ def _grid_steps(t: float, dt: float) -> int | None:
         return None
     k = round(steps)
     return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
-
-
-def _check_dt(dt: float) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -105,29 +99,6 @@ class RngStream:
         return RngStream(self.seed, _splitmix64(self.stream_id ^ _splitmix64(index + 1)))
 
 
-def log_eta(b: np.ndarray, dt: float) -> np.ndarray:
-    """log eta_t on the grid of step dt of each path of b (..., n_steps + 1), time last, by the
-    cumulative trapezoid of e^{2 B_s} ds in log space; the t = 0 entry is -inf (entrance boundary)."""
-    _check_dt(dt)
-    log_steps = math.log(dt / 2.0) + np.logaddexp(2.0 * b[..., :-1], 2.0 * b[..., 1:])
-    out = np.empty(b.shape)
-    out[..., 0] = -np.inf
-    np.logaddexp.accumulate(log_steps, axis=-1, out=out[..., 1:])
-    return out - b
-
-
-def eta_functional(b: np.ndarray, dt: float) -> np.ndarray:
-    """eta_t = e^{-B_t} int_0^t e^{2 B_s} ds on the grid of step dt of the path b; eta_0 = 0.
-
-    The integral is taken in log space; an eta beyond double range raises OverflowError.
-    """
-    with np.errstate(over="ignore"):  # a non-finite eta raises below
-        eta = np.exp(log_eta(b, dt))
-    if not np.isfinite(eta).all():
-        raise OverflowError("eta left double range")
-    return eta
-
-
 def my_drift(r, lam: float = 0.0):
     """d/dr log K_lam(e^{-r}) (scalar or array r).
 
@@ -167,7 +138,8 @@ def exp_functional_samples(times, dt: float, n_paths: int, rng: RngStream, mu=2.
     driver B, shape (len(times), n_paths), and Z, a list of one
     (times read, n_paths) array per functional.
     """
-    _check_dt(dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     mus, drifts = np.broadcast_arrays(np.atleast_1d(np.asarray(mu, dtype=float)),
                                       np.atleast_1d(np.asarray(drift, dtype=float)))
     if mus.ndim != 1 or mus.size == 0:

@@ -25,7 +25,7 @@ from myproc.matrixproc import (
     triangular_from_increments,
     triangular_increments,
 )
-from myproc.paths import RngStream, TimeGrid, eta_functional
+from myproc.paths import RngStream, TimeGrid
 
 from oracles import (
     charpoly_singular_values,
@@ -485,14 +485,43 @@ class TestEngineMemory:
             assert peak_large <= 1.05 * peak_small, p
 
 
+def _eta_p1(b: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """eta at grid indices 1..n of the scalar path b, read by eta_matrix on the frames l = e^b."""
+    return eta_matrix(TriangularPath(grid, np.exp(b)[:, None, None]), range(1, grid.n_steps + 1))[:, 0]
+
+
 class TestEtaMatrix:
+    GRID = TimeGrid(1.0, 1000)
+    TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
+
     def test_p1_reduces_to_scalar_eta(self):
+        # eta_t = e^{-B_t} int_0^t e^{2 B_s} ds, by numpy's trapezoid on each prefix of the path
         grid = TimeGrid(1.0, 2000)
         inc = triangular_increments(1, "real", grid, [RNG.child(6)])[0]
         lp = triangular_from_increments(grid, inc)
-        scalar = eta_functional(np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])]), grid.dt)
+        b = np.concatenate([[0.0], np.cumsum(inc[:, 0, 0])])
+        e = np.exp(2.0 * b)
+        scalar = [math.exp(-b[k]) * np.trapezoid(e[:k + 1], dx=grid.dt) for k in range(1, grid.n_steps + 1)]
         rad = eta_matrix(lp, range(1, grid.n_steps + 1))
-        assert np.max(np.abs(rad[:, 0] - scalar[1:])) < 1e-12
+        assert np.max(np.abs(rad[:, 0] - scalar)) < 1e-12
+
+    def test_p1_zero_path_gives_t(self):
+        assert np.allclose(_eta_p1(np.zeros(1001), self.GRID), self.TIMES[1:], rtol=0.0, atol=1e-12)
+
+    def test_p1_linear_path_gives_sinh(self):
+        c = 0.8
+        got = _eta_p1(c * self.TIMES, self.GRID)
+        assert np.max(np.abs(got - np.sinh(c * self.TIMES[1:]) / c)) < 1e-5
+
+    def test_p1_positive(self):
+        lp = sample_triangular_bm(1, "real", self.GRID, [RNG.child(1)])
+        assert np.all(eta_matrix(lp, range(1, self.GRID.n_steps + 1)) > 0.0)
+
+    def test_p1_small_time_behavior(self):
+        # eta at the first grid point is e^{-B} dt (1 + e^{2B}) / 2 = dt cosh(B_dt): dt up to O(dt^2)
+        lp = sample_triangular_bm(1, "real", self.GRID, [RNG.child(100 + i) for i in range(20)])
+        eta = eta_matrix(lp, indices=[1])[:, 0, 0]
+        assert np.allclose(eta, self.GRID.dt * np.cosh(np.log(lp.frames[:, 1, 0, 0])), rtol=1e-14, atol=0.0)
 
     def test_replica_stack_matches_single_paths(self):
         # stacked frames (replicas, n+1, p, p): the indices pick times of every replica,

@@ -11,13 +11,12 @@ import pytest
 from myproc.paths import (
     RngStream,
     TimeGrid,
-    eta_functional,
     exp_functional_samples,
-    log_eta,
     my_drift,
 )
 from myproc.experiments import _convergence_rows
 from myproc.matrixproc import (
+    eta_matrix,
     finite_q_radial,
     sample_triangular_bm,
     simulate_su_solvable,
@@ -28,7 +27,6 @@ from myproc.specialfn import macdonald_k
 from oracles import exp_functional_serial, exp_functional_stepwise, ks_two_sample, philox_generator, sample_bm
 
 GRID = TimeGrid(1.0, 1000)
-GRID_TIMES = np.linspace(0.0, 1.0, 1001)  # the points of GRID
 RNG = RngStream(20240809, 0)
 
 
@@ -117,81 +115,15 @@ class TestBrownian:
         assert sample_triangular_bm(1, "real", GRID, [RNG]).frames[0, 0, 0, 0] == 1.0  # l_0 = e^{B_0}
 
 
-class TestEtaFunctional:
-    @pytest.mark.parametrize("fn", [log_eta, eta_functional])
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
-    def test_bad_dt_rejected(self, fn, dt):
-        with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            fn(np.zeros(3), dt)
-
-    def test_zero_path_gives_t(self):
-        assert np.allclose(eta_functional(np.zeros(1001), GRID.dt), GRID_TIMES, atol=1e-12)
-
-    def test_linear_path_gives_sinh(self):
-        c = 0.8
-        got = eta_functional(c * GRID_TIMES, GRID.dt)
-        assert np.max(np.abs(got - np.sinh(c * GRID_TIMES) / c)) < 1e-5
-
-    def test_positive_after_zero(self):
-        eta = eta_functional(sample_bm(GRID, RNG.child(1)), GRID.dt)
-        assert eta[0] == 0.0
-        assert np.all(eta[1:] > 0.0)
-
-    def test_small_time_behavior(self):
-        # eta at the first grid point is dt up to a sqrt(dt)-sized band
-        for i in range(20):
-            eta = eta_functional(sample_bm(GRID, RNG.child(100 + i)), GRID.dt)
-            assert abs(eta[1] - GRID.dt) <= 0.1 * math.sqrt(GRID.dt) * GRID.dt + 1e-12
-
-    def test_log_domain_matches_direct(self):
-        b = 31.0 * np.sin(3.0 * GRID_TIMES)
-        direct_integral = np.concatenate(
-            [[0.0], np.cumsum(0.5 * GRID.dt * (np.exp(2 * b[:-1]) + np.exp(2 * b[1:])))])
-        expected = np.exp(-b) * direct_integral
-        got = eta_functional(b, GRID.dt)
-        assert np.max(np.abs(got[1:] / expected[1:] - 1.0)) < 1e-12
-
-    def test_overflow_guard(self):
-        b = np.linspace(0.0, 800.0, 1001)
-        with pytest.raises(OverflowError):
-            eta_functional(b, GRID.dt)
-
-    def test_overflow_is_read_off_eta_not_the_path(self):
-        # a path inside +-700 whose eta leaves double range raises, not returns inf
-        with pytest.raises(OverflowError, match="eta left double range"):
-            eta_functional(np.array([0.0, 700.0, 700.0, -700.0]), 1.0)
-        # a path beyond -700 whose eta stays in range returns it: log eta = log(1/2) + 701, then 0
-        eta = eta_functional(np.array([0.0, -701.0, 0.0]), 1.0)
-        assert eta[0] == 0.0 and np.isfinite(eta).all()
-        assert np.allclose(np.log(eta[1:]), [math.log(0.5) + 701.0, 0.0], rtol=0.0, atol=1e-12)
-
-    def test_log_eta_consistent(self):
-        b = sample_bm(GRID, RNG.child(2))
-        le = log_eta(b, GRID.dt)
-        eta = eta_functional(b, GRID.dt)
-        assert le[0] == -np.inf
-        assert np.allclose(le[1:], np.log(eta[1:]), atol=1e-12)
-
-    def test_log_eta_stack_matches_rows(self):
-        # time on the last axis; each path of a stack is bit for bit its lone call
-        b = np.stack([sample_bm(GRID, RNG.child(20 + i)) for i in range(6)])
-        for stack in (b, b.reshape(2, 3, -1)):
-            got = log_eta(stack, GRID.dt).reshape(b.shape)
-            for row, path in zip(got, b):
-                assert np.array_equal(row, log_eta(path, GRID.dt))
-
-    def test_mean_at_t1(self):
-        _, [[z]] = exp_functional_samples({1.0: [0]}, 1e-3, 20_000, RNG.child(3))
-        m = z.mean()
-        se = z.std(ddof=1) / math.sqrt(z.size)
-        assert abs(m - math.exp(0.5)) <= 3.0 * se
+def _frames(b: np.ndarray):
+    """The p = 1 real triangular path l = e^B of the GRID path b, one replica."""
+    return triangular_from_increments(GRID, np.diff(b)[None, :, None, None])
 
 
 def _radial(q: tuple, b: np.ndarray, rng: RngStream) -> np.ndarray:
     """Radial part on H^q driven by the GRID path b, one row per q value and a column per
     grid point: the SO(1,q) solvable-group engine with l = e^B."""
-    l = triangular_from_increments(GRID, np.diff(b)[None, :, None, None])
-    return finite_q_radial(simulate_su_solvable(q, [rng], l), range(GRID.n_steps + 1))[0, ..., 0]
+    return finite_q_radial(simulate_su_solvable(q, [rng], _frames(b)), range(GRID.n_steps + 1))[0, ..., 0]
 
 
 class TestHyperbolicRadial:
@@ -207,9 +139,9 @@ class TestHyperbolicRadial:
         k0 = GRID.index_of(0.1)
         for i in range(10):
             b = sample_bm(GRID, RNG.child(300 + i))
-            lg = log_eta(b, GRID.dt)
+            lg = np.log(eta_matrix(_frames(b), range(k0, GRID.n_steps + 1))[0, :, 0])
             d = _radial((100, 10_000), b, RNG.child(400 + i))
-            errs = [np.max(np.abs(row[k0:] - math.log(q) - lg[k0:])) for row, q in zip(d, (100, 10_000))]
+            errs = [np.max(np.abs(row[k0:] - math.log(q) - lg)) for row, q in zip(d, (100, 10_000))]
             wins += errs[1] < errs[0]
         assert wins >= 9
 
@@ -273,6 +205,12 @@ class TestEulerDiffusion:
 
 
 class TestBatchSamples:
+    def test_mean_at_t1(self):
+        _, [[z]] = exp_functional_samples({1.0: [0]}, 1e-3, 20_000, RNG.child(3))
+        m = z.mean()
+        se = z.std(ddof=1) / math.sqrt(z.size)
+        assert abs(m - math.exp(0.5)) <= 3.0 * se
+
     def test_reproducible(self):
         a = exp_functional_samples({0.5: [0], 1.0: [0]}, 1e-3, 64, RNG.child(16))
         b = exp_functional_samples({0.5: [0], 1.0: [0]}, 1e-3, 64, RNG.child(16))
